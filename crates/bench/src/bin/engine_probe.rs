@@ -12,9 +12,8 @@
 //! per-backend win distribution from the engine's cache stats.
 //!
 //! Persistent mode: `--cache-dir <path>` (or the `COSA_CACHE_DIR` env var)
-//! runs one engine against an on-disk schedule cache, `--cache-format
-//! segment|legacy` picks the disk-tier layout (packed `segment.cosa` by
-//! default), `--noc` enables engine-level NoC evaluation, and
+//! runs one engine against an on-disk schedule cache (one packed
+//! `segment.cosa`), `--noc` enables engine-level NoC evaluation, and
 //! `--expect-warm` asserts the run was a 100% warm start — zero solver
 //! calls, zero NoC re-simulations. The
 //! canonical (`without_timings`) report is written to
@@ -59,8 +58,8 @@ fn print_backend_wins(stats: &cosa_repro::engine::CacheStats) {
 }
 
 /// Machine-readable per-suite summary, one line per probe run, matching
-/// the `interlayer:`/`probe-throughput:` key=value convention so CI and
-/// the trajectory tooling can extract figures without parsing prose.
+/// the `interlayer:`/`probe-throughput:` key=value convention so CI can
+/// extract figures without parsing prose.
 fn print_suite_summary(network: &Network, run: &cosa_repro::engine::NetworkRun) {
     println!(
         "suite-summary: suite={} instances={} unique_shapes={} solves={} hits={} failed={} \
@@ -237,7 +236,6 @@ fn run_persistent(
 ) {
     let mut engine = Engine::new(arch.clone())
         .with_threads(threads)
-        .with_cache_format(common.cache_format)
         .with_interlayer(common.interlayer);
     if common.noc {
         engine = engine.with_noc();
@@ -258,12 +256,6 @@ fn run_persistent(
             "cold"
         },
     );
-    // Machine-readable warm-start line: CI extracts `micros=` to compare
-    // segment vs legacy load time on identical entry populations.
-    println!(
-        "warm-load: format={} entries={} micros={} skipped={}",
-        loaded.disk_format, loaded.warm_entries, loaded.load_micros, loaded.store_errors,
-    );
 
     let run = engine.schedule_network(network, scheduler);
     let stats = engine.cache_stats();
@@ -276,11 +268,8 @@ fn run_persistent(
         stats.entries, stats.bytes, stats.evictions, stats.store_errors
     );
     println!(
-        "  disk tier: format={} index={} legacy_files={} segment={}B (live {}B, dead {}B), \
-         {} compactions",
-        stats.disk_format,
+        "  disk tier: index={} segment={}B (live {}B, dead {}B), {} compactions",
         stats.disk_index_entries,
-        stats.disk_legacy_files,
         stats.segment_bytes,
         stats.segment_live_bytes,
         stats.segment_dead_bytes,

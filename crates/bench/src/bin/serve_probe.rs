@@ -365,11 +365,8 @@ fn main() {
         after.gc_runs,
     );
     println!(
-        "  disk tier: format={} index={} legacy_files={} segment={}B (live {}B, dead {}B), \
-         {} compactions",
-        after.cache.disk_format,
+        "  disk tier: index={} segment={}B (live {}B, dead {}B), {} compactions",
         after.cache.disk_index_entries,
-        after.cache.disk_legacy_files,
         after.cache.segment_bytes,
         after.cache.segment_live_bytes,
         after.cache.segment_dead_bytes,

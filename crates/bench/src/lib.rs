@@ -16,6 +16,12 @@
 //! | `fig10` | per-layer speedup on the NoC simulator |
 //! | `fig11` | GPU case study vs the TVM-style tuner |
 //! | `all` | everything above, writing CSVs into `results/` |
+//! | `ablation`, `weight_sweep` | formulation ablation and objective-weight sweep |
+//! | `engine_probe`, `serve_probe` | acceptance probes for the batch engine and the serving daemon/fleet |
+//! | `inspect` | one layer's schedule, per-level energy and solve time (dev tool) |
+//!
+//! Performance is measured by `benchmark/run.sh` (see `BENCHMARK.json`),
+//! not by a binary here.
 //!
 //! The shared [`campaign`] runner schedules every layer of the four DNN
 //! suites with all three schedulers (Random, Timeloop-Hybrid-style, CoSA),

@@ -9,9 +9,10 @@
 //! request's canonical cache-key digest on a consistent-hash ring, so a
 //! digest is solved exactly once fleet-wide; `GET /v1/stats` answers the
 //! merged fleet counters; `GET /v1/healthz` is healthy only when every
-//! shard is. The router speaks only `/v1`.
+//! shard is.
 //!
-//! Flags:
+//! Flags (any other argument is an error and the router exits non-zero
+//! naming it):
 //!
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:7800`).
 //! * `--shards A,B,C` — comma-separated shard addresses (required).
@@ -39,8 +40,13 @@ fn main() {
         !shards.is_empty(),
         "--shards A,B,C is required (at least one shard address)"
     );
+    let own_flags = [("--shards", true), ("--no-cascade-shutdown", false)];
     let config = RouterConfig {
-        serve: config_from_args(&args, "127.0.0.1:7800")
+        serve: config_from_args(&args, "127.0.0.1:7800", &own_flags)
+            .unwrap_or_else(|msg| {
+                eprintln!("cosa_router: {msg}");
+                std::process::exit(2);
+            })
             .log_requests(true)
             .build(),
         shards,

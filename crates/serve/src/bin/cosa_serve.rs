@@ -5,7 +5,8 @@
 //!     --addr 127.0.0.1:7878 --cache-dir .cosa-cache --noc`
 //!
 //! Flags (all parsed by `cosa_serve::cli::config_from_args` onto
-//! `ServeConfig::builder`):
+//! `ServeConfig::builder`; any other argument is an error and the daemon
+//! exits non-zero naming it):
 //!
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:7878`; port 0
 //!   picks an ephemeral port, printed at startup).
@@ -14,30 +15,35 @@
 //! * `--max-connections N` — bound on simultaneously open connections
 //!   (the epoll front keeps idle/parsing connections off the workers).
 //! * `--cache-dir PATH` (or `COSA_CACHE_DIR`) — shared persistent
-//!   schedule cache; restarts warm-start from it.
-//! * `--cache-format segment|legacy` — disk-tier layout: the packed
-//!   `segment.cosa` file (default) or one JSON file per digest.
+//!   schedule cache (one packed `segment.cosa` file); restarts
+//!   warm-start from it.
 //! * `--lock-staleness-secs N` — how old a per-digest solve-lock file
 //!   must be before it is presumed orphaned and taken over (default
 //!   300 s; keep it above the worst-case solve time).
 //! * `--noc` — engine-level NoC evaluation per unique shape.
+//! * `--interlayer` (plus `--interlayer-budget-bytes N`,
+//!   `--interlayer-strategy greedy|milp`) — default inter-layer residency
+//!   options for network/suite requests that carry none.
 //! * `--gc-max-bytes N` / `--gc-max-age-secs N` — disk-tier GC policy,
 //!   run at startup and every `--gc-every N` served requests (default 64).
 //! * `--request-delay-micros N` — artificial service delay (load-test
 //!   instrumentation only).
 //!
 //! The daemon serves the versioned wire API (`POST /v1/schedule`,
-//! `GET /v1/stats`, `GET /v1/healthz`, `POST /v1/shutdown`; unversioned
-//! paths remain as deprecated aliases), logs one line per request to
-//! stdout and exits cleanly on `POST /v1/shutdown`, draining queued
-//! requests first.
+//! `GET /v1/stats`, `GET /v1/healthz`, `POST /v1/shutdown`), logs one
+//! line per request to stdout and exits cleanly on `POST /v1/shutdown`,
+//! draining queued requests first.
 
 use cosa_serve::cli::config_from_args;
 use cosa_serve::Server;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let config = config_from_args(&args, "127.0.0.1:7878")
+    let config = config_from_args(&args, "127.0.0.1:7878", &[])
+        .unwrap_or_else(|msg| {
+            eprintln!("cosa_serve: {msg}");
+            std::process::exit(2);
+        })
         .log_requests(true)
         .build();
     let handle = Server::start(config).expect("start daemon");

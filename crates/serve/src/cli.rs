@@ -5,7 +5,8 @@
 //! `cosa_serve`, `cosa_router`, `serve_probe` and `engine_probe` — and
 //! are re-exported here for the existing import paths. What remains in
 //! this module is the thin translation from parsed flags onto
-//! [`ServeConfig::builder`].
+//! [`ServeConfig::builder`], and the check that every argument is a flag
+//! some parser actually reads.
 
 pub use cosa_repro::serve::{flag_value, parse_flag, CommonArgs};
 
@@ -15,12 +16,58 @@ use cosa_repro::engine::GcPolicy;
 
 use crate::{ServeConfig, ServeConfigBuilder};
 
+/// The flags [`config_from_args`] reads itself (all take a value), on top
+/// of [`CommonArgs::FLAGS`].
+const DAEMON_FLAGS: [(&str, bool); 8] = [
+    ("--addr", true),
+    ("--workers", true),
+    ("--queue", true),
+    ("--max-connections", true),
+    ("--gc-max-bytes", true),
+    ("--gc-max-age-secs", true),
+    ("--gc-every", true),
+    ("--request-delay-micros", true),
+];
+
 /// Map the daemon flag set onto a [`ServeConfig`] builder:
 /// `--addr`/`--workers`/`--queue`/`--max-connections`, the [`CommonArgs`]
-/// set (`--cache-dir`/`--cache-format`/`--lock-staleness-secs`/`--noc`),
+/// set (`--cache-dir`/`--lock-staleness-secs`/`--noc`/`--interlayer*`),
 /// `--gc-max-bytes`/`--gc-max-age-secs`/`--gc-every` and
-/// `--request-delay-micros`.
-pub fn config_from_args(args: &[String], default_addr: &str) -> ServeConfigBuilder {
+/// `--request-delay-micros`. `extra_flags` names the flags the calling
+/// binary reads on its own (`(flag, takes_value)`).
+///
+/// # Errors
+///
+/// An argument that is none of those flags (nor the value of one) is an
+/// error naming it and listing the accepted set: a typo such as
+/// `--cache-dri` must stop the daemon, not start it cache-less.
+pub fn config_from_args(
+    args: &[String],
+    default_addr: &str,
+    extra_flags: &[(&str, bool)],
+) -> Result<ServeConfigBuilder, String> {
+    let accepted: Vec<(&str, bool)> = DAEMON_FLAGS
+        .iter()
+        .chain(&CommonArgs::FLAGS)
+        .chain(extra_flags)
+        .copied()
+        .collect();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match accepted.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                let names: Vec<&str> = accepted.iter().map(|(flag, _)| *flag).collect();
+                return Err(format!(
+                    "unknown argument `{arg}` (accepted flags: {})",
+                    names.join(" ")
+                ));
+            }
+        }
+    }
     let mut builder = ServeConfig::builder()
         .addr(flag_value(args, "--addr").unwrap_or_else(|| default_addr.to_string()))
         .common(&CommonArgs::parse(args));
@@ -47,13 +94,12 @@ pub fn config_from_args(args: &[String], default_addr: &str) -> ServeConfigBuild
     if let Some(micros) = parse_flag::<u64>(args, "--request-delay-micros") {
         builder = builder.request_delay(Duration::from_micros(micros));
     }
-    builder
+    Ok(builder)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosa_repro::engine::StoreFormat;
 
     #[test]
     fn flag_value_finds_pairs_and_tolerates_absence() {
@@ -82,8 +128,6 @@ mod tests {
             "9",
             "--max-connections",
             "111",
-            "--cache-format",
-            "legacy",
             "--lock-staleness-secs",
             "42",
             "--noc",
@@ -97,12 +141,13 @@ mod tests {
         ]
         .map(String::from)
         .to_vec();
-        let config = config_from_args(&args, "127.0.0.1:7878").build();
+        let config = config_from_args(&args, "127.0.0.1:7878", &[])
+            .expect("every flag is known")
+            .build();
         assert_eq!(config.addr, "127.0.0.1:0");
         assert_eq!(config.workers, 3);
         assert_eq!(config.queue_capacity, 9);
         assert_eq!(config.max_connections, 111);
-        assert_eq!(config.cache_format, StoreFormat::Legacy);
         assert_eq!(config.lock_staleness, Some(Duration::from_secs(42)));
         assert!(config.noc);
         assert_eq!(config.gc_every, 5);
@@ -112,8 +157,33 @@ mod tests {
             cosa_repro::engine::InterlayerOptions::enabled().with_budget_bytes(131072)
         );
 
-        let defaults = config_from_args(&["bin".to_string()], "127.0.0.1:7878").build();
+        let defaults = config_from_args(&["bin".to_string()], "127.0.0.1:7878", &[])
+            .expect("no flags is fine")
+            .build();
         assert_eq!(defaults.addr, "127.0.0.1:7878");
         assert!(!defaults.interlayer.enabled);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let parse = |args: &[&str], extra: &[(&str, bool)]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            config_from_args(&args, "127.0.0.1:7878", extra).map(|b| b.build())
+        };
+        // A typo must not start a cache-less daemon.
+        let err = parse(&["bin", "--cache-dri", "/tmp/c"], &[]).unwrap_err();
+        assert!(err.contains("`--cache-dri`"), "{err}");
+        assert!(err.contains("--cache-dir"), "lists the accepted set: {err}");
+        // The removed format switch is unknown like any other flag.
+        let err = parse(&["bin", "--cache-format", "legacy"], &[]).unwrap_err();
+        assert!(err.contains("`--cache-format`"), "{err}");
+        // A stray value (here after a flag that takes none) is named too.
+        let err = parse(&["bin", "--noc", "true"], &[]).unwrap_err();
+        assert!(err.contains("`true`"), "{err}");
+        // The calling binary's own flags are accepted only when declared.
+        let router = [("--shards", true), ("--no-cascade-shutdown", false)];
+        let args = ["bin", "--shards", "a:1,b:2", "--no-cascade-shutdown"];
+        assert!(parse(&args, &router).is_ok());
+        assert!(parse(&args, &[]).is_err());
     }
 }

@@ -62,9 +62,6 @@ pub struct Routed {
     pub status: u16,
     /// JSON response body.
     pub body: String,
-    /// Answered via a deprecated (unversioned) alias path: the response
-    /// carries a `Deprecation: true` header.
-    pub deprecated: bool,
     /// Begin graceful shutdown once this response is written.
     pub shutdown: bool,
 }
@@ -75,7 +72,6 @@ impl Routed {
         Routed {
             status,
             body,
-            deprecated: false,
             shutdown: false,
         }
     }
@@ -217,7 +213,7 @@ impl FrontHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Block until the front exits (a `/shutdown` request or a prior
+    /// Block until the front exits (a `/v1/shutdown` request or a prior
     /// [`FrontHandle::begin_shutdown`]). In-flight and queued requests
     /// finish first.
     ///
@@ -411,14 +407,7 @@ fn event_loop(listener: TcpListener, poller: Poller, shared: &Shared, max_connec
                     .map(|(t, _)| *t)
                     .collect();
                 for token in reading {
-                    respond(
-                        &poller,
-                        &mut conns,
-                        token,
-                        503,
-                        "daemon is shutting down",
-                        false,
-                    );
+                    respond(&poller, &mut conns, token, 503, "daemon is shutting down");
                 }
             }
             // Drained: every response written, nothing queued, no worker
@@ -471,7 +460,7 @@ fn accept_ready(
         conns.insert(token, conn);
         if shared.shutdown.load(Ordering::SeqCst) {
             // Accepted during drain: answer 503 instead of serving.
-            respond(poller, conns, token, 503, "daemon is shutting down", false);
+            respond(poller, conns, token, 503, "daemon is shutting down");
         }
     }
 }
@@ -498,14 +487,7 @@ fn drive_read(poller: &Poller, shared: &Shared, conns: &mut HashMap<u64, Conn>, 
                     if shared.log_requests {
                         println!("[serve] 400 bad request: {e}");
                     }
-                    respond(
-                        poller,
-                        conns,
-                        token,
-                        400,
-                        &format!("bad request: {e}"),
-                        false,
-                    );
+                    respond(poller, conns, token, 400, &format!("bad request: {e}"));
                     return;
                 }
             },
@@ -528,7 +510,7 @@ fn dispatch(
     request: Request,
 ) {
     if shared.shutdown.load(Ordering::SeqCst) {
-        respond(poller, conns, token, 503, "daemon is shutting down", false);
+        respond(poller, conns, token, 503, "daemon is shutting down");
         return;
     }
     let mut queue = shared.queue.lock().expect("queue lock");
@@ -538,14 +520,7 @@ fn dispatch(
         if shared.log_requests {
             println!("[serve] 429 queue full");
         }
-        respond(
-            poller,
-            conns,
-            token,
-            429,
-            "request queue full, retry later",
-            false,
-        );
+        respond(poller, conns, token, 429, "request queue full, retry later");
         return;
     }
     queue.push_back(Dispatched {
@@ -572,14 +547,8 @@ fn respond(
     token: u64,
     status: u16,
     message: &str,
-    deprecated: bool,
 ) {
-    let headers: &[(&str, &str)] = if deprecated {
-        &[("Deprecation", "true")]
-    } else {
-        &[]
-    };
-    let bytes = response_bytes(status, &error_body(message), headers);
+    let bytes = response_bytes(status, &error_body(message), &[]);
     start_write(poller, conns, token, bytes);
 }
 
@@ -653,17 +622,17 @@ fn sweep_deadlines(poller: &Poller, shared: &Shared, conns: &mut HashMap<u64, Co
             // A started-but-stalled request gets an answer; a silent idle
             // connection is just closed.
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            respond(poller, conns, token, 408, "request timed out", false);
+            respond(poller, conns, token, 408, "request timed out");
         } else {
             close_conn(poller, conns, token);
         }
     }
 }
 
-/// Paths whose responses feed the latency ring and the `served` counter,
-/// versioned or not.
+/// The path whose responses feed the latency ring and the `served`
+/// counter.
 fn is_schedule_path(path: &str) -> bool {
-    path == "/v1/schedule" || path == "/schedule"
+    path == "/v1/schedule"
 }
 
 /// Pop complete requests and run the handler until shutdown + drained.
@@ -721,23 +690,11 @@ fn worker_loop(shared: &Shared, handler: &dyn Handler) {
         }
         if shared.log_requests {
             println!(
-                "[serve] {} {} {} {micros}µs{}",
-                request.method,
-                request.path,
-                routed.status,
-                if routed.deprecated {
-                    " (deprecated alias)"
-                } else {
-                    ""
-                },
+                "[serve] {} {} {} {micros}µs",
+                request.method, request.path, routed.status,
             );
         }
-        let headers: &[(&str, &str)] = if routed.deprecated {
-            &[("Deprecation", "true")]
-        } else {
-            &[]
-        };
-        let bytes = response_bytes(routed.status, &routed.body, headers);
+        let bytes = response_bytes(routed.status, &routed.body, &[]);
         shared
             .completions
             .lock()

@@ -34,7 +34,7 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Client-side response-read timeout. Deliberately much longer than
-/// [`IO_TIMEOUT`]: a cold `POST /schedule` answer arrives only after the
+/// [`IO_TIMEOUT`]: a cold `POST /v1/schedule` answer arrives only after the
 /// MILP solve, which can take tens of seconds per unique shape (the warm
 /// path answers in microseconds).
 pub const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(600);
@@ -211,9 +211,8 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Serialize one complete `application/json` response (head + body) into
 /// the byte buffer the readiness-driven front writes out as the socket
-/// drains. `extra_headers` carries route-level additions — notably the
-/// `Deprecation` header on unversioned alias paths. The connection is
-/// single-request, so `Connection: close` is always sent.
+/// drains. `extra_headers` carries route-level additions. The connection
+/// is single-request, so `Connection: close` is always sent.
 pub fn response_bytes(status: u16, body: &str, extra_headers: &[(&str, &str)]) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -343,7 +342,7 @@ mod tests {
         assert!(resp.is_ok());
         assert_eq!(resp.body, r#"{"x":1}"#);
         assert_eq!(resp.header("content-type"), Some("application/json"));
-        assert_eq!(resp.header("deprecation"), None);
+        assert_eq!(resp.header("retry-after"), None);
         server.join().unwrap();
     }
 
@@ -394,10 +393,10 @@ mod tests {
 
     #[test]
     fn response_bytes_carries_extra_headers() {
-        let bytes = response_bytes(200, "{}", &[("Deprecation", "true")]);
+        let bytes = response_bytes(200, "{}", &[("Retry-After", "1")]);
         let resp = parse_response(&bytes).unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("Deprecation"), Some("true"));
+        assert_eq!(resp.header("Retry-After"), Some("1"));
         assert_eq!(resp.body, "{}");
     }
 }

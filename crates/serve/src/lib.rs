@@ -39,10 +39,8 @@
 //! * **Graceful shutdown** — `POST /v1/shutdown` (or
 //!   [`ServerHandle::shutdown`]) stops dispatching, answers new arrivals
 //!   `503`, flushes every in-flight response, then joins all threads.
-//! * **Versioned wire API** — routes live under `/v1/`; the original
-//!   unversioned paths remain as deprecated aliases that answer with a
-//!   `Deprecation: true` header. The sharding [`router`] speaks only
-//!   `/v1`.
+//! * **Versioned wire API** — every route lives under `/v1/`, at the
+//!   daemon and at the sharding [`router`] alike; anything else is a 404.
 //!
 //! # Example
 //!
@@ -76,13 +74,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cosa_repro::engine::{CacheStats, Engine, GcPolicy, InterlayerOptions, StoreFormat};
+use cosa_repro::engine::{CacheStats, Engine, GcPolicy, InterlayerOptions};
 use cosa_repro::serve::{
-    scheduler_from_name, uses_deprecated_fields, CommonArgs, HealthResponse, ScheduleRequest,
-    ScheduleResponse, StatsResponse,
+    scheduler_from_name, CommonArgs, HealthResponse, ScheduleRequest, ScheduleResponse,
+    StatsResponse,
 };
 use cosa_spec::{canon, Arch, Network, Suite};
-use serde::{Deserialize, Value};
 
 use front::{FrontConfig, FrontView, Handler, Routed};
 use http::Request;
@@ -112,10 +109,6 @@ pub struct ServeConfig {
     pub lock_staleness: Option<Duration>,
     /// Enable engine-level NoC evaluation.
     pub noc: bool,
-    /// Disk-tier storage format (`Segment` = packed `segment.cosa`,
-    /// `Legacy` = one JSON file per digest). Only meaningful with
-    /// `cache_dir` set.
-    pub cache_format: StoreFormat,
     /// Disk-tier GC policy (no-op when unbounded or memory-only).
     pub gc: GcPolicy,
     /// Run GC every this many served schedule requests (0 = startup only).
@@ -146,7 +139,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             lock_staleness: None,
             noc: false,
-            cache_format: StoreFormat::default(),
             gc: GcPolicy::default(),
             gc_every: 64,
             default_arch: Arch::simba_baseline(),
@@ -231,13 +223,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Disk-tier storage format.
-    #[must_use]
-    pub fn cache_format(mut self, format: StoreFormat) -> Self {
-        self.config.cache_format = format;
-        self
-    }
-
     /// Disk-tier GC policy.
     #[must_use]
     pub fn gc(mut self, gc: GcPolicy) -> Self {
@@ -281,13 +266,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Apply the shared `--scheduler`/`--cache-format`/`--cache-dir`/
-    /// `--lock-staleness-secs`/`--noc` flag set parsed by
+    /// Apply the shared `--scheduler`/`--cache-dir`/
+    /// `--lock-staleness-secs`/`--noc`/`--interlayer*` flag set parsed by
     /// [`CommonArgs`] (the per-request scheduler choice does not live in
     /// the daemon config and is ignored here).
     #[must_use]
     pub fn common(mut self, common: &CommonArgs) -> Self {
-        self.config.cache_format = common.cache_format;
         self.config.lock_staleness = common.lock_staleness;
         if common.cache_dir.is_some() {
             self.config.cache_dir = common.cache_dir.clone();
@@ -303,17 +287,6 @@ impl ServeConfigBuilder {
     #[must_use]
     pub fn build(self) -> ServeConfig {
         self.config
-    }
-}
-
-/// Strip the `/v1` version prefix, reporting whether the request used it.
-/// `/v1/schedule` → (`/schedule`, versioned); `/schedule` →
-/// (`/schedule`, unversioned — a deprecated alias when it matches a
-/// route).
-fn split_version(path: &str) -> (&str, bool) {
-    match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, true),
-        _ => (path, false),
     }
 }
 
@@ -415,9 +388,7 @@ impl EngineHandler {
         stats.entries = 0;
         stats.bytes = 0;
         stats.warm_entries = 0;
-        stats.disk_format = String::new();
         stats.disk_index_entries = 0;
-        stats.disk_legacy_files = 0;
         stats.segment_bytes = 0;
         stats.segment_live_bytes = 0;
         stats.segment_dead_bytes = 0;
@@ -464,38 +435,12 @@ impl EngineHandler {
         }
     }
 
-    /// Answer one schedule request. The third element reports whether the
-    /// body used the deprecated top-level `arch`/`scheduler` spelling
-    /// (answered normally, but with a `Deprecation: true` header).
-    fn handle_schedule(&self, body: &str) -> (u16, String, bool) {
-        // Parse to a Value first so the deprecated spelling is detectable
-        // independently of how `ScheduleRequest` folds it in.
-        let value: Value = match serde_json::from_str(body) {
-            Ok(v) => v,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("malformed request JSON: {e}")),
-                    false,
-                )
-            }
-        };
-        let deprecated = uses_deprecated_fields(&value);
-        let request = match ScheduleRequest::from_value(&value) {
+    /// Answer one schedule request.
+    fn handle_schedule(&self, body: &str) -> (u16, String) {
+        let request: ScheduleRequest = match serde_json::from_str(body) {
             Ok(r) => r,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("malformed request JSON: {e}")),
-                    deprecated,
-                )
-            }
+            Err(e) => return (400, error_body(&format!("malformed request JSON: {e}"))),
         };
-        let (status, body) = self.handle_schedule_request(&request);
-        (status, body, deprecated)
-    }
-
-    fn handle_schedule_request(&self, request: &ScheduleRequest) -> (u16, String) {
         if let Err(msg) = request.work_item() {
             return (400, error_body(&msg));
         }
@@ -595,37 +540,19 @@ impl EngineHandler {
 
 impl Handler for EngineHandler {
     fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed {
-        let (path, versioned) = split_version(&request.path);
-        let deprecated = !versioned;
-        match (request.method.as_str(), path) {
-            ("POST", "/schedule") => {
-                let (status, body, legacy_fields) = self.handle_schedule(&request.body);
-                Routed {
-                    status,
-                    body,
-                    deprecated: deprecated || legacy_fields,
-                    shutdown: false,
-                }
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/schedule") => {
+                let (status, body) = self.handle_schedule(&request.body);
+                Routed::new(status, body)
             }
-            ("GET", "/stats") => Routed {
-                status: 200,
-                body: self.handle_stats(&front),
-                deprecated,
-                shutdown: false,
-            },
-            ("GET", "/healthz") => Routed {
-                status: 200,
-                body: self.handle_healthz(),
-                deprecated,
-                shutdown: false,
-            },
-            ("POST", "/shutdown") => Routed {
+            ("GET", "/v1/stats") => Routed::new(200, self.handle_stats(&front)),
+            ("GET", "/v1/healthz") => Routed::new(200, self.handle_healthz()),
+            ("POST", "/v1/shutdown") => Routed {
                 status: 200,
                 body: error_body("shutting down: draining in-flight requests"),
-                deprecated,
                 shutdown: true,
             },
-            ("POST" | "GET", _) => Routed::new(404, error_body(&format!("no route {path}"))),
+            ("POST" | "GET", path) => Routed::new(404, error_body(&format!("no route {path}"))),
             (method, _) => Routed::new(405, error_body(&format!("method {method} not allowed"))),
         }
     }
@@ -656,7 +583,6 @@ fn build_engine(config: &ServeConfig, arch: Arch, cache_bytes: u64) -> io::Resul
     if let Some(staleness) = config.lock_staleness {
         engine = engine.with_lock_staleness(staleness);
     }
-    engine = engine.with_cache_format(config.cache_format);
     if let Some(dir) = &config.cache_dir {
         engine = engine.with_cache_dir(dir)?;
     }
@@ -681,20 +607,12 @@ pub(crate) fn add_cache_stats(total: &mut CacheStats, s: CacheStats) {
     // Every engine observes the same shared cache directory, so disk-tier
     // sizes and counts merge by max (summing would multiply one directory
     // by the engine count); the per-engine compaction tallies are flows
-    // and sum. Formats agree unless a probe mixed tiers explicitly.
+    // and sum.
     total.disk_index_entries = total.disk_index_entries.max(s.disk_index_entries);
-    total.disk_legacy_files = total.disk_legacy_files.max(s.disk_legacy_files);
     total.segment_bytes = total.segment_bytes.max(s.segment_bytes);
     total.segment_live_bytes = total.segment_live_bytes.max(s.segment_live_bytes);
     total.segment_dead_bytes = total.segment_dead_bytes.max(s.segment_dead_bytes);
     total.compactions += s.compactions;
-    if !s.disk_format.is_empty() {
-        if total.disk_format.is_empty() {
-            total.disk_format = s.disk_format;
-        } else if total.disk_format != s.disk_format {
-            total.disk_format = "mixed".to_string();
-        }
-    }
     // Per-backend win tallies merge by name, keeping the sorted order.
     for win in s.backend_wins {
         match total

@@ -14,19 +14,15 @@
 //!
 //! The router reuses the whole readiness-driven [`front`](crate::front):
 //! bounded queue, 429 shedding, latency ring and graceful drain apply to
-//! forwarded traffic unchanged. It speaks only `/v1` — unversioned paths
-//! answer 404, there is no deprecated surface to carry forward.
+//! forwarded traffic unchanged.
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
 use cosa_repro::engine::InterlayerOptions;
-use cosa_repro::serve::{
-    routing_digest, uses_deprecated_fields, HealthResponse, ScheduleRequest, StatsResponse,
-};
+use cosa_repro::serve::{routing_digest, HealthResponse, ScheduleRequest, StatsResponse};
 use cosa_spec::Arch;
-use serde::{Deserialize, Value};
 
 use crate::front::{self, FrontConfig, FrontView, Handler, Routed};
 use crate::http::{self, Request};
@@ -84,39 +80,20 @@ impl RouterHandler {
         }
     }
 
-    /// Route one schedule request; the third element reports whether the
-    /// body used the deprecated top-level `arch`/`scheduler` spelling.
-    fn handle_schedule(&self, body: &str) -> (u16, String, bool) {
+    /// Route one schedule request to the shard owning its digest.
+    fn handle_schedule(&self, body: &str) -> (u16, String) {
         // Validate before routing: malformed requests are answered here,
         // identically no matter which shard would have owned them.
-        let value: Value = match serde_json::from_str(body) {
-            Ok(v) => v,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("malformed request JSON: {e}")),
-                    false,
-                )
-            }
-        };
-        let deprecated = uses_deprecated_fields(&value);
-        let request = match ScheduleRequest::from_value(&value) {
+        let request: ScheduleRequest = match serde_json::from_str(body) {
             Ok(r) => r,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("malformed request JSON: {e}")),
-                    deprecated,
-                )
-            }
+            Err(e) => return (400, error_body(&format!("malformed request JSON: {e}"))),
         };
         if let Err(msg) = request.work_item() {
-            return (400, error_body(&msg), deprecated);
+            return (400, error_body(&msg));
         }
         let digest = routing_digest(&request, &self.default_arch, &self.default_interlayer);
         let shard = self.ring.owner(&digest);
-        let (status, body) = self.forward(shard, "POST", "/v1/schedule", body);
-        (status, body, deprecated)
+        self.forward(shard, "POST", "/v1/schedule", body)
     }
 
     fn handle_stats(&self, front: &FrontView<'_>) -> (u16, String) {
@@ -194,14 +171,9 @@ impl RouterHandler {
 
 impl Handler for RouterHandler {
     fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed {
-        // The router speaks only /v1: unversioned paths are not aliased.
-        // Deprecated *request-body* spellings are still flagged, so a
-        // modern path with a legacy body gets the header too.
-        let mut deprecated = false;
         let (status, body, shutdown) = match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/v1/schedule") => {
-                let (status, body, legacy_fields) = self.handle_schedule(&request.body);
-                deprecated = legacy_fields;
+                let (status, body) = self.handle_schedule(&request.body);
                 (status, body, false)
             }
             ("GET", "/v1/stats") => {
@@ -216,11 +188,7 @@ impl Handler for RouterHandler {
                 let (status, body) = self.handle_shutdown();
                 (status, body, true)
             }
-            ("POST" | "GET", path) => (
-                404,
-                error_body(&format!("no route {path} (router speaks /v1 only)")),
-                false,
-            ),
+            ("POST" | "GET", path) => (404, error_body(&format!("no route {path}")), false),
             (method, _) => (
                 405,
                 error_body(&format!("method {method} not allowed")),
@@ -230,7 +198,6 @@ impl Handler for RouterHandler {
         Routed {
             status,
             body,
-            deprecated,
             shutdown,
         }
     }
@@ -277,18 +244,10 @@ pub fn merge_fleet_stats(total: &mut StatsResponse, s: StatsResponse) {
     total.cache.dedup_waits += cache.dedup_waits;
     total.cache.in_flight_peak = total.cache.in_flight_peak.max(cache.in_flight_peak);
     total.cache.disk_index_entries += cache.disk_index_entries;
-    total.cache.disk_legacy_files += cache.disk_legacy_files;
     total.cache.segment_bytes += cache.segment_bytes;
     total.cache.segment_live_bytes += cache.segment_live_bytes;
     total.cache.segment_dead_bytes += cache.segment_dead_bytes;
     total.cache.compactions += cache.compactions;
-    if !cache.disk_format.is_empty() {
-        if total.cache.disk_format.is_empty() {
-            total.cache.disk_format = cache.disk_format;
-        } else if total.cache.disk_format != cache.disk_format {
-            total.cache.disk_format = "mixed".to_string();
-        }
-    }
     for win in cache.backend_wins {
         match total
             .cache

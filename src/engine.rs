@@ -84,7 +84,7 @@ pub use interlayer::{
 };
 pub use store::{
     CacheEntry, CacheStore, DiskTierStats, DramProfile, GcPolicy, GcReport, IndexLoad, SolveLock,
-    StoreFormat, StoreLoad, DEFAULT_LOCK_STALENESS, STORE_VERSION,
+    StoreLoad, DEFAULT_LOCK_STALENESS, STORE_VERSION,
 };
 
 use interlayer::InterlayerPass;
@@ -457,13 +457,8 @@ pub struct CacheStats {
     /// the portfolio scheduler this is the per-backend race win count
     /// (see [`BackendWin`]); empty until the first fresh solve.
     pub backend_wins: Vec<BackendWin>,
-    /// Disk-tier layout: `"segment"`, `"legacy"`, `"mixed"`, `"empty"`
-    /// (or `""` for a memory-only engine).
-    pub disk_format: String,
     /// Live rows in the packed segment index.
     pub disk_index_entries: usize,
-    /// Legacy per-digest files still on disk (compatibility tier).
-    pub disk_legacy_files: usize,
     /// Size of the segment file on disk (header + live + dead payload).
     pub segment_bytes: u64,
     /// Segment payload bytes reachable from the index.
@@ -683,9 +678,6 @@ pub struct Engine {
     /// Solve-lock staleness override, applied to the store (kept so the
     /// builder methods compose in either order).
     lock_staleness: Option<Duration>,
-    /// Disk-tier write format override, applied to the store (kept so
-    /// the builder methods compose in either order).
-    cache_format: Option<StoreFormat>,
     /// Default inter-layer residency options for network scheduling
     /// (disabled unless [`Engine::with_interlayer`] set them).
     interlayer: InterlayerOptions,
@@ -715,7 +707,6 @@ impl Engine {
             backend_wins: Mutex::new(HashMap::new()),
             in_flight_peak: AtomicU64::new(0),
             lock_staleness: None,
-            cache_format: None,
             interlayer: InterlayerOptions::disabled(),
         }
     }
@@ -733,19 +724,6 @@ impl Engine {
     /// The engine-default inter-layer residency options.
     pub fn interlayer_options(&self) -> &InterlayerOptions {
         &self.interlayer
-    }
-
-    /// Pin the persistent tier's write format (default
-    /// [`StoreFormat::Segment`]). [`StoreFormat::Legacy`] restores the
-    /// per-digest-file layout — and its eager warm start — for A/B
-    /// benchmarking. Composes with [`Engine::with_cache_dir`] in either
-    /// order; a no-op for memory-only engines.
-    pub fn with_cache_format(mut self, format: StoreFormat) -> Engine {
-        self.cache_format = Some(format);
-        if let Some(store) = &mut self.store {
-            store.set_format(format);
-        }
-        self
     }
 
     /// Set the cross-process solve-lock staleness bound (default
@@ -817,14 +795,9 @@ impl Engine {
 
     /// Attach a persistent cache directory: the segment index is read in
     /// one pass (an O(index) warm start — entries decode lazily on first
-    /// use), legacy per-digest files are migrated into the segment, and
-    /// every fresh result is written through atomically. Re-enables
+    /// use) and every fresh result is written through. Re-enables
     /// caching if it was disabled. Corrupt on-disk entries are skipped
     /// and counted in [`CacheStats::store_errors`], never fatal.
-    ///
-    /// Under [`StoreFormat::Legacy`] (see [`Engine::with_cache_format`])
-    /// the warm start is instead the pre-packed eager load: every file
-    /// is parsed now and inserted into the in-memory front.
     ///
     /// # Errors
     ///
@@ -835,28 +808,13 @@ impl Engine {
         if let Some(staleness) = self.lock_staleness {
             store.set_lock_staleness(staleness);
         }
-        if let Some(format) = self.cache_format {
-            store.set_format(format);
-        }
         let load = store.load_index();
-        let cache = self
-            .cache
-            .take()
-            .unwrap_or_else(|| Mutex::new(ScheduleCache::unbounded()));
-        if !load.preloaded.is_empty() {
-            let mut cache = cache.lock().expect("cache lock");
-            for (key, entry) in &load.preloaded {
-                cache.insert(key.clone(), entry.clone());
-            }
-        }
         self.warm_entries = load.entries;
-        // The whole warm start: one header read (plus any legacy-tier
-        // migration), and under the legacy format the full eager parse
-        // and re-insertion into the LRU front.
+        // The whole warm start: one header read.
         self.load_micros = start.elapsed().as_micros() as u64;
         self.store_errors
             .fetch_add(load.skipped as u64, Ordering::Relaxed);
-        self.cache = Some(cache);
+        self = self.ensure_cache();
         self.store = Some(store);
         Ok(self)
     }
@@ -915,9 +873,7 @@ impl Engine {
         }
         if let Some(store) = &self.store {
             let disk = store.disk_stats();
-            stats.disk_format = disk.format;
             stats.disk_index_entries = disk.index_entries;
-            stats.disk_legacy_files = disk.legacy_files;
             stats.segment_bytes = disk.segment_bytes;
             stats.segment_live_bytes = disk.live_bytes;
             stats.segment_dead_bytes = disk.dead_bytes;
@@ -958,7 +914,7 @@ impl Engine {
     /// canonical serializations of the architecture and layer. Digest keys
     /// keep the cache map and the per-network dedup scan cheap instead of
     /// comparing and storing multi-kilobyte JSON strings, and double as the
-    /// persistent store's file names.
+    /// persistent store's index keys and solve-lock file names.
     pub fn cache_key(&self, scheduler: &dyn Scheduler, layer: &Layer) -> String {
         self.cache_key_with(scheduler, layer, &self.interlayer)
     }
@@ -1040,9 +996,9 @@ impl Engine {
         DramProfile::from_tensor_bytes(eval.dram_tensor_bytes)
     }
 
-    /// Catch a pre-provenance entry up with its DRAM profile so warm
-    /// caches written before the inter-layer pass existed converge too
-    /// (the profile analogue of [`Engine::catch_up_noc`]).
+    /// Catch an entry saved without a DRAM profile (a bare
+    /// [`CacheEntry::new`]) up with one, so the inter-layer pass converges
+    /// on it too (the profile analogue of [`Engine::catch_up_noc`]).
     fn catch_up_dram(&self, key: &str, mut entry: CacheEntry, layer: &Layer) -> CacheEntry {
         if entry.dram.is_none() {
             entry.dram = Some(self.dram_profile(layer, &entry.scheduled));
@@ -1382,9 +1338,9 @@ impl Engine {
             }
         }
 
-        // The residency pass reads per-tensor DRAM provenance; warm cache
-        // hits written before the provenance existed lack one. Catch them
-        // up (and persist), mirroring the NoC backfill above.
+        // The residency pass reads per-tensor DRAM provenance; cache hits
+        // saved without one are caught up (and persisted), mirroring the
+        // NoC backfill above.
         if interlayer.enabled {
             for (key, layer) in &unique {
                 if let Some(entry) = resolved.get(*key) {
@@ -1413,8 +1369,8 @@ impl Engine {
         let mut cache_hits = 0u64;
         let mut first_use: std::collections::HashSet<&str> = std::collections::HashSet::new();
         // Per-entry DRAM provenance for the residency pass (entries that
-        // arrived without one — e.g. through a flight wait on a pre-pass
-        // disk entry — are profiled inline).
+        // arrived without one — e.g. through a flight wait on a bare disk
+        // entry — are profiled inline).
         let mut pass_profiles: Vec<Option<[f64; 3]>> = Vec::new();
         for (key, entry) in keys.iter().zip(&network.layers) {
             // Every unique key either stayed a job (→ `solved`) or was

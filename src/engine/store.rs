@@ -1,6 +1,5 @@
 //! The persistent tier of the [`Engine`](super::Engine)'s schedule cache:
-//! a packed, append-only segment file with a legacy per-digest import
-//! tier.
+//! one packed, append-only segment file per cache directory.
 //!
 //! CoSA's one-shot solves make schedules for repeated layer shapes
 //! perfectly reusable artifacts, so the engine persists every cache entry
@@ -11,8 +10,6 @@
 //!
 //! # On-disk layout
 //!
-//! One segment file per cache directory:
-//!
 //! ```text
 //! <cache-dir>/segment.cosa
 //!
@@ -21,12 +18,17 @@
 //!
 //! The index maps each digest to `(offset, len, version, backend,
 //! saved_at_millis)` of its payload record. The payload region is a log of
-//! length-prefixed frames (`[u64 LE len][record JSON]`); each record is
-//! the same versioned envelope the legacy tier used —
-//! `{"version": 1, "key": "<digest>", "entry": {...}}` — or a tombstone
-//! `{"version": 1, "key": "<digest>", "evicted": true}` marking an
-//! eviction. Warm start therefore costs **one** sequential header read,
-//! O(index) instead of O(files), and entries decode lazily on first use.
+//! length-prefixed frames (`[u64 LE len][record JSON]`); each record is a
+//! versioned envelope — `{"version": 2, "key": "<digest>", "entry": {...}}`
+//! — or a tombstone `{"version": 2, "key": "<digest>", "evicted": true}`
+//! marking an eviction. Warm start therefore costs **one** sequential
+//! header read, O(index) instead of O(entries), and entries decode lazily
+//! on first use.
+//!
+//! There is one schema: a record (or index row) whose version is not
+//! [`STORE_VERSION`] is skipped and counted like any other damaged record,
+//! the engine re-solves its shape and the fresh record supersedes it. A
+//! cache directory is disposable across `STORE_VERSION`s.
 //!
 //! Appends are crash-ordered: payload frames are appended and fsynced
 //! *before* the fixed-capacity header is rewritten in place (same file
@@ -40,33 +42,19 @@
 //! truncation leaves the index intact and only records past the cut are
 //! skipped (and counted), never fatal.
 //!
-//! # The legacy compatibility tier
-//!
-//! Directories written before the packed format hold one
-//! `<digest>.json` file per entry. The store still reads them — a valid
-//! legacy file *wins* over the segment copy of the same digest, because
-//! legacy writes are only ever pre-migration originals or newer
-//! contention fallbacks — and [`CacheStore::load_index`] migrates them
-//! into the segment on first warm load: the merged segment is written to
-//! a temp file, fsynced and renamed (directory-fsynced too), and only
-//! then are the originals deleted, so a crash mid-migration never loses
-//! an entry. Damaged legacy files are skipped, counted and left in
-//! place. [`StoreFormat::Legacy`] pins a store to the per-file layout for
-//! comparison benchmarks.
-//!
 //! # Garbage collection
 //!
 //! Disk is the capacity tier, but it is not unbounded: [`CacheStore::gc`]
-//! enforces a [`GcPolicy`] (byte budget and/or maximum entry age) across
-//! both tiers, oldest-saved first. Packed-tier eviction is index-level:
-//! the digest leaves the index and a tombstone frame is appended, which
-//! turns payload bytes dead without touching live records. When dead
-//! bytes exceed [`GcPolicy::compact_min_dead`] (default: the larger of
-//! 4 KiB and the live payload size), GC compacts — live payloads are
-//! rewritten into a fresh segment and renamed into place — so GC cost
-//! scales with the index, not with historical file count. The sweep also
-//! removes temp files orphaned by killed writers (older than a minute)
-//! and solve-lock files older than the staleness bound.
+//! enforces a [`GcPolicy`] (byte budget and/or maximum entry age),
+//! oldest-saved first. Eviction is index-level: the digest leaves the
+//! index and a tombstone frame is appended, which turns payload bytes
+//! dead without touching live records. When dead bytes exceed
+//! [`GcPolicy::compact_min_dead`] (default: the larger of 4 KiB and the
+//! live payload size), GC compacts — live payloads are rewritten into a
+//! fresh segment and renamed into place — so GC cost scales with the
+//! index, not with history. The sweep also removes temp files orphaned by
+//! killed writers (older than a minute) and solve-lock files older than
+//! the staleness bound.
 //!
 //! # Cross-process solve locks
 //!
@@ -92,12 +80,12 @@
 //!
 //! Segment writers additionally serialize on a short-lived
 //! `segment.cosa.lock` (same token-checked protocol, seconds-scale
-//! staleness since writers hold it for milliseconds). A writer that
-//! cannot get it promptly *fails open* to a legacy per-digest file — the
-//! entry is never dropped, and the next migration folds it back into the
-//! segment.
+//! staleness since writers hold it for milliseconds). A writer waits for
+//! it longer than that staleness bound, so a crashed holder is always
+//! taken over before a waiter gives up; a wait that still times out is a
+//! `WouldBlock` error, which the engine counts in `store_errors` while
+//! the entry stays served from the memory tier.
 
-use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -113,7 +101,7 @@ use crate::api::Scheduled;
 /// Version tag written into every entry envelope. Bump when the entry
 /// schema (or the canonical serialization feeding the digests) changes;
 /// loaders skip entries from other versions.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Version tag of the segment *header* layout (independent of the entry
 /// envelope version, which governs payload records).
@@ -138,14 +126,11 @@ const MIN_HEADER_CAPACITY: u64 = 4096;
 /// whole MILP solves.
 const SEGMENT_LOCK_STALENESS: Duration = Duration::from_secs(5);
 
-/// How long a single [`CacheStore::save`] waits for the segment writer
-/// lock before failing open to a legacy per-digest file.
-const SAVE_LOCK_WAIT: Duration = Duration::from_millis(250);
-
-/// How long batch operations (GC eviction, compaction, migration,
-/// [`CacheStore::save_batch`]) wait for the segment writer lock; they
-/// have no cheap fallback, so they wait longer than the save path.
-const BATCH_LOCK_WAIT: Duration = Duration::from_secs(2);
+/// How long any segment writer (save, eviction, compaction) waits for the
+/// writer lock. It outlasts [`SEGMENT_LOCK_STALENESS`], so a crashed
+/// holder is always taken over before a waiter gives up; only a holder
+/// that stays *live* this long makes the write fail with `WouldBlock`.
+const SEGMENT_LOCK_WAIT: Duration = Duration::from_secs(10);
 
 /// Default dead-byte floor below which GC never compacts, so tiny
 /// segments are not rewritten over noise.
@@ -163,10 +148,10 @@ pub const DEFAULT_LOCK_STALENESS: Duration = Duration::from_secs(300);
 /// each other's ownership checks.
 static LOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide sequence distinguishing concurrent writers *within* one
-/// process: two threads (e.g. two engines sharing a cache dir in one
-/// daemon process) saving the same key at once must not share a temp
-/// file, or the slower one's rename finds its temp already consumed.
+/// Process-wide sequence distinguishing concurrent segment rewrites
+/// *within* one process: two threads (e.g. two engines sharing a cache
+/// dir in one daemon process) must not share a temp file, or the slower
+/// one's rename finds its temp already consumed.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A held per-digest solve lock (see the [module docs](self)).
@@ -240,7 +225,7 @@ impl DramProfile {
 /// One cached value: the scheduling result plus the engine-level NoC
 /// verdict when simulation was enabled for (or has caught up with) the
 /// entry.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheEntry {
     /// The cached scheduling result.
     pub scheduled: Scheduled,
@@ -251,14 +236,10 @@ pub struct CacheEntry {
     /// re-attempt missing verdicts rather than negatively caching them.
     pub noc: Option<NocSummary>,
     /// Which scheduler backend produced `scheduled` — under the portfolio
-    /// scheduler, the racer that won (e.g. `"cosa"` or `"sat"`). `None`
-    /// for entries persisted before backend provenance existed; such
-    /// legacy entries still load (the field is optional on read).
+    /// scheduler, the racer that won (e.g. `"cosa"` or `"sat"`).
     pub backend: Option<String>,
     /// Per-tensor DRAM traffic of `scheduled.schedule` — the inter-layer
-    /// residency pass's input. `None` for entries persisted before this
-    /// provenance existed; such legacy entries still load (the field is
-    /// optional on read) and are caught up lazily.
+    /// residency pass's input; caught up lazily when `None`.
     pub dram: Option<DramProfile>,
 }
 
@@ -274,73 +255,13 @@ impl CacheEntry {
     }
 }
 
-/// Read an optional entry field: absent and `null` both give `None`, so
-/// entries persisted before a field existed keep loading.
-fn opt_field<T: serde::Deserialize>(
-    map: &[(String, serde::Value)],
-    key: &str,
-) -> Result<Option<T>, serde::Error> {
-    match map.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, v)) => Option::<T>::from_value(v),
-    }
-}
-
-// Hand-written so the `backend` (and `noc`) fields stay *optional on
-// read*: the derive requires every field, which would make every cache
-// entry persisted before a schema addition load-fail (counted as corrupt)
-// and silently void the warm start.
-impl Deserialize for CacheEntry {
-    fn from_value(value: &serde::Value) -> Result<CacheEntry, serde::Error> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for CacheEntry"))?;
-        Ok(CacheEntry {
-            scheduled: Deserialize::from_value(serde::map_get(map, "scheduled")?)?,
-            noc: opt_field(map, "noc")?,
-            backend: opt_field(map, "backend")?,
-            dram: opt_field(map, "dram")?,
-        })
-    }
-}
-
 /// The versioned envelope wrapping one [`CacheEntry`] — the payload
-/// record of the packed segment, and (byte-identically) the content of a
-/// legacy per-digest file.
+/// record of the packed segment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoredEntry {
     version: u32,
     key: String,
     entry: CacheEntry,
-}
-
-/// Which on-disk layout a [`CacheStore`] writes.
-///
-/// Reading is always two-tier (segment first, legacy files win); the
-/// format only pins where *new* entries go and whether
-/// [`CacheStore::load_index`] migrates. [`StoreFormat::Legacy`] exists
-/// for A/B comparison (bench7, CI) and as the save-path fallback under
-/// segment-lock contention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Packed `segment.cosa` (the default): O(index) warm start, lazy
-    /// per-entry decode, GC by index eviction + compaction.
-    #[default]
-    Segment,
-    /// One `<digest>.json` file per entry, eagerly parsed on load — the
-    /// pre-packed layout, kept for compatibility and benchmarking.
-    Legacy,
-}
-
-impl StoreFormat {
-    /// Parse a CLI-style name (`"segment"` / `"legacy"`).
-    pub fn parse(name: &str) -> Option<StoreFormat> {
-        match name {
-            "segment" | "packed" => Some(StoreFormat::Segment),
-            "legacy" | "files" => Some(StoreFormat::Legacy),
-            _ => None,
-        }
-    }
 }
 
 /// One index row of the packed segment: where a digest's payload record
@@ -357,8 +278,7 @@ struct SegmentIndexEntry {
     /// Entry envelope version ([`STORE_VERSION`] when written).
     version: u32,
     backend: Option<String>,
-    /// Unix-epoch milliseconds of the save (file mtime for migrated
-    /// legacy entries) — GC's recency key.
+    /// Unix-epoch milliseconds of the save — GC's recency key.
     saved_at_millis: u64,
 }
 
@@ -386,7 +306,8 @@ struct SegmentView {
     file_len: u64,
     /// Live index rows, in append order.
     entries: Vec<SegmentIndexEntry>,
-    /// Index rows or frames the loader had to skip (truncation damage).
+    /// Index rows or frames the loader had to skip (truncation damage,
+    /// another [`STORE_VERSION`]).
     skipped: usize,
 }
 
@@ -432,17 +353,12 @@ enum Record {
     Tombstone { key: String },
 }
 
-/// A valid legacy file staged for segment import:
-/// (mtime millis, digest, raw file bytes, backend, source path).
-type LegacyImport = (u64, String, Vec<u8>, Option<String>, PathBuf);
-
 /// The outcome of loading a cache directory.
 #[derive(Debug, Default)]
 pub struct StoreLoad {
     /// Valid entries, sorted by key for deterministic load order.
     pub entries: Vec<(String, CacheEntry)>,
-    /// Files or records skipped as corrupt, mis-keyed or
-    /// version-mismatched.
+    /// Records skipped as corrupt, mis-keyed or version-mismatched.
     pub skipped: usize,
     /// Wall-clock microseconds the load took (cold vs. warm start cost).
     pub load_micros: u64,
@@ -451,33 +367,20 @@ pub struct StoreLoad {
 /// The outcome of [`CacheStore::load_index`] — the O(index) warm start.
 #[derive(Debug, Default)]
 pub struct IndexLoad {
-    /// Distinct digests warm-loadable from disk (index rows plus any
-    /// unmigrated legacy files).
+    /// Distinct digests warm-loadable from disk (live index rows).
     pub entries: usize,
-    /// Index rows, frames or legacy files skipped as damaged.
+    /// Index rows or frames skipped as damaged or version-mismatched.
     pub skipped: usize,
-    /// Legacy per-digest files imported into the segment by this load.
-    pub migrated: usize,
     /// Wall-clock microseconds the load took.
     pub load_micros: u64,
-    /// Eagerly decoded entries. Empty under [`StoreFormat::Segment`]
-    /// (entries decode lazily on first use); under
-    /// [`StoreFormat::Legacy`] this is the full eager load, preserving
-    /// the pre-packed warm-start behavior for honest benchmarking.
-    pub preloaded: Vec<(String, CacheEntry)>,
 }
 
 /// A point-in-time description of the disk tier's shape, surfaced through
-/// `CacheStats` and `GET /stats`.
+/// `CacheStats` and `GET /v1/stats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiskTierStats {
-    /// `"segment"`, `"legacy"`, `"mixed"` (both tiers populated) or
-    /// `"empty"`.
-    pub format: String,
     /// Live rows in the segment index.
     pub index_entries: usize,
-    /// Legacy `<digest>.json` files still present.
-    pub legacy_files: usize,
     /// Size of `segment.cosa` on disk (header + payload, live and dead).
     pub segment_bytes: u64,
     /// Payload bytes reachable from the index.
@@ -494,7 +397,7 @@ pub struct DiskTierStats {
 /// evicted), then byte eviction removes the oldest-saved survivors until
 /// the live bytes fit in `max_bytes`. The newest entry is never evicted
 /// for size — a single oversized entry still persists, mirroring the
-/// in-memory LRU's contract. Packed-tier evictions turn payload bytes
+/// in-memory LRU's contract. Evictions turn payload bytes
 /// dead; once dead bytes reach `compact_min_dead` the sweep compacts the
 /// segment. A policy with no bound set is a no-op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -540,19 +443,18 @@ impl GcPolicy {
 /// The outcome of one [`CacheStore::gc`] sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcReport {
-    /// Distinct digests considered (index rows plus legacy files).
+    /// Distinct digests considered (live index rows).
     pub examined: usize,
     /// Digests evicted.
     pub removed: usize,
-    /// Bytes reclaimed (or turned dead, for packed-tier evictions) by
-    /// the removals.
+    /// Payload bytes the removals turned dead.
     pub removed_bytes: u64,
     /// Digests kept.
     pub retained: usize,
     /// Live bytes still on disk after the sweep.
     pub retained_bytes: u64,
-    /// Digests that could not be evicted (permission races, a contended
-    /// segment writer lock); the sweep continues past them.
+    /// Digests that could not be evicted (an I/O error, or a segment
+    /// writer lock that stayed contended).
     pub delete_errors: usize,
     /// Orphaned temp files (left by killed writers) swept alongside the
     /// entries.
@@ -573,7 +475,6 @@ pub struct CacheStore {
     dir: PathBuf,
     /// Age past which a solve-lock file may be taken over / GC-swept.
     lock_staleness: Duration,
-    format: StoreFormat,
     /// Cached segment view; see [`SegmentView`].
     seg: Mutex<SegmentView>,
     /// Compactions run by this handle (process-local activity counter).
@@ -581,31 +482,17 @@ pub struct CacheStore {
 }
 
 impl CacheStore {
-    /// Open (creating if needed) the store at `dir`, writing the packed
-    /// segment format.
+    /// Open (creating if needed) the store at `dir`.
     ///
     /// # Errors
     ///
     /// Returns the I/O error when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<CacheStore> {
-        Self::open_with_format(dir, StoreFormat::default())
-    }
-
-    /// Open the store pinned to a specific write [`StoreFormat`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the directory cannot be created.
-    pub fn open_with_format(
-        dir: impl Into<PathBuf>,
-        format: StoreFormat,
-    ) -> io::Result<CacheStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(CacheStore {
             dir,
             lock_staleness: DEFAULT_LOCK_STALENESS,
-            format,
             seg: Mutex::new(SegmentView::default()),
             compactions: AtomicU64::new(0),
         })
@@ -630,31 +517,9 @@ impl CacheStore {
         self.lock_staleness
     }
 
-    /// Pin the write format (see [`StoreFormat`]).
-    pub fn with_format(mut self, format: StoreFormat) -> CacheStore {
-        self.set_format(format);
-        self
-    }
-
-    /// In-place form of [`CacheStore::with_format`], for stores already
-    /// attached to an engine.
-    pub fn set_format(&mut self, format: StoreFormat) {
-        self.format = format;
-    }
-
-    /// The configured write format.
-    pub fn format(&self) -> StoreFormat {
-        self.format
-    }
-
     /// The store's directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Path of the legacy entry file for `key`.
-    fn entry_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
     }
 
     /// Path of the solve-lock file for `key`.
@@ -667,7 +532,8 @@ impl CacheStore {
         self.dir.join(SEGMENT_FILE)
     }
 
-    /// Reject keys that are not bare digests (they name files directly).
+    /// Reject keys that are not bare digests (they name lock files
+    /// directly).
     fn validate_key(key: &str) -> io::Result<()> {
         if key.is_empty() || !key.bytes().all(|b| b.is_ascii_alphanumeric()) {
             return Err(io::Error::new(
@@ -705,13 +571,8 @@ impl CacheStore {
     /// Load the single entry for `key`, if present and valid. Re-checks
     /// the disk on a miss, so a process can observe entries persisted by
     /// *other* processes after its own warm start (the cross-process
-    /// read-through path); legacy files win over the segment copy.
+    /// read-through path).
     pub fn load_entry(&self, key: &str) -> Option<CacheEntry> {
-        if let Some(stored) = read_entry(&self.entry_path(key)) {
-            if stored.version == STORE_VERSION && stored.key == key {
-                return Some(stored.entry);
-            }
-        }
         let path = self.segment_path();
         // Two attempts: the second forces a header re-read, which both
         // closes the in-place-rewrite visibility race on a miss and
@@ -803,13 +664,17 @@ impl CacheStore {
         Ok(None)
     }
 
-    /// Acquire the segment writer lock, waiting up to `wait` across
-    /// 1 ms retries. Seconds-stale locks are taken over (writers hold it
-    /// for milliseconds). `None` on timeout or I/O trouble — callers
-    /// fail open.
-    fn try_segment_lock(&self, wait: Duration) -> Option<SolveLock> {
+    /// Acquire the segment writer lock, waiting up to
+    /// [`SEGMENT_LOCK_WAIT`] across 1 ms retries. Seconds-stale locks are
+    /// taken over (writers hold it for milliseconds).
+    ///
+    /// # Errors
+    ///
+    /// `WouldBlock` when a live holder outlasts the wait; otherwise the
+    /// I/O error that kept the lock file from being created.
+    fn segment_lock(&self) -> io::Result<SolveLock> {
         let path = self.dir.join(SEGMENT_LOCK_FILE);
-        let deadline = Instant::now() + wait;
+        let deadline = Instant::now() + SEGMENT_LOCK_WAIT;
         let token = format!(
             "pid={} seq={}",
             std::process::id(),
@@ -824,7 +689,7 @@ impl CacheStore {
                 Ok(mut file) => {
                     let _ = file.write_all(token.as_bytes());
                     let _ = file.sync_all();
-                    return Some(SolveLock { path, token });
+                    return Ok(SolveLock { path, token });
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let stale = fs::metadata(&path)
@@ -838,23 +703,23 @@ impl CacheStore {
                         continue;
                     }
                     if Instant::now() >= deadline {
-                        return None;
+                        return Err(io::Error::new(
+                            io::ErrorKind::WouldBlock,
+                            "segment writer lock contended",
+                        ));
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                Err(_) => return None,
+                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Load every valid entry across both tiers, skipping (and counting)
-    /// damaged ones. Legacy files win over segment copies of the same
-    /// digest.
+    /// Load (eagerly decode) every valid entry, skipping and counting
+    /// damaged ones.
     pub fn load(&self) -> StoreLoad {
         let start = Instant::now();
         let mut load = StoreLoad::default();
-        let mut merged: BTreeMap<String, CacheEntry> = BTreeMap::new();
-        // Packed tier first, so legacy files can override.
         let rows = {
             let mut view = self.seg_guard();
             self.refresh_view(&mut view, true);
@@ -862,15 +727,14 @@ impl CacheStore {
             view.entries.clone()
         };
         if !rows.is_empty() {
-            let path = self.segment_path();
-            match fs::File::open(&path) {
+            match fs::File::open(self.segment_path()) {
                 Ok(mut file) => {
                     for row in &rows {
                         match read_record_in(&mut file, row.offset, row.len) {
                             Some(stored)
                                 if stored.version == STORE_VERSION && stored.key == row.key =>
                             {
-                                merged.insert(stored.key, stored.entry);
+                                load.entries.push((stored.key, stored.entry));
                             }
                             _ => load.skipped += 1,
                         }
@@ -879,391 +743,94 @@ impl CacheStore {
                 Err(_) => load.skipped += rows.len(),
             }
         }
-        if let Ok(dir) = fs::read_dir(&self.dir) {
-            for dir_entry in dir.flatten() {
-                let path = dir_entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                    continue;
-                }
-                let stem = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or_default();
-                match read_entry(&path) {
-                    Some(stored) if stored.version == STORE_VERSION && stored.key == stem => {
-                        merged.insert(stored.key, stored.entry);
-                    }
-                    _ => load.skipped += 1,
-                }
-            }
-        }
-        load.entries = merged.into_iter().collect();
+        load.entries.sort_by(|a, b| a.0.cmp(&b.0));
         load.load_micros = start.elapsed().as_micros() as u64;
         load
     }
 
     /// The O(index) warm start: read the segment header (one sequential
-    /// read, no per-entry decode), migrate any legacy per-digest files
-    /// into the segment, and report what is warm-loadable.
-    ///
-    /// Under [`StoreFormat::Legacy`] this is instead the pre-packed
-    /// eager load: every file is opened and parsed, and the decoded
-    /// entries come back in [`IndexLoad::preloaded`].
+    /// read, no per-entry decode) and report what is warm-loadable.
     pub fn load_index(&self) -> IndexLoad {
         let start = Instant::now();
-        let mut out = IndexLoad::default();
-        if self.format == StoreFormat::Legacy {
-            let load = self.load();
-            out.skipped = load.skipped;
-            out.entries = load.entries.len();
-            out.preloaded = load.entries;
-            out.load_micros = start.elapsed().as_micros() as u64;
-            return out;
-        }
-        // Legacy import scan: raw bytes move into the segment verbatim
-        // (the record envelope *is* the legacy file content), so imports
-        // are byte-identical; mtime becomes the recency key.
-        let mut imports: Vec<LegacyImport> = Vec::new();
-        if let Ok(dir) = fs::read_dir(&self.dir) {
-            for dir_entry in dir.flatten() {
-                let path = dir_entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                    continue;
-                }
-                let stem = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or_default()
-                    .to_string();
-                let parsed = fs::read(&path).ok().and_then(|bytes| {
-                    let text = std::str::from_utf8(&bytes).ok()?;
-                    let stored: StoredEntry = serde_json::from_str(text).ok()?;
-                    (stored.version == STORE_VERSION && stored.key == stem)
-                        .then_some((bytes, stored.entry.backend))
-                });
-                match parsed {
-                    Some((bytes, backend)) => {
-                        let millis = fs::metadata(&path)
-                            .and_then(|m| m.modified())
-                            .map(time_to_millis)
-                            .unwrap_or(0);
-                        imports.push((millis, stem, bytes, backend, path));
-                    }
-                    // Damaged legacy files are left in place and counted
-                    // on every load, exactly as the per-file tier did.
-                    None => out.skipped += 1,
-                }
-            }
-        }
-        // Oldest first, so index order roughly tracks recency.
-        imports.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-
         let mut view = self.seg_guard();
         self.refresh_view(&mut view, true);
-        out.skipped += view.skipped;
-        let mut migrated_ok = imports.is_empty();
-        // On contention or I/O trouble the import fails and we stay
-        // two-tier (the files remain readable and win on lookup); a
-        // later load retries the import.
-        if !imports.is_empty() && self.import_legacy(&mut view, &imports).is_ok() {
-            migrated_ok = true;
-            out.migrated = imports.len();
-            // Originals go only now, after the merged segment is
-            // durably renamed into place.
-            for (_, _, _, _, path) in &imports {
-                let _ = fs::remove_file(path);
-            }
+        IndexLoad {
+            entries: view.entries.len(),
+            skipped: view.skipped,
+            load_micros: start.elapsed().as_micros() as u64,
         }
-        let mut keys: HashSet<&str> = view.entries.iter().map(|e| e.key.as_str()).collect();
-        if !migrated_ok {
-            for (_, key, _, _, _) in &imports {
-                keys.insert(key.as_str());
-            }
-        }
-        out.entries = keys.len();
-        out.load_micros = start.elapsed().as_micros() as u64;
-        out
     }
 
-    /// Merge valid legacy files into the segment via a full
-    /// rewrite-then-rename (legacy values win over segment copies of the
-    /// same digest).
-    fn import_legacy(&self, view: &mut SegmentView, imports: &[LegacyImport]) -> io::Result<()> {
-        let _lock = self
-            .try_segment_lock(BATCH_LOCK_WAIT)
-            .ok_or_else(contended)?;
-        self.refresh_view(view, true);
-        let incoming: HashSet<&str> = imports.iter().map(|(_, k, _, _, _)| k.as_str()).collect();
-        let mut items: Vec<(SegmentIndexEntry, Vec<u8>)> = Vec::new();
-        if view
-            .entries
-            .iter()
-            .any(|e| !incoming.contains(e.key.as_str()))
-        {
-            let mut file = fs::File::open(self.segment_path())?;
-            for row in &view.entries {
-                if incoming.contains(row.key.as_str()) {
-                    continue;
-                }
-                if let Some(bytes) = read_bytes_in(&mut file, row.offset, row.len) {
-                    items.push((row.clone(), bytes));
-                }
-            }
-        }
-        for (millis, key, bytes, backend, _) in imports {
-            items.push((
-                SegmentIndexEntry {
-                    key: key.clone(),
-                    offset: 0,
-                    len: bytes.len() as u64,
-                    version: STORE_VERSION,
-                    backend: backend.clone(),
-                    saved_at_millis: *millis,
-                },
-                bytes.clone(),
-            ));
-        }
-        *view = self.write_segment_file(&items)?;
-        Ok(())
-    }
-
-    /// Persist one entry. Under [`StoreFormat::Segment`] the record is
-    /// appended to the segment (payload fsynced before the in-place
-    /// header rewrite); if the writer lock stays contended past a short
-    /// wait, the save fails open to a legacy per-digest file so the
-    /// entry is never dropped. Under [`StoreFormat::Legacy`] it writes
-    /// the per-digest file directly.
+    /// Persist one entry: the record is appended to the segment, with the
+    /// payload fsynced before the in-place header rewrite.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O or serialization error; the previous
+    /// Returns the underlying I/O or serialization error (`WouldBlock`
+    /// when the segment writer lock stayed contended); the previous
     /// version of the entry (if any) stays intact on failure.
     pub fn save(&self, key: &str, entry: &CacheEntry) -> io::Result<()> {
         Self::validate_key(key)?;
-        if self.format == StoreFormat::Legacy {
-            return self.save_legacy(key, entry);
-        }
         let pending = Pending::Entry {
             key: key.to_string(),
             json: encode_record(key, entry)?,
             backend: entry.backend.clone(),
             saved_at_millis: now_millis(),
         };
-        let outcome = {
-            let mut view = self.seg_guard();
-            self.apply_pendings(&mut view, vec![pending], SAVE_LOCK_WAIT, false)
-        };
-        match outcome {
-            Ok(()) => {
-                // The packed copy is now newest; a stale legacy file for
-                // the same digest must not shadow it (legacy wins on
-                // read).
-                match fs::remove_file(self.entry_path(key)) {
-                    Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-                    _ => Ok(()),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.save_legacy(key, entry),
-            Err(e) => Err(e),
-        }
+        let mut view = self.seg_guard();
+        self.apply_pendings(&mut view, vec![pending], false)
     }
 
-    /// Persist a batch of entries with **one** writer-lock acquisition
-    /// and **one** header rewrite — the bulk-population path (cache
-    /// replication, benchmarks). Per-entry saves rewrite the O(index)
-    /// header each time; the batch form makes population O(n) instead of
-    /// O(n²) in header bytes.
+    /// Remove one entry (a missing entry is not an error).
     ///
     /// # Errors
     ///
-    /// Returns the first I/O or serialization error. Under segment-lock
-    /// contention the batch fails open to legacy per-digest files.
-    pub fn save_batch(&self, entries: &[(String, CacheEntry)]) -> io::Result<usize> {
-        for (key, _) in entries {
-            Self::validate_key(key)?;
-        }
-        if self.format == StoreFormat::Legacy {
-            for (key, entry) in entries {
-                self.save_legacy(key, entry)?;
-            }
-            return Ok(entries.len());
-        }
-        let millis = now_millis();
-        let pendings = entries
-            .iter()
-            .map(|(key, entry)| {
-                Ok(Pending::Entry {
-                    key: key.clone(),
-                    json: encode_record(key, entry)?,
-                    backend: entry.backend.clone(),
-                    saved_at_millis: millis,
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let outcome = {
-            let mut view = self.seg_guard();
-            self.apply_pendings(&mut view, pendings, BATCH_LOCK_WAIT, false)
-        };
-        match outcome {
-            Ok(()) => {
-                for (key, _) in entries {
-                    let _ = fs::remove_file(self.entry_path(key));
-                }
-                Ok(entries.len())
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (key, entry) in entries {
-                    self.save_legacy(key, entry)?;
-                }
-                Ok(entries.len())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Persist one entry as a legacy per-digest file, atomically (write
-    /// to a temp file, then rename) — the compatibility tier and the
-    /// segment save path's contention fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O or serialization error; the previous
-    /// version of the entry (if any) stays intact on failure.
-    pub fn save_legacy(&self, key: &str, entry: &CacheEntry) -> io::Result<()> {
-        Self::validate_key(key)?;
-        let json = encode_record(key, entry)?;
-        // Hidden temp name (never matches the `*.json` load glob), unique
-        // per process *and* per write so concurrent writers — other
-        // processes or other threads of this one — cannot clobber each
-        // other's in-flight file; the final rename is atomic within the
-        // directory.
-        let tmp = self.dir.join(format!(
-            ".{key}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_all()?;
-        }
-        match fs::rename(&tmp, self.entry_path(key)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    /// Remove one entry from both tiers (missing entries are not an
-    /// error).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error for anything but "not found",
-    /// including a segment writer lock that stays contended.
+    /// Returns the underlying I/O error, including a segment writer lock
+    /// that stays contended.
     pub fn remove(&self, key: &str) -> io::Result<()> {
-        match fs::remove_file(self.entry_path(key)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
-        }
         let mut view = self.seg_guard();
         self.refresh_view(&mut view, true);
         if view.contains(key) {
             let pending = Pending::Tombstone {
                 key: key.to_string(),
             };
-            self.apply_pendings(&mut view, vec![pending], BATCH_LOCK_WAIT, false)?;
+            self.apply_pendings(&mut view, vec![pending], false)?;
         }
         Ok(())
     }
 
-    /// Distinct digests currently on disk (segment index rows plus
-    /// legacy files, deduplicated).
+    /// Distinct digests currently on disk (live index rows).
     pub fn len(&self) -> usize {
-        let mut keys: HashSet<String> = {
-            let mut view = self.seg_guard();
-            self.refresh_view(&mut view, false);
-            view.entries.iter().map(|e| e.key.clone()).collect()
-        };
-        if let Ok(dir) = fs::read_dir(&self.dir) {
-            for dir_entry in dir.flatten() {
-                let path = dir_entry.path();
-                if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        keys.insert(stem.to_string());
-                    }
-                }
-            }
-        }
-        keys.len()
+        let mut view = self.seg_guard();
+        self.refresh_view(&mut view, false);
+        view.entries.len()
     }
 
-    /// `true` when no entries exist in either tier.
+    /// `true` when the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total *live* entry bytes on disk: legacy file sizes plus
-    /// index-reachable segment payload (what [`GcPolicy::max_bytes`]
-    /// budgets against — dead payload bytes are compaction's business,
-    /// not the capacity budget's).
+    /// Total *live* entry bytes on disk: the index-reachable segment
+    /// payload (what [`GcPolicy::max_bytes`] budgets against — dead
+    /// payload bytes are compaction's business, not the capacity
+    /// budget's).
     pub fn total_bytes(&self) -> u64 {
-        let segment_live = {
-            let mut view = self.seg_guard();
-            self.refresh_view(&mut view, false);
-            view.live_bytes()
-        };
-        let legacy: u64 = fs::read_dir(&self.dir)
-            .map(|dir| {
-                dir.flatten()
-                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("json"))
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0);
-        segment_live + legacy
+        let mut view = self.seg_guard();
+        self.refresh_view(&mut view, false);
+        view.live_bytes()
     }
 
-    /// A point-in-time description of the disk tier's shape (format,
-    /// index size, live/dead payload split) for stats surfaces.
+    /// A point-in-time description of the disk tier's shape (index size,
+    /// live/dead payload split) for stats surfaces.
     pub fn disk_stats(&self) -> DiskTierStats {
-        let (has_segment, index_entries, segment_bytes, live_bytes, dead_bytes) = {
-            let mut view = self.seg_guard();
-            self.refresh_view(&mut view, false);
-            match view.stat {
-                Some((len, _)) => (
-                    true,
-                    view.entries.len(),
-                    len,
-                    view.live_bytes(),
-                    view.dead_bytes(),
-                ),
-                None => (false, 0, 0, 0, 0),
-            }
-        };
-        let legacy_files = fs::read_dir(&self.dir)
-            .map(|dir| {
-                dir.flatten()
-                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("json"))
-                    .count()
-            })
-            .unwrap_or(0);
-        let format = match (has_segment, legacy_files > 0) {
-            (true, false) => "segment",
-            (false, true) => "legacy",
-            (true, true) => "mixed",
-            (false, false) => "empty",
-        };
+        let mut view = self.seg_guard();
+        self.refresh_view(&mut view, false);
         DiskTierStats {
-            format: format.to_string(),
-            index_entries,
-            legacy_files,
-            segment_bytes,
-            live_bytes,
-            dead_bytes,
+            index_entries: view.entries.len(),
+            segment_bytes: view.stat.map_or(0, |(len, _)| len),
+            live_bytes: view.live_bytes(),
+            dead_bytes: view.dead_bytes(),
             compactions: self.compactions.load(Ordering::Relaxed),
         }
     }
@@ -1290,17 +857,15 @@ impl CacheStore {
     pub fn gc_at(&self, policy: &GcPolicy, now: SystemTime) -> io::Result<GcReport> {
         let mut report = GcReport::default();
         let now_ms = time_to_millis(now);
-        // Directory scan: sweep orphaned temp and lock files, collect
-        // legacy entry candidates. (Entry recency comes from the index
-        // for the packed tier — GC no longer stats per-entry files.)
-        let mut legacy: Vec<(u64, u64, String, PathBuf)> = Vec::new();
+        // Directory scan: sweep orphaned temp and lock files. (Entry
+        // recency comes from the index — GC stats no per-entry files.)
         for dir_entry in fs::read_dir(&self.dir)?.flatten() {
             let path = dir_entry.path();
             let extension = path.extension().and_then(|e| e.to_str());
-            let (mtime, size) = dir_entry
+            let mtime = dir_entry
                 .metadata()
-                .map(|m| (m.modified().unwrap_or(SystemTime::UNIX_EPOCH), m.len()))
-                .unwrap_or((SystemTime::UNIX_EPOCH, 0));
+                .and_then(|m| m.modified())
+                .unwrap_or(SystemTime::UNIX_EPOCH);
             // A live writer holds its `.tmp` for milliseconds before the
             // rename; anything older was orphaned by a killed process
             // (e.g. a CI run cancelled mid-write) and would otherwise
@@ -1313,7 +878,6 @@ impl CacheStore {
                 if stale && fs::remove_file(&path).is_ok() {
                     report.stale_tmp_removed += 1;
                 }
-                continue;
             }
             // Solve locks orphaned by crashed holders: past the staleness
             // bound they would otherwise only be reclaimed when someone
@@ -1328,124 +892,46 @@ impl CacheStore {
                 if stale && fs::remove_file(&path).is_ok() {
                     report.stale_locks_removed += 1;
                 }
-                continue;
             }
-            if extension != Some("json") {
-                continue;
-            }
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string();
-            legacy.push((time_to_millis(mtime), size, stem, path));
         }
 
-        // Candidate list: one row per distinct digest, oldest-saved
-        // first. A digest present in both tiers is one candidate whose
-        // eviction clears both copies (so the legacy copy's eviction can
-        // never resurrect the packed one, or vice versa).
-        struct Candidate {
-            millis: u64,
-            bytes: u64,
-            key: String,
-            legacy_path: Option<PathBuf>,
-            in_segment: bool,
-        }
+        // Candidates: the live index rows, oldest-saved first.
         let mut view = self.seg_guard();
         self.refresh_view(&mut view, true);
-        let mut cands: Vec<Candidate> = Vec::new();
-        let legacy_keys: HashSet<&str> = legacy.iter().map(|(_, _, k, _)| k.as_str()).collect();
-        for (millis, size, key, path) in &legacy {
-            let seg_bytes = view.find(key).map(|e| 8 + e.len).unwrap_or(0);
-            cands.push(Candidate {
-                millis: *millis,
-                bytes: size + seg_bytes,
-                key: key.clone(),
-                legacy_path: Some(path.clone()),
-                in_segment: seg_bytes > 0,
-            });
-        }
-        for row in &view.entries {
-            if legacy_keys.contains(row.key.as_str()) {
-                continue;
-            }
-            cands.push(Candidate {
-                millis: row.saved_at_millis,
-                bytes: 8 + row.len,
-                key: row.key.clone(),
-                legacy_path: None,
-                in_segment: true,
-            });
-        }
-        cands.sort_by(|a, b| (a.millis, &a.key).cmp(&(b.millis, &b.key)));
+        let mut cands: Vec<&SegmentIndexEntry> = view.entries.iter().collect();
+        cands.sort_by(|a, b| (a.saved_at_millis, &a.key).cmp(&(b.saved_at_millis, &b.key)));
         report.examined = cands.len();
-        let mut total: u64 = cands.iter().map(|c| c.bytes).sum();
+        let total = view.live_bytes();
 
-        // Decide the victim set first, then execute — the packed tier
-        // evicts as one batch (one tombstone append + header rewrite),
-        // and a failed batch must not be double-counted.
+        // Decide the victim set first, then evict it as one batch (one
+        // tombstone append + header rewrite).
         let max_age_ms = policy
             .max_age
             .map(|max| u64::try_from(max.as_millis()).unwrap_or(u64::MAX));
         let expired =
             |millis: u64| max_age_ms.is_some_and(|max| now_ms.saturating_sub(millis) > max);
-        let mut victims: Vec<usize> = Vec::new();
-        {
-            let mut running = total;
-            for (i, c) in cands.iter().enumerate() {
-                let over_bytes = policy
-                    .max_bytes
-                    .is_some_and(|max| running > max && i + 1 < cands.len());
-                if expired(c.millis) || over_bytes {
-                    victims.push(i);
-                    running -= c.bytes;
-                }
+        let mut victims: Vec<Pending> = Vec::new();
+        let mut running = total;
+        for (i, row) in cands.iter().enumerate() {
+            let over_bytes = policy
+                .max_bytes
+                .is_some_and(|max| running > max && i + 1 < cands.len());
+            if expired(row.saved_at_millis) || over_bytes {
+                victims.push(Pending::Tombstone {
+                    key: row.key.clone(),
+                });
+                running -= 8 + row.len;
             }
         }
-        let seg_victims: Vec<Pending> = victims
-            .iter()
-            .filter(|&&i| cands[i].in_segment)
-            .map(|&i| Pending::Tombstone {
-                key: cands[i].key.clone(),
-            })
-            .collect();
-        let seg_ok = if seg_victims.is_empty() {
-            true
+        let evicting = victims.len();
+        if evicting == 0 || self.apply_pendings(&mut view, victims, false).is_ok() {
+            report.removed = evicting;
+            report.removed_bytes = total - running;
         } else {
-            self.apply_pendings(&mut view, seg_victims, BATCH_LOCK_WAIT, false)
-                .is_ok()
-        };
-        for &i in &victims {
-            let c = &cands[i];
-            if c.in_segment && !seg_ok {
-                // The whole candidate stays (its legacy twin too, so a
-                // partially-evicted digest can never serve a stale copy).
-                report.delete_errors += 1;
-                continue;
-            }
-            let mut ok = true;
-            if let Some(path) = &c.legacy_path {
-                match fs::remove_file(path) {
-                    // NotFound means a concurrent sweeper (the daemon's
-                    // periodic GC racing an offline one on a shared dir)
-                    // beat us to this victim; either way it is gone.
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(_) => {
-                        report.delete_errors += 1;
-                        ok = false;
-                    }
-                }
-            }
-            if ok {
-                report.removed += 1;
-                report.removed_bytes += c.bytes;
-                total -= c.bytes;
-            }
+            report.delete_errors = evicting;
         }
         report.retained = report.examined - report.removed;
-        report.retained_bytes = total;
+        report.retained_bytes = total - report.removed_bytes;
 
         // Compaction: once evictions (here and in prior sweeps) have
         // turned enough payload dead, rewrite live records into a fresh
@@ -1457,10 +943,7 @@ impl CacheStore {
                 .unwrap_or_else(|| view.live_bytes().max(DEFAULT_COMPACT_MIN_DEAD));
             if dead > 0 && dead >= threshold {
                 let old_len = view.file_len;
-                if self
-                    .apply_pendings(&mut view, Vec::new(), BATCH_LOCK_WAIT, true)
-                    .is_ok()
-                {
+                if self.apply_pendings(&mut view, Vec::new(), true).is_ok() {
                     report.compactions += 1;
                     report.compacted_bytes += old_len.saturating_sub(view.file_len);
                     self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -1470,24 +953,17 @@ impl CacheStore {
         Ok(report)
     }
 
-    /// Delete every entry in both tiers, returning how many distinct
-    /// digests were removed.
+    /// Delete every entry, returning how many distinct digests were
+    /// removed.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error encountered.
     pub fn clear(&self) -> io::Result<usize> {
-        let removed = self.len();
-        for dir_entry in fs::read_dir(&self.dir)?.flatten() {
-            let path = dir_entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                fs::remove_file(&path)?;
-            }
-        }
         let mut view = self.seg_guard();
-        let _lock = self
-            .try_segment_lock(BATCH_LOCK_WAIT)
-            .ok_or_else(contended)?;
+        let _lock = self.segment_lock()?;
+        self.refresh_view(&mut view, true);
+        let removed = view.entries.len();
         match fs::remove_file(self.segment_path()) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
@@ -1508,16 +984,15 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// `WouldBlock` when the writer lock stays contended past `wait`
-    /// (callers fail open); otherwise the underlying I/O error.
+    /// `WouldBlock` when the writer lock stays contended past
+    /// [`SEGMENT_LOCK_WAIT`]; otherwise the underlying I/O error.
     fn apply_pendings(
         &self,
         view: &mut SegmentView,
         pendings: Vec<Pending>,
-        wait: Duration,
         force_rewrite: bool,
     ) -> io::Result<()> {
-        let _lock = self.try_segment_lock(wait).ok_or_else(contended)?;
+        let _lock = self.segment_lock()?;
         self.refresh_view(view, true);
         // Surviving old rows, and the new frames in batch order (later
         // writes of one digest supersede earlier ones within the batch).
@@ -1685,11 +1160,6 @@ impl CacheStore {
     }
 }
 
-/// The error kind saves interpret as "fail open to the legacy tier".
-fn contended() -> io::Error {
-    io::Error::new(io::ErrorKind::WouldBlock, "segment writer lock contended")
-}
-
 fn file_stat(path: &Path) -> Option<(u64, SystemTime)> {
     fs::metadata(path)
         .ok()
@@ -1707,7 +1177,7 @@ fn now_millis() -> u64 {
 }
 
 /// Serialize the versioned record envelope for one entry — the payload
-/// frame body, and byte-identically the legacy file content.
+/// frame body.
 fn encode_record(key: &str, entry: &CacheEntry) -> io::Result<String> {
     let stored = StoredEntry {
         version: STORE_VERSION,
@@ -1731,11 +1201,6 @@ fn encode_header(entries: &[SegmentIndexEntry]) -> io::Result<String> {
 /// alphanumerics, so direct formatting is escape-safe).
 fn tombstone_json(key: &str) -> String {
     format!("{{\"version\":{STORE_VERSION},\"key\":\"{key}\",\"evicted\":true}}")
-}
-
-fn read_entry(path: &Path) -> Option<StoredEntry> {
-    let text = fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
 }
 
 /// Read `len` bytes at `offset` from an already-open segment file.
@@ -1806,7 +1271,7 @@ fn read_segment_view(path: &Path) -> SegmentView {
             for row in header.entries {
                 let in_payload = row.offset >= 8 + capacity;
                 let readable = row.offset.saturating_add(row.len) <= file_len;
-                if in_payload && readable {
+                if in_payload && readable && row.version == STORE_VERSION {
                     view.entries.push(row);
                 } else {
                     view.skipped += 1;

@@ -9,9 +9,7 @@
 //! same schema — responses are canonically serialized by the workspace
 //! serde, so identical inputs yield byte-identical bodies.
 //!
-//! Endpoints (served by `cosa-serve` under `/v1/`, with the unversioned
-//! paths kept as deprecated aliases that answer with a
-//! `Deprecation: true` header):
+//! Endpoints (every route lives under `/v1/`; anything else is a 404):
 //!
 //! * `POST /v1/schedule` — a [`ScheduleRequest`] naming a layer, an inline
 //!   network or a suite; answers a [`ScheduleResponse`].
@@ -27,8 +25,8 @@
 //! fields both mean "default". Responses always carry every field.
 //!
 //! This module also owns the shared pieces every serving process needs:
-//! the [`CommonArgs`] CLI parser (`--scheduler`/`--cache-format`/
-//! `--cache-dir`/`--lock-staleness-secs`/`--noc`, one implementation for
+//! the [`CommonArgs`] CLI parser (`--scheduler`/`--cache-dir`/
+//! `--lock-staleness-secs`/`--noc`/`--interlayer*`, one implementation for
 //! `cosa_serve`, `cosa_router`, `serve_probe` and `engine_probe`) and the
 //! [`routing_digest`] that consistent-hash sharding keys on.
 
@@ -44,7 +42,6 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use crate::api::{PortfolioScheduler, Scheduled, Scheduler};
 use crate::engine::CacheStats;
 use crate::engine::NetworkReport;
-use crate::engine::StoreFormat;
 use crate::engine::{InterlayerOptions, InterlayerStrategy};
 
 /// The value following `--flag` in `args`, when present.
@@ -66,16 +63,14 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T
 
 /// The scheduler/cache flag set shared by every serving binary
 /// (`cosa_serve`, `cosa_router`, `serve_probe`, `engine_probe`) — one
-/// parser so `--scheduler`, `--cache-format`, `--cache-dir`,
-/// `--lock-staleness-secs` and `--noc` cannot drift apart between the
+/// parser so `--scheduler`, `--cache-dir`, `--lock-staleness-secs`,
+/// `--noc` and `--interlayer*` cannot drift apart between the
 /// daemon and the probes that must hit its cache entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonArgs {
     /// `--scheduler NAME` (default `cosa`); validated lazily by
     /// [`scheduler_from_name`] so the error names the valid set.
     pub scheduler: String,
-    /// `--cache-format segment|legacy` (default segment).
-    pub cache_format: StoreFormat,
     /// `--lock-staleness-secs N` (`None` = the engine default).
     pub lock_staleness: Option<Duration>,
     /// `--cache-dir PATH`, falling back to `COSA_CACHE_DIR`.
@@ -89,14 +84,22 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
+    /// Every flag [`CommonArgs::parse`] reads, paired with whether it
+    /// takes a value — what a binary that rejects unknown flags must
+    /// accept on this parser's behalf.
+    pub const FLAGS: [(&'static str, bool); 7] = [
+        ("--scheduler", true),
+        ("--lock-staleness-secs", true),
+        ("--cache-dir", true),
+        ("--noc", false),
+        ("--interlayer", false),
+        ("--interlayer-budget-bytes", true),
+        ("--interlayer-strategy", true),
+    ];
+
     /// Parse the shared flags out of `args` (unrelated flags are left for
     /// the caller). Panics with the flag name on a malformed value.
     pub fn parse(args: &[String]) -> CommonArgs {
-        let cache_format = match flag_value(args, "--cache-format") {
-            Some(name) => StoreFormat::parse(&name)
-                .unwrap_or_else(|| panic!("bad value `{name}` for --cache-format")),
-            None => StoreFormat::default(),
-        };
         let mut interlayer = if args.iter().any(|a| a == "--interlayer") {
             InterlayerOptions::enabled()
         } else {
@@ -112,7 +115,6 @@ impl CommonArgs {
         }
         CommonArgs {
             scheduler: flag_value(args, "--scheduler").unwrap_or_else(|| "cosa".to_string()),
-            cache_format,
             lock_staleness: parse_flag::<u64>(args, "--lock-staleness-secs")
                 .map(Duration::from_secs),
             cache_dir: flag_value(args, "--cache-dir")
@@ -127,13 +129,10 @@ impl CommonArgs {
 /// The per-request knob set of the `/v1/schedule` schema: everything that
 /// changes *how* a work item is scheduled, as one serializable object.
 ///
-/// This is the PR-9 redesign of the request surface: rather than growing
-/// one top-level field per knob (`arch`, `scheduler`, now `interlayer`,
-/// ...), requests carry a single `options` object and every consumer —
-/// daemon, router, probes, tests — reads the same struct. The old
-/// top-level spellings are still accepted (folded into `options` on read)
-/// but answered with a `Deprecation: true` header, exactly like the
-/// unversioned path aliases.
+/// Rather than growing one top-level field per knob (`arch`,
+/// `scheduler`, `interlayer`, ...), requests carry a single `options`
+/// object and every consumer — daemon, router, probes, tests — reads the
+/// same struct.
 ///
 /// Every field defaults: `{}` is a valid options object, and a missing
 /// field means "the daemon's default".
@@ -197,15 +196,6 @@ impl Deserialize for ScheduleOptions {
             interlayer: opt_field(map, "interlayer")?,
         })
     }
-}
-
-/// Whether a parsed request body uses the deprecated pre-PR-9 top-level
-/// `arch`/`scheduler` spelling instead of the `options` object. The
-/// daemon and router answer such requests normally but add a
-/// `Deprecation: true` header, mirroring the unversioned path aliases.
-pub fn uses_deprecated_fields(body: &Value) -> bool {
-    body.as_map()
-        .is_some_and(|m| m.iter().any(|(k, _)| k == "arch" || k == "scheduler"))
 }
 
 /// The digest consistent-hash sharding routes a request by.
@@ -288,13 +278,11 @@ pub fn scheduler_from_name(name: &str, arch: &Arch) -> Result<Box<dyn Scheduler>
     }
 }
 
-/// A `POST /schedule` body: what to schedule plus one [`ScheduleOptions`]
-/// object saying how.
+/// A `POST /v1/schedule` body: what to schedule plus one
+/// [`ScheduleOptions`] object saying how.
 ///
 /// Exactly one of `layer`, `network` or `suite` must be set. Missing and
-/// `null` fields are equivalent. The deprecated pre-PR-9 top-level
-/// `arch`/`scheduler` fields still deserialize (folded into `options`);
-/// serialization always emits the `options` form.
+/// `null` fields are equivalent.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ScheduleRequest {
     /// How to schedule: arch, scheduler and inter-layer knobs.
@@ -323,34 +311,15 @@ impl Deserialize for ScheduleRequest {
             .ok_or_else(|| SerdeError::custom("expected map for ScheduleRequest"))?;
         // Lenient about *missing* fields, strict about *unknown* ones: a
         // misspelled "schedulr" must fail loudly, not silently fall back
-        // to the default scheduler. `arch` and `scheduler` are the
-        // deprecated top-level spellings, accepted and folded into
-        // `options` (the daemon answers them with `Deprecation: true`).
-        const KNOWN: [&str; 6] = ["options", "arch", "scheduler", "layer", "network", "suite"];
+        // to the default scheduler.
+        const KNOWN: [&str; 4] = ["options", "layer", "network", "suite"];
         if let Some((unknown, _)) = map.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
             return Err(SerdeError::custom(format!(
                 "unknown request field `{unknown}` (expected one of {KNOWN:?})"
             )));
         }
-        let mut options: ScheduleOptions = opt_field(map, "options")?.unwrap_or_default();
-        let legacy_arch: Option<Arch> = opt_field(map, "arch")?;
-        let legacy_scheduler: Option<String> = opt_field(map, "scheduler")?;
-        if (legacy_arch.is_some() && options.arch.is_some())
-            || (legacy_scheduler.is_some() && options.scheduler.is_some())
-        {
-            return Err(SerdeError::custom(
-                "deprecated top-level `arch`/`scheduler` cannot be combined with the same \
-                 field inside `options`",
-            ));
-        }
-        if legacy_arch.is_some() {
-            options.arch = legacy_arch;
-        }
-        if legacy_scheduler.is_some() {
-            options.scheduler = legacy_scheduler;
-        }
         Ok(ScheduleRequest {
-            options,
+            options: opt_field(map, "options")?.unwrap_or_default(),
             layer: opt_field(map, "layer")?,
             network: opt_field(map, "network")?,
             suite: opt_field(map, "suite")?,
@@ -449,7 +418,7 @@ impl ScheduleRequest {
     }
 }
 
-/// A `POST /schedule` answer: exactly one of the three fields is set.
+/// A `POST /v1/schedule` answer: exactly one of the three fields is set.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleResponse {
     /// The single-layer result, for [`ScheduleRequest::layer`] requests.
@@ -501,10 +470,10 @@ impl ScheduleResponse {
     }
 }
 
-/// A `GET /stats` answer: request counters, latency percentiles, GC
+/// A `GET /v1/stats` answer: request counters, latency percentiles, GC
 /// activity and the cache counters summed over the daemon's engines.
 ///
-/// `cache.misses` counts *solver invocations*, so a `/stats` delta across
+/// `cache.misses` counts *solver invocations*, so a `/v1/stats` delta across
 /// a burst of traffic is the number of MILP solves it cost; concurrent
 /// identical cold requests that were deduplicated against an in-flight
 /// solve (in this process or another daemon sharing the cache dir) show
@@ -512,7 +481,7 @@ impl ScheduleResponse {
 /// high-water mark of simultaneously in-flight digests.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsResponse {
-    /// Schedule requests answered 200 (`/stats` and `/healthz` hits are
+    /// Schedule requests answered 200 (`/v1/stats` and `/v1/healthz` hits are
     /// not counted).
     pub served: u64,
     /// Requests answered 4xx/5xx (excluding queue rejections).
@@ -536,13 +505,13 @@ pub struct StatsResponse {
     pub max_micros: u64,
     /// Disk-tier GC sweeps run (startup + every-N-requests).
     pub gc_runs: u64,
-    /// Entry files GC has deleted.
+    /// Entries GC has evicted.
     pub gc_removed: u64,
     /// Cache counters summed across all resident engines.
     pub cache: CacheStats,
 }
 
-/// A `GET /healthz` answer. The daemon only listens after its warm start
+/// A `GET /v1/healthz` answer. The daemon only listens after its warm start
 /// (cache-dir load) completed, so any answer at all means ready.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthResponse {
@@ -559,7 +528,7 @@ pub struct HealthResponse {
 /// A bounded window of request service times with percentile readout.
 ///
 /// Keeps the most recent [`LatencyRecorder::WINDOW`] samples (overwriting
-/// the oldest), so `/stats` percentiles track current behaviour instead of
+/// the oldest), so `/v1/stats` percentiles track current behaviour instead of
 /// averaging over the daemon's whole lifetime; memory stays constant under
 /// heavy traffic.
 #[derive(Debug, Default)]
@@ -596,7 +565,7 @@ impl LatencyRecorder {
 
     /// The `p`-th percentile (0.0–1.0) of the resident window, in µs;
     /// 0 when nothing was recorded. Nearest-rank on a sorted copy — the
-    /// window is small and `/stats` is rare, so simplicity wins.
+    /// window is small and `/v1/stats` is rare, so simplicity wins.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.samples.is_empty() {
             return 0;
@@ -632,31 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn request_accepts_deprecated_top_level_fields() {
-        // The pre-PR-9 spelling: scheduler/arch at the top level.
-        let legacy: ScheduleRequest =
-            serde_json::from_str(r#"{"suite": "resnet50", "scheduler": "random"}"#).unwrap();
-        assert_eq!(legacy.scheduler_name(), "random");
-        let modern: ScheduleRequest =
-            serde_json::from_str(r#"{"suite": "resnet50", "options": {"scheduler": "random"}}"#)
-                .unwrap();
-        assert_eq!(legacy, modern, "both spellings parse to the same request");
-        // The legacy spelling is detectable for the Deprecation header.
-        let value: Value =
-            serde_json::from_str(r#"{"suite": "resnet50", "scheduler": "random"}"#).unwrap();
-        assert!(uses_deprecated_fields(&value));
-        let value: Value =
-            serde_json::from_str(r#"{"suite": "resnet50", "options": {"scheduler": "random"}}"#)
-                .unwrap();
-        assert!(!uses_deprecated_fields(&value));
-        // Mixing both spellings of the same knob is ambiguous → error.
-        assert!(serde_json::from_str::<ScheduleRequest>(
-            r#"{"suite": "resnet50", "scheduler": "random", "options": {"scheduler": "sat"}}"#,
-        )
-        .is_err());
-    }
-
-    #[test]
     fn options_object_is_partial_and_strict() {
         let opts: ScheduleOptions =
             serde_json::from_str(r#"{"interlayer": {"enabled": true}}"#).unwrap();
@@ -687,6 +631,17 @@ mod tests {
         )
         .expect_err("typo'd field must not silently fall back to defaults");
         assert!(err.to_string().contains("schedulr"), "{err}");
+        // The knobs live in `options` only: the same names at the top
+        // level are unknown fields like any other.
+        for body in [
+            r#"{"suite": "resnet50", "scheduler": "random"}"#,
+            r#"{"suite": "resnet50", "arch": null}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<ScheduleRequest>(body).is_err(),
+                "{body}"
+            );
+        }
     }
 
     #[test]
@@ -728,8 +683,6 @@ mod tests {
             "bin",
             "--scheduler",
             "sat",
-            "--cache-format",
-            "legacy",
             "--lock-staleness-secs",
             "17",
             "--cache-dir",
@@ -740,7 +693,6 @@ mod tests {
         .to_vec();
         let common = CommonArgs::parse(&args);
         assert_eq!(common.scheduler, "sat");
-        assert_eq!(common.cache_format, StoreFormat::Legacy);
         assert_eq!(common.lock_staleness, Some(Duration::from_secs(17)));
         assert_eq!(
             common.cache_dir.as_deref(),
@@ -751,7 +703,6 @@ mod tests {
 
         let defaults = CommonArgs::parse(&["bin".to_string()]);
         assert_eq!(defaults.scheduler, "cosa");
-        assert_eq!(defaults.cache_format, StoreFormat::default());
         assert!(defaults.lock_staleness.is_none() && !defaults.noc);
 
         let interlayer = CommonArgs::parse(

@@ -1,13 +1,14 @@
 //! Integration tests for the persistent schedule-cache store: round-trip
-//! persistence and warm starts, corruption tolerance, LRU/byte interaction
-//! with the disk tier, digest stability across save/load, and the
+//! persistence and warm starts, corruption and version-skew tolerance,
+//! LRU/byte interaction with the disk tier, digest stability across
+//! save/load, the segment writer lock (wait, takeover) and the
 //! cross-process solve-lock protocol (exclusivity, staleness takeover,
 //! GC sweep, and engine-level lock waiting / disk read-through).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
-use cosa_repro::engine::{CacheEntry, CacheStore, StoreFormat, STORE_VERSION};
+use cosa_repro::engine::{CacheEntry, CacheStore, STORE_VERSION};
 use cosa_repro::prelude::*;
 
 mod common;
@@ -30,6 +31,34 @@ fn tiny_network() -> Network {
 
 fn quick_random() -> RandomMapper {
     RandomMapper::new(11).with_limits(SearchLimits::quick())
+}
+
+/// An in-place, same-length rewrite of a record's head bytes.
+type Damage = fn(&mut [u8]);
+
+/// Overwrite the head of `key`'s record (`{"version":N,"key":"<key>"`) in
+/// `dir`'s segment, in place and at the same length, so framing and the
+/// index stay intact.
+fn damage_record(dir: &Path, key: &str, damage: Damage) {
+    let path = dir.join("segment.cosa");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let head = format!("{{\"version\":{STORE_VERSION},\"key\":\"{key}\"");
+    let at = bytes
+        .windows(head.len())
+        .position(|w| w == head.as_bytes())
+        .expect("record present in the segment");
+    damage(&mut bytes[at..at + head.len()]);
+    std::fs::write(&path, bytes).unwrap();
+}
+
+/// `*.json` files in `dir` — the segment is the only entry format, so
+/// there must never be any.
+fn json_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("json"))
+        .count()
 }
 
 #[test]
@@ -83,70 +112,156 @@ fn warm_start_round_trips_schedules_and_noc_verdicts() {
 
 #[test]
 fn corrupt_entries_are_skipped_not_fatal() {
-    let dir = scratch_dir("corrupt");
     let network = tiny_network();
     let mapper = quick_random();
+    // `{"version":` is 11 bytes, so the version digit sits at index 11 of
+    // the record head and the key's last character just before its
+    // closing quote.
+    let damages: [(&str, Damage); 3] = [
+        ("garbage", |head| head.fill(b'#')),
+        ("future-version", |head| head[11] += 1),
+        ("other-key", |head| {
+            let last = head.len() - 2;
+            head[last] = if head[last] == b'0' { b'1' } else { b'0' };
+        }),
+    ];
+    for (tag, damage) in damages {
+        let dir = scratch_dir(&format!("corrupt-{tag}"));
+        let engine = Engine::new(Arch::simba_baseline())
+            .with_cache_dir(&dir)
+            .expect("open cache dir");
+        engine.schedule_network(&network, &mapper);
+        drop(engine);
 
-    // Populate in the legacy per-file layout so there are `*.json` files
-    // to damage (the segment tier's corruption story is covered by the
-    // truncation proptest in `tests/properties.rs`).
+        let store = CacheStore::open(&dir).unwrap();
+        let intact = store.load();
+        assert_eq!((intact.entries.len(), intact.skipped), (2, 0), "{tag}");
+        let (victim, spared) = (&intact.entries[0].0, &intact.entries[1].0);
+        damage_record(&dir, victim, damage);
+
+        let store = CacheStore::open(&dir).unwrap();
+        let load = store.load();
+        assert_eq!(load.entries.len(), 1, "{tag}: the untouched entry survives");
+        assert_eq!(load.skipped, 1, "{tag}: the damaged record is counted");
+        assert!(store.load_entry(victim).is_none(), "{tag}");
+        assert!(store.load_entry(spared).is_some(), "{tag}");
+
+        // An engine over the damaged dir still works: exactly the damaged
+        // shape re-solves, and its fresh record supersedes the bad one.
+        let engine = Engine::new(Arch::simba_baseline())
+            .with_cache_dir(&dir)
+            .expect("open cache dir");
+        let run = engine.schedule_network(&network, &mapper);
+        assert!(run.report.is_complete());
+        assert_eq!(
+            run.cache_misses, 1,
+            "{tag}: only the damaged shape re-solves"
+        );
+        assert_eq!(engine.cache_stats().store_errors, 0, "{tag}");
+        drop(engine);
+        let healed = CacheStore::open(&dir).unwrap().load();
+        assert_eq!((healed.entries.len(), healed.skipped), (2, 0), "{tag}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn other_version_records_are_skipped_and_superseded() {
+    let dir = scratch_dir("version-skew");
+    let network = tiny_network();
+    let mapper = quick_random();
     let engine = Engine::new(Arch::simba_baseline())
-        .with_cache_format(StoreFormat::Legacy)
         .with_cache_dir(&dir)
         .expect("open cache dir");
     engine.schedule_network(&network, &mapper);
     drop(engine);
 
-    // Damage the store four different ways.
-    let valid: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
+    // Rewrite the segment as an older STORE_VERSION would have left it:
+    // every record envelope and every index row says `"version":1`. (The
+    // header's own layout version is a different number and field.)
+    let path = dir.join("segment.cosa");
+    let current = format!("\"version\":{STORE_VERSION}");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let hits: Vec<usize> = (0..bytes.len())
+        .filter(|&at| bytes[at..].starts_with(current.as_bytes()))
         .collect();
-    assert_eq!(valid.len(), 2);
-    let text = std::fs::read_to_string(&valid[0]).unwrap();
-    // (1) Not JSON at all.
-    std::fs::write(
-        dir.join("aaaa1111aaaa1111aaaa1111aaaa1111.json"),
-        "not json",
-    )
-    .unwrap();
-    // (2) Truncated JSON (a torn non-atomic write would look like this).
-    std::fs::write(
-        dir.join("bbbb2222bbbb2222bbbb2222bbbb2222.json"),
-        &text[..text.len() / 2],
-    )
-    .unwrap();
-    // (3) Future format version, otherwise valid.
-    std::fs::write(
-        &valid[0],
-        text.replacen(
-            &format!("\"version\":{STORE_VERSION}"),
-            &format!("\"version\":{}", STORE_VERSION + 1),
-            1,
-        ),
-    )
-    .unwrap();
-    // (4) Envelope key disagrees with the file name.
-    std::fs::write(dir.join("cccc3333cccc3333cccc3333cccc3333.json"), &text).unwrap();
+    assert_eq!(hits.len(), 4, "two index rows + two records");
+    for at in hits {
+        bytes[at + current.len() - 1] = b'1';
+    }
+    std::fs::write(&path, bytes).unwrap();
 
+    // Skipped and counted, at the index and at the records.
     let store = CacheStore::open(&dir).unwrap();
-    let load = store.load();
-    assert_eq!(load.entries.len(), 1, "only the untouched entry survives");
-    assert_eq!(load.skipped, 4, "all four damaged files skipped");
+    let index = store.load_index();
+    assert_eq!((index.entries, index.skipped), (0, 2));
+    assert!(store.load().entries.is_empty());
 
-    // An engine over the damaged dir still works: partial warm start, the
-    // missing shape re-solves and is re-persisted.
+    // The engine counts them, re-solves each shape once and persists the
+    // fresh records, which supersede the old ones (now dead payload).
     let engine = Engine::new(Arch::simba_baseline())
         .with_cache_dir(&dir)
         .expect("open cache dir");
     let stats = engine.cache_stats();
-    assert_eq!(stats.warm_entries, 1);
-    assert_eq!(stats.store_errors, 4, "skipped entries are counted");
+    assert_eq!((stats.warm_entries, stats.store_errors), (0, 2));
     let run = engine.schedule_network(&network, &mapper);
-    assert!(run.report.is_complete());
-    assert_eq!(run.cache_misses, 1, "only the damaged shape re-solves");
+    assert_eq!(run.cache_misses, 2, "each skipped shape re-solves once");
+    assert!(engine.cache_stats().segment_dead_bytes > 0);
+    drop(engine);
+
+    let warm = Engine::new(Arch::simba_baseline())
+        .with_cache_dir(&dir)
+        .expect("open cache dir");
+    let stats = warm.cache_stats();
+    assert_eq!((stats.warm_entries, stats.store_errors), (2, 0));
+    assert_eq!(warm.schedule_network(&network, &mapper).cache_misses, 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn segment_writer_lock_is_waited_out_or_taken_over() {
+    let dir = scratch_dir("segment-lock");
+    let store = CacheStore::open(&dir).unwrap();
+    let layer = Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1);
+    let scheduled = Scheduler::schedule(&quick_random(), &Arch::simba_baseline(), &layer);
+    let entry = CacheEntry::new(scheduled.expect("valid"));
+    let lock = dir.join("segment.cosa.lock");
+
+    // A live holder (another handle mid-append leaves exactly this file):
+    // the save waits — it neither fails nor writes anywhere else — and
+    // completes once the holder releases.
+    std::fs::write(&lock, "pid=0 seq=0").unwrap();
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (store, entry) = (&store, &entry);
+        scope.spawn(move || done_tx.send(store.save("aaa1", entry)).unwrap());
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(600)).is_err(),
+            "the save is still waiting for the live holder"
+        );
+        assert_eq!(json_files(&dir), 0, "no fallback file while waiting");
+        std::fs::remove_file(&lock).unwrap();
+        done_rx
+            .recv()
+            .unwrap()
+            .expect("save succeeds once released");
+    });
+    assert_eq!(store.load_entry("aaa1").as_ref(), Some(&entry));
+
+    // A crashed holder: its lock file only ages. Past the staleness bound
+    // the next writer takes it over instead of waiting or giving up.
+    let orphan = std::fs::File::create(&lock).unwrap();
+    orphan
+        .set_modified(SystemTime::now() - Duration::from_secs(3600))
+        .unwrap();
+    drop(orphan);
+    store.save("bbb2", &entry).expect("stale holder taken over");
+    assert!(!lock.exists(), "the taker released its own lock");
+    assert_eq!(store.load_entry("bbb2").as_ref(), Some(&entry));
+    assert_eq!(json_files(&dir), 0);
+    assert_eq!(CacheStore::open(&dir).unwrap().load_index().entries, 2);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -500,81 +615,5 @@ fn engine_waits_out_another_processes_solve_lock() {
     assert_eq!(stats.misses, 0, "the whole wait cost zero solver calls");
     assert_eq!(stats.dedup_waits, 1);
     assert_eq!(stats.hits, 1, "the foreign entry lands as a hit");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_dirs_migrate_into_segment_exactly_once() {
-    let dir = scratch_dir("migrate");
-    let network = tiny_network();
-    let mapper = quick_random();
-
-    // A pre-packed cache dir: legacy per-digest JSON files, no segment.
-    let engine = Engine::new(Arch::simba_baseline())
-        .with_cache_format(StoreFormat::Legacy)
-        .with_cache_dir(&dir)
-        .expect("open cache dir");
-    engine.schedule_network(&network, &mapper);
-    drop(engine);
-    let legacy_files: Vec<(String, String)> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
-        .map(|p| {
-            (
-                p.file_stem().unwrap().to_str().unwrap().to_string(),
-                std::fs::read_to_string(&p).unwrap(),
-            )
-        })
-        .collect();
-    assert_eq!(legacy_files.len(), 2);
-    assert!(!dir.join("segment.cosa").exists());
-    let before = CacheStore::open(&dir).unwrap().load();
-    assert_eq!(before.entries.len(), 2);
-
-    // First segment-format warm load migrates the whole tier: every file
-    // is imported byte-verbatim (its exact bytes appear in the new
-    // segment's payload region), and the originals are removed only
-    // after the rewritten segment is durably renamed into place.
-    let store = CacheStore::open(&dir).unwrap();
-    let load = store.load_index();
-    assert_eq!(load.entries, 2);
-    assert_eq!(load.migrated, 2, "both legacy files imported");
-    assert_eq!(load.skipped, 0);
-    assert!(dir.join("segment.cosa").is_file());
-    let segment = std::fs::read(dir.join("segment.cosa")).unwrap();
-    for (key, text) in &legacy_files {
-        assert!(
-            !dir.join(format!("{key}.json")).exists(),
-            "original {key}.json removed after import"
-        );
-        assert!(
-            segment.windows(text.len()).any(|w| w == text.as_bytes()),
-            "legacy bytes for {key} imported verbatim"
-        );
-    }
-
-    // The migrated entries load identically to the pre-migration ones,
-    // and a second warm load imports nothing (migration is one-shot).
-    for (key, entry) in &before.entries {
-        assert_eq!(
-            store.load_entry(key).as_ref(),
-            Some(entry),
-            "migrated {key} round-trips"
-        );
-    }
-    let again = CacheStore::open(&dir).unwrap().load_index();
-    assert_eq!(again.migrated, 0, "second load migrates nothing");
-    assert_eq!(again.entries, 2);
-
-    // And the migrated dir warm-starts an engine solver-free.
-    let warm = Engine::new(Arch::simba_baseline())
-        .with_cache_dir(&dir)
-        .expect("warm start");
-    assert_eq!(warm.cache_stats().warm_entries, 2);
-    let run = warm.schedule_network(&network, &mapper);
-    assert_eq!(run.cache_misses, 0, "migrated entries serve the rerun");
-
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,14 +3,9 @@
 //! lower off-chip traffic than the per-layer baseline, byte-identically
 //! across runs; budgets bound the occupancy timeline; MILP selection
 //! never loses to greedy; and the `interlayer` section is purely
-//! additive — pre-PR-9 reports and dram-less legacy cache entries still
-//! load.
+//! additive — reports without it still deserialize.
 
-use cosa_repro::engine::StoreFormat;
 use cosa_repro::prelude::*;
-use serde::Value;
-
-mod common;
 
 /// CoSA with a small node-count budget: fast and bit-reproducible.
 fn quick_cosa(arch: &Arch) -> CosaScheduler {
@@ -210,71 +205,4 @@ fn pre_pr9_network_reports_still_deserialize() {
     let new_wire = serde_json::to_string(&aware.report).unwrap();
     let parsed: NetworkReport = serde_json::from_str(&new_wire).expect("new report parses");
     assert_eq!(parsed.interlayer, aware.report.interlayer);
-}
-
-/// Recursively drop every `dram` field — turning the entries written by
-/// today's engine into byte-for-byte plausible pre-PR-9 cache files.
-fn strip_dram(value: &mut Value) {
-    if let Value::Map(entries) = value {
-        entries.retain(|(k, _)| k != "dram");
-        for (_, v) in entries.iter_mut() {
-            strip_dram(v);
-        }
-    }
-}
-
-#[test]
-fn dram_less_legacy_cache_entries_warm_load() {
-    let dir = common::scratch_dir("cosa-interlayer-test", "legacy-dram");
-    let arch = Arch::simba_baseline();
-    let cosa = quick_cosa(&arch);
-    let network = chain_network();
-
-    let cold = {
-        let engine = Engine::new(arch.clone())
-            .with_cache_format(StoreFormat::Legacy)
-            .with_cache_dir(&dir)
-            .expect("cache dir");
-        engine.schedule_network(&network, &cosa)
-    };
-    assert_eq!(cold.cache_misses, 3);
-
-    // Rewrite every per-digest file without its `dram` profile, exactly
-    // what a store populated before this PR holds.
-    let mut rewritten = 0;
-    for entry in std::fs::read_dir(&dir).expect("read cache dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_none_or(|e| e != "json") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("read entry");
-        assert!(text.contains("\"dram\""), "new entries carry the profile");
-        let mut value: Value = serde_json::from_str(&text).expect("parse entry");
-        strip_dram(&mut value);
-        let stripped = serde_json::to_string(&value).expect("reserialize");
-        assert!(!stripped.contains("\"dram\""));
-        std::fs::write(&path, stripped).expect("rewrite entry");
-        rewritten += 1;
-    }
-    assert_eq!(rewritten, 3, "one legacy file per unique shape");
-
-    // The stripped store warm-starts a default run with zero re-solves
-    // and the identical canonical report.
-    let engine = Engine::new(arch)
-        .with_cache_format(StoreFormat::Legacy)
-        .with_cache_dir(&dir)
-        .expect("cache dir");
-    let warm = engine.schedule_network(&network, &cosa);
-    assert_eq!(warm.cache_misses, 0, "dram-less entries must still serve");
-    assert_eq!(
-        serde_json::to_string(&warm.report.without_timings()).unwrap(),
-        serde_json::to_string(&cold.report.without_timings()).unwrap()
-    );
-
-    // A memory-aware run on the same engine still produces the section
-    // (fresh keys, fresh profiles) without disturbing the legacy files.
-    let aware = engine.schedule_network_with(&network, &cosa, &InterlayerOptions::enabled());
-    assert!(aware.report.interlayer.is_some());
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,7 @@
 //! cache write from the loser, no thread leak), SAT/MILP optimal-cost
 //! agreement over randomized small shapes, `SatScheduler` determinism at
 //! the `Scheduled` level, and backend-provenance round-tripping through
-//! the persistent cache store (including legacy entries without the
-//! field).
+//! the persistent cache store.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -317,7 +316,7 @@ fn portfolio_engine_run_matches_milp_costs_and_both_backends_can_win() {
 }
 
 #[test]
-fn cache_entry_backend_provenance_round_trips_and_legacy_loads() {
+fn cache_entry_backend_provenance_round_trips() {
     let arch = Arch::simba_baseline();
     let layer = Layer::conv("prov", 1, 1, 4, 4, 8, 8, 1, 1, 1);
     let dir = common::scratch_dir("cosa-portfolio", "prov");
@@ -335,51 +334,11 @@ fn cache_entry_backend_provenance_round_trips_and_legacy_loads() {
         assert_eq!(load.entries[0].1.backend.as_deref(), Some("sat"));
     }
 
-    // A legacy entry (serialized before the backend field existed) must
-    // still load, with `backend: None` — strip the field from a freshly
-    // persisted entry's JSON to fabricate one.
-    let store = CacheStore::open(&dir).expect("reopen store");
-    let load = store.load();
-    let (key, entry) = load.entries.first().expect("entry persisted").clone();
-    // Materialize the entry as a legacy per-digest file (the pre-packed
-    // layout a pre-provenance writer would have produced); the legacy
-    // tier wins over the segment copy on read, so the stripped file is
-    // what subsequent loads observe.
-    store.save_legacy(&key, &entry).expect("write legacy file");
-    let path = dir.join(format!("{key}.json"));
-    let text = std::fs::read_to_string(&path).expect("read entry file");
-    assert!(text.contains("\"backend\""), "fresh entries carry backend");
-    let legacy = strip_backend_field(&text);
-    std::fs::write(&path, &legacy).expect("write legacy entry");
-
-    let load = store.load();
-    assert_eq!(load.skipped, 0, "legacy entry must not be skipped");
-    assert_eq!(load.entries.len(), 1);
-    let legacy_entry = &load.entries[0].1;
-    assert_eq!(legacy_entry.backend, None, "missing field reads as None");
-    assert_eq!(
-        legacy_entry.scheduled, entry.scheduled,
-        "payload survives the schema difference"
-    );
-
-    // And a legacy entry warm-starts an engine like any other.
-    let engine = Engine::new(arch.clone())
-        .with_cache_dir(&dir)
-        .expect("warm start");
-    assert_eq!(engine.cache_stats().warm_entries, 1);
+    // And it survives a reopen: a later process reads the same name back.
+    let load = CacheStore::open(&dir).expect("reopen store").load();
+    assert_eq!(load.skipped, 0);
+    assert_eq!(load.entries[0].1.backend.as_deref(), Some("sat"));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Remove the `"backend": ...` member from an entry-file JSON string (the
-/// workspace serde always writes it right after `"noc"`), emulating a
-/// pre-provenance entry byte-exactly enough for the loader.
-fn strip_backend_field(text: &str) -> String {
-    let start = text.find(",\"backend\":").expect("backend member present");
-    let tail = &text[start + 1..];
-    // The member's value runs to the next top-level `}` or `,` — backend
-    // is a string or null, so no nesting to worry about.
-    let end = tail.find([',', '}']).expect("member terminates");
-    format!("{}{}", &text[..start], &tail[end..])
 }
 
 /// Random small shapes for the agreement property: kept tiny so the

@@ -264,7 +264,7 @@ fn run_packed_ops(dir: &Path, ops: &[(u8, u8)]) {
     }
 }
 
-/// Copy the flat store directory (segment, any legacy spill files).
+/// Copy the flat store directory (the segment and any lock files).
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).expect("create copy dir");
     for entry in std::fs::read_dir(from).expect("read dir").flatten() {
@@ -311,8 +311,7 @@ proptest! {
             .map(|(k, _)| k)
             .collect();
 
-        // Crash cut on a copy of the dir (contended saves may have
-        // spilled legacy files; only the segment is truncated).
+        // Crash cut on a copy of the dir (only the segment is truncated).
         let cut_dir = scratch_dir("truncate-cut");
         copy_dir(&dir, &cut_dir);
         let segment = cut_dir.join("segment.cosa");

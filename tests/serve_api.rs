@@ -1,6 +1,7 @@
 //! Integration tests for the `cosa-serve` daemon: `/v1` request/response
-//! round-trips, deprecated unversioned aliases, error handling (the
-//! daemon must survive bad input), bounded-queue load shedding, graceful
+//! round-trips, the one-wire rule (no unversioned routes, no top-level
+//! knobs), error handling (the daemon must survive bad input),
+//! bounded-queue load shedding, graceful
 //! shutdown draining, warm restarts against a shared cache dir, and
 //! disk-tier GC eviction ordering.
 //!
@@ -60,10 +61,6 @@ fn layer_and_network_requests_round_trip() {
     // Readiness: the daemon answers /v1/healthz as soon as it listens.
     let health = http::request(handle.addr(), "GET", "/v1/healthz", "").expect("GET /v1/healthz");
     assert_eq!(health.status, 200);
-    assert!(
-        health.header("deprecation").is_none(),
-        "versioned routes carry no Deprecation header"
-    );
     let health: HealthResponse = serde_json::from_str(&health.body).expect("health parses");
     assert_eq!(health.status, "ok");
     assert_eq!(health.warm_entries, 0, "memory-only daemon starts cold");
@@ -201,101 +198,45 @@ fn new_suites_round_trip_over_the_wire() {
 }
 
 #[test]
-fn unversioned_aliases_answer_with_deprecation_header() {
+fn only_v1_routes_and_options_knobs_are_served() {
     let handle = quick_server();
     let request = ScheduleRequest::for_layer(Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1))
         .with_scheduler("random");
     let body = serde_json::to_string(&request).unwrap();
+    let mut responses = Vec::new();
 
-    // Every unversioned alias still answers — flagged as deprecated.
+    // There is one spelling of every route: the unversioned paths are
+    // plain 404s like any other unknown path.
     for (method, path, payload) in [
         ("POST", "/schedule", body.as_str()),
         ("GET", "/stats", ""),
         ("GET", "/healthz", ""),
+        ("GET", "/v2/stats", ""),
     ] {
-        let resp = http::request(handle.addr(), method, path, payload).expect("alias request");
-        assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
-        assert_eq!(
-            resp.header("deprecation"),
-            Some("true"),
-            "{method} {path} must carry `Deprecation: true`"
-        );
+        let resp = http::request(handle.addr(), method, path, payload).expect("request");
+        assert_eq!(resp.status, 404, "{method} {path}: {}", resp.body);
+        responses.push(resp);
     }
 
-    // The /v1 answer is the same body, without the header.
+    // And one spelling of every knob: `scheduler` beside `layer` (instead
+    // of inside `options`) is an unknown request field, named in the 400.
+    let top_level = body.replacen(r#"{"options":{"#, r#"{"scheduler":"random","options":{"#, 1);
+    assert_ne!(top_level, body, "the request serializes `options` first");
+    let resp = http::request(handle.addr(), "POST", "/v1/schedule", &top_level).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let error = parse_response(&resp).error.expect("error body");
+    assert!(
+        error.contains("unknown request field `scheduler`"),
+        "{error}"
+    );
+    responses.push(resp);
+
     let v1 = post_schedule(&handle, &request);
     assert_eq!(v1.status, 200, "{}", v1.body);
-    assert!(v1.header("deprecation").is_none());
-    let alias = http::request(handle.addr(), "POST", "/schedule", &body).unwrap();
-    assert_eq!(
-        serde_json::to_string(&parse_response(&v1).without_timings()).unwrap(),
-        serde_json::to_string(&parse_response(&alias).without_timings()).unwrap(),
-        "alias and /v1 answers are canonically byte-identical"
-    );
-
-    // Unknown paths are plain 404s, not deprecated aliases.
-    let resp = http::request(handle.addr(), "GET", "/v2/stats", "").unwrap();
-    assert_eq!(resp.status, 404);
-    assert!(resp.header("deprecation").is_none());
-
-    handle.shutdown().expect("clean shutdown");
-}
-
-#[test]
-fn legacy_body_fields_answer_with_deprecation_header() {
-    let handle = quick_server();
-    let modern = ScheduleRequest::for_layer(Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1))
-        .with_scheduler("random");
-
-    // The pre-PR-9 spelling: `scheduler` at the top level instead of
-    // inside `options`. Build it from the modern request's own layer so
-    // the two bodies describe the identical work.
-    let modern_value = serde_json::to_value(&modern);
-    let layer_value = match &modern_value {
-        serde::Value::Map(entries) => entries
-            .iter()
-            .find(|(k, _)| k == "layer")
-            .map(|(_, v)| v.clone())
-            .expect("layer member"),
-        _ => panic!("request serializes to a map"),
-    };
-    let legacy = serde::Value::Map(vec![
-        ("scheduler".to_string(), serde::Value::Str("random".into())),
-        ("layer".to_string(), layer_value.clone()),
-    ]);
-    let legacy_body = serde_json::to_string(&legacy).unwrap();
-
-    // The legacy body still answers on /v1 — flagged via the header.
-    let resp = http::request(handle.addr(), "POST", "/v1/schedule", &legacy_body).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert_eq!(
-        resp.header("deprecation"),
-        Some("true"),
-        "legacy top-level fields must carry `Deprecation: true`"
-    );
-    let v1 = post_schedule(&handle, &modern);
-    assert!(v1.header("deprecation").is_none(), "modern body is clean");
-    assert_eq!(
-        serde_json::to_string(&parse_response(&v1).without_timings()).unwrap(),
-        serde_json::to_string(&parse_response(&resp).without_timings()).unwrap(),
-        "legacy and modern spellings answer identically"
-    );
-
-    // Spelling the same knob both ways is a 400, not a silent pick.
-    let mixed = serde::Value::Map(vec![
-        ("scheduler".to_string(), serde::Value::Str("random".into())),
-        (
-            "options".to_string(),
-            serde::Value::Map(vec![(
-                "scheduler".to_string(),
-                serde::Value::Str("cosa".into()),
-            )]),
-        ),
-        ("layer".to_string(), layer_value),
-    ]);
-    let mixed_body = serde_json::to_string(&mixed).unwrap();
-    let resp = http::request(handle.addr(), "POST", "/v1/schedule", &mixed_body).unwrap();
-    assert_eq!(resp.status, 400, "{}", resp.body);
+    responses.push(v1);
+    for resp in &responses {
+        assert!(resp.header("deprecation").is_none(), "{}", resp.body);
+    }
 
     handle.shutdown().expect("clean shutdown");
 }
@@ -322,7 +263,6 @@ fn interlayer_options_flow_end_to_end() {
     let aware = plain.clone().with_interlayer(InterlayerOptions::enabled());
     let resp = post_schedule(&handle, &aware);
     assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(resp.header("deprecation").is_none(), "modern spelling");
     let report = parse_response(&resp).report.expect("network answer");
     let section = report.interlayer.expect("interlayer section");
     assert!(section.offchip_bytes < section.baseline_offchip_bytes);

@@ -137,7 +137,7 @@ fn router_health_and_versioning() {
     let health: HealthResponse = serde_json::from_str(&resp.body).unwrap();
     assert_eq!(health.status, "ok");
 
-    // The router speaks only /v1: no deprecated unversioned aliases.
+    // The router speaks only /v1, like the daemons behind it.
     for (method, path) in [
         ("GET", "/stats"),
         ("GET", "/healthz"),

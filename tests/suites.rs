@@ -2,15 +2,14 @@
 //! (BERT-base, GPT-mini, MobileNetV2): cross-backend differential checks
 //! (MILP vs SAT vs portfolio) on every new layer class, golden-pinned
 //! cache-key digests for every new suite entry, inter-layer residency on
-//! an encoder chain, byte-identical cold→warm engine runs, a randomized
-//! transformer-shape agreement property, and the tracked perf-trajectory
-//! artifacts (`results/BENCH_*.json`, `results/trajectory.md`).
+//! an encoder chain, byte-identical cold→warm engine runs and a
+//! randomized transformer-shape agreement property.
 //!
 //! Differential solves run on small *representative* shapes per class so
 //! the file stays quick in debug; the full-size suites are exercised with
 //! the fast `random` registry scheduler (cache/report semantics do not
-//! depend on which scheduler filled the cache) and at full size by
-//! `bench10` in release mode.
+//! depend on which scheduler filled the cache) and with the exact
+//! solvers by `benchmark/run.sh` in release mode.
 
 use cosa_repro::engine::{Engine, InterlayerOptions};
 use cosa_repro::prelude::*;
@@ -294,56 +293,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// The perf trajectory is a tracked record, not anecdotes: the committed
-/// `results/BENCH_6..10.json` artifacts and `results/trajectory.md` must
-/// exist, BENCH_10 must carry cold/warm wall-clock and per-shape-class
-/// solver latency for at least two new suites, and the headline
-/// invariants (warm beats cold, residency saves bytes) must hold in the
-/// recorded numbers themselves.
-#[test]
-fn tracked_perf_trajectory_artifacts_are_consistent() {
-    for n in 6..=10 {
-        assert!(
-            std::path::Path::new(&format!("results/BENCH_{n}.json")).exists(),
-            "results/BENCH_{n}.json missing from the trajectory record"
-        );
-    }
-    let text = std::fs::read_to_string("results/BENCH_10.json").expect("read BENCH_10");
-    let artifact: serde::Value = serde_json::from_str(&text).expect("BENCH_10 parses");
-    let field = |v: &serde::Value, key: &str| -> serde::Value {
-        v.as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()))
-            .unwrap_or_else(|| panic!("missing `{key}` in BENCH_10"))
-    };
-    let suites = field(&artifact, "suites");
-    let suites = suites.as_seq().expect("`suites` is a sequence");
-    assert!(
-        suites.len() >= 2,
-        "BENCH_10 must record at least two new suites"
-    );
-    for suite in suites {
-        let cold = field(suite, "cold_elapsed_micros").as_u64().unwrap();
-        let warm = field(suite, "warm_elapsed_micros").as_u64().unwrap();
-        assert!(cold > 0 && warm > 0, "wall-clocks recorded");
-        assert!(warm < cold, "warm must beat cold in the record");
-    }
-    let classes = field(&artifact, "shape_classes");
-    assert!(
-        !classes
-            .as_seq()
-            .expect("`shape_classes` is a sequence")
-            .is_empty(),
-        "per-shape-class solver latency recorded"
-    );
-
-    let trajectory = std::fs::read_to_string("results/trajectory.md").expect("read trajectory");
-    for n in 6..=10 {
-        assert!(
-            trajectory.contains(&format!("BENCH_{n}")),
-            "trajectory.md must cover BENCH_{n}"
-        );
     }
 }
