@@ -1,20 +1,49 @@
 //! Branch-and-bound over the LP relaxation.
 //!
-//! Nodes are explored best-first (smallest relaxation bound). Branching
-//! splits on the most fractional integer variable; a fix-and-solve rounding
-//! heuristic is run periodically to find incumbents early so that pruning
-//! kicks in.
+//! Nodes are explored best-first: smallest relaxation bound, deeper node on
+//! a tie, earlier push after that — a total order, so the exploration
+//! sequence (and with it every count in [`SolveStats`]) is a property of
+//! this file. Branching splits on the most fractional integer variable,
+//! weighted by its objective coefficient.
+//!
+//! **One simplex state per search.** Only the root LP is solved cold. A
+//! branched node stores its optimal basis once, shared by both children;
+//! a child installs it, applies its own bounds and re-optimizes with a few
+//! dual pivots (see [`crate::simplex`]). The snapshot is released when the
+//! second child has been popped. A warm solve that fails numerically falls
+//! back to the cold solve for that LP inside the simplex workspace; the
+//! search never sees the difference.
+//!
+//! **Diving heuristic.** At the root and at every `HEURISTIC_EVERY`-th
+//! node a dive round-fixes the least fractional variable and re-solves, each
+//! LP resuming from the one before it — the purest chain of one-bound
+//! changes there is, which is what makes a dive cheap enough to run this
+//! often. Node relaxations rarely turn integral under assignment
+//! constraints, so the dives are where incumbents come from. A dive stops as soon as its LP bound cannot beat the incumbent, checks
+//! the cancellation flag at every step, and its point becomes the incumbent
+//! only if [`Model::is_feasible`] accepts it.
+//!
+//! [`SolveStats::simplex_iters`] counts every pivot of every LP — node,
+//! dive, warm, cold, fallback. [`SolveStats::best_bound`] is the incumbent
+//! when the tree is exhausted and otherwise the smallest bound still open
+//! (capped by the incumbent), whether the gap tolerance or a limit ended
+//! the search.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use crate::error::MilpError;
 use crate::model::{Model, Solution, SolveOptions, SolveStats, Status, VarKind};
-use crate::simplex::{LpProblem, LpResult, LpSolution};
+use crate::simplex::{Basis, LpProblem, LpResult, LpSolution, Workspace};
 
-/// How often (in nodes) the rounding heuristic is attempted.
-const HEURISTIC_EVERY: usize = 64;
+/// How often (in nodes) the diving heuristic is attempted. Within the
+/// 300-node serving budget a dive every 4–10 nodes finds the best incumbents
+/// on every `milp_cnn_cold` shape; from 12 up some are missed, and a dive at
+/// every node costs more time than it returns.
+const HEURISTIC_EVERY: usize = 8;
 
 struct Node {
     /// Lower bounds for structural variables at this node.
@@ -24,11 +53,17 @@ struct Node {
     /// LP bound inherited from the parent (minimize form).
     bound: f64,
     depth: usize,
+    /// Insertion number: the last tie-break, so that the exploration order
+    /// is decided here and not by `BinaryHeap`'s layout.
+    seq: usize,
+    /// The parent's optimal basis, shared with the sibling; `None` at the
+    /// root. Taken (and so released) when the node is popped.
+    basis: Option<Rc<Basis>>,
 }
 
 impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Node {}
@@ -40,13 +75,18 @@ impl PartialOrd for Node {
 impl Ord for Node {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; we want the smallest bound first, with
-        // deeper nodes preferred on ties (diving behaviour).
+        // deeper nodes preferred on ties (diving behaviour), then the node
+        // pushed first.
         other
             .bound
-            .partial_cmp(&self.bound)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.bound)
             .then_with(|| self.depth.cmp(&other.depth))
+            .then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+fn canceled(opts: &SolveOptions) -> bool {
+    opts.stop.as_ref().is_some_and(|stop| stop.load(Relaxed))
 }
 
 pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
@@ -79,53 +119,63 @@ pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, Milp
         root_ub.push(u);
     }
 
+    let feas_tol = opts.int_tol.max(1e-9);
     let mut stats = SolveStats::default();
     let mut incumbent: Option<(f64, Vec<f64>)> = None; // (min-form obj, x)
     if let Some(ws) = &opts.warm_start {
-        if model.is_feasible(ws, opts.int_tol.max(1e-9)) {
+        if model.is_feasible(ws, feas_tol) {
             let user_obj = model.objective().eval(ws);
             let min_form = flip * (user_obj - obj_const);
             incumbent = Some((min_form, ws.clone()));
         }
     }
 
+    // One simplex state for every LP of the search: the root is solved
+    // cold, everything after it resumes from a basis already at hand.
+    let mut ws = Workspace::new(&lp);
+    let mut pushed = 0usize;
     let mut heap = BinaryHeap::new();
     heap.push(Node {
         lb: root_lb,
         ub: root_ub,
         bound: f64::NEG_INFINITY,
         depth: 0,
+        seq: pushed,
+        basis: None,
     });
 
+    // Best-first: when the loop breaks on a popped node, that node's bound
+    // is the smallest still open.
+    let mut open_bound: Option<f64> = None;
     let mut limit_hit = false;
-    while let Some(node) = heap.pop() {
+    while let Some(mut node) = heap.pop() {
         if let Some((inc, _)) = &incumbent {
             // Global bound check: best-first means node.bound is the best
             // remaining bound once the node's own LP refines it; use the
             // parent bound for a quick prune.
             if node.bound >= *inc - opts.gap_tol * inc.abs().max(1.0) {
-                stats.best_bound = flip * node.bound + obj_const;
+                open_bound = Some(node.bound);
                 break; // proven optimal within tolerance
             }
         }
-        if let Some(stop) = &opts.stop {
-            if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                return Err(MilpError::Canceled);
-            }
+        if canceled(opts) {
+            return Err(MilpError::Canceled);
         }
-        if stats.nodes >= opts.node_limit {
+        if stats.nodes >= opts.node_limit || opts.time_limit.is_some_and(|tl| start.elapsed() > tl)
+        {
+            open_bound = Some(node.bound);
             limit_hit = true;
             break;
         }
-        if let Some(tl) = opts.time_limit {
-            if start.elapsed() > tl {
-                limit_hit = true;
-                break;
-            }
-        }
         stats.nodes += 1;
 
-        let res = lp.solve_with_bounds(Some((&node.lb, &node.ub)), opts.max_lp_iters)?;
+        // The parent's basis is released as soon as it is installed.
+        let res = ws.solve(
+            node.basis.take().as_deref(),
+            &node.lb,
+            &node.ub,
+            opts.max_lp_iters,
+        )?;
         let sol = match res {
             LpResult::Infeasible => continue,
             LpResult::Unbounded => {
@@ -136,7 +186,6 @@ pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, Milp
             }
             LpResult::Optimal(s) => s,
         };
-        stats.simplex_iters += sol.iterations;
 
         if let Some((inc, _)) = &incumbent {
             if sol.objective >= *inc - opts.gap_tol * inc.abs().max(1.0) {
@@ -155,50 +204,50 @@ pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, Milp
                 }
             }
             Some((j, xj)) => {
+                // The children resume from this node's optimal basis; take
+                // it before a dive moves the workspace away from it.
+                let basis = Rc::new(ws.snapshot());
                 // Dive from the root and periodically thereafter: node
                 // relaxations only turn into incumbents when naturally
                 // integral, which is rare under assignment constraints.
                 if stats.nodes == 1 || stats.nodes % HEURISTIC_EVERY == 0 {
+                    let cutoff = incumbent.as_ref().map(|(inc, _)| *inc);
                     if let Some((hobj, hx)) =
-                        diving_heuristic(&lp, &int_vars, &sol, &node.lb, &node.ub, opts)?
+                        diving_heuristic(&mut ws, &int_vars, &sol, &node, cutoff, opts)?
                     {
-                        if better(&incumbent, hobj) {
-                            incumbent = Some((hobj, hx));
-                        }
-                    }
-                } else if stats.nodes % 16 == 0 {
-                    if let Some((hobj, hx)) =
-                        rounding_heuristic(&lp, &int_vars, &sol, &node.lb, &node.ub, opts)?
-                    {
-                        if better(&incumbent, hobj) {
+                        // A warm LP that slipped numerically may cost this
+                        // hit, never an infeasible answer.
+                        if better(&incumbent, hobj) && model.is_feasible(&hx, feas_tol) {
                             incumbent = Some((hobj, hx));
                         }
                     }
                 }
-                // Branch on x_j <= floor / x_j >= ceil.
-                let mut down = Node {
-                    lb: node.lb.clone(),
-                    ub: node.ub.clone(),
-                    bound: sol.objective,
-                    depth: node.depth + 1,
+                // Branch on x_j <= floor / x_j >= ceil; only a child that
+                // is pushed gets its own copy of the bounds.
+                let mut push = |lb: Vec<f64>, ub: Vec<f64>| {
+                    pushed += 1;
+                    heap.push(Node {
+                        lb,
+                        ub,
+                        bound: sol.objective,
+                        depth: node.depth + 1,
+                        seq: pushed,
+                        basis: Some(Rc::clone(&basis)),
+                    });
                 };
-                down.ub[j] = xj.floor();
-                let mut up = Node {
-                    lb: node.lb,
-                    ub: node.ub,
-                    bound: sol.objective,
-                    depth: node.depth + 1,
-                };
-                up.lb[j] = xj.ceil();
-                if down.lb[j] <= down.ub[j] {
-                    heap.push(down);
+                if node.lb[j] <= xj.floor() {
+                    let mut ub = node.ub.clone();
+                    ub[j] = xj.floor();
+                    push(node.lb.clone(), ub);
                 }
-                if up.lb[j] <= up.ub[j] {
-                    heap.push(up);
+                if xj.ceil() <= node.ub[j] {
+                    node.lb[j] = xj.ceil();
+                    push(node.lb, node.ub);
                 }
             }
         }
     }
+    stats.simplex_iters = ws.iterations();
 
     match incumbent {
         Some((obj, x)) => {
@@ -207,9 +256,8 @@ pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, Milp
             } else {
                 Status::Optimal
             };
-            if !limit_hit {
-                stats.best_bound = flip * obj + obj_const;
-            }
+            let bound = open_bound.map_or(obj, |open| open.min(obj));
+            stats.best_bound = flip * bound + obj_const;
             Ok(Solution {
                 values: x,
                 objective: flip * obj + obj_const,
@@ -253,20 +301,21 @@ fn most_fractional(
     best.map(|(j, xj, _)| (j, xj))
 }
 
-/// Dive from an LP solution to an integer-feasible point: repeatedly freeze
-/// every already-integral variable and round-fix the least fractional one,
-/// re-solving the LP, until everything is integral or the dive dead-ends.
+/// Dive from a node's LP solution to an integer-feasible point: round-fix
+/// the least fractional variable and re-solve, each LP resuming in `ws`
+/// from the one before it, until everything is integral, the dive
+/// dead-ends, or its LP bound can no longer beat `cutoff`.
 fn diving_heuristic(
-    lp: &LpProblem,
+    ws: &mut Workspace<'_>,
     int_vars: &[usize],
-    root: &LpSolution,
-    node_lb: &[f64],
-    node_ub: &[f64],
+    start: &LpSolution,
+    node: &Node,
+    cutoff: Option<f64>,
     opts: &SolveOptions,
 ) -> Result<Option<(f64, Vec<f64>)>, MilpError> {
-    let mut lb = node_lb.to_vec();
-    let mut ub = node_ub.to_vec();
-    let mut sol = root.clone();
+    let mut lb = node.lb.clone();
+    let mut ub = node.ub.clone();
+    let mut sol = start.clone();
     // Soft dive: fix one fractional variable per round (the one closest to
     // integral), never freezing the rest — equality-constrained groups can
     // then rebalance, which hard freezing would forbid.
@@ -285,11 +334,14 @@ fn diving_heuristic(
         let Some((j, xj, _)) = frac else {
             return Ok(Some((sol.objective, round_integers(int_vars, &sol.x))));
         };
+        if canceled(opts) {
+            return Err(MilpError::Canceled);
+        }
         let r = xj.round().clamp(lb[j], ub[j]);
         lb[j] = r;
         ub[j] = r;
-        match lp.solve_with_bounds(Some((&lb, &ub)), opts.max_lp_iters)? {
-            LpResult::Optimal(s) => sol = s,
+        match ws.solve(None, &lb, &ub, opts.max_lp_iters)? {
+            LpResult::Optimal(s) if cutoff.is_none_or(|c| s.objective < c - 1e-12) => sol = s,
             _ => return Ok(None),
         }
     }
@@ -304,32 +356,13 @@ fn round_integers(int_vars: &[usize], x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Fix all integers at their rounded LP values and re-solve the LP for the
-/// continuous part; returns an incumbent candidate when feasible.
-fn rounding_heuristic(
-    lp: &LpProblem,
-    int_vars: &[usize],
-    sol: &LpSolution,
-    node_lb: &[f64],
-    node_ub: &[f64],
-    opts: &SolveOptions,
-) -> Result<Option<(f64, Vec<f64>)>, MilpError> {
-    let mut lb = node_lb.to_vec();
-    let mut ub = node_ub.to_vec();
-    for &j in int_vars {
-        let r = sol.x[j].round().clamp(lb[j], ub[j]);
-        lb[j] = r;
-        ub[j] = r;
-    }
-    match lp.solve_with_bounds(Some((&lb, &ub)), opts.max_lp_iters)? {
-        LpResult::Optimal(s) => Ok(Some((s.objective, round_integers(int_vars, &s.x)))),
-        _ => Ok(None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BinaryHeap;
+
+    use super::Node;
     use crate::model::{Cmp, Model, Sense, Status};
+    use crate::simplex::{LpProblem, LpResult};
     use crate::{LinExpr, MilpError};
 
     #[test]
@@ -481,18 +514,9 @@ mod tests {
 
     #[test]
     fn node_limit_returns_feasible_or_error() {
-        let mut m = Model::new(Sense::Maximize);
-        // A small knapsack; with node_limit 1 we may only get the heuristic
-        // incumbent, which must still be feasible.
-        let xs: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
-        let mut w = LinExpr::new();
-        let mut obj = LinExpr::new();
-        for (i, x) in xs.iter().enumerate() {
-            w.add_term(*x, (i + 1) as f64);
-            obj.add_term(*x, (2 * i + 1) as f64);
-        }
-        m.add_constraint(w, Cmp::Le, 8.0);
-        m.set_objective(obj);
+        // With node_limit 1 we may only get the heuristic incumbent, which
+        // must still be feasible.
+        let m = knapsack(Sense::Maximize);
         let opts = crate::SolveOptions {
             node_limit: 1,
             ..Default::default()
@@ -502,5 +526,94 @@ mod tests {
             Err(MilpError::LimitWithoutSolution) => {}
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    /// `max Σ (2i+1)·x_i` (or its negation, minimized) over six binaries
+    /// with `Σ (i+1)·x_i ≤ 8`: the optimum is 14 (two items of total weight
+    /// 8), the root relaxation gives 14.6.
+    fn knapsack(sense: Sense) -> Model {
+        let sign = if sense == Sense::Maximize { 1.0 } else { -1.0 };
+        let mut m = Model::new(sense);
+        let xs: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let mut w = LinExpr::new();
+        let mut obj = LinExpr::new();
+        for (i, x) in xs.iter().enumerate() {
+            w.add_term(*x, (i + 1) as f64);
+            obj.add_term(*x, sign * (2 * i + 1) as f64);
+        }
+        m.add_constraint(w, Cmp::Le, 8.0);
+        m.set_objective(obj);
+        m
+    }
+
+    /// One node, with the empty knapsack as a starting incumbent so that
+    /// there is an answer whether or not the root dive finds one.
+    fn one_node() -> crate::SolveOptions {
+        crate::SolveOptions {
+            node_limit: 1,
+            warm_start: Some(vec![0.0; 6]),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn node_limit_exit_reports_a_valid_best_bound() {
+        let max = knapsack(Sense::Maximize).solve_with(&one_node()).unwrap();
+        assert_eq!(max.status(), Status::Feasible);
+        let bound = max.stats().best_bound;
+        assert!(bound >= 14.0 - 1e-9, "not an upper bound: {bound}");
+        assert!(bound >= max.objective() && bound < 15.0, "{bound}");
+
+        let min = knapsack(Sense::Minimize).solve_with(&one_node()).unwrap();
+        let bound = min.stats().best_bound;
+        assert!(bound <= -14.0 + 1e-9, "not a lower bound: {bound}");
+        assert!(bound <= min.objective() && bound > -15.0, "{bound}");
+
+        // Run to the end, the bound closes onto the optimum.
+        let proven = knapsack(Sense::Maximize).solve().unwrap();
+        assert_eq!(proven.status(), Status::Optimal);
+        assert_eq!(proven.objective().round() as i64, 14);
+        assert!((proven.stats().best_bound - 14.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn simplex_iters_count_the_dive_too() {
+        let m = knapsack(Sense::Maximize);
+        let sol = m.solve_with(&one_node()).unwrap();
+        assert_eq!(sol.stats().nodes, 1);
+        // The only node LP is the root relaxation; whatever the search
+        // reports beyond its pivots was spent in the root dive.
+        let root = match LpProblem::from_model(&m).solve(10_000).unwrap() {
+            LpResult::Optimal(root) => root,
+            other => panic!("{other:?}"),
+        };
+        assert!(
+            sol.stats().simplex_iters > root.iterations,
+            "{} pivots in all, {} at the root",
+            sol.stats().simplex_iters,
+            root.iterations
+        );
+    }
+
+    #[test]
+    fn node_order_is_total_and_agrees_with_equality() {
+        let node = |bound: f64, depth: usize, seq: usize| Node {
+            lb: Vec::new(),
+            ub: Vec::new(),
+            bound,
+            depth,
+            seq,
+            basis: None,
+        };
+        let mut heap = BinaryHeap::new();
+        for (bound, depth, seq) in [(1.0, 1, 0), (0.5, 1, 1), (0.5, 2, 2), (0.5, 2, 3)] {
+            heap.push(node(bound, depth, seq));
+        }
+        // Smallest bound, then deepest, then first pushed.
+        let order: Vec<usize> = std::iter::from_fn(|| heap.pop()).map(|n| n.seq).collect();
+        assert_eq!(order, [2, 3, 1, 0]);
+        assert!(node(0.5, 2, 2) != node(0.5, 2, 3));
+        assert!(node(0.5, 2, 2) != node(0.5, 1, 2));
+        assert!(node(0.5, 2, 2) == node(0.5, 2, 2));
     }
 }

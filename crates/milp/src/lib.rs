@@ -10,12 +10,16 @@
 //!
 //! * a modelling layer ([`Model`], [`LinExpr`], [`Var`]) for assembling
 //!   variables, linear constraints and a linear objective;
-//! * a bounded-variable **revised primal simplex** with a dense maintained
-//!   basis inverse, two-phase start and Bland anti-cycling fallback
-//!   ([`simplex`]);
-//! * **branch-and-bound** over integer/binary variables with best-first node
-//!   selection, most-fractional branching and an LP-rounding primal
-//!   heuristic ([`branch`]).
+//! * a bounded-variable **revised simplex** on a dense maintained basis
+//!   inverse ([`simplex`]): a two-phase primal solve with Bland
+//!   anti-cycling fallback for an LP met cold, and a persistent workspace
+//!   with a **dual simplex** that re-optimizes from a stored or live basis
+//!   after a change of bounds, falling back to the cold solve on any
+//!   numerical failure;
+//! * **branch-and-bound** over integer/binary variables ([`branch`]) with
+//!   best-first node selection in a total (deterministic) order,
+//!   most-fractional branching, warm-started node LPs and a chained
+//!   LP-diving primal heuristic.
 //!
 //! # Example
 //!

@@ -1,16 +1,38 @@
-//! Bounded-variable revised primal simplex with a dense maintained basis
-//! inverse.
+//! Bounded-variable revised simplex — primal and dual — on a dense
+//! maintained basis inverse, in a workspace that outlives the single solve.
 //!
 //! The LP is solved in *computational form*: `minimize c'x` subject to
 //! `A·x + s = b` with variable bounds `l ≤ x ≤ u`, where one slack `s_i` per
 //! row encodes the constraint sense through its bounds
 //! (`≤` → `s ∈ [0, ∞)`, `≥` → `s ∈ (−∞, 0]`, `=` → `s ∈ [0, 0]`).
 //!
-//! A two-phase start with implicit artificial columns finds an initial
-//! feasible basis; phase 2 then optimizes the true costs. Dantzig pricing is
-//! used with a fallback to Bland's rule when the objective stalls, which
-//! guarantees termination. The basis inverse is maintained with product-form
-//! eta updates and periodically refactorized to bound numerical drift.
+//! **Cold solve.** A two-phase primal start with implicit artificial columns
+//! finds a feasible basis (artificials that end phase 1 basic at zero are
+//! swapped for their row's slack, so a finished solve holds real columns
+//! only); phase 2 then optimizes the true costs. Dantzig pricing is used with
+//! a fallback to Bland's rule when the objective stalls, which guarantees
+//! termination. This is [`LpProblem::solve`] / [`LpProblem::solve_with_bounds`]
+//! and the first LP of a branch-and-bound search.
+//!
+//! **Warm solve.** Branch-and-bound and its dives solve long chains of LPs
+//! that differ from one already solved by a bound or two, and phase 1 used
+//! to be ~95 % of their pivots. A `Workspace` therefore keeps bounds, point,
+//! basis and inverse between solves: the next LP installs a stored `Basis`
+//! (one refactorization, skipped when it is the live basis) or simply stays
+//! on the live one, moves the nonbasic columns onto the new bounds, repairs
+//! the basic variables this pushes out of range with **dual simplex** pivots
+//! (leaving row = largest bound violation, entering column by the dual ratio
+//! test), and lets the primal simplex finish — a no-op when the start was
+//! dual feasible, which an optimal parent basis is. A violated row that no
+//! nonbasic column can move proves infeasibility whatever the reduced costs
+//! are, so a start that is *not* dual feasible costs pivots, never
+//! correctness. Any numerical failure on this path (singular stored basis,
+//! zero pivot, pivot budget) restarts the same LP cold.
+//!
+//! The basis inverse is maintained with product-form eta updates and
+//! refactorized (dense Gauss–Jordan) every `REFACTOR_EVERY` updates and on
+//! every basis install; with warm starts the install is what is left to
+//! optimize (sparse LU is the next step, see ROADMAP).
 
 // Dense linear-algebra kernels index row/column vectors by position on
 // purpose; iterator rewrites obscure the pivot arithmetic.
@@ -46,7 +68,7 @@ pub struct LpSolution {
     pub objective: f64,
     /// Values of the structural variables.
     pub x: Vec<f64>,
-    /// Simplex iterations used (both phases).
+    /// Pivots and bound flips this solve took (both phases).
     pub iterations: usize,
 }
 
@@ -156,34 +178,10 @@ impl LpProblem {
         overrides: Option<(&[f64], &[f64])>,
         max_iters: usize,
     ) -> Result<LpResult, MilpError> {
-        let mut lb = self.lb.clone();
-        let mut ub = self.ub.clone();
-        if let Some((olb, oub)) = overrides {
-            debug_assert_eq!(olb.len(), self.n);
-            lb[..self.n].copy_from_slice(olb);
-            ub[..self.n].copy_from_slice(oub);
-        }
-        for j in 0..self.n {
-            if lb[j] > ub[j] + TOL {
-                return Ok(LpResult::Infeasible);
-            }
-        }
-        let mut state = SimplexState::new(self, lb, ub);
-        state.run(max_iters).map(|r| match r {
-            RawResult::Optimal => {
-                // `costs` are in minimize form; report the minimize-form
-                // value (branch-and-bound works in that form and restores
-                // the caller's sense at the end).
-                let min_obj = (0..self.n).map(|j| self.costs[j] * state.x[j]).sum::<f64>();
-                LpResult::Optimal(LpSolution {
-                    objective: min_obj,
-                    x: state.x[..self.n].to_vec(),
-                    iterations: state.iterations,
-                })
-            }
-            RawResult::Infeasible => LpResult::Infeasible,
-            RawResult::Unbounded => LpResult::Unbounded,
-        })
+        let (lb, ub) = overrides.unwrap_or((&self.lb[..self.n], &self.ub[..self.n]));
+        // A fresh workspace has no basis to resume from: this is the cold
+        // two-phase solve.
+        Workspace::new(self).solve(None, lb, ub, max_iters)
     }
 
     /// −1 if the original model was a maximization, +1 otherwise.
@@ -200,14 +198,29 @@ enum RawResult {
 
 /// Nonbasic status of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NbStatus {
+pub(crate) enum NbStatus {
     AtLower,
     AtUpper,
     /// Free variable resting at zero.
     Free,
 }
 
-struct SimplexState<'a> {
+/// A basis of real (structural + slack) columns together with the bound
+/// every nonbasic column rests at: all a [`Workspace`] needs, besides the
+/// bounds themselves, to resume from the vertex it was taken at.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Basis {
+    /// Column index in the basis, per row position.
+    basis: Vec<usize>,
+    /// Status per real column (ignored for basic columns).
+    nb_status: Vec<NbStatus>,
+}
+
+/// A persistent simplex state over one [`LpProblem`]: bounds, point, basis
+/// and the dense basis inverse survive from one solve to the next, so an LP
+/// that differs from the last one by a few bounds is re-optimized from the
+/// vertex already at hand instead of from an all-artificial basis.
+pub(crate) struct Workspace<'a> {
     prob: &'a LpProblem,
     m: usize,
     /// Total real columns (structural + slack).
@@ -216,7 +229,7 @@ struct SimplexState<'a> {
     ub: Vec<f64>,
     /// Current value per real column.
     x: Vec<f64>,
-    /// Column index in basis per row; `usize::MAX - i` encodes artificial i.
+    /// Column index in basis per row; `ART_BASE + i` encodes artificial i.
     basis: Vec<usize>,
     /// Row occupied by a basic column, `None` if nonbasic.
     basic_row: Vec<Option<u32>>,
@@ -224,74 +237,202 @@ struct SimplexState<'a> {
     nb_status: Vec<NbStatus>,
     /// Dense row-major basis inverse (m×m).
     binv: Vec<f64>,
+    /// m×m scratch the basis matrix is assembled in before inversion.
+    scratch: Vec<f64>,
     /// Signs of the implicit artificial columns (`±e_i`).
     art_sign: Vec<f64>,
     /// Artificial values (basic artificials only, tracked via basis).
     art_value: Vec<f64>,
-    /// Whether artificial i is still allowed to be nonzero (phase 1).
-    art_open: Vec<bool>,
+    /// Pivots and bound flips over every LP solved in this workspace.
     iterations: usize,
     updates_since_refactor: usize,
+    /// `basis`, `binv` and `x` describe a basis of real columns with a
+    /// consistent inverse, i.e. something a warm solve can start from.
+    warm_ok: bool,
 }
 
 const ART_BASE: usize = usize::MAX / 2;
 
-impl<'a> SimplexState<'a> {
-    fn new(prob: &'a LpProblem, lb: Vec<f64>, ub: Vec<f64>) -> SimplexState<'a> {
+impl<'a> Workspace<'a> {
+    pub(crate) fn new(prob: &'a LpProblem) -> Workspace<'a> {
         let m = prob.m;
         let ncols = prob.n + prob.m;
-        // Rest every real column at a finite bound (preferring lower).
-        let mut x = vec![0.0; ncols];
-        let mut nb_status = vec![NbStatus::AtLower; ncols];
-        for j in 0..ncols {
-            if lb[j].is_finite() {
-                x[j] = lb[j];
-                nb_status[j] = NbStatus::AtLower;
-            } else if ub[j].is_finite() {
-                x[j] = ub[j];
-                nb_status[j] = NbStatus::AtUpper;
-            } else {
-                x[j] = 0.0;
-                nb_status[j] = NbStatus::Free;
+        Workspace {
+            prob,
+            m,
+            ncols,
+            lb: prob.lb.clone(),
+            ub: prob.ub.clone(),
+            x: vec![0.0; ncols],
+            basis: vec![0; m],
+            basic_row: vec![None; ncols],
+            nb_status: vec![NbStatus::AtLower; ncols],
+            binv: vec![0.0; m * m],
+            scratch: vec![0.0; m * m],
+            art_sign: vec![1.0; m],
+            art_value: vec![0.0; m],
+            iterations: 0,
+            updates_since_refactor: 0,
+            warm_ok: false,
+        }
+    }
+
+    /// Pivots and bound flips performed so far, over every solve.
+    pub(crate) fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// The current basis and nonbasic statuses. Meaningful after a solve
+    /// that returned [`LpResult::Optimal`].
+    pub(crate) fn snapshot(&self) -> Basis {
+        debug_assert!(self.warm_ok);
+        Basis {
+            basis: self.basis.clone(),
+            nb_status: self.nb_status.clone(),
+        }
+    }
+
+    /// Solve the LP under the structural bounds `lb`/`ub`.
+    ///
+    /// With `from`, the solve starts at that basis (refactorized unless it
+    /// is the live one); without, at the basis the previous solve ended on.
+    /// Either way the new bounds are applied to it, a dual simplex repairs
+    /// the basic variables they push out of range, and the primal simplex
+    /// finishes. A fresh workspace, a state the last solve left unusable,
+    /// or a numerical failure along the warm path all end in the cold
+    /// two-phase solve instead, so the answer never depends on the start.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MilpError::Numerical`] when the cold solve exhausts
+    /// `max_iters` or meets a singular basis.
+    pub(crate) fn solve(
+        &mut self,
+        from: Option<&Basis>,
+        lb: &[f64],
+        ub: &[f64],
+        max_iters: usize,
+    ) -> Result<LpResult, MilpError> {
+        let n = self.prob.n;
+        self.lb[..n].copy_from_slice(lb);
+        self.ub[..n].copy_from_slice(ub);
+        if (0..n).any(|j| lb[j] > ub[j] + TOL) {
+            return Ok(LpResult::Infeasible);
+        }
+        let start = self.iterations;
+        let warm = match from {
+            Some(b) => self.install(b).is_ok(),
+            None => self.warm_ok,
+        };
+        if warm {
+            // A warm solve that needs more pivots than this is cheaper to
+            // restart; the cold path then gets the caller's full budget.
+            let limit = start + max_iters.min(4 * (self.m + self.ncols));
+            match self.reoptimize(limit) {
+                Ok(raw) => return Ok(self.result(raw, start)),
+                Err(MilpError::Numerical(_)) => {}
+                Err(e) => return Err(e),
             }
         }
+        self.warm_ok = false;
+        self.reset_cold();
+        let raw = self.run_cold(self.iterations + max_iters)?;
+        self.warm_ok = matches!(raw, RawResult::Optimal | RawResult::Unbounded);
+        Ok(self.result(raw, start))
+    }
+
+    fn result(&self, raw: RawResult, start: usize) -> LpResult {
+        let n = self.prob.n;
+        match raw {
+            // `costs` are in minimize form; report the minimize-form value
+            // (branch-and-bound works in that form and restores the
+            // caller's sense at the end).
+            RawResult::Optimal => LpResult::Optimal(LpSolution {
+                objective: (0..n).map(|j| self.prob.costs[j] * self.x[j]).sum(),
+                x: self.x[..n].to_vec(),
+                iterations: self.iterations - start,
+            }),
+            RawResult::Infeasible => LpResult::Infeasible,
+            RawResult::Unbounded => LpResult::Unbounded,
+        }
+    }
+
+    /// Rest nonbasic column `j` at a finite bound, keeping its side when
+    /// that bound still exists (a flip could cost dual feasibility).
+    fn rest_at_bound(&mut self, j: usize) {
+        let (l, u) = (self.lb[j], self.ub[j]);
+        let status = match self.nb_status[j] {
+            NbStatus::AtUpper if u.is_finite() => NbStatus::AtUpper,
+            _ if l.is_finite() => NbStatus::AtLower,
+            _ if u.is_finite() => NbStatus::AtUpper,
+            _ => NbStatus::Free,
+        };
+        self.nb_status[j] = status;
+        self.x[j] = match status {
+            NbStatus::AtLower => l,
+            NbStatus::AtUpper => u,
+            NbStatus::Free => 0.0,
+        };
+    }
+
+    /// Start over from the all-artificial basis at the current bounds.
+    fn reset_cold(&mut self) {
+        let m = self.m;
+        self.basic_row.fill(None);
+        // Rest every real column at a finite bound (preferring lower).
+        self.nb_status.fill(NbStatus::AtLower);
+        for j in 0..self.ncols {
+            self.rest_at_bound(j);
+        }
         // Residual r = b − A·x determines artificial signs and values.
-        let mut r = prob.b.clone();
-        for (j, x_j) in x.iter().enumerate() {
+        let mut r = self.prob.b.clone();
+        for (j, x_j) in self.x.iter().enumerate() {
             if *x_j != 0.0 {
-                for &(i, a) in &prob.cols[j] {
+                for &(i, a) in &self.prob.cols[j] {
                     r[i as usize] -= a * x_j;
                 }
             }
         }
-        let mut art_sign = vec![1.0; m];
-        let mut art_value = vec![0.0; m];
-        let mut basis = Vec::with_capacity(m);
-        let mut binv = vec![0.0; m * m];
+        self.binv.fill(0.0);
         for i in 0..m {
-            art_sign[i] = if r[i] >= 0.0 { 1.0 } else { -1.0 };
-            art_value[i] = r[i].abs();
-            basis.push(ART_BASE + i);
+            self.art_sign[i] = if r[i] >= 0.0 { 1.0 } else { -1.0 };
+            self.art_value[i] = r[i].abs();
+            self.basis[i] = ART_BASE + i;
             // B = diag(art_sign) → B⁻¹ = diag(art_sign).
-            binv[i * m + i] = art_sign[i];
+            self.binv[i * m + i] = self.art_sign[i];
         }
-        SimplexState {
-            prob,
-            m,
-            ncols,
-            lb,
-            ub,
-            x,
-            basis,
-            basic_row: vec![None; ncols],
-            nb_status,
-            binv,
-            art_sign,
-            art_value,
-            art_open: vec![true; m],
-            iterations: 0,
-            updates_since_refactor: 0,
+        self.updates_since_refactor = 0;
+    }
+
+    /// Make `from` the current basis, refactorizing unless it already is.
+    fn install(&mut self, from: &Basis) -> Result<(), MilpError> {
+        if self.warm_ok && self.basis == from.basis && self.nb_status == from.nb_status {
+            return Ok(());
         }
+        self.warm_ok = false;
+        self.basis.copy_from_slice(&from.basis);
+        self.nb_status.copy_from_slice(&from.nb_status);
+        self.basic_row.fill(None);
+        for (pos, &col) in self.basis.iter().enumerate() {
+            self.basic_row[col] = Some(pos as u32);
+        }
+        self.factor()?;
+        self.warm_ok = true;
+        Ok(())
+    }
+
+    /// Re-optimize from the current basis after a change of bounds.
+    fn reoptimize(&mut self, limit: usize) -> Result<RawResult, MilpError> {
+        for j in 0..self.ncols {
+            if self.basic_row[j].is_none() {
+                self.rest_at_bound(j);
+            }
+        }
+        self.recompute_basics();
+        if !self.dual_repair(limit)? {
+            return Ok(RawResult::Infeasible);
+        }
+        self.optimize(false, limit)
     }
 
     #[inline]
@@ -337,12 +478,8 @@ impl<'a> SimplexState<'a> {
 
     fn bounds_of(&self, col: usize) -> (f64, f64) {
         if Self::is_artificial(col) {
-            let i = col - ART_BASE;
-            if self.art_open[i] {
-                (0.0, f64::INFINITY)
-            } else {
-                (0.0, 0.0)
-            }
+            // Artificials only exist in phase 1, where they may be positive.
+            (0.0, f64::INFINITY)
         } else {
             (self.lb[col], self.ub[col])
         }
@@ -387,11 +524,11 @@ impl<'a> SimplexState<'a> {
         d
     }
 
-    fn run(&mut self, max_iters: usize) -> Result<RawResult, MilpError> {
+    /// The two-phase primal solve from the all-artificial basis.
+    fn run_cold(&mut self, limit: usize) -> Result<RawResult, MilpError> {
         // Phase 1: minimize the sum of artificials.
-        let need_phase1 = self.art_value.iter().any(|v| *v > TOL);
-        if need_phase1 {
-            self.optimize(true, max_iters)?;
+        if self.art_value.iter().any(|v| *v > TOL) {
+            self.optimize(true, limit)?;
             let infeas: f64 = (0..self.m)
                 .filter(|&i| Self::is_artificial(self.basis[i]))
                 .map(|i| self.basic_value(i))
@@ -399,26 +536,29 @@ impl<'a> SimplexState<'a> {
             if infeas > 1e-6 {
                 return Ok(RawResult::Infeasible);
             }
-            // Clamp residual artificials to zero for phase 2.
-            for i in 0..self.m {
-                self.art_open[i] = false;
-                if Self::is_artificial(self.basis[i]) {
-                    let v = self.basic_value(i);
-                    if v.abs() <= 1e-6 {
-                        self.set_basic_value(i, 0.0);
-                    }
+        }
+        // An artificial still basic sits at (numerically) zero next to its
+        // row's slack, which is nonbasic at zero and the same column up to
+        // sign: swap them, so that every basis from here on — and every
+        // snapshot of one — holds real columns only.
+        let m = self.m;
+        for r in 0..m {
+            let col = self.basis[r];
+            if Self::is_artificial(col) {
+                let i = col - ART_BASE;
+                let slack = self.prob.n + i;
+                debug_assert!(self.basic_row[slack].is_none());
+                for v in &mut self.binv[r * m..(r + 1) * m] {
+                    *v *= self.art_sign[i];
                 }
-            }
-        } else {
-            for i in 0..self.m {
-                self.art_open[i] = false;
+                self.basis[r] = slack;
+                self.basic_row[slack] = Some(r as u32);
+                self.x[slack] = self.art_sign[i] * self.art_value[i];
+                self.art_value[i] = 0.0;
             }
         }
         // Phase 2.
-        match self.optimize(false, max_iters)? {
-            Phase2::Optimal => Ok(RawResult::Optimal),
-            Phase2::Unbounded => Ok(RawResult::Unbounded),
-        }
+        self.optimize(false, limit)
     }
 
     fn objective_now(&self, phase1: bool) -> f64 {
@@ -435,16 +575,20 @@ impl<'a> SimplexState<'a> {
         obj
     }
 
-    fn optimize(&mut self, phase1: bool, max_iters: usize) -> Result<Phase2, MilpError> {
+    fn check_budget(&self, limit: usize) -> Result<(), MilpError> {
+        if self.iterations >= limit {
+            return Err(MilpError::Numerical(
+                "simplex iteration limit exceeded".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Primal simplex from a primal-feasible basis (never `Infeasible`).
+    fn optimize(&mut self, phase1: bool, limit: usize) -> Result<RawResult, MilpError> {
         let mut stall = 0usize;
         let mut last_obj = f64::INFINITY;
         loop {
-            self.iterations += 1;
-            if self.iterations > max_iters {
-                return Err(MilpError::Numerical(format!(
-                    "simplex iteration limit {max_iters} exceeded"
-                )));
-            }
             if self.updates_since_refactor >= REFACTOR_EVERY {
                 self.refactorize()?;
             }
@@ -479,8 +623,9 @@ impl<'a> SimplexState<'a> {
                 }
             }
             let Some((q, _dq, dir)) = entering else {
-                return Ok(Phase2::Optimal);
+                return Ok(RawResult::Optimal);
             };
+            self.check_budget(limit)?;
 
             // Ratio test: how far can the entering column move?
             let w = self.ftran(q);
@@ -531,7 +676,7 @@ impl<'a> SimplexState<'a> {
                 return if phase1 {
                     Err(MilpError::Numerical("phase-1 subproblem unbounded".into()))
                 } else {
-                    Ok(Phase2::Unbounded)
+                    Ok(RawResult::Unbounded)
                 };
             }
             let t = t_limit.max(0.0);
@@ -553,50 +698,11 @@ impl<'a> SimplexState<'a> {
                         NbStatus::AtUpper => NbStatus::AtLower,
                         NbStatus::Free => NbStatus::Free,
                     };
+                    self.iterations += 1;
                 }
                 Some((r, hit)) => {
-                    let alpha = w[r];
-                    if alpha.abs() <= PIVOT_TOL {
-                        return Err(MilpError::Numerical("zero pivot".into()));
-                    }
-                    // Entering value.
                     let new_q = self.x[q] + dir * t;
-                    // Leaving column exits at the bound it hit.
-                    let out_col = self.basis[r];
-                    if Self::is_artificial(out_col) {
-                        self.art_value[out_col - ART_BASE] = hit;
-                    } else {
-                        self.x[out_col] = hit;
-                        let (lbo, ubo) = self.bounds_of(out_col);
-                        self.nb_status[out_col] = if (hit - lbo).abs() <= (hit - ubo).abs() {
-                            NbStatus::AtLower
-                        } else {
-                            NbStatus::AtUpper
-                        };
-                        self.basic_row[out_col] = None;
-                    }
-                    // Eta update of binv: row r scaled, others eliminated.
-                    let m = self.m;
-                    let pivot_row: Vec<f64> = self.binv[r * m..(r + 1) * m]
-                        .iter()
-                        .map(|v| v / alpha)
-                        .collect();
-                    for i in 0..m {
-                        if i == r {
-                            continue;
-                        }
-                        let factor = w[i];
-                        if factor.abs() > 1e-300 {
-                            for k in 0..m {
-                                self.binv[i * m + k] -= factor * pivot_row[k];
-                            }
-                        }
-                    }
-                    self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
-                    self.basis[r] = q;
-                    self.basic_row[q] = Some(r as u32);
-                    self.x[q] = new_q;
-                    self.updates_since_refactor += 1;
+                    self.pivot(r, q, &w, hit, new_q)?;
                 }
             }
 
@@ -618,33 +724,179 @@ impl<'a> SimplexState<'a> {
                     .map(|(i, _)| self.basic_value(i))
                     .sum();
                 if infeas <= TOL / 10.0 {
-                    return Ok(Phase2::Optimal);
+                    return Ok(RawResult::Optimal);
                 }
             }
         }
     }
 
-    /// Rebuild `binv` from scratch and recompute basic values.
-    fn refactorize(&mut self) -> Result<(), MilpError> {
+    /// Bounded dual simplex from a basis whose basic variables may violate
+    /// their bounds: the row with the largest violation leaves at the bound
+    /// it broke, the entering column comes from the dual ratio test. Returns
+    /// `false` when a violated row cannot be moved, which proves the LP
+    /// infeasible whatever the reduced costs are. Dual feasibility is not
+    /// required of the start (a wrong-signed reduced cost counts as a zero
+    /// ratio); it only makes the primal clean-up that follows a no-op.
+    fn dual_repair(&mut self, limit: usize) -> Result<bool, MilpError> {
         let m = self.m;
-        // Assemble B column-wise into a dense matrix (row-major mat[m][m]).
-        let mut mat = vec![0.0; m * m];
-        for (pos, &col) in self.basis.iter().enumerate() {
-            if Self::is_artificial(col) {
-                let i = col - ART_BASE;
-                mat[i * m + pos] = self.art_sign[i];
+        loop {
+            if self.updates_since_refactor >= REFACTOR_EVERY {
+                self.refactorize()?;
+            }
+            let mut leaving: Option<(usize, f64, f64)> = None; // (pos, violation, bound)
+            for i in 0..m {
+                let (l, u) = self.bounds_of(self.basis[i]);
+                let v = self.basic_value(i);
+                let (viol, bound) = if v < l { (l - v, l) } else { (v - u, u) };
+                if viol > TOL && leaving.is_none_or(|(_, worst, _)| viol > worst) {
+                    leaving = Some((i, viol, bound));
+                }
+            }
+            let Some((r, _, bound)) = leaving else {
+                return Ok(true);
+            };
+            self.check_budget(limit)?;
+            // The leaving variable moves by −α_rq·Δx_q: `raise` it to its
+            // lower bound or lower it to its upper bound.
+            let raise = self.basic_value(r) < bound;
+            let y = self.btran(false);
+            let rho = &self.binv[r * m..(r + 1) * m];
+            let mut best = f64::INFINITY;
+            let mut entering: Option<(usize, f64)> = None; // (col, |α|)
+            for q in 0..self.ncols {
+                if self.basic_row[q].is_some() || self.lb[q] == self.ub[q] {
+                    continue;
+                }
+                let alpha: f64 = self.prob.cols[q]
+                    .iter()
+                    .map(|&(i, a)| rho[i as usize] * a)
+                    .sum();
+                if alpha.abs() <= PIVOT_TOL {
+                    continue;
+                }
+                let d = self.reduced_cost(q, &y, false);
+                let slack = match self.nb_status[q] {
+                    NbStatus::AtLower if (alpha < 0.0) == raise => d,
+                    NbStatus::AtUpper if (alpha > 0.0) == raise => -d,
+                    NbStatus::Free => d.abs(),
+                    _ => continue,
+                };
+                let ratio = slack.max(0.0) / alpha.abs();
+                // Tie: prefer the larger pivot magnitude for stability.
+                if ratio < best - 1e-12
+                    || ((ratio - best).abs() <= 1e-12
+                        && entering.is_none_or(|(_, pivot)| alpha.abs() > pivot))
+                {
+                    best = best.min(ratio);
+                    entering = Some((q, alpha.abs()));
+                }
+            }
+            let Some((q, _)) = entering else {
+                return Ok(false);
+            };
+            let w = self.ftran(q);
+            if w[r].abs() <= PIVOT_TOL {
+                return Err(MilpError::Numerical("zero pivot".into()));
+            }
+            let step = (self.basic_value(r) - bound) / w[r];
+            for i in 0..m {
+                if w[i].abs() > PIVOT_TOL {
+                    let v = self.basic_value(i) - step * w[i];
+                    self.set_basic_value(i, v);
+                }
+            }
+            let new_q = self.x[q] + step;
+            self.pivot(r, q, &w, bound, new_q)?;
+        }
+    }
+
+    /// Exchange the column in basis position `r`, which leaves at `hit`,
+    /// for column `q` entering at `new_q`; `w = B⁻¹·A_q`.
+    fn pivot(
+        &mut self,
+        r: usize,
+        q: usize,
+        w: &[f64],
+        hit: f64,
+        new_q: f64,
+    ) -> Result<(), MilpError> {
+        let alpha = w[r];
+        if alpha.abs() <= PIVOT_TOL {
+            return Err(MilpError::Numerical("zero pivot".into()));
+        }
+        let out_col = self.basis[r];
+        if Self::is_artificial(out_col) {
+            self.art_value[out_col - ART_BASE] = hit;
+        } else {
+            self.x[out_col] = hit;
+            let (lbo, ubo) = self.bounds_of(out_col);
+            self.nb_status[out_col] = if (hit - lbo).abs() <= (hit - ubo).abs() {
+                NbStatus::AtLower
             } else {
-                for &(i, a) in &self.prob.cols[col] {
-                    mat[i as usize * m + pos] = a;
+                NbStatus::AtUpper
+            };
+            self.basic_row[out_col] = None;
+        }
+        // Eta update of binv: row r scaled, others eliminated.
+        let m = self.m;
+        let pivot_row: Vec<f64> = self.binv[r * m..(r + 1) * m]
+            .iter()
+            .map(|v| v / alpha)
+            .collect();
+        for i in 0..m {
+            if i == r {
+                continue;
+            }
+            let factor = w[i];
+            if factor.abs() > 1e-300 {
+                for k in 0..m {
+                    self.binv[i * m + k] -= factor * pivot_row[k];
                 }
             }
         }
-        let inv = invert(&mat, m)
-            .ok_or_else(|| MilpError::Numerical("singular basis during refactorization".into()))?;
-        self.binv = inv;
-        self.updates_since_refactor = 0;
+        self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
+        self.basis[r] = q;
+        self.basic_row[q] = Some(r as u32);
+        self.x[q] = new_q;
+        self.updates_since_refactor += 1;
+        self.iterations += 1;
+        Ok(())
+    }
 
-        // Recompute basic values: x_B = B⁻¹ (b − N x_N).
+    /// Rebuild `binv` from scratch and recompute basic values.
+    fn refactorize(&mut self) -> Result<(), MilpError> {
+        self.factor()?;
+        self.recompute_basics();
+        Ok(())
+    }
+
+    /// Invert the current basis matrix into `binv`.
+    fn factor(&mut self) -> Result<(), MilpError> {
+        let m = self.m;
+        // Assemble B column-wise into a dense row-major matrix.
+        self.scratch.fill(0.0);
+        for (pos, &col) in self.basis.iter().enumerate() {
+            if Self::is_artificial(col) {
+                let i = col - ART_BASE;
+                self.scratch[i * m + pos] = self.art_sign[i];
+            } else {
+                for &(i, a) in &self.prob.cols[col] {
+                    self.scratch[i as usize * m + pos] = a;
+                }
+            }
+        }
+        if !invert(&mut self.scratch, &mut self.binv, m) {
+            return Err(MilpError::Numerical(
+                "singular basis during refactorization".into(),
+            ));
+        }
+        self.updates_since_refactor = 0;
+        Ok(())
+    }
+
+    /// Basic values from the nonbasic ones: `x_B = B⁻¹ (b − N x_N)`.
+    fn recompute_basics(&mut self) {
+        let m = self.m;
         let mut rhs = self.prob.b.clone();
         for j in 0..self.ncols {
             if self.basic_row[j].is_none() && self.x[j] != 0.0 {
@@ -660,20 +912,13 @@ impl<'a> SimplexState<'a> {
             }
             self.set_basic_value(pos, v);
         }
-        Ok(())
     }
 }
 
-enum Phase2 {
-    Optimal,
-    Unbounded,
-}
-
-/// Dense Gauss–Jordan inversion with partial pivoting. Returns `None` if the
-/// matrix is singular.
-fn invert(mat: &[f64], n: usize) -> Option<Vec<f64>> {
-    let mut a = mat.to_vec();
-    let mut inv = vec![0.0; n * n];
+/// Dense Gauss–Jordan inversion with partial pivoting of the `n×n` matrix
+/// `a` (destroyed) into `inv`. Returns `false` if the matrix is singular.
+fn invert(a: &mut [f64], inv: &mut [f64], n: usize) -> bool {
+    inv.fill(0.0);
     for i in 0..n {
         inv[i * n + i] = 1.0;
     }
@@ -689,7 +934,7 @@ fn invert(mat: &[f64], n: usize) -> Option<Vec<f64>> {
             }
         }
         if best_val < 1e-12 {
-            return None;
+            return false;
         }
         if best != col {
             for k in 0..n {
@@ -714,13 +959,14 @@ fn invert(mat: &[f64], n: usize) -> Option<Vec<f64>> {
             }
         }
     }
-    Some(inv)
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{Cmp, Model, Sense};
+    use proptest::prelude::*;
 
     fn lp(model: &Model) -> LpResult {
         LpProblem::from_model(model)
@@ -891,6 +1137,188 @@ mod tests {
                 );
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Warm and cold solves of `model` under `lb`/`ub` must agree.
+    fn assert_same(warm: &LpResult, cold: &LpResult, context: &str) {
+        match (warm, cold) {
+            (LpResult::Optimal(w), LpResult::Optimal(c)) => assert!(
+                (w.objective - c.objective).abs() <= 1e-7 * c.objective.abs().max(1.0),
+                "{context}: warm {} vs cold {}",
+                w.objective,
+                c.objective
+            ),
+            (LpResult::Infeasible, LpResult::Infeasible) => {}
+            (w, c) => panic!("{context}: warm {w:?} vs cold {c:?}"),
+        }
+    }
+
+    #[test]
+    fn singular_snapshot_falls_back_to_the_cold_answer() {
+        // min x + y s.t. x + y >= 3, x - y <= 1, x,y in [0,4].
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_continuous("x", 0.0, 4.0);
+        let y = m.add_continuous("y", 0.0, 4.0);
+        m.add_constraint(x + y, Cmp::Ge, 3.0);
+        m.add_constraint(x - y, Cmp::Le, 1.0);
+        m.set_objective(x + 2.0 * y);
+        let prob = LpProblem::from_model(&m);
+        let cold = prob.solve(10_000).expect("cold solve");
+        // The same column twice: no inverse exists, so the warm path
+        // cannot even start.
+        let singular = Basis {
+            basis: vec![0, 0],
+            nb_status: vec![NbStatus::AtLower; 4],
+        };
+        let mut ws = Workspace::new(&prob);
+        let warm = ws
+            .solve(Some(&singular), &[0.0, 0.0], &[4.0, 4.0], 10_000)
+            .expect("falls back instead of failing");
+        assert_same(&warm, &cold, "singular snapshot");
+        // ... and the workspace is usable afterwards.
+        let again = ws
+            .solve(None, &[0.0, 0.0], &[4.0, 1.0], 10_000)
+            .expect("warm solve");
+        let cold = prob
+            .solve_with_bounds(Some((&[0.0, 0.0], &[4.0, 1.0])), 10_000)
+            .expect("cold solve");
+        assert_same(&again, &cold, "after the fallback");
+    }
+
+    #[test]
+    fn snapshot_that_is_not_dual_feasible_still_gives_the_cold_answer() {
+        // min x + y s.t. x + y <= 4 (slack s), x,y in [1,3]. With the slack
+        // basic and x, y resting at their *upper* bounds the start is primal
+        // infeasible (s = -2) and dual infeasible (d = +1 at an upper bound).
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_continuous("x", 1.0, 3.0);
+        let y = m.add_continuous("y", 1.0, 3.0);
+        m.add_constraint(x + y, Cmp::Le, 4.0);
+        m.set_objective(x + y);
+        let prob = LpProblem::from_model(&m);
+        let cold = prob.solve(10_000).expect("cold solve");
+        let wrong_side = Basis {
+            basis: vec![2],
+            nb_status: vec![NbStatus::AtUpper, NbStatus::AtUpper, NbStatus::AtLower],
+        };
+        let mut ws = Workspace::new(&prob);
+        let warm = ws
+            .solve(Some(&wrong_side), &[1.0, 1.0], &[3.0, 3.0], 10_000)
+            .expect("no error");
+        assert_same(&warm, &cold, "dual-infeasible snapshot");
+        match warm {
+            LpResult::Optimal(sol) => assert!((sol.objective - 2.0).abs() < 1e-9),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A random bounded LP plus a sequence of single-bound edits.
+    #[derive(Debug, Clone)]
+    struct EditedLp {
+        /// Per row: coefficients, comparison (0-1 `<=`, 2-3 `>=`, 4 `=`) and
+        /// the row's slack at the anchor point (which makes the first LP
+        /// feasible, so that there is a basis to warm-start from).
+        rows: Vec<(Vec<i64>, u8, i64)>,
+        costs: Vec<i64>,
+        /// Initial `(lb, width, anchor offset)` per variable.
+        bounds: Vec<(i64, i64, i64)>,
+        /// `(variable, move the upper bound?, by how much, restart from the
+        /// first optimal basis instead of the live one?)`; a bound stops at
+        /// the opposite one instead of crossing it.
+        edits: Vec<(usize, bool, i64, bool)>,
+    }
+
+    fn edited_lp() -> impl Strategy<Value = EditedLp> {
+        (2usize..=12, 1usize..=10).prop_flat_map(|(n, m)| {
+            let row = (prop::collection::vec(-4i64..=4, n), 0u8..=4, 0i64..=6);
+            (
+                prop::collection::vec(row, m),
+                prop::collection::vec(-5i64..=5, n),
+                prop::collection::vec((-3i64..=2, 0i64..=6, 0i64..=6), n),
+                prop::collection::vec((0..n, any::<bool>(), -3i64..=3, any::<bool>()), 1..=12),
+            )
+                .prop_map(|(rows, costs, bounds, edits)| EditedLp {
+                    rows,
+                    costs,
+                    bounds,
+                    edits,
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Tightenings and relaxations, one bound at a time: the workspace
+        /// that keeps re-optimizing agrees with a from-scratch solve on
+        /// feasibility and on the optimal value after every one of them.
+        #[test]
+        fn warm_resolves_match_cold_solves(case in edited_lp()) {
+            let mut m = Model::new(Sense::Minimize);
+            let vars: Vec<_> = case
+                .bounds
+                .iter()
+                .enumerate()
+                .map(|(j, &(l, w, _))| m.add_continuous(format!("x{j}"), l as f64, (l + w) as f64))
+                .collect();
+            let anchor: Vec<i64> = case.bounds.iter().map(|&(l, w, t)| l + t % (w + 1)).collect();
+            for (coeffs, cmp, slack) in &case.rows {
+                let mut e = crate::LinExpr::new();
+                for (v, a) in vars.iter().zip(coeffs) {
+                    e.add_term(*v, *a as f64);
+                }
+                let at_anchor: i64 = coeffs.iter().zip(&anchor).map(|(a, x)| a * x).sum();
+                let (cmp, rhs) = match cmp {
+                    0 | 1 => (Cmp::Le, at_anchor + slack),
+                    2 | 3 => (Cmp::Ge, at_anchor - slack),
+                    _ => (Cmp::Eq, at_anchor),
+                };
+                m.add_constraint(e, cmp, rhs as f64);
+            }
+            let mut obj = crate::LinExpr::new();
+            for (v, c) in vars.iter().zip(&case.costs) {
+                obj.add_term(*v, *c as f64);
+            }
+            m.set_objective(obj);
+
+            let prob = LpProblem::from_model(&m);
+            let mut lb: Vec<f64> = case.bounds.iter().map(|&(l, _, _)| l as f64).collect();
+            let mut ub: Vec<f64> = case.bounds.iter().map(|&(l, w, _)| (l + w) as f64).collect();
+            let mut ws = Workspace::new(&prob);
+            let mut first_basis: Option<Basis> = None;
+            let first = ws.solve(None, &lb, &ub, 10_000).expect("first solve");
+            if matches!(first, LpResult::Optimal(_)) {
+                first_basis = Some(ws.snapshot());
+            }
+            for (step, &(j, upper, delta, restart)) in case.edits.iter().enumerate() {
+                if upper {
+                    ub[j] = (ub[j] + delta as f64).max(lb[j]);
+                } else {
+                    lb[j] = (lb[j] + delta as f64).min(ub[j]);
+                }
+                let from = if restart { first_basis.as_ref() } else { None };
+                let warm = ws.solve(from, &lb, &ub, 10_000).expect("warm solve");
+                let cold = prob
+                    .solve_with_bounds(Some((&lb, &ub)), 10_000)
+                    .expect("cold solve");
+                match (&warm, &cold) {
+                    (LpResult::Optimal(w), LpResult::Optimal(c)) => {
+                        prop_assert!(
+                            (w.objective - c.objective).abs() <= 1e-7 * c.objective.abs().max(1.0),
+                            "step {step}: warm {} vs cold {}", w.objective, c.objective
+                        );
+                        // The warm vertex itself must satisfy the LP.
+                        let mut point = m.clone();
+                        for (v, (l, u)) in vars.iter().zip(lb.iter().zip(&ub)) {
+                            point.set_bounds(*v, *l, *u);
+                        }
+                        prop_assert!(point.is_feasible(&w.x, 1e-6), "step {step}: {:?}", w.x);
+                    }
+                    (LpResult::Infeasible, LpResult::Infeasible) => {}
+                    (w, c) => prop_assert!(false, "step {step}: warm {w:?} vs cold {c:?}"),
+                }
+            }
         }
     }
 }

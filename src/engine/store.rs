@@ -101,7 +101,7 @@ use crate::api::Scheduled;
 /// Version tag written into every entry envelope. Bump when the entry
 /// schema (or the canonical serialization feeding the digests) changes;
 /// loaders skip entries from other versions.
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// Version tag of the segment *header* layout (independent of the entry
 /// envelope version, which governs payload records).

@@ -68,3 +68,59 @@ fn schedule_clone_evaluates_identically() {
         model.evaluate(&layer, &clone).unwrap().latency_cycles,
     );
 }
+
+/// The seven `milp_cnn_cold` shapes at the serving node limit: the Eq. 12
+/// objective may not rise above what the cold-simplex search of PR 21
+/// returned, every schedule validates, and a second solve returns the same
+/// bytes.
+#[test]
+fn serving_milp_meets_the_quality_floor_and_repeats() {
+    use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
+    use cosa_repro::spec::workloads::GPT_MINI;
+
+    let paper = |name: &str| Layer::parse_paper_name(name).expect("suite layer name");
+    let floor = [
+        (paper("3_7_512_512_1"), -1.2934707),
+        (paper("3_14_1_192_2"), -3.6879891),
+        (paper("1_7_1024_2048_2"), -5.2496212),
+        (paper("1_14_576_96_1"), -6.1612493),
+        (paper("1_1_2048_1000_1"), -2.5556564),
+        (GPT_MINI.attn_score(), -8.0889756),
+        (GPT_MINI.ffn_up(), -4.9698133),
+    ];
+    let arch = Arch::simba_baseline();
+    let cosa = CosaScheduler::new(&arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT);
+    let mut above_floor = Vec::new();
+    for (layer, parent_objective) in &floor {
+        let first = cosa.schedule(layer).expect("serving solve");
+        if first.milp_objective > parent_objective + 1e-6 {
+            above_floor.push((layer.name().to_string(), first.milp_objective));
+        }
+        first
+            .schedule
+            .validate(layer, &arch)
+            .expect("valid schedule");
+        let second = cosa.schedule(layer).expect("serving solve");
+        assert_eq!(
+            serde_json::to_string(&first.schedule).expect("serializes"),
+            serde_json::to_string(&second.schedule).expect("serializes"),
+            "{}",
+            layer.name()
+        );
+        assert_eq!(
+            first.milp_objective.to_bits(),
+            second.milp_objective.to_bits()
+        );
+        assert_eq!(first.stats, second.stats, "{}", layer.name());
+        println!(
+            "{:<18} objective {:>11.7} (floor {:>11.7})  nodes {:>3}  pivots {:>6}  best_bound {:>10.5}",
+            layer.name(),
+            first.milp_objective,
+            parent_objective,
+            first.stats.nodes,
+            first.stats.simplex_iters,
+            first.stats.best_bound
+        );
+    }
+    assert!(above_floor.is_empty(), "above the floor: {above_floor:?}");
+}
