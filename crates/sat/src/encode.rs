@@ -395,12 +395,6 @@ impl SatProgram {
                 SolveOutcome::Sat => {
                     let asg = self.decode();
                     let obj = asg.objective;
-                    if std::env::var_os("COSA_SAT_TRACE").is_some() {
-                        eprintln!(
-                            "cosa-sat: incumbent obj={obj:.9} conflicts={}",
-                            self.solver.stats.conflicts
-                        );
-                    }
                     best = Some(asg);
                     // Strict improvement: push the bound just below the
                     // incumbent. The margin also defines the optimality
@@ -417,12 +411,12 @@ impl SatProgram {
                     if self.obj_pb.is_none() {
                         // Objective has no literal terms (degenerate layer):
                         // the first model is the optimum.
-                        return OptimizeOutcome::Optimal(best.expect("just set"));
+                        return OptimizeOutcome::Optimal(proven(best.expect("just set")));
                     }
                 }
                 SolveOutcome::Unsat => {
                     return match best {
-                        Some(b) => OptimizeOutcome::Optimal(b),
+                        Some(b) => OptimizeOutcome::Optimal(proven(b)),
                         None => OptimizeOutcome::Infeasible,
                     };
                 }
@@ -491,10 +485,19 @@ impl SatProgram {
             stats: SolveStats {
                 nodes: stats.conflicts as usize,
                 simplex_iters: stats.propagations as usize,
-                best_bound: objective,
+                // No lower bound until UNSAT proves the incumbent optimal
+                // (see `proven`): a budget-stopped answer claims no gap.
+                best_bound: f64::NEG_INFINITY,
             },
         }
     }
+}
+
+/// The incumbent the closing UNSAT proved optimal: its own objective is
+/// now a valid lower bound.
+fn proven(mut asg: FactorAssignment) -> FactorAssignment {
+    asg.stats.best_bound = asg.objective;
+    asg
 }
 
 /// A unary ladder of `len` bits with `b[k+1] → b[k]` ordering clauses.
@@ -614,8 +617,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_env_smoke() {
-        // COSA_SAT_TRACE only logs; results must be unaffected.
+    fn best_bound_is_claimed_only_with_a_proof() {
+        let arch = Arch::simba_baseline();
+        let layer = Layer::matmul("t", 16, 16, 16);
+        let proof = optimal(&layer, &arch);
+        assert_eq!(proof.stats.best_bound.to_bits(), proof.objective.to_bits());
+        let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
+        match p.optimize(Some(100), None) {
+            OptimizeOutcome::Feasible(a) => assert_eq!(a.stats.best_bound, f64::NEG_INFINITY),
+            other => panic!("expected a budget-stopped incumbent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_fresh_programs_agree() {
         let arch = Arch::simba_baseline();
         let layer = Layer::matmul("t", 8, 8, 8);
         let a = optimal(&layer, &arch);

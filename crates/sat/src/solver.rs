@@ -2,10 +2,8 @@
 //!
 //! The search core is the classic conflict-driven clause-learning loop:
 //! two-watched-literal propagation, VSIDS-style variable activity with
-//! phase saving, first-UIP conflict analysis and Luby restarts. Everything
-//! is counter-based and free of wall-clock or randomness dependence, so a
-//! given formula always produces the same model — the same determinism
-//! contract the hand-rolled simplex in `cosa-milp` provides.
+//! phase saving, first-UIP conflict analysis with one-step local
+//! minimisation, Luby restarts and activity-based learnt-clause deletion.
 //!
 //! On top of plain clauses the solver handles linear pseudo-Boolean
 //! constraints `Σ cᵢ·[litᵢ] ≤ bound` with `f64` coefficients, propagated by
@@ -18,6 +16,38 @@
 //! tightened in place ([`Solver::set_pb_bound`]), so every learnt clause
 //! remains implied — that is exactly what the objective layer's iterative
 //! bound-tightening needs.
+//!
+//! # Data layout
+//!
+//! The inner loops touch three structures, each laid out so a step reads
+//! what it needs and nothing else:
+//!
+//! * **Clause arena.** Every clause lives in one `Vec<u32>` as
+//!   `[len, clause index, lit₀, lit₁, …]`; watch lists and clausal reasons
+//!   hold arena offsets, so a watch visit is one indexed read instead of a
+//!   pointer chase. The clause index names the clause's `ClauseInfo`
+//!   (activity, learnt flag, offset). `reduce_db` compacts the arena and
+//!   rebuilds the watch lists in clause order.
+//! * **True-literal masks.** Each pseudo-Boolean constraint keeps two
+//!   bitmasks of its currently-true literals, one in `terms` order and one
+//!   in descending-coefficient order, updated beside `sum_true` whenever a
+//!   literal is assigned or unassigned. The exact sum adds only the set
+//!   bits — in `terms` order, so the `f64` result is the one a full scan
+//!   would give — and reason extraction walks only the true literals of
+//!   the coefficient-sorted copy.
+//! * **Order heap.** Branching pops an indexed binary max-heap keyed
+//!   (activity descending, variable index ascending), a total order, so
+//!   the pick is the highest-activity unassigned variable with the lowest
+//!   index on ties, whatever shape the heap is in.
+//!
+//! # Determinism
+//!
+//! Everything is counter-based and free of wall-clock or randomness
+//! dependence: the same formula gives the same trajectory — the same
+//! decisions, trail order, learnt clauses and therefore the same model and
+//! the same [`SatStats`]. `tests/trajectory.rs` pins that trajectory on
+//! five scheduling instances; a change that only makes steps cheaper
+//! leaves those numbers alone.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,6 +130,8 @@ pub struct SatStats {
     pub restarts: u64,
 }
 
+/// Why a variable holds its value — or, returned by propagation, the
+/// constraint a conflict violates. Clauses are named by arena offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reason {
     Decision,
@@ -107,21 +139,45 @@ enum Reason {
     Pb(u32),
 }
 
+/// Words of an arena entry before its literals: length, clause index.
+const CLAUSE_HEADER: usize = 2;
+
+/// Per-clause bookkeeping, indexed by the clause index in the arena header.
 #[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    /// `true` for conflict-learnt clauses (deletion candidates).
-    learnt: bool,
+struct ClauseInfo {
     /// Activity: bumped when the clause participates in conflict
     /// analysis; low-activity learnt clauses are periodically deleted.
     act: f64,
+    /// Arena offset of the clause's header.
+    off: u32,
+    /// `true` for conflict-learnt clauses (deletion candidates).
+    learnt: bool,
+}
+
+/// One occurrence of a literal in a pseudo-Boolean constraint.
+#[derive(Debug, Clone, Copy)]
+struct PbOcc {
+    pb: u32,
+    /// Position of the literal in the constraint's `terms`.
+    term: u32,
+    /// Position of the literal in the constraint's `by_coef`.
+    rank: u32,
+    coef: f64,
 }
 
 #[derive(Debug)]
 struct Pb {
-    /// `(coefficient, literal)` terms; coefficients are strictly positive
-    /// and each literal appears at most once.
+    /// `(coefficient, literal)` terms in ascending literal order;
+    /// coefficients are strictly positive and each variable appears at
+    /// most once.
     terms: Vec<(f64, Lit)>,
+    /// The same terms by descending coefficient (ties in `terms` order):
+    /// greedy reason extraction walks this to keep learnt clauses short.
+    by_coef: Vec<(f64, Lit)>,
+    /// Bit `i` set iff `terms[i]`'s literal is currently true.
+    true_terms: Vec<u64>,
+    /// Bit `i` set iff `by_coef[i]`'s literal is currently true.
+    true_by_coef: Vec<u64>,
     bound: f64,
     /// Difference between the stored (normalized) bound and the bound the
     /// caller supplied, so [`Solver::set_pb_bound`] can keep accepting
@@ -130,24 +186,47 @@ struct Pb {
     /// Incremental sum of coefficients of currently-true literals.
     sum_true: f64,
     max_coef: f64,
-    /// Term indices sorted by descending coefficient (ties by index):
-    /// greedy reason extraction walks this to keep learnt clauses short.
-    by_coef: Vec<u32>,
 }
 
 impl Pb {
     /// Exact fixed-order recomputation of the true-coefficient sum; used
     /// near the bound so incremental floating-point drift can never flip a
-    /// feasibility decision.
-    fn exact_sum(&self, assign: &[i8]) -> f64 {
+    /// feasibility decision. Adds the true terms in `terms` order.
+    fn exact_sum(&self) -> f64 {
         let mut s = 0.0;
-        for &(c, l) in &self.terms {
-            if lit_value(assign, l) == 1 {
-                s += c;
-            }
+        for i in set_bits(&self.true_terms) {
+            s += self.terms[i].0;
         }
         s
     }
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
+fn set_bit(words: &mut [u64], i: u32) {
+    words[(i >> 6) as usize] |= 1 << (i & 63);
+}
+
+fn clear_bit(words: &mut [u64], i: u32) {
+    words[(i >> 6) as usize] &= !(1 << (i & 63));
+}
+
+/// The literals (as codes) of the clause at offset `off` of `arena`.
+fn clause_lits(arena: &[u32], off: u32) -> &[u32] {
+    let start = off as usize + CLAUSE_HEADER;
+    &arena[start..start + arena[off as usize] as usize]
 }
 
 fn lit_value(assign: &[i8], l: Lit) -> i8 {
@@ -159,11 +238,98 @@ fn lit_value(assign: &[i8], l: Lit) -> i8 {
     }
 }
 
-enum Conflict {
-    Clause(u32),
-    /// Pre-extracted conflicting-assignment clause of a pseudo-Boolean
-    /// constraint (every literal currently false).
-    Lits(Vec<Lit>),
+/// `true` when `a` is branched on before `b`: higher activity first,
+/// lower index on ties. A total order, so the maximum is unique.
+fn branches_before(activity: &[f64], a: u32, b: u32) -> bool {
+    let (x, y) = (activity[a as usize], activity[b as usize]);
+    x > y || (x == y && a < b)
+}
+
+/// Indexed binary max-heap of variables under [`branches_before`]. Holds
+/// every unassigned variable (and possibly some assigned ones, dropped as
+/// they surface).
+#[derive(Debug, Default)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, [`OrderHeap::ABSENT`] if out.
+    slot: Vec<u32>,
+}
+
+impl OrderHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.slot[v as usize] == OrderHeap::ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restore the heap after `v`'s activity grew.
+    fn bumped(&mut self, v: u32, activity: &[f64]) {
+        let i = self.slot[v as usize];
+        if i != OrderHeap::ABSENT {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.slot[top as usize] = OrderHeap::ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-establish the heap from scratch (activities changed wholesale).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let pv = self.heap[parent];
+            if !branches_before(activity, v, pv) {
+                break;
+            }
+            self.heap[i] = pv;
+            self.slot[pv as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.slot[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len()
+                && branches_before(activity, self.heap[child + 1], self.heap[child])
+            {
+                child += 1;
+            }
+            let cv = self.heap[child];
+            if !branches_before(activity, cv, v) {
+                break;
+            }
+            self.heap[i] = cv;
+            self.slot[cv as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.slot[v as usize] = i as u32;
+    }
 }
 
 /// Number of conflicts per Luby-sequence unit.
@@ -188,25 +354,30 @@ pub struct Solver {
     trail_lim: Vec<usize>,
     qhead: usize,
 
-    // Clause database.
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<u32>>, // per literal code: clauses watching that literal
+    // Clause database: `[len, clause index, lits…]` entries back to back.
+    arena: Vec<u32>,
+    clauses: Vec<ClauseInfo>,
+    watches: Vec<Vec<u32>>, // per literal code: arena offsets watching it
 
     // Pseudo-Boolean constraints.
     pbs: Vec<Pb>,
-    pb_occ: Vec<Vec<(u32, f64)>>, // per literal code: (pb index, coefficient)
+    pb_occ: Vec<Vec<PbOcc>>, // per literal code
 
     // Branching heuristic.
     activity: Vec<f64>,
     act_inc: f64,
+    order: OrderHeap,
 
     // Learnt-clause management.
     cla_inc: f64,
     num_learnts: usize,
     max_learnts: usize,
 
-    // Analysis scratch.
+    // Scratch reused across calls (no allocation in the steady state).
     seen: Vec<bool>,
+    reason_buf: Vec<Lit>,
+    learnt_buf: Vec<Lit>,
+    implied_buf: Vec<Lit>,
 
     ok: bool,
     stop: Option<Arc<AtomicBool>>,
@@ -232,19 +403,34 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            arena: Vec::new(),
             clauses: Vec::new(),
             watches: Vec::new(),
             pbs: Vec::new(),
             pb_occ: Vec::new(),
             activity: Vec::new(),
             act_inc: 1.0,
+            order: OrderHeap::default(),
             cla_inc: 1.0,
             num_learnts: 0,
             max_learnts: 0,
             seen: Vec::new(),
+            reason_buf: Vec::new(),
+            learnt_buf: Vec::new(),
+            implied_buf: Vec::new(),
             ok: true,
             stop: None,
             stats: SatStats::default(),
+        }
+    }
+
+    /// A solver whose learnt-clause database is first reduced at
+    /// `max_learnts` clauses instead of the size-derived default.
+    #[cfg(test)]
+    fn with_max_learnts(max_learnts: usize) -> Solver {
+        Solver {
+            max_learnts,
+            ..Solver::new()
         }
     }
 
@@ -269,6 +455,8 @@ impl Solver {
         self.reason.push(Reason::Decision);
         self.saved_phase.push(false);
         self.activity.push(0.0);
+        self.order.slot.push(OrderHeap::ABSENT);
+        self.order.insert(v.0, &self.activity);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -323,17 +511,23 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let ci = self.clauses.len() as u32;
-                self.watches[simplified[0].code()].push(ci);
-                self.watches[simplified[1].code()].push(ci);
-                self.clauses.push(Clause {
-                    lits: simplified,
-                    learnt: false,
-                    act: 0.0,
-                });
+                self.push_clause(&simplified, false, 0.0);
                 true
             }
         }
+    }
+
+    /// Append a clause of two or more literals to the arena, watched by
+    /// its first two; returns its offset.
+    fn push_clause(&mut self, lits: &[Lit], learnt: bool, act: f64) -> u32 {
+        let off = self.arena.len() as u32;
+        self.arena.push(lits.len() as u32);
+        self.arena.push(self.clauses.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.clauses.push(ClauseInfo { act, off, learnt });
+        self.watches[lits[0].code()].push(off);
+        self.watches[lits[1].code()].push(off);
+        off
     }
 
     /// Add the pseudo-Boolean constraint `Σ coef·[lit] ≤ bound`. Negative
@@ -368,8 +562,16 @@ impl Solver {
                 norm.push((l, c));
             }
         }
-        // Merge complementary pairs: a·[l] + b·[¬l] = min + (a−min)[l] + …
         norm.sort_unstable_by_key(|(l, _)| *l);
+        // A flipped term can land on a literal that already had one
+        // (2·[x] − 3·[¬x] → 2·[x] + 3·[x]): aggregate again.
+        norm.dedup_by(|later, kept| {
+            kept.0 == later.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
+        // Merge complementary pairs: a·[l] + b·[¬l] = min + (a−min)[l] + …
         let mut final_terms: Vec<(f64, Lit)> = Vec::with_capacity(norm.len());
         let mut i = 0;
         while i < norm.len() {
@@ -406,32 +608,45 @@ impl Solver {
     }
 
     fn push_pb(&mut self, terms: Vec<(f64, Lit)>, bound: f64, norm_offset: f64) -> usize {
+        debug_assert!(
+            terms.windows(2).all(|w| w[0].1.var() < w[1].1.var()),
+            "terms ascend by literal, one per variable"
+        );
         let pi = self.pbs.len() as u32;
-        let mut max_coef = 0.0f64;
-        let mut sum_true = 0.0;
-        for &(c, l) in &terms {
-            self.pb_occ[l.code()].push((pi, c));
-            max_coef = max_coef.max(c);
-            if lit_value(&self.assign, l) == 1 {
-                sum_true += c;
-            }
-        }
-        let mut by_coef: Vec<u32> = (0..terms.len() as u32).collect();
-        by_coef.sort_by(|&a, &b| {
+        let mut order: Vec<u32> = (0..terms.len() as u32).collect();
+        order.sort_by(|&a, &b| {
             terms[b as usize]
                 .0
                 .partial_cmp(&terms[a as usize].0)
                 .expect("coefficients are finite")
                 .then(a.cmp(&b))
         });
-        self.pbs.push(Pb {
-            terms,
+        let words = terms.len().div_ceil(64);
+        let mut pb = Pb {
+            by_coef: order.iter().map(|&ti| terms[ti as usize]).collect(),
+            true_terms: vec![0; words],
+            true_by_coef: vec![0; words],
             bound,
             norm_offset,
-            sum_true,
-            max_coef,
-            by_coef,
-        });
+            sum_true: 0.0,
+            max_coef: order.first().map_or(0.0, |&ti| terms[ti as usize].0),
+            terms,
+        };
+        for (rank, &term) in (0u32..).zip(&order) {
+            let (coef, l) = pb.terms[term as usize];
+            self.pb_occ[l.code()].push(PbOcc {
+                pb: pi,
+                term,
+                rank,
+                coef,
+            });
+            if lit_value(&self.assign, l) == 1 {
+                set_bit(&mut pb.true_terms, term);
+                set_bit(&mut pb.true_by_coef, rank);
+            }
+        }
+        pb.sum_true = pb.exact_sum();
+        self.pbs.push(pb);
         pi as usize
     }
 
@@ -469,8 +684,8 @@ impl Solver {
         let margin = 1e-9 * pb.bound.abs().max(1.0);
         let mut sum = 0.0;
         let mut m = 0usize;
-        for &ti in pb.by_coef.iter().rev() {
-            let next = sum + pb.terms[ti as usize].0;
+        for &(c, _) in pb.by_coef.iter().rev() {
+            let next = sum + c;
             if next > pb.bound + margin {
                 break;
             }
@@ -505,16 +720,15 @@ impl Solver {
         // Re-establish level-0 pseudo-Boolean state exactly: bounds may
         // have been tightened between calls, and exact recomputation also
         // clears any accumulated floating-point drift.
-        for pi in 0..self.pbs.len() {
-            self.pbs[pi].sum_true = self.pbs[pi].exact_sum(&self.assign);
-            if self.pbs[pi].sum_true > self.pbs[pi].bound {
+        for pb in &mut self.pbs {
+            pb.sum_true = pb.exact_sum();
+            if pb.sum_true > pb.bound {
                 self.ok = false;
                 return SolveOutcome::Unsat;
             }
         }
         for pi in 0..self.pbs.len() {
-            if let Some(confl) = self.pb_implications(pi as u32) {
-                let _ = confl;
+            if self.pb_implications(pi as u32).is_some() {
                 self.ok = false;
                 return SolveOutcome::Unsat;
             }
@@ -552,15 +766,18 @@ impl Solver {
                     self.ok = false;
                     return SolveOutcome::Unsat;
                 }
-                let (learnt, back_level) = self.analyze(confl);
+                let back_level = self.analyze(confl);
                 self.cancel_until(back_level);
-                self.attach_learnt(learnt);
+                self.attach_learnt();
                 self.act_inc *= ACT_DECAY;
                 if self.act_inc > 1e100 {
                     for a in &mut self.activity {
                         *a *= 1e-100;
                     }
                     self.act_inc *= 1e-100;
+                    // Scaling can merge activities that differed, turning
+                    // an activity order into an index order.
+                    self.order.rebuild(&self.activity);
                 }
                 self.cla_inc *= CLA_DECAY;
                 if self.cla_inc > 1e20 {
@@ -587,16 +804,9 @@ impl Solver {
                     }
                 }
             } else {
-                // Pick the unassigned variable with the highest activity
-                // (lowest index on ties: deterministic), decide with its
-                // saved phase.
-                let mut best: Option<(usize, f64)> = None;
-                for (v, &a) in self.activity.iter().enumerate() {
-                    if self.assign[v] == 0 && best.is_none_or(|(_, ba)| a > ba) {
-                        best = Some((v, a));
-                    }
-                }
-                let Some((v, _)) = best else {
+                // Decide the unassigned variable with the highest activity
+                // (lowest index on ties) on its saved phase.
+                let Some(v) = self.pick_branch_var() else {
                     return SolveOutcome::Sat; // full assignment
                 };
                 self.stats.decisions += 1;
@@ -610,6 +820,27 @@ impl Solver {
                 debug_assert!(ok, "decision variable was unassigned");
             }
         }
+    }
+
+    fn pick_branch_var(&mut self) -> Option<usize> {
+        let picked = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assign[v as usize] != 0 => {}
+                other => break other.map(|v| v as usize),
+            }
+        };
+        debug_assert_eq!(
+            picked,
+            (0..self.assign.len())
+                .filter(|&v| self.assign[v] == 0)
+                .reduce(|best, v| if self.activity[v] > self.activity[best] {
+                    v
+                } else {
+                    best
+                }),
+            "heap pick is the max-activity, lowest-index unassigned variable"
+        );
+        picked
     }
 
     fn current_level(&self) -> u32 {
@@ -626,8 +857,11 @@ impl Solver {
                 self.level[v] = self.current_level();
                 self.pos[v] = self.trail.len() as u32;
                 self.reason[v] = reason;
-                for &(pi, c) in &self.pb_occ[l.code()] {
-                    self.pbs[pi as usize].sum_true += c;
+                for o in &self.pb_occ[l.code()] {
+                    let pb = &mut self.pbs[o.pb as usize];
+                    pb.sum_true += o.coef;
+                    set_bit(&mut pb.true_terms, o.term);
+                    set_bit(&mut pb.true_by_coef, o.rank);
                 }
                 self.trail.push(l);
                 true
@@ -643,79 +877,95 @@ impl Solver {
         while self.trail.len() > target {
             let l = self.trail.pop().expect("trail non-empty");
             let v = l.var();
-            for &(pi, c) in &self.pb_occ[l.code()] {
-                self.pbs[pi as usize].sum_true -= c;
+            for o in &self.pb_occ[l.code()] {
+                let pb = &mut self.pbs[o.pb as usize];
+                pb.sum_true -= o.coef;
+                clear_bit(&mut pb.true_terms, o.term);
+                clear_bit(&mut pb.true_by_coef, o.rank);
             }
             self.saved_phase[v] = !l.is_neg();
             self.assign[v] = 0;
+            self.order.insert(v as u32, &self.activity);
         }
         self.trail_lim.truncate(lvl as usize);
         self.qhead = target;
+        debug_assert!(self.pb_masks_match_assignment());
+    }
+
+    /// Both masks of every pseudo-Boolean constraint mark exactly its
+    /// currently-true literals (debug cross-check).
+    fn pb_masks_match_assignment(&self) -> bool {
+        let agrees = |order: &[(f64, Lit)], mask: &[u64]| {
+            order.iter().enumerate().all(|(i, &(_, l))| {
+                (mask[i >> 6] >> (i & 63) & 1 == 1) == (lit_value(&self.assign, l) == 1)
+            })
+        };
+        self.pbs
+            .iter()
+            .all(|pb| agrees(&pb.terms, &pb.true_terms) && agrees(&pb.by_coef, &pb.true_by_coef))
     }
 
     /// Propagate until fixpoint; returns a conflict if one arises.
-    fn propagate(&mut self) -> Option<Conflict> {
+    fn propagate(&mut self) -> Option<Reason> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
 
             // Clause propagation: clauses watching ¬p just lost a watch.
+            // Replacement watches never target the falsified literal, so
+            // its list can be lifted out while the others grow.
             let false_lit = p.inverse();
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut keep = 0;
-            let mut confl: Option<Conflict> = None;
+            let mut confl: Option<Reason> = None;
             'clauses: for wi in 0..ws.len() {
-                let ci = ws[wi];
-                let cl = &mut self.clauses[ci as usize];
+                let off = ws[wi];
+                let start = off as usize + CLAUSE_HEADER;
+                let len = self.arena[off as usize] as usize;
+                let lits = &mut self.arena[start..start + len];
                 // Ensure the false literal sits in slot 1.
-                if cl.lits[0] == false_lit {
-                    cl.lits.swap(0, 1);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = cl.lits[0];
+                let first = Lit(lits[0]);
                 if lit_value(&self.assign, first) == 1 {
-                    ws[keep] = ci;
+                    ws[keep] = off;
                     keep += 1;
                     continue; // satisfied
                 }
                 // Look for a replacement watch.
-                for k in 2..cl.lits.len() {
-                    if lit_value(&self.assign, cl.lits[k]) != -1 {
-                        cl.lits.swap(1, k);
-                        self.watches[cl.lits[1].code()].push(ci);
+                for k in 2..len {
+                    if lit_value(&self.assign, Lit(lits[k])) != -1 {
+                        lits.swap(1, k);
+                        self.watches[lits[1] as usize].push(off);
                         continue 'clauses;
                     }
                 }
                 // Unit or conflicting.
-                ws[keep] = ci;
+                ws[keep] = off;
                 keep += 1;
-                if !self.enqueue(first, Reason::Clause(ci)) {
+                if !self.enqueue(first, Reason::Clause(off)) {
                     // Conflict: keep remaining watches, stop.
-                    let mut j = wi + 1;
-                    while j < ws.len() {
-                        ws[keep] = ws[j];
-                        keep += 1;
-                        j += 1;
-                    }
-                    confl = Some(Conflict::Clause(ci));
+                    ws.copy_within(wi + 1.., keep);
+                    keep += ws.len() - (wi + 1);
+                    confl = Some(Reason::Clause(off));
                     break;
                 }
             }
             ws.truncate(keep);
-            // Replacement watches never target the falsified literal, but
-            // merge defensively in case the list gained entries meanwhile.
-            let mut gained = std::mem::take(&mut self.watches[false_lit.code()]);
-            ws.append(&mut gained);
+            debug_assert!(self.watches[false_lit.code()].is_empty());
             self.watches[false_lit.code()] = ws;
-            if let Some(c) = confl {
-                return Some(c);
+            if confl.is_some() {
+                return confl;
             }
 
             // Pseudo-Boolean propagation for constraints containing p.
-            let occ: Vec<u32> = self.pb_occ[p.code()].iter().map(|&(pi, _)| pi).collect();
-            for pi in occ {
-                if let Some(c) = self.pb_implications(pi) {
-                    return Some(c);
+            for i in 0..self.pb_occ[p.code()].len() {
+                let pi = self.pb_occ[p.code()][i].pb;
+                let confl = self.pb_implications(pi);
+                if confl.is_some() {
+                    return confl;
                 }
             }
         }
@@ -723,34 +973,8 @@ impl Solver {
     }
 
     /// Check one pseudo-Boolean constraint for conflict / implications.
-    /// Negations of a subset of `pi`'s true literals whose coefficients,
-    /// plus `extra`, exceed the bound — greedy over descending
-    /// coefficients so learnt clauses stay short and prune hard. Only
-    /// literals assigned before trail position `vpos_limit` participate
-    /// (pass `u32::MAX` for no limit). Falls back to the full true set
-    /// when no strict subset clears the bound with a safe margin over
-    /// floating-point reassociation error.
-    fn pb_reason_subset(&self, pi: u32, extra: f64, vpos_limit: u32) -> Vec<Lit> {
-        let pb = &self.pbs[pi as usize];
-        let margin = 1e-9 * pb.bound.abs().max(1.0);
-        let mut sum = extra;
-        let mut out = Vec::new();
-        for &ti in &pb.by_coef {
-            let (c, l) = pb.terms[ti as usize];
-            if lit_value(&self.assign, l) != 1 || self.pos[l.var()] >= vpos_limit {
-                continue;
-            }
-            sum += c;
-            out.push(l.inverse());
-            if sum > pb.bound + margin {
-                return out;
-            }
-        }
-        out
-    }
-
-    fn pb_implications(&mut self, pi: u32) -> Option<Conflict> {
-        let pb = &self.pbs[pi as usize];
+    fn pb_implications(&mut self, pi: u32) -> Option<Reason> {
+        let pb = &mut self.pbs[pi as usize];
         // Fast path: nothing can happen while the slack clears the largest
         // coefficient by a safe margin.
         if pb.bound - pb.sum_true > pb.max_coef + 1e-3 {
@@ -758,80 +982,123 @@ impl Solver {
         }
         // Near the bound: recompute the sum in fixed term order so
         // incremental drift cannot flip a decision.
-        let exact = pb.exact_sum(&self.assign);
-        self.pbs[pi as usize].sum_true = exact;
-        let pb = &self.pbs[pi as usize];
+        let exact = pb.exact_sum();
+        debug_assert_eq!(
+            exact.to_bits(),
+            pb.terms
+                .iter()
+                .filter(|t| lit_value(&self.assign, t.1) == 1)
+                .fold(0.0, |s, t| s + t.0)
+                .to_bits(),
+            "masked sum is the term-order sum"
+        );
+        pb.sum_true = exact;
         if exact > pb.bound {
-            return Some(Conflict::Lits(self.pb_reason_subset(pi, 0.0, u32::MAX)));
+            return Some(Reason::Pb(pi));
         }
+        // Every unassigned literal whose coefficient exceeds the slack is
+        // implied false. Those coefficients are a prefix of the descending
+        // order; the implications are enqueued in `terms` order.
         let slack = pb.bound - exact;
-        let mut implied: Vec<Lit> = Vec::new();
-        for &(c, l) in &pb.terms {
-            if c > slack && lit_value(&self.assign, l) == 0 {
-                implied.push(l.inverse());
+        let mut implied = std::mem::take(&mut self.implied_buf);
+        implied.clear();
+        for &(c, l) in &pb.by_coef {
+            if c <= slack {
+                break;
+            }
+            if lit_value(&self.assign, l) == 0 {
+                implied.push(l);
             }
         }
-        for l in implied {
-            if !self.enqueue(l, Reason::Pb(pi)) {
-                // The implied literal is already false, i.e. its term
-                // literal is true: together with the other true literals
-                // the constraint is violated.
-                return Some(Conflict::Lits(self.pb_reason_subset(pi, 0.0, u32::MAX)));
-            }
+        implied.sort_unstable();
+        for &l in &implied {
+            // Distinct variables, none in this constraint negated: no
+            // implication can falsify another.
+            let ok = self.enqueue(l.inverse(), Reason::Pb(pi));
+            debug_assert!(ok, "implied literal was unassigned");
         }
+        self.implied_buf = implied;
         None
     }
 
-    /// The clausal reason for the implication of `trail`-literal with
-    /// variable `v` (every returned literal is false and was assigned
-    /// before `v`).
-    fn reason_lits(&self, v: usize) -> Vec<Lit> {
-        match self.reason[v] {
-            Reason::Decision => Vec::new(),
-            Reason::Clause(ci) => self.clauses[ci as usize]
-                .lits
+    /// Walk the clausal form of constraint `why` as the reason for the trail
+    /// literal of variable `implied` — every literal handed to `f` is false
+    /// and was assigned before it — or, with `None`, as a conflict. Stops
+    /// early and returns `false` as soon as `f` does.
+    fn walk_reason(
+        &self,
+        why: Reason,
+        implied: Option<usize>,
+        mut f: impl FnMut(Lit) -> bool,
+    ) -> bool {
+        match why {
+            Reason::Decision => true,
+            Reason::Clause(off) => clause_lits(&self.arena, off)
                 .iter()
-                .copied()
-                .filter(|l| l.var() != v)
-                .collect(),
+                .all(|&q| Some(Lit(q).var()) == implied || f(Lit(q))),
             Reason::Pb(pi) => {
-                // Lazy reason: true literals assigned before `v` whose
-                // coefficients, plus `v`'s own, exceed the bound (trail
-                // position order makes "before" precise).
-                let vpos = self.pos[v];
-                let own_coef = self.pbs[pi as usize]
-                    .terms
-                    .iter()
-                    .find(|&&(_, t)| t.var() == v)
-                    .map(|&(c, _)| c)
-                    .unwrap_or(0.0);
-                self.pb_reason_subset(pi, own_coef, vpos)
+                // Lazy reason: negations of true literals assigned before
+                // the implied one (trail position makes "before" precise)
+                // whose coefficients, plus its own, exceed the bound.
+                let (mut sum, before) = match implied {
+                    None => (0.0, u32::MAX),
+                    Some(v) => {
+                        // The constraint holds the literal v's assignment falsifies.
+                        let falsified = self.trail[self.pos[v] as usize].inverse();
+                        let mut occ = self.pb_occ[falsified.code()].iter();
+                        let own = occ.find(|o| o.pb == pi);
+                        (own.expect("implied by this constraint").coef, self.pos[v])
+                    }
+                };
+                // Greedy over descending coefficients, so the clause stays
+                // short and prunes hard; the margin covers floating-point
+                // reassociation error. Falls back to the whole true set.
+                let pb = &self.pbs[pi as usize];
+                let margin = 1e-9 * pb.bound.abs().max(1.0);
+                for i in set_bits(&pb.true_by_coef) {
+                    let (c, l) = pb.by_coef[i];
+                    if self.pos[l.var()] >= before {
+                        continue;
+                    }
+                    sum += c;
+                    if !f(l.inverse()) {
+                        return false;
+                    }
+                    if sum > pb.bound + margin {
+                        break;
+                    }
+                }
+                true
             }
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, u32) {
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `learnt_buf` and returns the backtrack level.
+    fn analyze(&mut self, confl: Reason) -> u32 {
         let cur = self.current_level();
-        let mut learnt: Vec<Lit> = Vec::new();
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        let mut reason = std::mem::take(&mut self.reason_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0 is the asserting literal's
         let mut counter = 0u32;
         let mut idx = self.trail.len();
-        let mut reason: Vec<Lit> = match confl {
-            Conflict::Clause(ci) => {
-                self.bump_clause(ci);
-                self.clauses[ci as usize].lits.clone()
-            }
-            Conflict::Lits(ls) => ls,
-        };
-        let mut cleanup: Vec<usize> = Vec::new();
+        let (mut why, mut implied) = (confl, None);
         loop {
+            if let Reason::Clause(off) = why {
+                self.bump_clause(off);
+            }
+            reason.clear();
+            self.walk_reason(why, implied, |q| {
+                reason.push(q);
+                true
+            });
             for &q in &reason {
                 let v = q.var();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
-                    cleanup.push(v);
                     self.activity[v] += self.act_inc;
+                    self.order.bumped(v as u32, &self.activity);
                     if self.level[v] >= cur {
                         counter += 1;
                     } else {
@@ -851,95 +1118,91 @@ impl Solver {
             self.seen[v] = false;
             counter -= 1;
             if counter == 0 {
-                learnt.insert(0, p.inverse());
+                learnt[0] = p.inverse();
                 break;
             }
-            if let Reason::Clause(ci) = self.reason[v] {
-                self.bump_clause(ci);
-            }
-            reason = self.reason_lits(v);
+            (why, implied) = (self.reason[v], Some(v));
         }
         // Minimize: a non-asserting literal whose whole reason lies inside
         // the clause (`seen`, still marked here) or at level 0 is implied
         // by the rest and can be dropped. Reasons point strictly backwards
-        // on the trail, so dropping in any order stays sound.
+        // on the trail, so dropping in any order stays sound. Exactly the
+        // non-asserting literals are still marked, and dropped ones must
+        // stay marked until the end: remember them all for the unmarking.
+        reason.clear();
+        reason.extend_from_slice(&learnt[1..]);
         let mut i = 1;
         while i < learnt.len() {
             let v = learnt[i].var();
-            let redundant = !matches!(self.reason[v], Reason::Decision)
-                && self
-                    .reason_lits(v)
-                    .iter()
-                    .all(|r| self.level[r.var()] == 0 || self.seen[r.var()]);
+            let in_clause = |r: Lit| self.level[r.var()] == 0 || self.seen[r.var()];
+            let redundant = self.reason[v] != Reason::Decision
+                && self.walk_reason(self.reason[v], Some(v), in_clause);
             if redundant {
                 learnt.swap_remove(i);
             } else {
                 i += 1;
             }
         }
-        for v in cleanup {
-            self.seen[v] = false;
+        for q in &reason {
+            self.seen[q.var()] = false;
         }
+        self.reason_buf = reason;
         // Backtrack level: highest level among the non-asserting literals;
         // keep one literal of that level in slot 1 (watch invariant).
-        if learnt.len() == 1 {
-            return (learnt, 0);
-        }
-        let mut max_i = 1;
-        for i in 2..learnt.len() {
-            if self.level[learnt[i].var()] > self.level[learnt[max_i].var()] {
-                max_i = i;
+        let mut back = 0;
+        if learnt.len() > 1 {
+            let mut max_i = 1;
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var()] > self.level[learnt[max_i].var()] {
+                    max_i = i;
+                }
             }
+            learnt.swap(1, max_i);
+            back = self.level[learnt[1].var()];
         }
-        learnt.swap(1, max_i);
-        let back = self.level[learnt[1].var()];
-        (learnt, back)
+        self.learnt_buf = learnt;
+        back
     }
 
-    /// Attach a learnt clause and enqueue its asserting literal.
-    fn attach_learnt(&mut self, learnt: Vec<Lit>) {
-        let assert_lit = learnt[0];
+    /// Attach the clause `analyze` left in `learnt_buf` and enqueue its
+    /// asserting literal.
+    fn attach_learnt(&mut self) {
+        let learnt = std::mem::take(&mut self.learnt_buf);
         let reason = if learnt.len() == 1 {
             Reason::Decision
         } else {
-            let ci = self.clauses.len() as u32;
-            self.watches[learnt[0].code()].push(ci);
-            self.watches[learnt[1].code()].push(ci);
-            self.clauses.push(Clause {
-                lits: learnt,
-                learnt: true,
-                act: self.cla_inc,
-            });
             self.num_learnts += 1;
-            Reason::Clause(ci)
+            Reason::Clause(self.push_clause(&learnt, true, self.cla_inc))
         };
-        let ok = self.enqueue(assert_lit, reason);
+        let ok = self.enqueue(learnt[0], reason);
         debug_assert!(ok, "asserting literal must be unassigned after backtrack");
+        self.learnt_buf = learnt;
     }
 
-    fn bump_clause(&mut self, ci: u32) {
-        let c = &mut self.clauses[ci as usize];
+    fn bump_clause(&mut self, off: u32) {
+        let c = &mut self.clauses[self.arena[off as usize + 1] as usize];
         if c.learnt {
             c.act += self.cla_inc;
         }
     }
 
     /// Delete the less active half of the learnt clauses (binary and
-    /// reason-locked clauses are exempt), compacting the database and
-    /// rebuilding watches. Must run at decision level 0.
+    /// reason-locked clauses are exempt), compacting the arena and
+    /// rebuilding watches in clause order. Must run at decision level 0.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce_db at level 0 only");
+        let index_of = |arena: &[u32], off: u32| arena[off as usize + 1] as usize;
         let mut locked = vec![false; self.clauses.len()];
         for &l in &self.trail {
-            if let Reason::Clause(ci) = self.reason[l.var()] {
-                locked[ci as usize] = true;
+            if let Reason::Clause(off) = self.reason[l.var()] {
+                locked[index_of(&self.arena, off)] = true;
             }
         }
         // Deletion candidates, least active first (ties: oldest first).
         let mut cands: Vec<u32> = (0..self.clauses.len() as u32)
             .filter(|&ci| {
                 let c = &self.clauses[ci as usize];
-                c.learnt && c.lits.len() > 2 && !locked[ci as usize]
+                c.learnt && self.arena[c.off as usize] > 2 && !locked[ci as usize]
             })
             .collect();
         cands.sort_by(|&a, &b| {
@@ -953,28 +1216,42 @@ impl Solver {
         for &ci in &cands[..cands.len() / 2] {
             remove[ci as usize] = true;
         }
-        let mut map = vec![u32::MAX; self.clauses.len()];
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len());
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if !remove[i] {
-                map[i] = kept.len() as u32;
-                kept.push(c);
-            }
-        }
-        self.clauses = kept;
+        // Copy the survivors, in order, into a fresh arena; `moved` maps an
+        // old clause index to the clause's new offset.
+        let old_arena = std::mem::take(&mut self.arena);
+        let mut moved = vec![u32::MAX; self.clauses.len()];
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            self.watches[c.lits[0].code()].push(i as u32);
-            self.watches[c.lits[1].code()].push(i as u32);
-        }
-        for &l in &self.trail {
-            if let Reason::Clause(ci) = self.reason[l.var()] {
-                self.reason[l.var()] = Reason::Clause(map[ci as usize]);
+        self.num_learnts = 0;
+        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
+            if !remove[i] {
+                let lits = clause_lits(&old_arena, c.off).iter().map(|&q| Lit(q));
+                let lits: Vec<Lit> = lits.collect();
+                moved[i] = self.push_clause(&lits, c.learnt, c.act);
+                self.num_learnts += usize::from(c.learnt);
             }
         }
-        self.num_learnts = self.clauses.iter().filter(|c| c.learnt).count();
+        for &l in &self.trail {
+            if let Reason::Clause(off) = self.reason[l.var()] {
+                let new_off = moved[index_of(&old_arena, off)];
+                debug_assert_eq!(self.arena[new_off as usize + CLAUSE_HEADER], l.0);
+                self.reason[l.var()] = Reason::Clause(new_off);
+            }
+        }
+        debug_assert!(self.watches_match_clauses());
+    }
+
+    /// Every clause is watched by exactly its first two literals (debug
+    /// cross-check after the watch lists were rebuilt).
+    fn watches_match_clauses(&self) -> bool {
+        let mut expected = vec![Vec::new(); self.watches.len()];
+        for c in &self.clauses {
+            let lits = clause_lits(&self.arena, c.off);
+            expected[lits[0] as usize].push(c.off);
+            expected[lits[1] as usize].push(c.off);
+        }
+        expected == self.watches
     }
 }
 
@@ -991,6 +1268,9 @@ fn luby(mut i: u64) -> u64 {
         i -= (1u64 << (k - 1)) - 1;
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -1112,6 +1392,23 @@ mod tests {
         s.add_clause(&[Lit::pos(v[0])]);
         assert_eq!(s.solve(None), SolveOutcome::Sat);
         assert!(s.value(v[1]), "y forced true by the PB constraint");
+    }
+
+    #[test]
+    fn pb_flipped_term_merges_into_its_duplicate() {
+        // 2x − 3¬x + y ≤ 1 ⇔ 5x + y ≤ 4: one term per variable, and only
+        // the merged coefficient (5 > 4, neither 2 nor 3 is) rules x out.
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        let (x, y) = (Lit::pos(v[0]), Lit::pos(v[1]));
+        let idx = s.add_pb_le(&[(2.0, x), (-3.0, x.inverse()), (1.0, y)], 1.0);
+        let pb = &s.pbs[idx.expect("not trivial")];
+        assert_eq!(pb.terms, vec![(5.0, x), (1.0, y)]);
+        assert_eq!(pb.bound, 4.0);
+        s.add_clause(&[x, y]);
+        assert_eq!(s.solve(None), SolveOutcome::Sat);
+        assert!(!s.value(v[0]) && s.value(v[1]));
+        assert_eq!(s.stats.decisions, 0, "x is implied false at the root");
     }
 
     #[test]
