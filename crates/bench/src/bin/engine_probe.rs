@@ -89,8 +89,8 @@ fn write_report_artifact(report: &cosa_repro::engine::NetworkReport) -> std::pat
 fn main() {
     let (quick, suite) = parse_flags();
     let args: Vec<String> = std::env::args().collect();
-    // The shared scheduler/cache flag set — the same parser the daemon,
-    // the router and `serve_probe` use, so the flags cannot drift.
+    // The shared scheduler/cache flag set — the same parser the daemon
+    // and `serve_probe` use, so the flags cannot drift.
     let common = CommonArgs::parse(&args);
     let scheduler_name = common.scheduler.clone();
     let cache_dir = common.cache_dir.as_ref().map(|p| p.display().to_string());

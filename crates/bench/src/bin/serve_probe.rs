@@ -1,6 +1,5 @@
-//! Load generator for the `cosa-serve` scheduling daemon (and, with
-//! `--shards`, for a consistent-hashed fleet of them): fire M concurrent
-//! `POST /v1/schedule` requests, assert every answer is 200 and
+//! Load generator for the `cosa-serve` scheduling daemon: fire M
+//! concurrent `POST /v1/schedule` requests, assert every answer is 200 and
 //! canonically byte-identical per payload, and summarize client-observed
 //! latency.
 //!
@@ -10,10 +9,6 @@
 //! Flags:
 //!
 //! * `--addr HOST:PORT` — daemon address (default `127.0.0.1:7878`).
-//! * `--shards A,B,C` — client-side sharding: route each request to the
-//!   shard owning its canonical cache-key digest on the same hash ring
-//!   `cosa_router` uses (`--addr` is ignored); `/v1/stats` deltas are
-//!   summed over the fleet.
 //! * `--requests M` / `--concurrency C` — load shape (defaults 12 / 4).
 //! * `--quick` / `--suite NAME` — request payload: the suite's network
 //!   (`--quick` truncates to the first 8 instances), sent inline so the
@@ -22,9 +17,6 @@
 //!   listed suite (each `--quick`-truncated), requests cycling over the
 //!   payloads — the CNN+transformer serving mix the `transformer-suites`
 //!   CI job replays. Overrides `--suite`.
-//! * `--per-layer` — fire single-layer requests cycling over the
-//!   network's layers instead of one whole-network request: many unique
-//!   digests, the workload shape sharding spreads across the fleet.
 //! * `--scheduler cosa|sat|portfolio|random|hybrid` — serving scheduler
 //!   (default cosa; part of the shared `CommonArgs` flag set). With
 //!   `portfolio` the probe prints the per-backend MILP-vs-SAT win
@@ -33,9 +25,6 @@
 //! * `--expect-warm` — assert the whole run was served from cache: zero
 //!   new solver calls and zero new NoC simulations in `/v1/stats`, p99
 //!   client latency under `--max-warm-p99-millis` (default 2000).
-//! * `--expect-unique-solves` — assert the run's fleet-wide fresh-solve
-//!   count equals the number of unique routing digests in the workload:
-//!   the zero-duplicate-solves acceptance check for sharded runs.
 //! * `--concurrency-storm` — single-flight acceptance mode: every request
 //!   becomes the *same single layer* (the first of the selected network),
 //!   fired concurrently at a cold daemon, and the probe asserts via
@@ -44,35 +33,28 @@
 //!   solve locks must deduplicate the rest (reported as `dedup_waits`).
 //! * `--artifact PATH` — where to write the canonical (volatile-stripped)
 //!   response bodies (default `results/serve_probe_response.json`; one
-//!   line per distinct payload, so single-daemon and sharded runs over
-//!   the same workload must produce byte-identical artifacts); CI `cmp`s
-//!   them across runs.
+//!   line per distinct payload, so runs over the same workload must
+//!   produce byte-identical artifacts); CI `cmp`s them across runs.
 //! * `--latency-csv NAME` — per-request latency CSV file name under
 //!   `results/` (default `serve_probe_latency.csv`; CI names the cold and
 //!   warm passes differently so both ship as artifacts).
-//! * `--shutdown` — `POST /v1/shutdown` to every target after probing and
-//!   wait for the daemons to exit (so CI needs no extra HTTP client).
+//! * `--shutdown` — `POST /v1/shutdown` after probing and wait for the
+//!   daemon to exit (so CI needs no extra HTTP client).
 //!
-//! The run always ends with a machine-readable
-//! `probe-throughput: requests=.. elapsed_micros=.. rps=..` line; the CI
-//! `shard-smoke` job compares it between the single-daemon and 3-shard
-//! configurations.
+//! The run always prints a machine-readable
+//! `probe-throughput: requests=.. elapsed_micros=.. rps=..` line.
 
-use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cosa_bench::{flag_value, parse_flag, write_csv};
-use cosa_repro::engine::InterlayerOptions;
 use cosa_repro::serve::{
-    routing_digest, CommonArgs, LatencyRecorder, ScheduleRequest, ScheduleResponse, StatsResponse,
+    CommonArgs, LatencyRecorder, ScheduleRequest, ScheduleResponse, StatsResponse,
 };
 use cosa_serve::http;
-use cosa_serve::router::merge_fleet_stats;
-use cosa_serve::shard::HashRing;
-use cosa_spec::{Arch, Network, Suite};
+use cosa_spec::{Network, Suite};
 
 /// Poll `/v1/healthz` until the daemon answers 200 or the deadline passes.
 fn wait_ready(addr: SocketAddr, wait: Duration) {
@@ -91,21 +73,15 @@ fn wait_ready(addr: SocketAddr, wait: Duration) {
     }
 }
 
-/// `/v1/stats` summed over the fleet (the identity merge for one daemon).
-fn fleet_stats(targets: &[SocketAddr]) -> StatsResponse {
-    let mut total = StatsResponse::default();
-    for addr in targets {
-        let resp = http::request(*addr, "GET", "/v1/stats", "").expect("GET /v1/stats");
-        assert!(resp.is_ok(), "/v1/stats at {addr} answered {}", resp.status);
-        let stats: StatsResponse = serde_json::from_str(&resp.body).expect("stats parse");
-        merge_fleet_stats(&mut total, stats);
-    }
-    total
+/// The daemon's `/v1/stats`.
+fn get_stats(addr: SocketAddr) -> StatsResponse {
+    let resp = http::request(addr, "GET", "/v1/stats", "").expect("GET /v1/stats");
+    assert!(resp.is_ok(), "/v1/stats at {addr} answered {}", resp.status);
+    serde_json::from_str(&resp.body).expect("stats parse")
 }
 
 /// The canonical (volatile-stripped) serialization of a response body —
-/// what byte-identity across cold/warm and sharded/single runs is
-/// asserted on.
+/// what byte-identity across cold/warm runs is asserted on.
 fn canonicalize(body: &str) -> String {
     let response: ScheduleResponse = serde_json::from_str(body).expect("response parse");
     assert!(
@@ -116,28 +92,12 @@ fn canonicalize(body: &str) -> String {
     serde_json::to_string(&response.without_timings()).expect("canonical form serializes")
 }
 
-/// One planned request: where it routes, what it sends, and which payload
-/// group its response must be canonically identical within.
-struct Planned {
-    addr: SocketAddr,
-    body: String,
-    group: usize,
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let addr: SocketAddr = flag_value(&args, "--addr")
         .unwrap_or_else(|| "127.0.0.1:7878".to_string())
         .parse()
         .expect("valid --addr HOST:PORT");
-    let shard_names: Vec<String> = flag_value(&args, "--shards")
-        .map(|list| {
-            list.split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect()
-        })
-        .unwrap_or_default();
     let requests: usize = parse_flag(&args, "--requests").unwrap_or(12);
     let concurrency: usize = parse_flag(&args, "--concurrency").unwrap_or(4);
     let quick = args.iter().any(|a| a == "--quick");
@@ -160,7 +120,6 @@ fn main() {
     let interlayer = common.interlayer;
     let wait = Duration::from_secs(parse_flag(&args, "--wait-secs").unwrap_or(60));
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    let expect_unique = args.iter().any(|a| a == "--expect-unique-solves");
     let max_warm_p99 =
         Duration::from_millis(parse_flag(&args, "--max-warm-p99-millis").unwrap_or(2000));
     let artifact = flag_value(&args, "--artifact")
@@ -169,7 +128,6 @@ fn main() {
         flag_value(&args, "--latency-csv").unwrap_or_else(|| "serve_probe_latency.csv".to_string());
     let shutdown = args.iter().any(|a| a == "--shutdown");
     let storm = args.iter().any(|a| a == "--concurrency-storm");
-    let per_layer = args.iter().any(|a| a == "--per-layer");
 
     // Mixed-suite mode serves one whole-network payload per listed suite;
     // otherwise everything derives from the single `--suite` network.
@@ -186,30 +144,20 @@ fn main() {
         n
     })
     .collect();
-    let network = networks[0].clone();
 
-    // The request plan: payloads, routing and identity groups up front.
-    // Storm mode fires M copies of one identical layer request (a single
-    // unique digest), so "exactly one solve" is assertable on /v1/stats;
-    // per-layer mode cycles the network's layers (many unique digests,
-    // the shape sharding spreads); the default is one whole-network
-    // payload repeated.
+    // The payloads up front; request `i` sends payload `i % len`, and its
+    // answer must be canonically identical to every other answer for that
+    // payload. Storm mode fires M copies of one identical layer request (a
+    // single unique digest), so "exactly one solve" is assertable on
+    // /v1/stats; otherwise one whole-network payload per network repeats.
     let payloads: Vec<ScheduleRequest> = if storm {
-        let layer = network
+        let layer = networks[0]
             .layers
             .first()
             .expect("non-empty network")
             .layer
             .clone();
         vec![ScheduleRequest::for_layer(layer).with_scheduler(&scheduler)]
-    } else if per_layer {
-        network
-            .layers
-            .iter()
-            .map(|instance| {
-                ScheduleRequest::for_layer(instance.layer.clone()).with_scheduler(&scheduler)
-            })
-            .collect()
     } else {
         networks
             .iter()
@@ -223,34 +171,9 @@ fn main() {
             })
             .collect()
     };
-    // Routing mirrors `cosa_router` exactly: same digest, same ring.
-    let default_arch = Arch::simba_baseline();
-    let ring = (!shard_names.is_empty()).then(|| HashRing::new(shard_names.clone()));
-    let targets: Vec<SocketAddr> = match &ring {
-        Some(ring) => ring
-            .shards()
-            .iter()
-            .map(|s| s.parse().expect("valid shard HOST:PORT"))
-            .collect(),
-        None => vec![addr],
-    };
-    let mut unique_digests: HashSet<String> = HashSet::new();
-    let plan: Vec<Planned> = (0..requests)
-        .map(|i| {
-            let group = i % payloads.len();
-            let request = &payloads[group];
-            let digest = routing_digest(request, &default_arch, &InterlayerOptions::disabled());
-            let addr = match &ring {
-                Some(ring) => targets[ring.owner_index(&digest)],
-                None => addr,
-            };
-            unique_digests.insert(digest);
-            Planned {
-                addr,
-                body: serde_json::to_string(request).expect("request serializes"),
-                group,
-            }
-        })
+    let bodies: Vec<String> = payloads
+        .iter()
+        .map(|request| serde_json::to_string(request).expect("request serializes"))
         .collect();
 
     let workload_label = networks
@@ -260,22 +183,11 @@ fn main() {
         .join("+");
     let total_instances: u64 = networks.iter().map(Network::num_instances).sum();
     println!(
-        "serve probe — {requests} requests x{concurrency} to {} ({}, {} instances, `{scheduler}`{}{}, {} unique digests)",
-        if targets.len() > 1 {
-            format!("{} shards", targets.len())
-        } else {
-            addr.to_string()
-        },
-        workload_label,
-        total_instances,
+        "serve probe — {requests} requests x{concurrency} to {addr} ({workload_label}, {total_instances} instances, `{scheduler}`{})",
         if storm { ", concurrency storm" } else { "" },
-        if per_layer { ", per-layer" } else { "" },
-        unique_digests.len(),
     );
-    for target in &targets {
-        wait_ready(*target, wait);
-    }
-    let before = fleet_stats(&targets);
+    wait_ready(addr, wait);
+    let before = get_stats(addr);
 
     // Fire the request set from a fixed-width client pool sharing a
     // work-stealing index (mirrors the engine's own fan-out helper).
@@ -289,14 +201,14 @@ fn main() {
                 if i >= requests {
                     break;
                 }
-                let planned = &plan[i];
+                let body = &bodies[i % bodies.len()];
                 // The daemon sheds load with 429 once its bounded queue
                 // fills; back off and retry a few times so the probe
                 // measures the serving path, not the shedding path.
                 let mut attempt = 0;
                 let (micros, resp) = loop {
                     let sent = Instant::now();
-                    let resp = http::request(planned.addr, "POST", "/v1/schedule", &planned.body)
+                    let resp = http::request(addr, "POST", "/v1/schedule", body)
                         .expect("POST /v1/schedule");
                     if resp.status == 429 && attempt < 5 {
                         attempt += 1;
@@ -316,14 +228,15 @@ fn main() {
     let mut outcomes = outcomes.into_inner().expect("outcomes lock");
     outcomes.sort_by_key(|(i, ..)| *i);
 
-    // Every answer must be 200 and canonically identical within its
-    // payload group (per-layer runs have one canonical body per layer).
-    let mut canonical: Vec<Option<String>> = vec![None; payloads.len()];
+    // Every answer must be 200 and canonically identical to the other
+    // answers for its payload.
+    let mut canonical: Vec<Option<String>> = vec![None; bodies.len()];
     for (i, _, status, resp_body) in &outcomes {
         assert_eq!(*status, 200, "request {i} answered {status}: {resp_body}");
         let c = canonicalize(resp_body);
-        match &canonical[plan[*i].group] {
-            None => canonical[plan[*i].group] = Some(c),
+        let group = i % bodies.len();
+        match &canonical[group] {
+            None => canonical[group] = Some(c),
             Some(first) => assert_eq!(
                 first, &c,
                 "request {i} answered a canonically different body"
@@ -345,24 +258,26 @@ fn main() {
     println!(
         "  {requests} ok in {elapsed:.2?} — client latency p50 {p50}µs, p99 {p99}µs, max {max}µs"
     );
-    // Machine-readable throughput: the shard-smoke CI job compares this
-    // line between the 1-daemon and 3-shard configurations.
+    // Machine-readable throughput, for comparing runs.
     println!(
         "probe-throughput: requests={requests} elapsed_micros={} rps={:.2}",
         elapsed.as_micros(),
         requests as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
-    let after = fleet_stats(&targets);
+    // Every counter below is this run's delta, not the daemon's lifetime
+    // total (only the daemon p99, a recent-window percentile, is not a
+    // counter).
+    let after = get_stats(addr);
     let solves = after.cache.misses - before.cache.misses;
     let noc_sims = after.cache.noc_sims - before.cache.noc_sims;
+    let dedup_waits = after.cache.dedup_waits - before.cache.dedup_waits;
     println!(
-        "  /v1/stats: +{} served, {solves} fresh solves, {} dedup waits, {noc_sims} NoC sims, {} rejected, daemon p99 {}µs, {} gc runs",
+        "  /v1/stats: +{} served, {solves} fresh solves, {dedup_waits} dedup waits, {noc_sims} NoC sims, {} rejected, daemon p99 {}µs, {} gc runs",
         after.served - before.served,
-        after.cache.dedup_waits - before.cache.dedup_waits,
-        after.rejected,
+        after.rejected - before.rejected,
         after.p99_micros,
-        after.gc_runs,
+        after.gc_runs - before.gc_runs,
     );
     println!(
         "  disk tier: index={} segment={}B (live {}B, dead {}B), {} compactions",
@@ -371,14 +286,6 @@ fn main() {
         after.cache.segment_live_bytes,
         after.cache.segment_dead_bytes,
         after.cache.compactions,
-    );
-    // Machine-readable dedup line: fleet-wide fresh solves vs the
-    // workload's unique digest count (`solves == unique` on a cold fleet
-    // means zero duplicate solves; `solves == 0` means fully warm).
-    println!(
-        "probe-solves: fresh={solves} unique_digests={} dedup_waits={}",
-        unique_digests.len(),
-        after.cache.dedup_waits - before.cache.dedup_waits,
     );
     // Per-backend solve (race-win) delta across this probe run. Backends
     // the daemon had never used before the probe simply start from zero.
@@ -410,7 +317,6 @@ fn main() {
     }
 
     if storm {
-        let dedup_waits = after.cache.dedup_waits - before.cache.dedup_waits;
         // The single-flight acceptance criterion: M identical cold
         // requests, one unique digest, exactly one solver call. (On a
         // box where the daemon drained the storm serially, the remaining
@@ -424,24 +330,6 @@ fn main() {
             "  storm contract holds: 1 solve for 1 unique digest across {requests} requests, \
              {dedup_waits} dedup waits, in-flight peak {}",
             after.cache.in_flight_peak
-        );
-    }
-
-    if expect_unique {
-        // The sharded acceptance criterion: a cold fleet must solve each
-        // unique digest exactly once — consistent hashing sends every
-        // digest to one shard, whose single-flight map dedups the rest.
-        assert_eq!(
-            solves,
-            unique_digests.len() as u64,
-            "fleet-wide fresh solves must equal the workload's unique digests \
-             (zero duplicates across {} shards)",
-            targets.len(),
-        );
-        println!(
-            "  shard contract holds: {solves} solves for {} unique digests across {} targets",
-            unique_digests.len(),
-            targets.len(),
         );
     }
 
@@ -464,9 +352,8 @@ fn main() {
     if let Some(dir) = std::path::Path::new(&artifact).parent() {
         std::fs::create_dir_all(dir).expect("create artifact dir");
     }
-    // One canonical body per payload group, in group order: identical
-    // workloads produce byte-identical artifacts whether served by one
-    // daemon or a sharded fleet.
+    // One canonical body per payload, in payload order: identical
+    // workloads produce byte-identical artifacts.
     let canonical: Vec<String> = canonical
         .into_iter()
         .map(|c| c.expect("every payload group was exercised"))
@@ -482,23 +369,17 @@ fn main() {
     println!("  wrote {}", path.display());
 
     if shutdown {
-        for target in &targets {
-            let resp =
-                http::request(*target, "POST", "/v1/shutdown", "").expect("POST /v1/shutdown");
-            assert!(resp.is_ok(), "shutdown answered {}", resp.status);
-        }
-        // The daemons drain and exit; wait until every port stops
-        // answering.
+        let resp = http::request(addr, "POST", "/v1/shutdown", "").expect("POST /v1/shutdown");
+        assert!(resp.is_ok(), "shutdown answered {}", resp.status);
+        // The daemon drains and exits; wait until its port stops answering.
         let deadline = Instant::now() + Duration::from_secs(30);
-        for target in &targets {
-            while http::request(*target, "GET", "/v1/healthz", "").is_ok() {
-                assert!(
-                    Instant::now() < deadline,
-                    "daemon at {target} did not exit after /v1/shutdown"
-                );
-                std::thread::sleep(Duration::from_millis(100));
-            }
+        while http::request(addr, "GET", "/v1/healthz", "").is_ok() {
+            assert!(
+                Instant::now() < deadline,
+                "daemon at {addr} did not exit after /v1/shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(100));
         }
-        println!("  daemons shut down cleanly");
+        println!("  daemon shut down cleanly");
     }
 }

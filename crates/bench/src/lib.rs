@@ -17,7 +17,7 @@
 //! | `fig11` | GPU case study vs the TVM-style tuner |
 //! | `all` | everything above, writing CSVs into `results/` |
 //! | `ablation`, `weight_sweep` | formulation ablation and objective-weight sweep |
-//! | `engine_probe`, `serve_probe` | acceptance probes for the batch engine and the serving daemon/fleet |
+//! | `engine_probe`, `serve_probe` | acceptance probes for the batch engine and the serving daemon |
 //! | `inspect` | one layer's schedule, per-level energy and solve time (dev tool) |
 //!
 //! Performance is measured by `benchmark/run.sh` (see `BENCHMARK.json`),

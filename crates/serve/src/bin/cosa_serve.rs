@@ -26,8 +26,6 @@
 //!   options for network/suite requests that carry none.
 //! * `--gc-max-bytes N` / `--gc-max-age-secs N` — disk-tier GC policy,
 //!   run at startup and every `--gc-every N` served requests (default 64).
-//! * `--request-delay-micros N` — artificial service delay (load-test
-//!   instrumentation only).
 //!
 //! The daemon serves the versioned wire API (`POST /v1/schedule`,
 //! `GET /v1/stats`, `GET /v1/healthz`, `POST /v1/shutdown`), logs one
@@ -39,7 +37,7 @@ use cosa_serve::Server;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let config = config_from_args(&args, "127.0.0.1:7878", &[])
+    let config = config_from_args(&args)
         .unwrap_or_else(|msg| {
             eprintln!("cosa_serve: {msg}");
             std::process::exit(2);

@@ -1,12 +1,11 @@
-//! CLI → [`ServeConfig`] mapping for the daemon binaries.
+//! CLI → [`ServeConfig`] mapping for the `cosa_serve` binary.
 //!
 //! The `--flag value` helpers and the shared scheduler/cache flag set
 //! ([`CommonArgs`]) live in `cosa_repro::serve` — one implementation for
-//! `cosa_serve`, `cosa_router`, `serve_probe` and `engine_probe` — and
-//! are re-exported here for the existing import paths. What remains in
-//! this module is the thin translation from parsed flags onto
-//! [`ServeConfig::builder`], and the check that every argument is a flag
-//! some parser actually reads.
+//! `cosa_serve`, `serve_probe` and `engine_probe` — and are re-exported
+//! here for the existing import paths. What remains in this module is the
+//! thin translation from parsed flags onto [`ServeConfig::builder`], and
+//! the check that every argument is a flag some parser actually reads.
 
 pub use cosa_repro::serve::{flag_value, parse_flag, CommonArgs};
 
@@ -18,7 +17,7 @@ use crate::{ServeConfig, ServeConfigBuilder};
 
 /// The flags [`config_from_args`] reads itself (all take a value), on top
 /// of [`CommonArgs::FLAGS`].
-const DAEMON_FLAGS: [(&str, bool); 8] = [
+const DAEMON_FLAGS: [(&str, bool); 7] = [
     ("--addr", true),
     ("--workers", true),
     ("--queue", true),
@@ -26,30 +25,23 @@ const DAEMON_FLAGS: [(&str, bool); 8] = [
     ("--gc-max-bytes", true),
     ("--gc-max-age-secs", true),
     ("--gc-every", true),
-    ("--request-delay-micros", true),
 ];
 
 /// Map the daemon flag set onto a [`ServeConfig`] builder:
-/// `--addr`/`--workers`/`--queue`/`--max-connections`, the [`CommonArgs`]
-/// set (`--cache-dir`/`--lock-staleness-secs`/`--noc`/`--interlayer*`),
-/// `--gc-max-bytes`/`--gc-max-age-secs`/`--gc-every` and
-/// `--request-delay-micros`. `extra_flags` names the flags the calling
-/// binary reads on its own (`(flag, takes_value)`).
+/// `--addr` (default `127.0.0.1:7878`)/`--workers`/`--queue`/
+/// `--max-connections`, the [`CommonArgs`] set
+/// (`--cache-dir`/`--lock-staleness-secs`/`--noc`/`--interlayer*`) and
+/// `--gc-max-bytes`/`--gc-max-age-secs`/`--gc-every`.
 ///
 /// # Errors
 ///
 /// An argument that is none of those flags (nor the value of one) is an
 /// error naming it and listing the accepted set: a typo such as
 /// `--cache-dri` must stop the daemon, not start it cache-less.
-pub fn config_from_args(
-    args: &[String],
-    default_addr: &str,
-    extra_flags: &[(&str, bool)],
-) -> Result<ServeConfigBuilder, String> {
+pub fn config_from_args(args: &[String]) -> Result<ServeConfigBuilder, String> {
     let accepted: Vec<(&str, bool)> = DAEMON_FLAGS
         .iter()
         .chain(&CommonArgs::FLAGS)
-        .chain(extra_flags)
         .copied()
         .collect();
     let mut rest = args.iter().skip(1);
@@ -69,7 +61,7 @@ pub fn config_from_args(
         }
     }
     let mut builder = ServeConfig::builder()
-        .addr(flag_value(args, "--addr").unwrap_or_else(|| default_addr.to_string()))
+        .addr(flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string()))
         .common(&CommonArgs::parse(args));
     if let Some(workers) = parse_flag(args, "--workers") {
         builder = builder.workers(workers);
@@ -90,9 +82,6 @@ pub fn config_from_args(
     builder = builder.gc(gc);
     if let Some(every) = parse_flag(args, "--gc-every") {
         builder = builder.gc_every(every);
-    }
-    if let Some(micros) = parse_flag::<u64>(args, "--request-delay-micros") {
-        builder = builder.request_delay(Duration::from_micros(micros));
     }
     Ok(builder)
 }
@@ -133,15 +122,13 @@ mod tests {
             "--noc",
             "--gc-every",
             "5",
-            "--request-delay-micros",
-            "250",
             "--interlayer",
             "--interlayer-budget-bytes",
             "131072",
         ]
         .map(String::from)
         .to_vec();
-        let config = config_from_args(&args, "127.0.0.1:7878", &[])
+        let config = config_from_args(&args)
             .expect("every flag is known")
             .build();
         assert_eq!(config.addr, "127.0.0.1:0");
@@ -151,13 +138,12 @@ mod tests {
         assert_eq!(config.lock_staleness, Some(Duration::from_secs(42)));
         assert!(config.noc);
         assert_eq!(config.gc_every, 5);
-        assert_eq!(config.request_delay, Some(Duration::from_micros(250)));
         assert_eq!(
             config.interlayer,
             cosa_repro::engine::InterlayerOptions::enabled().with_budget_bytes(131072)
         );
 
-        let defaults = config_from_args(&["bin".to_string()], "127.0.0.1:7878", &[])
+        let defaults = config_from_args(&["bin".to_string()])
             .expect("no flags is fine")
             .build();
         assert_eq!(defaults.addr, "127.0.0.1:7878");
@@ -166,24 +152,22 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_by_name() {
-        let parse = |args: &[&str], extra: &[(&str, bool)]| {
+        let parse = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            config_from_args(&args, "127.0.0.1:7878", extra).map(|b| b.build())
+            config_from_args(&args).map(|b| b.build())
         };
         // A typo must not start a cache-less daemon.
-        let err = parse(&["bin", "--cache-dri", "/tmp/c"], &[]).unwrap_err();
+        let err = parse(&["bin", "--cache-dri", "/tmp/c"]).unwrap_err();
         assert!(err.contains("`--cache-dri`"), "{err}");
         assert!(err.contains("--cache-dir"), "lists the accepted set: {err}");
-        // The removed format switch is unknown like any other flag.
-        let err = parse(&["bin", "--cache-format", "legacy"], &[]).unwrap_err();
-        assert!(err.contains("`--cache-format`"), "{err}");
+        // Removed flags are unknown like any other: the cache format
+        // switch, the injected service delay and the shard list.
+        for removed in ["--cache-format", "--request-delay-micros", "--shards"] {
+            let err = parse(&["bin", removed, "1"]).unwrap_err();
+            assert!(err.contains(&format!("`{removed}`")), "{err}");
+        }
         // A stray value (here after a flag that takes none) is named too.
-        let err = parse(&["bin", "--noc", "true"], &[]).unwrap_err();
+        let err = parse(&["bin", "--noc", "true"]).unwrap_err();
         assert!(err.contains("`true`"), "{err}");
-        // The calling binary's own flags are accepted only when declared.
-        let router = [("--shards", true), ("--no-cascade-shutdown", false)];
-        let args = ["bin", "--shards", "a:1,b:2", "--no-cascade-shutdown"];
-        assert!(parse(&args, &router).is_ok());
-        assert!(parse(&args, &[]).is_err());
     }
 }

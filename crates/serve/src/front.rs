@@ -28,9 +28,10 @@
 //!   exits.
 //!
 //! The front is protocol-generic over [`Handler`]: the `cosa-serve`
-//! daemon plugs in its engine-backed handler, the `cosa-router` its
-//! shard-forwarding one — both inherit the queue, shedding, drain,
-//! latency-ring and counter machinery unchanged.
+//! daemon plugs in its engine-backed handler, and tests plug in fakes
+//! (a sleeping handler makes shedding and drain deterministic) that
+//! inherit the same queue, shedding, drain, latency-ring and counter
+//! machinery.
 
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
@@ -126,11 +127,11 @@ impl FrontView<'_> {
     }
 }
 
-/// One request router: the pluggable application half of the front. The
-/// engine-backed daemon and the shard router both implement this.
+/// The pluggable application half of the front: the engine-backed daemon
+/// implements it, and so do the test fakes.
 pub trait Handler: Send + Sync + 'static {
     /// Answer one complete, parsed request. Runs on a worker thread;
-    /// blocking here (a solve, a shard forward) is the design.
+    /// blocking here (a solve) is the design.
     fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed;
 }
 
@@ -147,8 +148,6 @@ pub struct FrontConfig {
     /// Bound on simultaneously open connections; beyond it new accepts
     /// are dropped outright (the honest signal under a connection flood).
     pub max_connections: usize,
-    /// Artificial per-request service delay (load-test instrumentation).
-    pub request_delay: Option<Duration>,
     /// Log one line per request to stdout.
     pub log_requests: bool,
 }
@@ -171,7 +170,6 @@ struct Completion {
 struct Shared {
     workers: usize,
     queue_capacity: usize,
-    request_delay: Option<Duration>,
     log_requests: bool,
     queue: Mutex<std::collections::VecDeque<Dispatched>>,
     queue_ready: Condvar,
@@ -247,7 +245,6 @@ pub fn start(config: FrontConfig, handler: Arc<dyn Handler>) -> io::Result<Front
     let shared = Arc::new(Shared {
         workers: config.workers.max(1),
         queue_capacity: config.queue_capacity,
-        request_delay: config.request_delay,
         log_requests: config.log_requests,
         queue: Mutex::new(std::collections::VecDeque::new()),
         queue_ready: Condvar::new(),
@@ -665,9 +662,6 @@ fn worker_loop(shared: &Shared, handler: &dyn Handler) {
             return;
         };
 
-        if let Some(delay) = shared.request_delay {
-            std::thread::sleep(delay);
-        }
         // A panicking request must cost a 500, not a pool thread.
         let view = FrontView { shared };
         let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -273,8 +273,8 @@ impl Response {
 /// One-shot client request: connect, send, read the full response.
 ///
 /// The protocol is one request per connection, so this is the entire
-/// client surface — `serve_probe`, the router's shard forwarding, the
-/// integration tests and the example all go through here.
+/// client surface — `serve_probe`, the integration tests and the example
+/// all go through here.
 ///
 /// # Errors
 ///

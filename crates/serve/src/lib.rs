@@ -39,8 +39,11 @@
 //! * **Graceful shutdown** — `POST /v1/shutdown` (or
 //!   [`ServerHandle::shutdown`]) stops dispatching, answers new arrivals
 //!   `503`, flushes every in-flight response, then joins all threads.
-//! * **Versioned wire API** — every route lives under `/v1/`, at the
-//!   daemon and at the sharding [`router`] alike; anything else is a 404.
+//! * **Versioned wire API** — every route lives under `/v1/`; anything
+//!   else is a 404.
+//! * **More than one daemon** — N daemons on one `cache_dir` behind any
+//!   HTTP load balancer solve each digest once between them: the store's
+//!   per-digest solve locks dedup across processes.
 //!
 //! # Example
 //!
@@ -64,8 +67,6 @@ pub mod cli;
 pub mod front;
 pub mod http;
 pub mod poll;
-pub mod router;
-pub mod shard;
 
 use std::collections::HashMap;
 use std::io;
@@ -119,10 +120,6 @@ pub struct ServeConfig {
     /// that don't carry an `options.interlayer` object (disabled unless
     /// the daemon was started with `--interlayer`).
     pub interlayer: InterlayerOptions,
-    /// Artificial per-request service delay — load-shedding
-    /// instrumentation that makes overload and drain behaviour
-    /// deterministic in tests and load probes. `None` in production.
-    pub request_delay: Option<Duration>,
     /// Log one line per request to stdout (the daemon's CI artifact).
     pub log_requests: bool,
 }
@@ -143,7 +140,6 @@ impl Default for ServeConfig {
             gc_every: 64,
             default_arch: Arch::simba_baseline(),
             interlayer: InterlayerOptions::disabled(),
-            request_delay: None,
             log_requests: false,
         }
     }
@@ -158,8 +154,8 @@ impl ServeConfig {
     }
 }
 
-/// Builder for [`ServeConfig`] — the one way daemons, routers, probes and
-/// tests assemble a config, so a new field lands everywhere at once
+/// Builder for [`ServeConfig`] — the one way the daemon, probes and tests
+/// assemble a config, so a new field lands everywhere at once
 /// instead of in N struct literals.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
@@ -249,13 +245,6 @@ impl ServeConfigBuilder {
     #[must_use]
     pub fn interlayer(mut self, options: InterlayerOptions) -> Self {
         self.config.interlayer = options;
-        self
-    }
-
-    /// Artificial per-request service delay (tests and load probes).
-    #[must_use]
-    pub fn request_delay(mut self, delay: Duration) -> Self {
-        self.config.request_delay = Some(delay);
         self
     }
 
@@ -590,7 +579,7 @@ fn build_engine(config: &ServeConfig, arch: Arch, cache_bytes: u64) -> io::Resul
 }
 
 /// Accumulate one engine's counters into a running total.
-pub(crate) fn add_cache_stats(total: &mut CacheStats, s: CacheStats) {
+fn add_cache_stats(total: &mut CacheStats, s: CacheStats) {
     total.hits += s.hits;
     total.misses += s.misses;
     total.evictions += s.evictions;
@@ -667,7 +656,6 @@ impl Server {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
                 max_connections: config.max_connections,
-                request_delay: config.request_delay,
                 log_requests: config.log_requests,
             },
             handler.clone(),

@@ -922,7 +922,7 @@ impl Engine {
     /// [`Engine::cache_key`] under explicit [`InterlayerOptions`]. With the
     /// pass enabled the options' fingerprint is folded into the digest, so
     /// memory-aware entries never collide with per-layer ones (in this
-    /// cache, on disk, or across shards routing by digest); with it
+    /// cache or on disk); with it
     /// disabled the key is the pre-interlayer 3-part digest, keeping
     /// existing cache directories warm for the default path.
     pub fn cache_key_with(

@@ -27,8 +27,8 @@
 //! This module also owns the shared pieces every serving process needs:
 //! the [`CommonArgs`] CLI parser (`--scheduler`/`--cache-dir`/
 //! `--lock-staleness-secs`/`--noc`/`--interlayer*`, one implementation for
-//! `cosa_serve`, `cosa_router`, `serve_probe` and `engine_probe`) and the
-//! [`routing_digest`] that consistent-hash sharding keys on.
+//! `cosa_serve`, `serve_probe` and `engine_probe`) and the
+//! [`routing_digest`] naming the cache entry a request resolves to.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -62,7 +62,7 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T
 }
 
 /// The scheduler/cache flag set shared by every serving binary
-/// (`cosa_serve`, `cosa_router`, `serve_probe`, `engine_probe`) — one
+/// (`cosa_serve`, `serve_probe`, `engine_probe`) — one
 /// parser so `--scheduler`, `--cache-dir`, `--lock-staleness-secs`,
 /// `--noc` and `--interlayer*` cannot drift apart between the
 /// daemon and the probes that must hit its cache entries.
@@ -131,7 +131,7 @@ impl CommonArgs {
 ///
 /// Rather than growing one top-level field per knob (`arch`,
 /// `scheduler`, `interlayer`, ...), requests carry a single `options`
-/// object and every consumer — daemon, router, probes, tests — reads the
+/// object and every consumer — daemon, probes, tests — reads the
 /// same struct.
 ///
 /// Every field defaults: `{}` is a valid options object, and a missing
@@ -198,19 +198,19 @@ impl Deserialize for ScheduleOptions {
     }
 }
 
-/// The digest consistent-hash sharding routes a request by.
+/// The content digest of a request: equal digests mean equal answers.
 ///
 /// For single-layer requests this is exactly the engine's cache key
 /// (scheduler fingerprint + canonical arch JSON + canonical layer JSON —
-/// see `Engine::cache_key`), so every request that would produce the same
-/// cache entry lands on the same shard and the fleet solves each digest
-/// exactly once. Network/suite requests hash their canonical request JSON
-/// instead, with *every* semantics-changing option pinned to its
-/// effective value first — the arch, the scheduler and the inter-layer
-/// options all fold into the digest, so two requests that differ only in
-/// `options.interlayer` route independently and can never share a cache
-/// entry, while "default" and "explicit default" spellings of the same
-/// request route identically.
+/// see `Engine::cache_key`), so two requests with the same digest resolve
+/// to the same cache entry. Network/suite requests hash their canonical
+/// request JSON instead, with *every* semantics-changing option pinned to
+/// its effective value first — the arch, the scheduler and the
+/// inter-layer options all fold into the digest, so two requests that
+/// differ only in `options.interlayer` digest apart and can never share a
+/// cache entry, while "default" and "explicit default" spellings of the
+/// same request digest identically. The benchmark's `serve_warm` workload
+/// times it as `wire.routing_digest_us`.
 pub fn routing_digest(
     request: &ScheduleRequest,
     default_arch: &Arch,
@@ -224,11 +224,11 @@ pub fn routing_digest(
             let layer_json = serde_json::to_string(layer).expect("layer serializes");
             return canon::cache_digest(&[&scheduler.fingerprint(), &arch_json, &layer_json]);
         }
-        // Unknown scheduler: fall through to request hashing — the owning
-        // shard answers the 400 so every client sees the same error.
+        // Unknown scheduler: fall through to request hashing (the daemon
+        // answers such a request 400).
     }
     // Pin every effective option so "default" and "explicit default"
-    // requests route identically.
+    // requests digest identically.
     let mut canonical = request.clone();
     if canonical.options.arch.is_none() {
         canonical.options.arch = Some(arch.clone());
@@ -779,18 +779,18 @@ mod tests {
         );
 
         // "Absent" and "explicitly the daemon default" spell the same
-        // request and must colocate.
+        // request and must digest identically.
         let explicit_off = suite.clone().with_interlayer(off);
         assert_eq!(
             routing_digest(&suite, &arch, &off),
             routing_digest(&explicit_off, &arch, &off)
         );
         // ... including when the daemon default is enabled.
-        let fleet_default = InterlayerOptions::enabled();
-        let explicit_on = suite.clone().with_interlayer(fleet_default);
+        let daemon_default = InterlayerOptions::enabled();
+        let explicit_on = suite.clone().with_interlayer(daemon_default);
         assert_eq!(
-            routing_digest(&suite, &arch, &fleet_default),
-            routing_digest(&explicit_on, &arch, &fleet_default)
+            routing_digest(&suite, &arch, &daemon_default),
+            routing_digest(&explicit_on, &arch, &daemon_default)
         );
 
         // Engine-level cache keys diverge too: enabling residency folds the

@@ -1,9 +1,9 @@
 //! Integration tests for the `cosa-serve` daemon: `/v1` request/response
 //! round-trips, the one-wire rule (no unversioned routes, no top-level
-//! knobs), error handling (the daemon must survive bad input),
-//! bounded-queue load shedding, graceful
-//! shutdown draining, warm restarts against a shared cache dir, and
-//! disk-tier GC eviction ordering.
+//! knobs), error handling (the daemon must survive bad input), warm
+//! restarts against a shared cache dir, and disk-tier GC eviction
+//! ordering. Load shedding and graceful drain are front behaviour and
+//! live in `tests/async_front.rs`.
 //!
 //! Every server runs on `127.0.0.1:0` (a fresh ephemeral port), with the
 //! fast `random` scheduler and tiny layers so the whole file stays quick.
@@ -276,22 +276,22 @@ fn interlayer_options_flow_end_to_end() {
     handle.shutdown().expect("clean shutdown");
 
     // A daemon started with residency on applies it to requests that
-    // don't mention it — the fleet-level default.
-    let fleet = Server::start(
+    // don't mention it — the daemon-wide default.
+    let resident = Server::start(
         ServeConfig::builder()
             .workers(2)
             .interlayer(InterlayerOptions::enabled())
             .build(),
     )
     .expect("start daemon");
-    let resp = post_schedule(&fleet, &plain);
+    let resp = post_schedule(&resident, &plain);
     assert_eq!(resp.status, 200, "{}", resp.body);
     let report = parse_response(&resp).report.expect("network answer");
     assert!(
         report.interlayer.is_some(),
-        "fleet default applies to requests without explicit options"
+        "daemon default applies to requests without explicit options"
     );
-    fleet.shutdown().expect("clean shutdown");
+    resident.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -348,107 +348,6 @@ fn malformed_requests_get_4xx_and_daemon_stays_up() {
     assert_eq!(stats.served, 1);
 
     handle.shutdown().expect("clean shutdown");
-}
-
-#[test]
-fn bounded_queue_sheds_load_with_429() {
-    // One slow worker and a single queue slot: of several concurrent
-    // requests at most two can be in the system, the rest must be shed.
-    let handle = Server::start(
-        ServeConfig::builder()
-            .workers(1)
-            .queue_capacity(1)
-            .request_delay(Duration::from_millis(300))
-            .build(),
-    )
-    .expect("start daemon");
-
-    let body = serde_json::to_string(
-        &ScheduleRequest::for_layer(Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1))
-            .with_scheduler("random"),
-    )
-    .unwrap();
-    let statuses: Vec<u16> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
-            .map(|_| {
-                let (addr, body) = (handle.addr(), body.as_str());
-                scope.spawn(move || {
-                    http::request(addr, "POST", "/v1/schedule", body)
-                        .unwrap()
-                        .status
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let ok = statuses.iter().filter(|s| **s == 200).count();
-    let shed = statuses.iter().filter(|s| **s == 429).count();
-    assert_eq!(ok + shed, 6, "every request is answered, never dropped");
-    assert!(ok >= 1, "the worker serves what it can: {statuses:?}");
-    assert!(shed >= 1, "overload must shed with 429: {statuses:?}");
-    assert_eq!(get_stats(&handle).rejected, shed as u64);
-
-    handle.shutdown().expect("clean shutdown");
-}
-
-#[test]
-fn graceful_shutdown_drains_queued_requests() {
-    // One slow worker: the first request is in-flight and two more are
-    // queued when shutdown begins — all three must still be answered 200.
-    let handle = Server::start(
-        ServeConfig::builder()
-            .workers(1)
-            .request_delay(Duration::from_millis(200))
-            .build(),
-    )
-    .expect("start daemon");
-    let addr = handle.addr();
-
-    let body = serde_json::to_string(
-        &ScheduleRequest::for_layer(Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1))
-            .with_scheduler("random"),
-    )
-    .unwrap();
-    std::thread::scope(|scope| {
-        let requests: Vec<_> = (0..3)
-            .map(|_| {
-                let body = body.as_str();
-                scope.spawn(move || http::request(addr, "POST", "/v1/schedule", body).unwrap())
-            })
-            .collect();
-        // Let the requests get accepted/queued, then shut down mid-flight.
-        std::thread::sleep(Duration::from_millis(100));
-        handle.begin_shutdown();
-        // Everything accepted before the shutdown drains to a 200; a
-        // client thread scheduled late on a loaded CI box may instead
-        // arrive after the flag and correctly get the 503 — what must
-        // never happen is a dropped connection or an unanswered request.
-        let statuses: Vec<u16> = requests
-            .into_iter()
-            .map(|request| {
-                let resp = request.join().unwrap();
-                assert!(
-                    resp.status == 200 || resp.status == 503,
-                    "request answered {}: {}",
-                    resp.status,
-                    resp.body
-                );
-                resp.status
-            })
-            .collect();
-        assert!(
-            statuses.contains(&200) || statuses.iter().all(|s| *s == 503),
-            "pre-shutdown requests must drain to 200: {statuses:?}"
-        );
-        handle.shutdown().expect("clean shutdown");
-    });
-
-    // The daemon is gone: new connections are refused.
-    assert!(
-        http::request(addr, "GET", "/v1/healthz", "").is_err(),
-        "port must be closed after shutdown"
-    );
 }
 
 #[test]
