@@ -19,8 +19,9 @@
 //! LP resuming from the one before it — the purest chain of one-bound
 //! changes there is, which is what makes a dive cheap enough to run this
 //! often. Node relaxations rarely turn integral under assignment
-//! constraints, so the dives are where incumbents come from. A dive stops as soon as its LP bound cannot beat the incumbent, checks
-//! the cancellation flag at every step, and its point becomes the incumbent
+//! constraints, so the dives are where incumbents come from. A dive stops
+//! as soon as its LP bound cannot beat the incumbent, checks the
+//! cancellation flag at every step, and its point becomes the incumbent
 //! only if [`Model::is_feasible`] accepts it.
 //!
 //! [`SolveStats::simplex_iters`] counts every pivot of every LP — node,

@@ -31,8 +31,18 @@
 //!
 //! The basis inverse is maintained with product-form eta updates and
 //! refactorized (dense Gauss–Jordan) every `REFACTOR_EVERY` updates and on
-//! every basis install; with warm starts the install is what is left to
-//! optimize (sparse LU is the next step, see ROADMAP).
+//! every basis install.
+//!
+//! **Zero skipping.** The inverse stays a dense row-major m×m array, but
+//! the kernels that write it — `invert`, `eta_update` and
+//! `recompute_basics` — skip the exact zeros of the row they apply (the
+//! pivot row, the right-hand side), which are most of it: a basis is mostly
+//! slack columns. Every nonzero entry still gets the same IEEE operations
+//! in the same order, because `x − f·0 = x` for finite `x`; only the sign of
+//! some zero entries of the inverse can differ from the dense loops, and no
+//! decision, value or counter reads that sign. So the pivots, and with them
+//! the whole branch-and-bound trajectory, are those of the dense kernels
+//! bit for bit. The unit tests hold the dense kernels as the oracle.
 
 // Dense linear-algebra kernels index row/column vectors by position on
 // purpose; iterator rewrites obscure the pivot arithmetic.
@@ -239,6 +249,12 @@ pub(crate) struct Workspace<'a> {
     binv: Vec<f64>,
     /// m×m scratch the basis matrix is assembled in before inversion.
     scratch: Vec<f64>,
+    /// `(index, value)` nonzeros of the row a kernel applies: the scaled
+    /// pivot row of `binv` (or of the inverse being built), or the
+    /// right-hand side in `recompute_basics`.
+    row_nz: Vec<(usize, f64)>,
+    /// The same for the pivot row of `scratch` during an inversion.
+    scratch_row_nz: Vec<(usize, f64)>,
     /// Signs of the implicit artificial columns (`±e_i`).
     art_sign: Vec<f64>,
     /// Artificial values (basic artificials only, tracked via basis).
@@ -269,6 +285,8 @@ impl<'a> Workspace<'a> {
             nb_status: vec![NbStatus::AtLower; ncols],
             binv: vec![0.0; m * m],
             scratch: vec![0.0; m * m],
+            row_nz: Vec::with_capacity(m),
+            scratch_row_nz: Vec::with_capacity(m),
             art_sign: vec![1.0; m],
             art_value: vec![0.0; m],
             iterations: 0,
@@ -837,24 +855,7 @@ impl<'a> Workspace<'a> {
             };
             self.basic_row[out_col] = None;
         }
-        // Eta update of binv: row r scaled, others eliminated.
-        let m = self.m;
-        let pivot_row: Vec<f64> = self.binv[r * m..(r + 1) * m]
-            .iter()
-            .map(|v| v / alpha)
-            .collect();
-        for i in 0..m {
-            if i == r {
-                continue;
-            }
-            let factor = w[i];
-            if factor.abs() > 1e-300 {
-                for k in 0..m {
-                    self.binv[i * m + k] -= factor * pivot_row[k];
-                }
-            }
-        }
-        self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
+        eta_update(&mut self.binv, self.m, r, w, &mut self.row_nz);
         self.basis[r] = q;
         self.basic_row[q] = Some(r as u32);
         self.x[q] = new_q;
@@ -885,7 +886,13 @@ impl<'a> Workspace<'a> {
                 }
             }
         }
-        if !invert(&mut self.scratch, &mut self.binv, m) {
+        if !invert(
+            &mut self.scratch,
+            &mut self.binv,
+            m,
+            &mut self.scratch_row_nz,
+            &mut self.row_nz,
+        ) {
             return Err(MilpError::Numerical(
                 "singular basis during refactorization".into(),
             ));
@@ -905,19 +912,61 @@ impl<'a> Workspace<'a> {
                 }
             }
         }
+        self.row_nz.clear();
+        self.row_nz
+            .extend(rhs.into_iter().enumerate().filter(|&(_, r)| r != 0.0));
         for pos in 0..m {
-            let mut v = 0.0;
-            for k in 0..m {
-                v += self.binv[pos * m + k] * rhs[k];
-            }
+            let row = &self.binv[pos * m..(pos + 1) * m];
+            let v = self.row_nz.iter().fold(0.0, |v, &(k, r)| v + row[k] * r);
             self.set_basic_value(pos, v);
         }
     }
 }
 
-/// Dense Gauss–Jordan inversion with partial pivoting of the `n×n` matrix
-/// `a` (destroyed) into `inv`. Returns `false` if the matrix is singular.
-fn invert(a: &mut [f64], inv: &mut [f64], n: usize) -> bool {
+/// Divide the nonzeros of `row` by `pivot` in place and list them, with
+/// their indices, in `nz`.
+fn scale_row(row: &mut [f64], pivot: f64, nz: &mut Vec<(usize, f64)>) {
+    nz.clear();
+    for (k, v) in row.iter_mut().enumerate() {
+        if *v != 0.0 {
+            *v /= pivot;
+            nz.push((k, *v));
+        }
+    }
+}
+
+/// `row −= f · pivot_row`, over the pivot row's nonzeros `nz` only.
+fn sub_scaled(row: &mut [f64], f: f64, nz: &[(usize, f64)]) {
+    for &(k, p) in nz {
+        row[k] -= f * p;
+    }
+}
+
+/// Product-form update of the row-major `m×m` inverse `binv` when the
+/// column with `w = B⁻¹·A_q` enters at basis position `r`: row `r` is
+/// divided by the pivot `w[r]`, and `w[i]` times it is subtracted from
+/// every other row `i` — over the nonzeros of row `r` only (see the module
+/// doc), listed in the buffer `nz`.
+fn eta_update(binv: &mut [f64], m: usize, r: usize, w: &[f64], nz: &mut Vec<(usize, f64)>) {
+    scale_row(&mut binv[r * m..(r + 1) * m], w[r], nz);
+    for (i, (row, &factor)) in binv.chunks_exact_mut(m).zip(w).enumerate() {
+        if i != r && factor.abs() > 1e-300 {
+            sub_scaled(row, factor, nz);
+        }
+    }
+}
+
+/// Gauss–Jordan inversion with partial pivoting of the `n×n` matrix `a`
+/// (destroyed) into `inv`, skipping the exact zeros of each pivot row (see
+/// the module doc); `a_nz`/`inv_nz` are buffers for those rows' nonzeros.
+/// Returns `false` if the matrix is singular.
+fn invert(
+    a: &mut [f64],
+    inv: &mut [f64],
+    n: usize,
+    a_nz: &mut Vec<(usize, f64)>,
+    inv_nz: &mut Vec<(usize, f64)>,
+) -> bool {
     inv.fill(0.0);
     for i in 0..n {
         inv[i * n + i] = 1.0;
@@ -943,19 +992,14 @@ fn invert(a: &mut [f64], inv: &mut [f64], n: usize) -> bool {
             }
         }
         let pivot = a[col * n + col];
-        for k in 0..n {
-            a[col * n + k] /= pivot;
-            inv[col * n + k] /= pivot;
-        }
-        for r in 0..n {
-            if r != col {
-                let f = a[r * n + col];
-                if f != 0.0 {
-                    for k in 0..n {
-                        a[r * n + k] -= f * a[col * n + k];
-                        inv[r * n + k] -= f * inv[col * n + k];
-                    }
-                }
+        scale_row(&mut a[col * n..(col + 1) * n], pivot, a_nz);
+        scale_row(&mut inv[col * n..(col + 1) * n], pivot, inv_nz);
+        let rows = a.chunks_exact_mut(n).zip(inv.chunks_exact_mut(n));
+        for (r, (a_row, inv_row)) in rows.enumerate() {
+            let f = a_row[col];
+            if r != col && f != 0.0 {
+                sub_scaled(a_row, f, a_nz);
+                sub_scaled(inv_row, f, inv_nz);
             }
         }
     }
@@ -1211,6 +1255,180 @@ mod tests {
             LpResult::Optimal(sol) => assert!((sol.objective - 2.0).abs() < 1e-9),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The dense Gauss–Jordan inversion the zero-skipping `invert` must
+    /// reproduce: every operation on every entry, zeros included.
+    fn invert_dense(a: &mut [f64], inv: &mut [f64], n: usize) -> bool {
+        inv.fill(0.0);
+        for i in 0..n {
+            inv[i * n + i] = 1.0;
+        }
+        for col in 0..n {
+            let mut best = col;
+            let mut best_val = a[col * n + col].abs();
+            for r in col + 1..n {
+                let v = a[r * n + col].abs();
+                if v > best_val {
+                    best = r;
+                    best_val = v;
+                }
+            }
+            if best_val < 1e-12 {
+                return false;
+            }
+            if best != col {
+                for k in 0..n {
+                    a.swap(col * n + k, best * n + k);
+                    inv.swap(col * n + k, best * n + k);
+                }
+            }
+            let pivot = a[col * n + col];
+            for k in 0..n {
+                a[col * n + k] /= pivot;
+                inv[col * n + k] /= pivot;
+            }
+            for r in 0..n {
+                if r != col {
+                    let f = a[r * n + col];
+                    if f != 0.0 {
+                        for k in 0..n {
+                            a[r * n + k] -= f * a[col * n + k];
+                            inv[r * n + k] -= f * inv[col * n + k];
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// The dense eta update the zero-skipping `eta_update` must reproduce.
+    fn eta_update_dense(binv: &mut [f64], m: usize, r: usize, w: &[f64]) {
+        let pivot_row: Vec<f64> = binv[r * m..(r + 1) * m].iter().map(|v| v / w[r]).collect();
+        for i in 0..m {
+            if i != r && w[i].abs() > 1e-300 {
+                for k in 0..m {
+                    binv[i * m + k] -= w[i] * pivot_row[k];
+                }
+            }
+        }
+        binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
+    }
+
+    /// A random basis column of height `m` with its own row `own`: two
+    /// times in three a slack `±e_own`, otherwise an entry at `own` plus up
+    /// to two more, from a pool of integers, fractions and logarithms of
+    /// either sign (the integers cancel exactly).
+    fn random_column(m: usize, own: usize, draw: &mut impl FnMut(u64) -> u64) -> Vec<f64> {
+        const POOL: [f64; 10] = [
+            1.0,
+            -1.0,
+            2.0,
+            -3.0,
+            0.5,
+            1.0 / 3.0,
+            -0.1,
+            1.584962500721156,
+            -2.321928094887362,
+            1e-3,
+        ];
+        let mut col = vec![0.0; m];
+        if draw(3) > 0 {
+            col[own] = if draw(2) == 0 { 1.0 } else { -1.0 };
+        } else {
+            col[own] = POOL[draw(POOL.len() as u64) as usize];
+            for _ in 0..draw(3) {
+                col[draw(m as u64) as usize] = POOL[draw(POOL.len() as u64) as usize];
+            }
+        }
+        col
+    }
+
+    /// Same entries under `==`, which equates `0.0` and `-0.0`: the only
+    /// freedom the zero-skipping kernels have.
+    fn assert_entries_eq(skip: &[f64], dense: &[f64], context: &str) {
+        for (k, (s, d)) in skip.iter().zip(dense).enumerate() {
+            assert!(s == d, "{context}: entry {k}: {s:e} vs dense {d:e}");
+        }
+    }
+
+    /// The zero-skipping kernels against the dense ones on random
+    /// slack-heavy bases — negative pivots, exact cancellations and
+    /// singular bases included: the same singular verdict, and every entry
+    /// of the inverse equal after the inversion and after each of a chain of
+    /// eta updates (so signed zeros left by one update feed the next).
+    #[test]
+    fn zero_skipping_kernels_match_the_dense_ones() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let (mut singular, mut updates) = (0, 0);
+        let (mut a_nz, mut nz) = (Vec::new(), Vec::new());
+        for case in 0..3000 {
+            let m = 1 + draw(16) as usize;
+            // Each column owns a distinct row, in shuffled order.
+            let mut own: Vec<usize> = (0..m).collect();
+            for i in (1..m).rev() {
+                own.swap(i, draw(i as u64 + 1) as usize);
+            }
+            let mut cols: Vec<Vec<f64>> = own
+                .iter()
+                .map(|&row| random_column(m, row, &mut draw))
+                .collect();
+            if m > 2 && draw(8) == 0 {
+                // One column the sum of two others (or twice one): singular,
+                // and found only through exact cancellation.
+                let k = draw(m as u64) as usize;
+                let mut other = || (k + 1 + draw(m as u64 - 1) as usize) % m;
+                let (i, j) = (other(), other());
+                cols[k] = cols[i].iter().zip(&cols[j]).map(|(x, y)| x + y).collect();
+            }
+            let mut a = vec![0.0; m * m];
+            for (pos, col) in cols.iter().enumerate() {
+                for (i, v) in col.iter().enumerate() {
+                    a[i * m + pos] = *v;
+                }
+            }
+            let mut a_dense = a.clone();
+            let mut inv = vec![0.0; m * m];
+            let mut inv_dense = vec![0.0; m * m];
+            let ok = invert(&mut a, &mut inv, m, &mut a_nz, &mut nz);
+            assert_eq!(
+                ok,
+                invert_dense(&mut a_dense, &mut inv_dense, m),
+                "case {case}: singular verdict"
+            );
+            if !ok {
+                singular += 1;
+                continue;
+            }
+            assert_entries_eq(&inv, &inv_dense, &format!("case {case}: inverse"));
+            for step in 0..8 {
+                // w = B⁻¹·A_q for a random entering column, as `ftran`
+                // computes it; any row with a usable pivot may leave.
+                let entering = random_column(m, draw(m as u64) as usize, &mut draw);
+                let w: Vec<f64> = (0..m)
+                    .map(|i| (0..m).map(|k| inv[i * m + k] * entering[k]).sum())
+                    .collect();
+                let rows: Vec<usize> = (0..m).filter(|&i| w[i].abs() > PIVOT_TOL).collect();
+                if rows.is_empty() {
+                    continue;
+                }
+                let r = rows[draw(rows.len() as u64) as usize];
+                eta_update(&mut inv, m, r, &w, &mut nz);
+                eta_update_dense(&mut inv_dense, m, r, &w);
+                assert_entries_eq(&inv, &inv_dense, &format!("case {case}: update {step}"));
+                updates += 1;
+            }
+        }
+        // Neither verdict may be vacuous.
+        assert!(singular > 100, "only {singular} singular bases");
+        assert!(updates > 10_000, "only {updates} eta updates");
     }
 
     /// A random bounded LP plus a sequence of single-bound edits.

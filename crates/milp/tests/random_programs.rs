@@ -6,7 +6,7 @@
 //! must satisfy the model. A scheduling-sized program under a node limit
 //! checks that the search repeats itself exactly.
 
-use cosa_milp::{Cmp, LinExpr, MilpError, Model, Sense, SolveOptions, Status};
+use cosa_milp::{Cmp, LinExpr, MilpError, Model, Sense, SolveOptions, SolveStats, Status};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -298,6 +298,19 @@ fn node_limited_search_repeats_exactly() {
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(first.values()), bits(second.values()));
     assert_eq!(first.objective().to_bits(), second.objective().to_bits());
+    // The trajectory as of PR 25 (both floats print their shortest
+    // round-trip form, so these literals are exact): a speed-only change to
+    // the solver must leave it alone, one that moves it has altered the
+    // search and must update the literals on purpose.
+    assert_eq!(
+        first.stats(),
+        SolveStats {
+            nodes: 150,
+            simplex_iters: 11473,
+            best_bound: 19.25187253772122,
+        }
+    );
+    assert_eq!(first.objective().to_bits(), 77.10795143372778f64.to_bits());
     println!(
         "{} rows, {} vars: objective {} (seed {seed_objective}) after {:?}",
         model.num_constraints(),

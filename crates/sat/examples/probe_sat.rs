@@ -57,7 +57,7 @@ fn main() {
     ];
     let only: Option<usize> = std::env::var("SHAPE").ok().and_then(|s| s.parse().ok());
     for (i, (name, layer)) in shapes.iter().enumerate() {
-        if only.map_or(false, |o| o != i) {
+        if only.is_some_and(|o| o != i) {
             continue;
         }
         run(name, layer);

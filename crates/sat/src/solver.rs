@@ -1318,9 +1318,9 @@ mod tests {
             s.add_clause(&[Lit::pos(row[0]), Lit::pos(row[1])]);
         }
         for j in 0..2 {
-            for a in 0..3 {
-                for b in (a + 1)..3 {
-                    s.add_clause(&[Lit::neg(p[a][j]), Lit::neg(p[b][j])]);
+            for (a, pa) in p.iter().enumerate() {
+                for pb in &p[a + 1..] {
+                    s.add_clause(&[Lit::neg(pa[j]), Lit::neg(pb[j])]);
                 }
             }
         }
@@ -1338,15 +1338,15 @@ mod tests {
         }
         for i in 0..5 {
             let j = (i + 1) % 5;
-            for k in 0..3 {
-                s.add_clause(&[Lit::neg(c[i][k]), Lit::neg(c[j][k])]);
+            for (&u, &v) in c[i].iter().zip(&c[j]) {
+                s.add_clause(&[Lit::neg(u), Lit::neg(v)]);
             }
         }
         assert_eq!(s.solve(None), SolveOutcome::Sat);
         for i in 0..5 {
             let j = (i + 1) % 5;
-            for k in 0..3 {
-                assert!(!(s.value(c[i][k]) && s.value(c[j][k])), "edge {i}-{j}");
+            for (&u, &v) in c[i].iter().zip(&c[j]) {
+                assert!(!(s.value(u) && s.value(v)), "edge {i}-{j}");
             }
         }
     }

@@ -73,6 +73,11 @@ fn schedule_clone_evaluates_identically() {
 /// objective may not rise above what the cold-simplex search of PR 21
 /// returned, every schedule validates, and a second solve returns the same
 /// bytes.
+///
+/// The search itself is pinned too: `(nodes, simplex_iters, objective bits,
+/// best_bound bits)` as of PR 25. A speed-only change to `crates/milp` must
+/// leave them alone; a change that moves them has altered the search and
+/// must update the literals on purpose.
 #[test]
 fn serving_milp_meets_the_quality_floor_and_repeats() {
     use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
@@ -80,21 +85,66 @@ fn serving_milp_meets_the_quality_floor_and_repeats() {
 
     let paper = |name: &str| Layer::parse_paper_name(name).expect("suite layer name");
     let floor = [
-        (paper("3_7_512_512_1"), -1.2934707),
-        (paper("3_14_1_192_2"), -3.6879891),
-        (paper("1_7_1024_2048_2"), -5.2496212),
-        (paper("1_14_576_96_1"), -6.1612493),
-        (paper("1_1_2048_1000_1"), -2.5556564),
-        (GPT_MINI.attn_score(), -8.0889756),
-        (GPT_MINI.ffn_up(), -4.9698133),
+        (
+            paper("3_7_512_512_1"),
+            -1.2934707,
+            (300, 16285, 0xc00267220d5107c0, 0xc0174fdc3dc29ac6),
+        ),
+        (
+            paper("3_14_1_192_2"),
+            -3.6879891,
+            (300, 5261, 0xc0261a1a930b81c1, 0xc02b783e61be4f3c),
+        ),
+        (
+            paper("1_7_1024_2048_2"),
+            -5.2496212,
+            (300, 3676, 0xc014ff9cb2baa288, 0xc01c7ede41e27e9e),
+        ),
+        (
+            paper("1_14_576_96_1"),
+            -6.1612493,
+            (300, 2486, 0xc01a921d9bb390ca, 0xc02275732a28a7b3),
+        ),
+        (
+            paper("1_1_2048_1000_1"),
+            -2.5556564,
+            (300, 1072, 0xc00471fbffb51314, 0xc013ed3b4f92f602),
+        ),
+        (
+            GPT_MINI.attn_score(),
+            -8.0889756,
+            (77, 760, 0xc0202d8e36202f8a, 0xc0202d8e36202f8a),
+        ),
+        (
+            GPT_MINI.ffn_up(),
+            -4.9698133,
+            (197, 1835, 0xc013e116bd0728a0, 0xc013e116bd0728a0),
+        ),
     ];
     let arch = Arch::simba_baseline();
     let cosa = CosaScheduler::new(&arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT);
     let mut above_floor = Vec::new();
-    for (layer, parent_objective) in &floor {
+    let mut off_trajectory = Vec::new();
+    for (layer, parent_objective, pinned) in &floor {
         let first = cosa.schedule(layer).expect("serving solve");
         if first.milp_objective > parent_objective + 1e-6 {
             above_floor.push((layer.name().to_string(), first.milp_objective));
+        }
+        let trajectory = (
+            first.stats.nodes,
+            first.stats.simplex_iters,
+            first.milp_objective.to_bits(),
+            first.stats.best_bound.to_bits(),
+        );
+        if trajectory != *pinned {
+            off_trajectory.push(format!(
+                "{}: ({}, {}, {:#x}, {:#x})",
+                layer.name(),
+                trajectory.0,
+                trajectory.1,
+                trajectory.2,
+                trajectory.3
+            ));
         }
         first
             .schedule
@@ -123,4 +173,8 @@ fn serving_milp_meets_the_quality_floor_and_repeats() {
         );
     }
     assert!(above_floor.is_empty(), "above the floor: {above_floor:?}");
+    assert!(
+        off_trajectory.is_empty(),
+        "search moved off the pinned trajectory: {off_trajectory:#?}"
+    );
 }
