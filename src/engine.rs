@@ -810,7 +810,8 @@ impl Engine {
         }
         let load = store.load_index();
         self.warm_entries = load.entries;
-        // The whole warm start: one header read.
+        // The whole warm start: one index read and a tail replay bounded
+        // by the index size.
         self.load_micros = start.elapsed().as_micros() as u64;
         self.store_errors
             .fetch_add(load.skipped as u64, Ordering::Relaxed);

@@ -1,5 +1,5 @@
 //! The persistent tier of the [`Engine`](super::Engine)'s schedule cache:
-//! one packed, append-only segment file per cache directory.
+//! one append-only segment file per cache directory.
 //!
 //! CoSA's one-shot solves make schedules for repeated layer shapes
 //! perfectly reusable artifacts, so the engine persists every cache entry
@@ -13,48 +13,68 @@
 //! ```text
 //! <cache-dir>/segment.cosa
 //!
-//! [u64 LE header capacity][JSON index, space-padded to capacity][payload]
+//! [u64 LE SEGMENT_VERSION][u64 LE generation][u64 LE index_len][index JSON][frames…]
+//! frame = [u64 LE record_len][record JSON]
 //! ```
 //!
-//! The index maps each digest to `(offset, len, version, backend,
-//! saved_at_millis)` of its payload record. The payload region is a log of
-//! length-prefixed frames (`[u64 LE len][record JSON]`); each record is a
-//! versioned envelope — `{"version": 2, "key": "<digest>", "entry": {...}}`
-//! — or a tombstone `{"version": 2, "key": "<digest>", "evicted": true}`
-//! marking an eviction. Warm start therefore costs **one** sequential
-//! header read, O(index) instead of O(entries), and entries decode lazily
+//! The file is a log headed by an index *checkpoint*: an exact-length
+//! index (the length-prefixed pattern of safetensors) mapping each digest
+//! to `(offset, len, version, saved_at_millis)` of its frame, offsets
+//! counted from the end of the index. Frames appended after the
+//! checkpoint carry no index row: each record is a self-describing
+//! envelope — `{"version": 3, "key": "<digest>", "saved_at_millis": …,
+//! "check": "<check of key and entry>", "entry": {...}}` — and a view
+//! learns them by replaying the tail. Warm start reads the index and
+//! replays at most as many frames as it has rows; entries decode lazily
 //! on first use.
+//!
+//! - **Save**: under the writer lock, bring the view up to date, append
+//!   one frame and fsync once. No byte before the previous end of file
+//!   changes.
+//! - **Refresh**: replay the frames past the view's replay position — the
+//!   cost is O(new frames), never O(index). An unchanged `(len, mtime)`
+//!   costs one `stat`; otherwise the preamble's *generation* decides, and a
+//!   generation other than the view's (a checkpoint another handle renamed
+//!   in — inode numbers are reused, so inode and length cannot tell)
+//!   triggers a full reload. Writers always check the generation.
+//! - **Checkpoint**: the live records, under an exact index and a fresh
+//!   generation, go to a temp file that is fsynced and renamed into place.
+//!   A save takes one when the frames past the checkpoint would outnumber
+//!   its rows (so saves cost amortised O(1) and replay on open is bounded
+//!   by the index size); every eviction and every GC compaction is one.
 //!
 //! There is one schema: a record (or index row) whose version is not
 //! [`STORE_VERSION`] is skipped and counted like any other damaged record,
 //! the engine re-solves its shape and the fresh record supersedes it. A
-//! cache directory is disposable across `STORE_VERSION`s.
+//! cache directory is disposable across `STORE_VERSION`s, and a segment of
+//! another `SEGMENT_VERSION` loads as empty, is counted, and is replaced by
+//! the first save.
 //!
-//! Appends are crash-ordered: payload frames are appended and fsynced
-//! *before* the fixed-capacity header is rewritten in place (same file
-//! offset, same length — readers always see either the old or the new
-//! index, and a torn header is recovered by replaying the frame log,
-//! where tombstones prevent evicted digests from resurrecting). When the
-//! index outgrows its capacity, and on GC compaction, the store rewrites
-//! live payloads into a fresh segment and atomically renames it into
-//! place. A truncated payload tail never loses entries before the torn
-//! point: the header sits at a fixed offset ahead of the payload, so tail
-//! truncation leaves the index intact and only records past the cut are
-//! skipped (and counted), never fatal.
+//! # Crash ordering and recovery
+//!
+//! An appended frame needs no second write to become visible, so a crash
+//! can only leave a *torn tail*: a frame whose length runs past EOF.
+//! Replay stops before it and counts it once; the next writer truncates it
+//! before appending, so every appended frame stays reachable. A frame with
+//! intact framing but a bad record (unparseable, failed check, another
+//! `STORE_VERSION`) is skipped and counted, and replay continues. A cut
+//! inside the checkpoint skips (and counts) the rows past it, and the next
+//! write checkpoints afresh. Evictions are checkpoints rather than
+//! tombstone frames, so the log past a checkpoint only ever adds digests
+//! and no truncation can resurrect an evicted one.
 //!
 //! # Garbage collection
 //!
 //! Disk is the capacity tier, but it is not unbounded: [`CacheStore::gc`]
 //! enforces a [`GcPolicy`] (byte budget and/or maximum entry age),
-//! oldest-saved first. Eviction is index-level: the digest leaves the
-//! index and a tombstone frame is appended, which turns payload bytes
-//! dead without touching live records. When dead bytes exceed
+//! oldest-saved first. A sweep that evicts rewrites the segment as a
+//! checkpoint without its victims; one that evicts nothing still compacts
+//! once the dead bytes of superseded frames exceed
 //! [`GcPolicy::compact_min_dead`] (default: the larger of 4 KiB and the
-//! live payload size), GC compacts — live payloads are rewritten into a
-//! fresh segment and renamed into place — so GC cost scales with the
-//! index, not with history. The sweep also removes temp files orphaned by
-//! killed writers (older than a minute) and solve-lock files older than
-//! the staleness bound.
+//! live payload size), so GC cost scales with the index, not with
+//! history. The sweep also removes temp files orphaned by killed writers
+//! (older than a minute) and solve-lock files older than the staleness
+//! bound.
 //!
 //! # Cross-process solve locks
 //!
@@ -74,9 +94,11 @@
 //! victim cannot delete its thief's lock. A lock whose mtime is older
 //! than [`CacheStore::lock_staleness`] (default
 //! [`DEFAULT_LOCK_STALENESS`]) is presumed orphaned by a crashed process
-//! and is *taken over*. The locking is advisory and fail-open — an I/O
-//! error or a takeover race degrades to a duplicated solve, never to
-//! corruption or an unserved request.
+//! and is *taken over*. Tokens are not fsynced: staleness reads the mtime
+//! and release reads the token through the page cache, so after a crash a
+//! lock file is merely stale, whatever it holds. The locking is advisory
+//! and fail-open — an I/O error or a takeover race degrades to a
+//! duplicated solve, never to corruption or an unserved request.
 //!
 //! Segment writers additionally serialize on a short-lived
 //! `segment.cosa.lock` (same token-checked protocol, seconds-scale
@@ -86,7 +108,10 @@
 //! `WouldBlock` error, which the engine counts in `store_errors` while
 //! the entry stays served from the memory tier.
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fs;
+use std::hash::BuildHasher;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,9 +128,12 @@ use crate::api::Scheduled;
 /// loaders skip entries from other versions.
 pub const STORE_VERSION: u32 = 3;
 
-/// Version tag of the segment *header* layout (independent of the entry
-/// envelope version, which governs payload records).
-const SEGMENT_VERSION: u32 = 1;
+/// Version tag of the segment layout — preamble, index and framing —
+/// independent of the entry envelope version, which governs records.
+const SEGMENT_VERSION: u64 = 2;
+
+/// Bytes of the fixed preamble: version, generation, index length.
+const PREAMBLE_LEN: u64 = 24;
 
 /// The packed segment file name inside a cache directory.
 const SEGMENT_FILE: &str = "segment.cosa";
@@ -116,11 +144,7 @@ const SEGMENT_FILE: &str = "segment.cosa";
 /// alphanumerics).
 const SEGMENT_LOCK_FILE: &str = "segment.cosa.lock";
 
-/// Minimum header capacity. Small indexes get room to grow in place
-/// before the first rewrite-and-rename.
-const MIN_HEADER_CAPACITY: u64 = 4096;
-
-/// Segment writer locks are held for milliseconds (one append batch), so
+/// Segment writer locks are held for milliseconds (one append), so
 /// a lock older than this was orphaned by a crashed writer and may be
 /// taken over — much tighter than solve-lock staleness, which must cover
 /// whole MILP solves.
@@ -255,102 +279,112 @@ impl CacheEntry {
     }
 }
 
-/// The versioned envelope wrapping one [`CacheEntry`] — the payload
-/// record of the packed segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StoredEntry {
+/// The head of a record envelope — everything before its `"entry"`,
+/// which replay reads without decoding the entry itself.
+#[derive(Debug, Deserialize)]
+struct RecordHead {
     version: u32,
     key: String,
-    entry: CacheEntry,
+    saved_at_millis: u64,
+    /// [`record_check`] of the key and the raw entry JSON.
+    check: String,
 }
 
-/// One index row of the packed segment: where a digest's payload record
-/// lives and enough metadata (version, backend, recency) to GC and
-/// report without decoding the record.
+/// One index row: where a digest's record lives and enough metadata
+/// (version, recency) to GC and report without decoding the record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SegmentIndexEntry {
     key: String,
-    /// Absolute file offset of the record JSON (just past its length
-    /// prefix).
+    /// File offset of the record JSON (just past its length prefix):
+    /// absolute in memory, counted from the end of the index on disk.
     offset: u64,
     /// Record JSON length in bytes.
     len: u64,
     /// Entry envelope version ([`STORE_VERSION`] when written).
     version: u32,
-    backend: Option<String>,
     /// Unix-epoch milliseconds of the save — GC's recency key.
     saved_at_millis: u64,
 }
 
-/// The JSON index at the head of the segment file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The JSON index of a checkpoint.
+#[derive(Debug, Serialize, Deserialize)]
 struct SegmentHeader {
-    version: u32,
     entries: Vec<SegmentIndexEntry>,
 }
 
 /// The in-memory picture of the segment file, cached per store handle
-/// behind a `(len, mtime)` fingerprint so warm read paths skip re-parsing
-/// the header.
-#[derive(Debug, Clone, Default)]
+/// behind a `(len, mtime)` fingerprint and kept current by tail replay.
+#[derive(Debug, Default)]
 struct SegmentView {
-    /// `true` once the view reflects at least one read attempt.
-    initialized: bool,
     /// `(len, mtime)` of the file this view was read from; `None` when
     /// the segment file does not exist.
     stat: Option<(u64, SystemTime)>,
-    /// `true` when the header parsed cleanly (in-place header rewrites
-    /// are only safe against a well-formed file).
-    header_ok: bool,
-    capacity: u64,
+    /// Generation stamp of the checkpoint the view replays; `None` when
+    /// the file is missing or its preamble, index or checkpoint frames are
+    /// damaged — the next write then checkpoints instead of appending.
+    generation: Option<u64>,
+    /// End of the index: where frames begin.
+    payload_start: u64,
+    /// Replay position: the end of the last complete frame.
     file_len: u64,
-    /// Live index rows, in append order.
-    entries: Vec<SegmentIndexEntry>,
+    /// Rows in the checkpoint index, and frames replayed past it.
+    checkpoint_rows: usize,
+    tail_frames: usize,
+    /// Live rows by digest.
+    rows: HashMap<String, SegmentIndexEntry>,
     /// Index rows or frames the loader had to skip (truncation damage,
-    /// another [`STORE_VERSION`]).
+    /// bad records, another [`STORE_VERSION`]).
     skipped: usize,
 }
 
 impl SegmentView {
-    fn contains(&self, key: &str) -> bool {
-        self.entries.iter().any(|e| e.key == key)
-    }
-
-    fn find(&self, key: &str) -> Option<&SegmentIndexEntry> {
-        self.entries.iter().rev().find(|e| e.key == key)
+    /// Skipped rows and frames, plus one for a torn tail: file bytes past
+    /// the replay position (a frame cut short or still being written, or an
+    /// unreadable header).
+    fn skipped_total(&self) -> usize {
+        let torn = self.stat.is_some_and(|(len, _)| len > self.file_len);
+        self.skipped + usize::from(torn)
     }
 
     /// Live payload bytes (frames still reachable from the index,
     /// including their length prefixes).
     fn live_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| 8 + e.len).sum()
+        self.rows.values().map(|e| 8 + e.len).sum()
     }
 
-    /// Payload bytes no index row points at (evicted or superseded
-    /// records and tombstones) — what compaction reclaims.
+    /// Payload bytes no row points at (superseded or damaged records) —
+    /// what compaction reclaims.
     fn dead_bytes(&self) -> u64 {
-        let payload = self.file_len.saturating_sub(8 + self.capacity);
+        let payload = self.file_len.saturating_sub(self.payload_start);
         payload.saturating_sub(self.live_bytes())
     }
-}
 
-/// A pending segment mutation, applied in batches under the writer lock.
-enum Pending {
-    Entry {
-        key: String,
-        json: String,
-        backend: Option<String>,
-        saved_at_millis: u64,
-    },
-    Tombstone {
-        key: String,
-    },
-}
-
-/// A payload record replayed by the torn-header recovery scan.
-enum Record {
-    Entry(Box<StoredEntry>),
-    Tombstone { key: String },
+    /// Append one frame at the replay position through the writer's
+    /// handle and fsync it — the only write a save makes.
+    fn append(
+        &mut self,
+        file: &mut fs::File,
+        mut row: SegmentIndexEntry,
+        record: &[u8],
+    ) -> io::Result<()> {
+        // A torn tail (a writer killed mid-append) is cut off first, so
+        // the new frame stays reachable by replay.
+        if self.stat.is_some_and(|(len, _)| len > self.file_len) {
+            file.set_len(self.file_len)?;
+        }
+        let mut frame = Vec::with_capacity(8 + record.len());
+        frame.extend_from_slice(&(record.len() as u64).to_le_bytes());
+        frame.extend_from_slice(record);
+        file.seek(SeekFrom::Start(self.file_len))?;
+        file.write_all(&frame)?;
+        file.sync_data()?;
+        row.offset = self.file_len + 8;
+        self.file_len = row.offset + row.len;
+        self.tail_frames += 1;
+        self.stat = handle_stat(file);
+        self.rows.insert(row.key.clone(), row);
+        Ok(())
+    }
 }
 
 /// The outcome of loading a cache directory.
@@ -552,20 +586,39 @@ impl CacheStore {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Bring `view` up to date with the file. Without `force`, a
-    /// `(len, mtime)` fingerprint match skips the re-read; with it, the
-    /// header is always re-read — required on negative lookups, because
-    /// an in-place header rewrite changes neither length nor (at coarse
-    /// timestamp granularity, racing the payload append) a fingerprint a
-    /// reader already captured.
-    fn refresh_view(&self, view: &mut SegmentView, force: bool) {
-        if !force && view.initialized {
-            let stat = file_stat(&self.segment_path());
-            if stat == view.stat {
-                return;
-            }
+    /// Bring `view` up to date with the file: an unchanged `(len, mtime)`
+    /// costs one `stat`, anything else a [`sync_view`].
+    fn refresh_view(&self, view: &mut SegmentView) {
+        if file_stat(&self.segment_path()) == view.stat {
+            return;
         }
-        *view = read_segment_view(&self.segment_path());
+        match fs::File::open(self.segment_path()) {
+            Ok(mut file) => sync_view(&mut file, view),
+            Err(_) => *view = SegmentView::default(),
+        }
+    }
+
+    /// Take the segment writer lock and sync `view` through a read-write
+    /// handle, checking the generation even when `(len, mtime)` match, so
+    /// a writer never builds on a stale view. The handle is `None` when
+    /// the segment does not exist.
+    fn lock_for_write(&self, view: &mut SegmentView) -> io::Result<(SolveLock, Option<fs::File>)> {
+        let lock = self.segment_lock()?;
+        let opened = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.segment_path());
+        match opened {
+            Ok(mut file) => {
+                sync_view(&mut file, view);
+                Ok((lock, Some(file)))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                *view = SegmentView::default();
+                Ok((lock, None))
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Load the single entry for `key`, if present and valid. Re-checks
@@ -573,25 +626,21 @@ impl CacheStore {
     /// *other* processes after its own warm start (the cross-process
     /// read-through path).
     pub fn load_entry(&self, key: &str) -> Option<CacheEntry> {
-        let path = self.segment_path();
-        // Two attempts: the second forces a header re-read, which both
-        // closes the in-place-rewrite visibility race on a miss and
-        // re-syncs offsets if a concurrent compaction moved the record
-        // between the index lookup and the payload read.
+        // A miss costs a refresh, never an index read. A row whose record
+        // fails to validate gets one retry from a rebuilt view: another
+        // handle's checkpoint may have moved it.
         for attempt in 0..2 {
-            let found = {
+            let row = {
                 let mut view = self.seg_guard();
-                self.refresh_view(&mut view, attempt > 0);
-                if !view.contains(key) && attempt == 0 {
-                    self.refresh_view(&mut view, true);
+                if attempt > 0 {
+                    *view = SegmentView::default();
                 }
-                view.find(key).cloned()
+                self.refresh_view(&mut view);
+                view.rows.get(key).cloned()?
             };
-            let row = found?;
-            if let Some(stored) = read_record_at(&path, row.offset, row.len) {
-                if stored.version == STORE_VERSION && stored.key == key {
-                    return Some(stored.entry);
-                }
+            let mut file = fs::File::open(self.segment_path()).ok()?;
+            if let Some(entry) = read_entry(&mut file, &row) {
+                return Some(entry);
             }
         }
         None
@@ -635,10 +684,9 @@ impl CacheStore {
                 .open(&path)
             {
                 Ok(mut file) => {
-                    // Best-effort token write; an unreadable token only
-                    // weakens the release-ownership check, never safety.
+                    // Best-effort token write, not fsynced; an unreadable
+                    // token only weakens the release-ownership check.
                     let _ = file.write_all(token.as_bytes());
-                    let _ = file.sync_all();
                     return Ok(Some(SolveLock { path, token }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
@@ -688,7 +736,6 @@ impl CacheStore {
             {
                 Ok(mut file) => {
                     let _ = file.write_all(token.as_bytes());
-                    let _ = file.sync_all();
                     return Ok(SolveLock { path, token });
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
@@ -720,23 +767,19 @@ impl CacheStore {
     pub fn load(&self) -> StoreLoad {
         let start = Instant::now();
         let mut load = StoreLoad::default();
-        let rows = {
+        let rows: Vec<SegmentIndexEntry> = {
             let mut view = self.seg_guard();
-            self.refresh_view(&mut view, true);
-            load.skipped += view.skipped;
-            view.entries.clone()
+            self.refresh_view(&mut view);
+            load.skipped += view.skipped_total();
+            view.rows.values().cloned().collect()
         };
         if !rows.is_empty() {
             match fs::File::open(self.segment_path()) {
                 Ok(mut file) => {
-                    for row in &rows {
-                        match read_record_in(&mut file, row.offset, row.len) {
-                            Some(stored)
-                                if stored.version == STORE_VERSION && stored.key == row.key =>
-                            {
-                                load.entries.push((stored.key, stored.entry));
-                            }
-                            _ => load.skipped += 1,
+                    for row in rows {
+                        match read_entry(&mut file, &row) {
+                            Some(entry) => load.entries.push((row.key, entry)),
+                            None => load.skipped += 1,
                         }
                     }
                 }
@@ -748,21 +791,23 @@ impl CacheStore {
         load
     }
 
-    /// The O(index) warm start: read the segment header (one sequential
-    /// read, no per-entry decode) and report what is warm-loadable.
+    /// The O(index) warm start: read the checkpoint index and replay the
+    /// frames past it (at most as many as it has rows), decoding no entry,
+    /// and report what is warm-loadable.
     pub fn load_index(&self) -> IndexLoad {
         let start = Instant::now();
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, true);
+        self.refresh_view(&mut view);
         IndexLoad {
-            entries: view.entries.len(),
-            skipped: view.skipped,
+            entries: view.rows.len(),
+            skipped: view.skipped_total(),
             load_micros: start.elapsed().as_micros() as u64,
         }
     }
 
-    /// Persist one entry: the record is appended to the segment, with the
-    /// payload fsynced before the in-place header rewrite.
+    /// Persist one entry: one frame appended and fsynced — or, when the
+    /// frames past the checkpoint would outnumber its rows (or there is
+    /// no healthy checkpoint to append to), a checkpoint that includes it.
     ///
     /// # Errors
     ///
@@ -771,17 +816,34 @@ impl CacheStore {
     /// version of the entry (if any) stays intact on failure.
     pub fn save(&self, key: &str, entry: &CacheEntry) -> io::Result<()> {
         Self::validate_key(key)?;
-        let pending = Pending::Entry {
+        let saved_at_millis = now_millis();
+        let record = encode_record(key, entry, saved_at_millis)?;
+        let row = SegmentIndexEntry {
             key: key.to_string(),
-            json: encode_record(key, entry)?,
-            backend: entry.backend.clone(),
-            saved_at_millis: now_millis(),
+            offset: 0,
+            len: record.len() as u64,
+            version: STORE_VERSION,
+            saved_at_millis,
         };
         let mut view = self.seg_guard();
-        self.apply_pendings(&mut view, vec![pending], false)
+        let (_lock, file) = self.lock_for_write(&mut view)?;
+        match file {
+            Some(mut file)
+                if view.generation.is_some() && view.tail_frames < view.checkpoint_rows =>
+            {
+                view.append(&mut file, row, record.as_bytes())
+            }
+            file => self.checkpoint(
+                &mut view,
+                file,
+                |k| k != key,
+                Some((row, record.into_bytes())),
+            ),
+        }
     }
 
-    /// Remove one entry (a missing entry is not an error).
+    /// Remove one entry (a missing entry is not an error). Like every
+    /// eviction, this is a checkpoint.
     ///
     /// # Errors
     ///
@@ -789,12 +851,10 @@ impl CacheStore {
     /// that stays contended.
     pub fn remove(&self, key: &str) -> io::Result<()> {
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, true);
-        if view.contains(key) {
-            let pending = Pending::Tombstone {
-                key: key.to_string(),
-            };
-            self.apply_pendings(&mut view, vec![pending], false)?;
+        self.refresh_view(&mut view);
+        if view.rows.contains_key(key) {
+            let (_lock, file) = self.lock_for_write(&mut view)?;
+            self.checkpoint(&mut view, file, |k| k != key, None)?;
         }
         Ok(())
     }
@@ -802,8 +862,8 @@ impl CacheStore {
     /// Distinct digests currently on disk (live index rows).
     pub fn len(&self) -> usize {
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, false);
-        view.entries.len()
+        self.refresh_view(&mut view);
+        view.rows.len()
     }
 
     /// `true` when the store holds no entries.
@@ -817,7 +877,7 @@ impl CacheStore {
     /// budget's).
     pub fn total_bytes(&self) -> u64 {
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, false);
+        self.refresh_view(&mut view);
         view.live_bytes()
     }
 
@@ -825,9 +885,9 @@ impl CacheStore {
     /// live/dead payload split) for stats surfaces.
     pub fn disk_stats(&self) -> DiskTierStats {
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, false);
+        self.refresh_view(&mut view);
         DiskTierStats {
-            index_entries: view.entries.len(),
+            index_entries: view.rows.len(),
             segment_bytes: view.stat.map_or(0, |(len, _)| len),
             live_bytes: view.live_bytes(),
             dead_bytes: view.dead_bytes(),
@@ -897,59 +957,54 @@ impl CacheStore {
 
         // Candidates: the live index rows, oldest-saved first.
         let mut view = self.seg_guard();
-        self.refresh_view(&mut view, true);
-        let mut cands: Vec<&SegmentIndexEntry> = view.entries.iter().collect();
+        self.refresh_view(&mut view);
+        let mut cands: Vec<&SegmentIndexEntry> = view.rows.values().collect();
         cands.sort_by(|a, b| (a.saved_at_millis, &a.key).cmp(&(b.saved_at_millis, &b.key)));
         report.examined = cands.len();
         let total = view.live_bytes();
 
-        // Decide the victim set first, then evict it as one batch (one
-        // tombstone append + header rewrite).
+        // Decide the victim set first, then evict it in one checkpoint.
         let max_age_ms = policy
             .max_age
             .map(|max| u64::try_from(max.as_millis()).unwrap_or(u64::MAX));
         let expired =
             |millis: u64| max_age_ms.is_some_and(|max| now_ms.saturating_sub(millis) > max);
-        let mut victims: Vec<Pending> = Vec::new();
+        let mut victims: HashSet<String> = HashSet::new();
         let mut running = total;
         for (i, row) in cands.iter().enumerate() {
             let over_bytes = policy
                 .max_bytes
                 .is_some_and(|max| running > max && i + 1 < cands.len());
             if expired(row.saved_at_millis) || over_bytes {
-                victims.push(Pending::Tombstone {
-                    key: row.key.clone(),
-                });
+                victims.insert(row.key.clone());
                 running -= 8 + row.len;
             }
         }
-        let evicting = victims.len();
-        if evicting == 0 || self.apply_pendings(&mut view, victims, false).is_ok() {
-            report.removed = evicting;
-            report.removed_bytes = total - running;
-        } else {
-            report.delete_errors = evicting;
+
+        // Evictions rewrite the segment, and so does compaction once
+        // superseded frames have turned enough payload dead. Cost scales
+        // with the index, not with history.
+        let dead = view.dead_bytes();
+        let threshold = policy
+            .compact_min_dead
+            .unwrap_or_else(|| running.max(DEFAULT_COMPACT_MIN_DEAD));
+        if !victims.is_empty() || (dead > 0 && dead >= threshold) {
+            let old_len = view.stat.map_or(0, |(len, _)| len);
+            let rewritten = self.lock_for_write(&mut view).and_then(|(_lock, file)| {
+                self.checkpoint(&mut view, file, |k| !victims.contains(k), None)
+            });
+            if rewritten.is_ok() {
+                report.removed = victims.len();
+                report.removed_bytes = total - running;
+                report.compactions = 1;
+                report.compacted_bytes = old_len.saturating_sub(view.file_len);
+                self.compactions.fetch_add(1, Ordering::Relaxed);
+            } else {
+                report.delete_errors = victims.len();
+            }
         }
         report.retained = report.examined - report.removed;
         report.retained_bytes = total - report.removed_bytes;
-
-        // Compaction: once evictions (here and in prior sweeps) have
-        // turned enough payload dead, rewrite live records into a fresh
-        // segment. Cost scales with the index, not with history.
-        if view.stat.is_some() {
-            let dead = view.dead_bytes();
-            let threshold = policy
-                .compact_min_dead
-                .unwrap_or_else(|| view.live_bytes().max(DEFAULT_COMPACT_MIN_DEAD));
-            if dead > 0 && dead >= threshold {
-                let old_len = view.file_len;
-                if self.apply_pendings(&mut view, Vec::new(), true).is_ok() {
-                    report.compactions += 1;
-                    report.compacted_bytes += old_len.saturating_sub(view.file_len);
-                    self.compactions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         Ok(report)
     }
 
@@ -961,209 +1016,122 @@ impl CacheStore {
     /// Returns the first I/O error encountered.
     pub fn clear(&self) -> io::Result<usize> {
         let mut view = self.seg_guard();
-        let _lock = self.segment_lock()?;
-        self.refresh_view(&mut view, true);
-        let removed = view.entries.len();
+        let (_lock, _) = self.lock_for_write(&mut view)?;
+        let removed = view.rows.len();
         match fs::remove_file(self.segment_path()) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
-        *view = SegmentView {
-            initialized: true,
-            ..SegmentView::default()
-        };
+        *view = SegmentView::default();
         Ok(removed)
     }
 
-    /// Apply a batch of mutations to the segment under the writer lock:
-    /// re-sync the view from disk (merging other writers' appends),
-    /// append payload frames, fsync, then rewrite the header in place.
-    /// Falls back to a full rewrite-then-rename when the index outgrows
-    /// its capacity or the on-disk header is damaged; `force_rewrite`
-    /// requests that path outright (compaction).
-    ///
-    /// # Errors
-    ///
-    /// `WouldBlock` when the writer lock stays contended past
-    /// [`SEGMENT_LOCK_WAIT`]; otherwise the underlying I/O error.
-    fn apply_pendings(
+    /// Rewrite the segment as a checkpoint (the caller holds the writer
+    /// lock and `file` is the synced handle): the view's live rows that
+    /// pass `keep`, plus `add`. Dead frames are dropped and the tail folds
+    /// into the index, so replay restarts from zero frames.
+    fn checkpoint(
         &self,
         view: &mut SegmentView,
-        pendings: Vec<Pending>,
-        force_rewrite: bool,
+        file: Option<fs::File>,
+        keep: impl Fn(&str) -> bool,
+        add: Option<(SegmentIndexEntry, Vec<u8>)>,
     ) -> io::Result<()> {
-        let _lock = self.segment_lock()?;
-        self.refresh_view(view, true);
-        // Surviving old rows, and the new frames in batch order (later
-        // writes of one digest supersede earlier ones within the batch).
-        let mut entries = view.entries.clone();
-        let mut frames: Vec<(Option<SegmentIndexEntry>, String)> = Vec::new();
-        for pending in pendings {
-            match pending {
-                Pending::Entry {
-                    key,
-                    json,
-                    backend,
-                    saved_at_millis,
-                } => {
-                    entries.retain(|e| e.key != key);
-                    frames.retain(|(m, _)| m.as_ref().map(|m| m.key != key).unwrap_or(true));
-                    let len = json.len() as u64;
-                    frames.push((
-                        Some(SegmentIndexEntry {
-                            key,
-                            offset: 0,
-                            len,
-                            version: STORE_VERSION,
-                            backend,
-                            saved_at_millis,
-                        }),
-                        json,
-                    ));
-                }
-                Pending::Tombstone { key } => {
-                    entries.retain(|e| e.key != key);
-                    frames.retain(|(m, _)| m.as_ref().map(|m| m.key != key).unwrap_or(true));
-                    // The tombstone frame is appended even though the
-                    // index row is dropped: a future torn-header scan
-                    // replays the log and must not resurrect the digest.
-                    let json = tombstone_json(&key);
-                    frames.push((None, json));
-                }
-            }
-        }
-
-        if view.header_ok && !force_rewrite {
-            // In-place attempt: assign offsets at the current end of
-            // file, and check the resulting index still fits.
-            let mut off = view.file_len;
-            let mut final_entries = entries.clone();
-            for (meta, json) in &frames {
-                if let Some(meta) = meta {
-                    let mut row = meta.clone();
-                    row.offset = off + 8;
-                    final_entries.push(row);
-                }
-                off += 8 + json.len() as u64;
-            }
-            let header_json = encode_header(&final_entries)?;
-            if header_json.len() as u64 <= view.capacity {
-                let mut file = fs::OpenOptions::new()
-                    .write(true)
-                    .open(self.segment_path())?;
-                let mut buf: Vec<u8> = Vec::new();
-                for (_, json) in &frames {
-                    buf.extend_from_slice(&(json.len() as u64).to_le_bytes());
-                    buf.extend_from_slice(json.as_bytes());
-                }
-                // Crash ordering: payload first, fsync, then the header
-                // — a torn run leaves the old index intact and the new
-                // frames recoverable only by the replay scan.
-                file.seek(SeekFrom::Start(view.file_len))?;
-                file.write_all(&buf)?;
-                file.sync_all()?;
-                let mut padded = header_json.into_bytes();
-                padded.resize(view.capacity as usize, b' ');
-                file.seek(SeekFrom::Start(8))?;
-                file.write_all(&padded)?;
-                file.sync_all()?;
-                drop(file);
-                view.entries = final_entries;
-                view.file_len = off;
-                view.skipped = 0;
-                view.stat = file_stat(&self.segment_path());
-                return Ok(());
-            }
-        }
-
-        // Full rewrite: carry live payloads over, drop dead bytes and
-        // tombstones (the rewrite *is* a compaction), rename into place.
-        let mut items: Vec<(SegmentIndexEntry, Vec<u8>)> = Vec::new();
-        if !entries.is_empty() {
-            let mut file = fs::File::open(self.segment_path())?;
-            for row in &entries {
+        let mut rows: Vec<&SegmentIndexEntry> =
+            view.rows.values().filter(|r| keep(&r.key)).collect();
+        rows.sort_by_key(|r| r.offset);
+        let mut items = Vec::with_capacity(rows.len() + 1);
+        if let Some(mut file) = file {
+            for row in rows {
                 if let Some(bytes) = read_bytes_in(&mut file, row.offset, row.len) {
                     items.push((row.clone(), bytes));
                 }
             }
         }
-        for (meta, json) in frames {
-            if let Some(meta) = meta {
-                items.push((meta, json.into_bytes()));
-            }
-        }
+        items.extend(add);
         *view = self.write_segment_file(&items)?;
         Ok(())
     }
 
-    /// Write a complete segment (header sized with growth slack, then
-    /// payload frames) to a temp file, fsync, and atomically rename it
-    /// into place; the directory is fsynced so the rename is durable
-    /// before callers delete what it replaced.
+    /// Write a complete segment (preamble with a fresh generation, exact
+    /// index, frames) to a temp file, fsync, and atomically rename it into
+    /// place; the directory is fsynced so the rename is durable before
+    /// callers delete what it replaced.
     fn write_segment_file(
         &self,
         items: &[(SegmentIndexEntry, Vec<u8>)],
     ) -> io::Result<SegmentView> {
-        // Capacity from a conservative provisional encoding: the real
-        // offsets print in at most 20 digits where the provisional zeros
-        // print in one, and doubling leaves in-place growth room.
-        let provisional: Vec<SegmentIndexEntry> = items.iter().map(|(m, _)| m.clone()).collect();
-        let provisional_len = encode_header(&provisional)?.len() as u64;
-        let capacity = MIN_HEADER_CAPACITY.max(2 * (provisional_len + 20 * items.len() as u64));
+        // Index offsets count from the end of the index, so its length
+        // does not depend on itself.
         let mut entries = Vec::with_capacity(items.len());
-        let mut off = 8 + capacity;
+        let mut payload_len = 0;
         for (meta, payload) in items {
-            let mut row = meta.clone();
-            row.offset = off + 8;
-            row.len = payload.len() as u64;
-            entries.push(row);
-            off += 8 + payload.len() as u64;
+            let len = payload.len() as u64;
+            entries.push(SegmentIndexEntry {
+                offset: payload_len + 8,
+                len,
+                ..meta.clone()
+            });
+            payload_len += 8 + len;
         }
-        let header_json = encode_header(&entries)?;
-        if header_json.len() as u64 > capacity {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "segment header overflowed its provisioned capacity",
-            ));
+        let header = SegmentHeader { entries };
+        let index = serde_json::to_string(&header)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let header_end = PREAMBLE_LEN + index.len() as u64;
+        // Inode numbers are reused, so only a stamp of its own tells this
+        // rewrite apart from every other.
+        let generation = RandomState::new().hash_one((std::process::id(), SystemTime::now()));
+        let mut buf = Vec::with_capacity((header_end + payload_len) as usize);
+        for word in [SEGMENT_VERSION, generation, index.len() as u64] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(index.as_bytes());
+        for (_, payload) in items {
+            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            buf.extend_from_slice(payload);
         }
         let tmp = self.dir.join(format!(
             ".segment.{}.{}.tmp",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&capacity.to_le_bytes())?;
-            let mut padded = header_json.into_bytes();
-            padded.resize(capacity as usize, b' ');
-            f.write_all(&padded)?;
-            for (_, payload) in items {
-                f.write_all(&(payload.len() as u64).to_le_bytes())?;
-                f.write_all(payload)?;
-            }
-            f.sync_all()?;
-        }
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(&buf)?;
+        f.sync_all()?;
         if let Err(e) = fs::rename(&tmp, self.segment_path()) {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
         let _ = fs::File::open(&self.dir).and_then(|d| d.sync_all());
+        let rows = header.entries.into_iter().map(|mut row| {
+            row.offset += header_end;
+            (row.key.clone(), row)
+        });
         Ok(SegmentView {
-            initialized: true,
-            stat: file_stat(&self.segment_path()),
-            header_ok: true,
-            capacity,
-            file_len: off,
-            entries,
-            skipped: 0,
+            stat: handle_stat(&f),
+            generation: Some(generation),
+            payload_start: header_end,
+            file_len: header_end + payload_len,
+            checkpoint_rows: items.len(),
+            rows: rows.collect(),
+            ..SegmentView::default()
         })
     }
 }
 
 fn file_stat(path: &Path) -> Option<(u64, SystemTime)> {
-    fs::metadata(path)
-        .ok()
-        .map(|m| (m.len(), m.modified().unwrap_or(SystemTime::UNIX_EPOCH)))
+    fs::metadata(path).ok().map(|m| stat_of(&m))
+}
+
+fn handle_stat(file: &fs::File) -> Option<(u64, SystemTime)> {
+    file.metadata().ok().map(|m| stat_of(&m))
+}
+
+fn stat_of(meta: &fs::Metadata) -> (u64, SystemTime) {
+    (
+        meta.len(),
+        meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+    )
 }
 
 fn time_to_millis(t: SystemTime) -> u64 {
@@ -1176,31 +1144,44 @@ fn now_millis() -> u64 {
     time_to_millis(SystemTime::now())
 }
 
-/// Serialize the versioned record envelope for one entry — the payload
-/// frame body.
-fn encode_record(key: &str, entry: &CacheEntry) -> io::Result<String> {
-    let stored = StoredEntry {
-        version: STORE_VERSION,
-        key: key.to_string(),
-        entry: entry.clone(),
-    };
-    serde_json::to_string(&stored)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// The integrity check of a record, so a frame needs no index row to be
+/// trusted: FNV-1a over its key and raw entry JSON taken eight bytes a
+/// step. Every step is a bijection of the running value, so damage to any
+/// one word always changes the check; it is a damage check, not a digest,
+/// and cheap enough to run on every replayed frame and every read.
+fn record_check(key: &str, entry: &str) -> String {
+    let words = key.as_bytes().chunks(8).chain(entry.as_bytes().chunks(8));
+    let check = words.fold(0xcbf2_9ce4_8422_2325_u64, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        (h ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{check:016x}")
 }
 
-fn encode_header(entries: &[SegmentIndexEntry]) -> io::Result<String> {
-    let header = SegmentHeader {
-        version: SEGMENT_VERSION,
-        entries: entries.to_vec(),
-    };
-    serde_json::to_string(&header)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// Serialize the versioned record envelope for one entry — a frame body
+/// (keys are validated alphanumerics, so direct formatting is
+/// escape-safe; the entry comes last so replay can read the head alone).
+fn encode_record(key: &str, entry: &CacheEntry, saved_at_millis: u64) -> io::Result<String> {
+    let entry = serde_json::to_string(entry)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let check = record_check(key, &entry);
+    Ok(format!(
+        "{{\"version\":{STORE_VERSION},\"key\":\"{key}\",\"saved_at_millis\":{saved_at_millis},\
+         \"check\":\"{check}\",\"entry\":{entry}}}"
+    ))
 }
 
-/// The eviction record appended for a digest (keys are validated
-/// alphanumerics, so direct formatting is escape-safe).
-fn tombstone_json(key: &str) -> String {
-    format!("{{\"version\":{STORE_VERSION},\"key\":\"{key}\",\"evicted\":true}}")
+/// Split a record into its head and raw entry JSON, or `None` when it is
+/// damaged, fails its check, or belongs to another [`STORE_VERSION`].
+fn decode_record(bytes: &[u8]) -> Option<(RecordHead, &str)> {
+    const ENTRY: &str = ",\"entry\":";
+    let text = std::str::from_utf8(bytes).ok()?;
+    let at = text.find(ENTRY)?;
+    let head: RecordHead = serde_json::from_str(&format!("{}}}", &text[..at])).ok()?;
+    let entry = text[at + ENTRY.len()..].strip_suffix('}')?;
+    let intact = head.version == STORE_VERSION && head.check == record_check(&head.key, entry);
+    intact.then_some((head, entry))
 }
 
 /// Read `len` bytes at `offset` from an already-open segment file.
@@ -1211,148 +1192,121 @@ fn read_bytes_in(file: &mut fs::File, offset: u64, len: u64) -> Option<Vec<u8>> 
     Some(buf)
 }
 
-fn read_record_in(file: &mut fs::File, offset: u64, len: u64) -> Option<StoredEntry> {
-    let buf = read_bytes_in(file, offset, len)?;
-    let text = std::str::from_utf8(&buf).ok()?;
-    serde_json::from_str(text).ok()
+/// Read and decode the entry `row` points at, validating the record
+/// against the row's key.
+fn read_entry(file: &mut fs::File, row: &SegmentIndexEntry) -> Option<CacheEntry> {
+    let bytes = read_bytes_in(file, row.offset, row.len)?;
+    let (head, entry) = decode_record(&bytes)?;
+    if head.key != row.key {
+        return None;
+    }
+    serde_json::from_str(entry).ok()
 }
 
-/// Open the segment and decode one record (the lazy read-through path).
-fn read_record_at(path: &Path, offset: u64, len: u64) -> Option<StoredEntry> {
-    let mut file = fs::File::open(path).ok()?;
-    read_record_in(&mut file, offset, len)
-}
-
-/// Read and validate the segment file into a view. Never panics and
-/// never fails hard: a missing file is an empty view, a torn header
-/// falls back to replaying the frame log, and index rows pointing past
-/// the end of a truncated file are skipped and counted.
-fn read_segment_view(path: &Path) -> SegmentView {
-    let mut view = SegmentView {
-        initialized: true,
+/// Bring `view` up to date through an open segment file. When the file
+/// still carries the view's generation and has not shrunk, only the frames
+/// past the replay position are read; anything else (another checkpoint,
+/// a truncation, another `SEGMENT_VERSION`) rebuilds the view.
+fn sync_view(file: &mut fs::File, view: &mut SegmentView) {
+    let stat = handle_stat(file);
+    let len = stat.map_or(0, |(len, _)| len);
+    let preamble = read_preamble(file);
+    if view.generation.is_some()
+        && preamble.map(|(generation, _)| generation) == view.generation
+        && len >= view.file_len
+    {
+        view.stat = stat;
+        scan_payload(file, len, view);
+        return;
+    }
+    *view = SegmentView {
+        stat,
         ..SegmentView::default()
     };
-    let Ok(mut file) = fs::File::open(path) else {
-        return view;
+    let Some((generation, index_len)) = preamble else {
+        return;
     };
-    let Ok(meta) = file.metadata() else {
-        return view;
+    let header_end = PREAMBLE_LEN.saturating_add(index_len);
+    let header = (header_end <= len)
+        .then(|| read_bytes_in(file, PREAMBLE_LEN, index_len))
+        .flatten()
+        .and_then(|bytes| String::from_utf8(bytes).ok())
+        .and_then(|text| serde_json::from_str::<SegmentHeader>(&text).ok());
+    let Some(header) = header else {
+        return;
     };
-    let file_len = meta.len();
-    view.stat = Some((file_len, meta.modified().unwrap_or(SystemTime::UNIX_EPOCH)));
-    view.file_len = file_len;
-    if file_len < 8 {
-        return view;
-    }
-    let mut cap_buf = [0u8; 8];
-    if file.read_exact(&mut cap_buf).is_err() {
-        return view;
-    }
-    let capacity = u64::from_le_bytes(cap_buf);
-    view.capacity = capacity;
-    if capacity == 0 || capacity.saturating_add(8) > file_len {
-        // The header region itself is cut (or the length prefix is
-        // garbage). The payload lives *after* the header, so a
-        // truncation here left no recoverable records either — an empty
-        // view is positionally exact, not a give-up.
-        return view;
-    }
-    let mut header_buf = vec![0u8; capacity as usize];
-    if file.read_exact(&mut header_buf).is_err() {
-        return view;
-    }
-    let parsed = std::str::from_utf8(&header_buf)
-        .ok()
-        .and_then(|s| serde_json::from_str::<SegmentHeader>(s.trim_end()).ok())
-        .filter(|h| h.version == SEGMENT_VERSION);
-    match parsed {
-        Some(header) => {
-            view.header_ok = true;
-            for row in header.entries {
-                let in_payload = row.offset >= 8 + capacity;
-                let readable = row.offset.saturating_add(row.len) <= file_len;
-                if in_payload && readable && row.version == STORE_VERSION {
-                    view.entries.push(row);
-                } else {
-                    view.skipped += 1;
-                }
-            }
+    view.payload_start = header_end;
+    view.checkpoint_rows = header.entries.len();
+    let mut tail_start = header_end;
+    for mut row in header.entries {
+        row.offset = row.offset.saturating_add(header_end);
+        let end = row.offset.saturating_add(row.len);
+        tail_start = tail_start.max(end);
+        if row.offset >= header_end + 8 && end <= len && row.version == STORE_VERSION {
+            view.rows.insert(row.key.clone(), row);
+        } else {
+            view.skipped += 1;
         }
-        // Torn or scribbled header: replay the frame log. Entry frames
-        // re-insert digests, tombstone frames delete them — so recovery
-        // sees every record before the torn point and never resurrects
-        // an evicted digest.
-        None => scan_payload(&mut file, capacity, file_len, &mut view),
     }
-    view
+    if tail_start > len {
+        // Cut inside the checkpoint: the rows past the cut were counted
+        // above, and the next write checkpoints afresh.
+        view.file_len = len;
+        return;
+    }
+    view.generation = Some(generation);
+    view.file_len = tail_start;
+    scan_payload(file, len, view);
 }
 
-/// Replay the length-prefixed frame log from the start of the payload
-/// region, stopping at the first torn or unreadable frame.
-fn scan_payload(file: &mut fs::File, capacity: u64, file_len: u64, view: &mut SegmentView) {
-    let mut pos = 8 + capacity;
-    if file.seek(SeekFrom::Start(pos)).is_err() {
+/// `(generation, index_len)` from the fixed preamble, or `None` for a
+/// short file or another `SEGMENT_VERSION`.
+fn read_preamble(file: &mut fs::File) -> Option<(u64, u64)> {
+    let bytes = read_bytes_in(file, 0, PREAMBLE_LEN)?;
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    (word(0) == SEGMENT_VERSION).then(|| (word(1), word(2)))
+}
+
+/// Replay the frames between the view's replay position and `end`, the
+/// one frame reader for open and refresh alike. It stops before a frame
+/// running past `end` — torn, or still being written — so a later refresh
+/// or a writer's truncation resumes exactly there.
+fn scan_payload(file: &mut fs::File, end: u64, view: &mut SegmentView) {
+    if view.file_len + 8 > end || file.seek(SeekFrom::Start(view.file_len)).is_err() {
         return;
     }
     let mut reader = io::BufReader::new(file);
-    while pos + 8 <= file_len {
+    let mut frame = Vec::new();
+    while view.file_len + 8 <= end {
         let mut len_buf = [0u8; 8];
         if reader.read_exact(&mut len_buf).is_err() {
-            view.skipped += 1;
             return;
         }
         let len = u64::from_le_bytes(len_buf);
-        if len == 0 || pos + 8 + len > file_len {
-            // Torn frame: its length prefix promises bytes past the cut,
-            // so it and everything after are unrecoverable.
-            view.skipped += 1;
+        if len == 0 || len > end - view.file_len - 8 {
             return;
         }
-        let mut buf = vec![0u8; len as usize];
-        if reader.read_exact(&mut buf).is_err() {
-            view.skipped += 1;
+        frame.resize(len as usize, 0);
+        if reader.read_exact(&mut frame).is_err() {
             return;
         }
-        let offset = pos + 8;
-        pos += 8 + len;
-        let record = std::str::from_utf8(&buf).ok().and_then(parse_record);
-        match record {
-            Some(Record::Entry(stored)) => {
-                let stored = *stored;
-                view.entries.retain(|e| e.key != stored.key);
-                view.entries.push(SegmentIndexEntry {
-                    key: stored.key,
+        let offset = view.file_len + 8;
+        view.file_len = offset + len;
+        view.tail_frames += 1;
+        match decode_record(&frame) {
+            Some((head, _)) => {
+                let row = SegmentIndexEntry {
+                    key: head.key.clone(),
                     offset,
                     len,
-                    version: stored.version,
-                    backend: stored.entry.backend,
-                    // Recency is an index-only attribute; replayed
-                    // entries age to the epoch (first GC victims).
-                    saved_at_millis: 0,
-                });
+                    version: STORE_VERSION,
+                    saved_at_millis: head.saved_at_millis,
+                };
+                view.rows.insert(head.key, row);
             }
-            Some(Record::Tombstone { key }) => view.entries.retain(|e| e.key != key),
             // Framing is intact (the length prefix was honored), so a
-            // single unparseable record does not end the replay.
+            // single bad record does not end the replay.
             None => view.skipped += 1,
         }
     }
-}
-
-fn parse_record(text: &str) -> Option<Record> {
-    let value: serde::Value = serde_json::from_str(text).ok()?;
-    let map = value.as_map()?;
-    let evicted = map
-        .iter()
-        .any(|(k, v)| k == "evicted" && matches!(v, serde::Value::Bool(true)));
-    if evicted {
-        let key = map
-            .iter()
-            .find(|(k, _)| k == "key")
-            .and_then(|(_, v)| v.as_str())?
-            .to_string();
-        return Some(Record::Tombstone { key });
-    }
-    let stored = StoredEntry::from_value(&value).ok()?;
-    (stored.version == STORE_VERSION).then(|| Record::Entry(Box::new(stored)))
 }

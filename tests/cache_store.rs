@@ -42,13 +42,34 @@ type Damage = fn(&mut [u8]);
 fn damage_record(dir: &Path, key: &str, damage: Damage) {
     let path = dir.join("segment.cosa");
     let mut bytes = std::fs::read(&path).unwrap();
+    let at = record_at(&bytes, key);
+    let head_len = format!("{{\"version\":{STORE_VERSION},\"key\":\"{key}\"").len();
+    damage(&mut bytes[at..at + head_len]);
+    std::fs::write(&path, bytes).unwrap();
+}
+
+/// `n` distinct entries keyed `key000`, `key001`, …: one solve, told apart
+/// by their backend tag.
+fn tagged_entries(n: usize) -> Vec<(String, CacheEntry)> {
+    let layer = Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1);
+    let scheduled = Scheduler::schedule(&quick_random(), &Arch::simba_baseline(), &layer);
+    let scheduled = scheduled.expect("valid");
+    (0..n)
+        .map(|i| {
+            let mut entry = CacheEntry::new(scheduled.clone());
+            entry.backend = Some(format!("tag{i}"));
+            (format!("key{i:03}"), entry)
+        })
+        .collect()
+}
+
+/// Byte offset of `key`'s record in the segment bytes.
+fn record_at(bytes: &[u8], key: &str) -> usize {
     let head = format!("{{\"version\":{STORE_VERSION},\"key\":\"{key}\"");
-    let at = bytes
+    bytes
         .windows(head.len())
         .position(|w| w == head.as_bytes())
-        .expect("record present in the segment");
-    damage(&mut bytes[at..at + head.len()]);
-    std::fs::write(&path, bytes).unwrap();
+        .expect("record present in the segment")
 }
 
 /// `*.json` files in `dir` — the segment is the only entry format, so
@@ -145,6 +166,11 @@ fn corrupt_entries_are_skipped_not_fatal() {
         assert_eq!(load.skipped, 1, "{tag}: the damaged record is counted");
         assert!(store.load_entry(victim).is_none(), "{tag}");
         assert!(store.load_entry(spared).is_some(), "{tag}");
+        // The index load sees the damage only when the record is a frame
+        // past the checkpoint (replay reads its head); behind an index row
+        // it surfaces on the read.
+        let at_index = store.load_index().skipped as u64;
+        assert!(at_index <= 1, "{tag}");
 
         // An engine over the damaged dir still works: exactly the damaged
         // shape re-solves, and its fresh record supersedes the bad one.
@@ -157,7 +183,7 @@ fn corrupt_entries_are_skipped_not_fatal() {
             run.cache_misses, 1,
             "{tag}: only the damaged shape re-solves"
         );
-        assert_eq!(engine.cache_stats().store_errors, 0, "{tag}");
+        assert_eq!(engine.cache_stats().store_errors, at_index, "{tag}");
         drop(engine);
         let healed = CacheStore::open(&dir).unwrap().load();
         assert_eq!((healed.entries.len(), healed.skipped), (2, 0), "{tag}");
@@ -179,14 +205,22 @@ fn other_version_records_are_skipped_and_superseded() {
 
     // Rewrite the segment as an older STORE_VERSION would have left it:
     // every record envelope and every index row says `"version":1`. (The
-    // header's own layout version is a different number and field.)
+    // segment's own layout version is a binary preamble word.) Records
+    // past the checkpoint have no index row yet, so there are two record
+    // hits plus one per checkpointed record.
     let path = dir.join("segment.cosa");
     let current = format!("\"version\":{STORE_VERSION}");
     let mut bytes = std::fs::read(&path).unwrap();
     let hits: Vec<usize> = (0..bytes.len())
         .filter(|&at| bytes[at..].starts_with(current.as_bytes()))
         .collect();
-    assert_eq!(hits.len(), 4, "two index rows + two records");
+    let records = format!("{{{current},\"key\":");
+    let record_hits = hits
+        .iter()
+        .filter(|&&at| bytes[at - 1..].starts_with(records.as_bytes()))
+        .count();
+    assert_eq!(record_hits, 2, "two records");
+    assert!(hits.len() <= 4, "plus at most one index row each");
     for at in hits {
         bytes[at + current.len() - 1] = b'1';
     }
@@ -199,7 +233,8 @@ fn other_version_records_are_skipped_and_superseded() {
     assert!(store.load().entries.is_empty());
 
     // The engine counts them, re-solves each shape once and persists the
-    // fresh records, which supersede the old ones (now dead payload).
+    // fresh records, which supersede the old ones (dead payload, or gone
+    // when a superseding save took a checkpoint).
     let engine = Engine::new(Arch::simba_baseline())
         .with_cache_dir(&dir)
         .expect("open cache dir");
@@ -207,7 +242,7 @@ fn other_version_records_are_skipped_and_superseded() {
     assert_eq!((stats.warm_entries, stats.store_errors), (0, 2));
     let run = engine.schedule_network(&network, &mapper);
     assert_eq!(run.cache_misses, 2, "each skipped shape re-solves once");
-    assert!(engine.cache_stats().segment_dead_bytes > 0);
+    assert_eq!(engine.cache_stats().disk_index_entries, 2);
     drop(engine);
 
     let warm = Engine::new(Arch::simba_baseline())
@@ -217,6 +252,190 @@ fn other_version_records_are_skipped_and_superseded() {
     assert_eq!((stats.warm_entries, stats.store_errors), (2, 0));
     assert_eq!(warm.schedule_network(&network, &mapper).cache_misses, 0);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn saves_between_checkpoints_only_append() {
+    let dir = scratch_dir("append-only");
+    let path = dir.join("segment.cosa");
+    let store = CacheStore::open(&dir).unwrap();
+    let entries = tagged_entries(32);
+    // Distinct digests, then re-saves of eight of them (superseding
+    // frames). A checkpoint is a rename with a fresh generation stamp
+    // (preamble bytes 8..16); every other save must leave each byte
+    // before the previous end of file alone.
+    let mut before: Vec<u8> = Vec::new();
+    let mut checkpoints = 0;
+    for (key, entry) in entries.iter().chain(&entries[..8]) {
+        store.save(key, entry).unwrap();
+        let after = std::fs::read(&path).unwrap();
+        if before.is_empty() || after[8..16] != before[8..16] {
+            checkpoints += 1;
+        } else {
+            assert!(after.len() > before.len(), "{key}: a save appends");
+            assert!(after.starts_with(&before), "{key}: and changes no old byte");
+        }
+        before = after;
+    }
+    // Checkpoints double the index each time, so 40 saves take a handful.
+    assert!((2..=6).contains(&checkpoints), "{checkpoints} checkpoints");
+
+    let load = CacheStore::open(&dir).unwrap().load();
+    assert_eq!(load.skipped, 0);
+    assert_eq!(load.entries, entries);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_tail_is_cut_before_the_next_append() {
+    let dir = scratch_dir("torn-tail");
+    let path = dir.join("segment.cosa");
+    let mut entries = tagged_entries(6);
+    // Longer than the entry saved after the crash, so what the cut
+    // leaves of it outlasts an append written over it.
+    entries[5].1.backend = Some("x".repeat(4096));
+    let a = CacheStore::open(&dir).unwrap();
+    for (key, entry) in &entries[..4] {
+        a.save(key, entry).unwrap();
+    }
+    // The eviction is a checkpoint (rows key000, key002, key003); the next
+    // save appends one frame past it, which a crash then cuts short.
+    a.remove("key001").unwrap();
+    a.save(&entries[5].0, &entries[5].1).unwrap();
+    drop(a);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 100]).unwrap();
+
+    let b = CacheStore::open(&dir).unwrap();
+    let index = b.load_index();
+    assert_eq!(
+        (index.entries, index.skipped),
+        (3, 1),
+        "the torn frame counts"
+    );
+    assert_eq!(b.load_index().skipped, 1, "once, not per refresh");
+    b.save(&entries[4].0, &entries[4].1).unwrap();
+    assert_eq!(b.load_index().skipped, 0, "the writer cut it off");
+
+    // The pre-cut live set plus the new entry: the evicted digest stays
+    // gone and the torn one is not half-served.
+    let reload = CacheStore::open(&dir).unwrap().load();
+    assert_eq!(reload.skipped, 0);
+    let want: Vec<(String, CacheEntry)> = [0, 2, 3, 4].map(|i| entries[i].clone()).into();
+    assert_eq!(reload.entries, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_held_view_reads_exactly_across_another_handles_compactions() {
+    let dir = scratch_dir("held-view");
+    let mut latest = tagged_entries(10);
+    let a = CacheStore::open(&dir).unwrap();
+    for (key, entry) in &latest[..6] {
+        a.save(key, entry).unwrap();
+    }
+    assert_eq!(a.load_index().entries, 6, "A's view is current");
+
+    // Handle B supersedes records and compacts, twice, evicts one and
+    // appends past the length A's view knew: every record A knew has
+    // moved, in a file longer than A's.
+    let b = CacheStore::open(&dir).unwrap();
+    for round in 0..2 {
+        for (key, entry) in &mut latest[..3] {
+            entry.backend = Some(format!("{key}-round{round}"));
+            b.save(key, entry).unwrap();
+        }
+        let report = b.gc(&GcPolicy::default().with_compact_min_dead(0)).unwrap();
+        assert_eq!(report.compactions, 1, "round {round}");
+    }
+    b.remove("key005").unwrap();
+    let evicted = latest.remove(5);
+    for (key, entry) in &latest[5..] {
+        b.save(key, entry).unwrap();
+    }
+
+    let load = a.load();
+    assert_eq!((load.entries, load.skipped), (latest.clone(), 0));
+    for (key, entry) in &latest {
+        assert_eq!(a.load_entry(key).as_ref(), Some(entry), "{key}");
+    }
+    assert!(a.load_entry(&evicted.0).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn frames_past_the_checkpoint_are_checked() {
+    let entries = tagged_entries(2);
+    // `key001` is a frame past the checkpoint: no index row vouches for
+    // it. Rewrite the last byte of its key, or of its backend tag, in
+    // place with framing intact.
+    for needle in ["key001", "tag1"] {
+        let dir = scratch_dir(&format!("frame-check-{needle}"));
+        let path = dir.join("segment.cosa");
+        let store = CacheStore::open(&dir).unwrap();
+        for (key, entry) in &entries {
+            store.save(key, entry).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = record_at(&bytes, "key001");
+        let hit = bytes[at..]
+            .windows(needle.len())
+            .position(|w| w == needle.as_bytes());
+        bytes[at + hit.unwrap() + needle.len() - 1] = b'7';
+        std::fs::write(&path, bytes).unwrap();
+
+        let store = CacheStore::open(&dir).unwrap();
+        let load = store.load();
+        let want = (entries[..1].to_vec(), 1);
+        assert_eq!((load.entries, load.skipped), want, "{needle}");
+        for key in ["key001", "key007"] {
+            assert!(store.load_entry(key).is_none(), "{needle}: {key} served");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn version_1_segments_load_empty_and_are_replaced_by_the_first_save() {
+    let dir = scratch_dir("segment-v1");
+    let path = dir.join("segment.cosa");
+    // The layout before the append-only log: a u64 header capacity, a
+    // space-padded JSON index, then the frames it points at.
+    let (key, entry) = tagged_entries(1).remove(0);
+    let record = format!(
+        "{{\"version\":{STORE_VERSION},\"key\":\"old1\",\"entry\":{}}}",
+        serde_json::to_string(&entry).unwrap()
+    );
+    let index = format!(
+        "{{\"version\":1,\"entries\":[{{\"key\":\"old1\",\"offset\":4112,\"len\":{},\
+         \"version\":{STORE_VERSION},\"backend\":null,\"saved_at_millis\":1}}]}}",
+        record.len()
+    );
+    let mut v1 = 4096u64.to_le_bytes().to_vec();
+    v1.extend_from_slice(format!("{index:<4096}").as_bytes());
+    v1.extend_from_slice(&(record.len() as u64).to_le_bytes());
+    v1.extend_from_slice(record.as_bytes());
+    let store = CacheStore::open(&dir).unwrap();
+    std::fs::write(&path, &v1).unwrap();
+
+    // Loads as empty, and the unreadable file is counted.
+    let index = store.load_index();
+    assert_eq!((index.entries, index.skipped), (0, 1));
+    let engine = Engine::new(Arch::simba_baseline())
+        .with_cache_dir(&dir)
+        .expect("open cache dir");
+    let stats = engine.cache_stats();
+    assert_eq!((stats.warm_entries, stats.store_errors), (0, 1));
+
+    // The first save does not append to it: it renames a fresh segment
+    // over it.
+    store.save(&key, &entry).unwrap();
+    let after = std::fs::read(&path).unwrap();
+    assert_ne!(after[..8], v1[..8]);
+    assert!(!after.windows(6).any(|w| w == b"\"old1\""));
+    let reload = CacheStore::open(&dir).unwrap().load();
+    assert_eq!((reload.entries, reload.skipped), (vec![(key, entry)], 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
