@@ -8,8 +8,9 @@
 //! Flags: `--quick` probes a network prefix; `--suite <name>` picks the
 //! suite; `--scheduler cosa|sat|portfolio|random|hybrid` picks the
 //! scheduler (default cosa); `--threads <n>` sets the fan-out width. With
-//! `portfolio` (the MILP-vs-SAT race) the probe also prints the
-//! per-backend win distribution from the engine's cache stats.
+//! `portfolio` (SAT up to 14 prime factors, the MILP above) the probe also
+//! prints how many fresh solves each backend ran, from the engine's cache
+//! stats.
 //!
 //! Persistent mode: `--cache-dir <path>` (or the `COSA_CACHE_DIR` env var)
 //! runs one engine against an on-disk schedule cache (one packed
@@ -36,11 +37,9 @@ use cosa_repro::engine::{CacheStore, Engine, GcPolicy};
 use cosa_repro::serve::{scheduler_from_name, CommonArgs};
 use cosa_spec::{Arch, Network, Suite};
 
-/// Write the canonical (volatiles-stripped) report artifact that the CI
-/// warm-cache job byte-compares across cold and warm runs.
-/// Print the per-backend fresh-solve (race-win) distribution, when any
-/// solver ran. One line per backend plus a win-rate summary, so a
-/// portfolio run shows at a glance which backend carried which share.
+/// Print the fresh solves per backend, when any solver ran. One line per
+/// backend with its share, so a portfolio run shows at a glance which
+/// backend carried which share.
 fn print_backend_wins(stats: &cosa_repro::engine::CacheStats) {
     let total: u64 = stats.backend_wins.iter().map(|w| w.wins).sum();
     if total == 0 {
@@ -48,7 +47,7 @@ fn print_backend_wins(stats: &cosa_repro::engine::CacheStats) {
     }
     for w in &stats.backend_wins {
         println!(
-            "  backend {:<10} {:>4} wins ({:>5.1}%), {:.3}s winning wall-clock",
+            "  backend {:<10} {:>4} solves ({:>5.1}%), {:.3}s solving wall-clock",
             w.backend,
             w.wins,
             100.0 * w.wins as f64 / total as f64,
@@ -76,6 +75,8 @@ fn print_suite_summary(network: &Network, run: &cosa_repro::engine::NetworkRun) 
     );
 }
 
+/// Write the canonical (volatiles-stripped) report artifact that the CI
+/// warm-cache job byte-compares across cold and warm runs.
 fn write_report_artifact(report: &cosa_repro::engine::NetworkReport) -> std::path::PathBuf {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
@@ -401,11 +402,9 @@ fn run_in_memory(
     }
 
     // The hybrid mapper races its internal search threads on metric ties,
-    // and the portfolio's MILP-vs-SAT race can be won by either backend
-    // (equal cost, possibly different optimal schedules), so cross-run
-    // content identity is only guaranteed for the single-backend
-    // deterministic schedulers (cosa/sat/random).
-    if scheduler.name() != "hybrid" && scheduler.name() != "portfolio" {
+    // so cross-run content identity is only guaranteed for the others
+    // (cosa/sat/portfolio/random).
+    if scheduler.name() != "hybrid" {
         let json1 =
             serde_json::to_string(&run1.report.without_timings()).expect("report serializes");
         let json_n =

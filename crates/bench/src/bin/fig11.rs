@@ -4,7 +4,8 @@
 //!
 //! Paper headlines: 1.10× geomean speedup over TVM with a ~2500× shorter
 //! time-to-solution (0.02 s vs 50 s per layer; our wall-clock ratio shifts
-//! with the model's evaluation cost — see EXPERIMENTS.md).
+//! with the model's evaluation cost — see README.md, "Reproducing the
+//! paper").
 
 use cosa_bench::{geomean, parse_flags, write_csv};
 use cosa_core::{CosaScheduler, ObjectiveWeights};

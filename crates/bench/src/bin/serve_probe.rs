@@ -19,8 +19,8 @@
 //!   CI job replays. Overrides `--suite`.
 //! * `--scheduler cosa|sat|portfolio|random|hybrid` — serving scheduler
 //!   (default cosa; part of the shared `CommonArgs` flag set). With
-//!   `portfolio` the probe prints the per-backend MILP-vs-SAT win
-//!   distribution from the daemon's `/v1/stats` delta.
+//!   `portfolio` the probe prints how many fresh solves went to the MILP
+//!   and to SAT, from the daemon's `/v1/stats` delta.
 //! * `--wait-secs N` — poll `/v1/healthz` until ready (default 60).
 //! * `--expect-warm` — assert the whole run was served from cache: zero
 //!   new solver calls and zero new NoC simulations in `/v1/stats`, p99
@@ -287,7 +287,7 @@ fn main() {
         after.cache.segment_dead_bytes,
         after.cache.compactions,
     );
-    // Per-backend solve (race-win) delta across this probe run. Backends
+    // Per-backend fresh-solve delta across this probe run. Backends
     // the daemon had never used before the probe simply start from zero.
     let win_delta: Vec<(String, u64, u64)> = after
         .cache
@@ -310,7 +310,7 @@ fn main() {
     let total_wins: u64 = win_delta.iter().map(|(_, wins, _)| wins).sum();
     for (backend, wins, micros) in &win_delta {
         println!(
-            "  backend {backend:<10} {wins:>4} wins ({:>5.1}%), {:.3}s winning wall-clock",
+            "  backend {backend:<10} {wins:>4} solves ({:>5.1}%), {:.3}s solving wall-clock",
             100.0 * *wins as f64 / total_wins as f64,
             *micros as f64 / 1e6,
         );

@@ -4,7 +4,7 @@
 //! Paper: CoSA 4.2 s (1 sample, 1 evaluation) vs Random 4.6 s (20 K / 5)
 //! vs Hybrid 379.9 s (67 M / 16 K+). Sample/evaluation counts reproduce
 //! directly; wall-clock ratios shift with the cost of one model
-//! evaluation (see EXPERIMENTS.md).
+//! evaluation (see README.md, "Reproducing the paper").
 
 use cosa_bench::{campaign::CampaignConfig, figures, parse_flags, run_campaign, selected_suites};
 use cosa_spec::Arch;

@@ -172,7 +172,7 @@ pub fn table6_report(suites: &[SuiteOutcome]) {
     );
     println!("(paper: CoSA 4.2s/1/1, Random 4.6s/20K/5, Hybrid 379.9s/67M/16K+;");
     println!(" wall-clock ratios shift because our analytical model evaluates in");
-    println!(" microseconds where Timeloop takes milliseconds — see EXPERIMENTS.md)");
+    println!(" microseconds where Timeloop takes milliseconds — see README.md)");
     let rows = vec![
         format!("runtime_s,{:.4},{:.4},{:.4}", t[2] / n, t[0] / n, t[1] / n),
         format!(

@@ -128,22 +128,6 @@ impl CosaScheduler {
     /// (which would indicate a formulation bug — the constraints are
     /// conservative with respect to the analytical model's checks).
     pub fn schedule(&self, layer: &Layer) -> Result<CosaResult, CosaError> {
-        self.schedule_with_stop(layer, None)
-    }
-
-    /// Like [`CosaScheduler::schedule`], with a cooperative cancellation
-    /// flag threaded into both MILP stages. Once the flag reads `true` the
-    /// solve aborts with `CosaError::Solver(MilpError::Canceled)`; used by
-    /// the portfolio racer to stop the losing backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`CosaScheduler::schedule`].
-    pub fn schedule_with_stop(
-        &self,
-        layer: &Layer,
-        stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    ) -> Result<CosaResult, CosaError> {
         let start = Instant::now();
         let program = CosaProgram::build_with_kind(layer, &self.arch, self.weights, self.kind);
 
@@ -159,11 +143,9 @@ impl CosaScheduler {
             gap_tol: 0.01,
             time_limit: self.opts.time_limit.map(|t| t.min(Duration::from_secs(3))),
             node_limit: self.opts.node_limit,
-            stop: stop.clone(),
             ..SolveOptions::default()
         };
         let mut opts = self.opts.clone();
-        opts.stop = stop;
         if let Ok(mut seed) = tiling.solve(&stage_a_opts) {
             seed.ranks = best_ranks(layer, &self.arch, &seed);
             if let Some(warm) = program.warm_start_from(&seed) {

@@ -20,9 +20,8 @@
 //! changes there is, which is what makes a dive cheap enough to run this
 //! often. Node relaxations rarely turn integral under assignment
 //! constraints, so the dives are where incumbents come from. A dive stops
-//! as soon as its LP bound cannot beat the incumbent, checks the
-//! cancellation flag at every step, and its point becomes the incumbent
-//! only if [`Model::is_feasible`] accepts it.
+//! as soon as its LP bound cannot beat the incumbent, and its point
+//! becomes the incumbent only if [`Model::is_feasible`] accepts it.
 //!
 //! [`SolveStats::simplex_iters`] counts every pivot of every LP — node,
 //! dive, warm, cold, fallback. [`SolveStats::best_bound`] is the incumbent
@@ -33,7 +32,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use crate::error::MilpError;
@@ -84,10 +82,6 @@ impl Ord for Node {
             .then_with(|| self.depth.cmp(&other.depth))
             .then_with(|| other.seq.cmp(&self.seq))
     }
-}
-
-fn canceled(opts: &SolveOptions) -> bool {
-    opts.stop.as_ref().is_some_and(|stop| stop.load(Relaxed))
 }
 
 pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
@@ -158,9 +152,6 @@ pub(crate) fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, Milp
                 open_bound = Some(node.bound);
                 break; // proven optimal within tolerance
             }
-        }
-        if canceled(opts) {
-            return Err(MilpError::Canceled);
         }
         if stats.nodes >= opts.node_limit || opts.time_limit.is_some_and(|tl| start.elapsed() > tl)
         {
@@ -335,9 +326,6 @@ fn diving_heuristic(
         let Some((j, xj, _)) = frac else {
             return Ok(Some((sol.objective, round_integers(int_vars, &sol.x))));
         };
-        if canceled(opts) {
-            return Err(MilpError::Canceled);
-        }
         let r = xj.round().clamp(lb[j], ub[j]);
         lb[j] = r;
         ub[j] = r;
@@ -496,21 +484,6 @@ mod tests {
         m.add_constraint(LinExpr::from(x), Cmp::Ge, 0.0);
         m.set_objective(LinExpr::from(x));
         assert_eq!(m.solve().unwrap_err(), MilpError::Unbounded);
-    }
-
-    #[test]
-    fn pre_set_stop_flag_cancels() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_integer("x", 0.0, 100.0);
-        m.add_constraint(2.0 * x, Cmp::Le, 5.0);
-        m.set_objective(LinExpr::from(x));
-        let opts = crate::SolveOptions {
-            stop: Some(Arc::new(AtomicBool::new(true))),
-            ..Default::default()
-        };
-        assert_eq!(m.solve_with(&opts).unwrap_err(), MilpError::Canceled);
     }
 
     #[test]

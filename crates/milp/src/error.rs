@@ -13,9 +13,6 @@ pub enum MilpError {
     /// A node/time limit was reached before any integer-feasible solution
     /// was found.
     LimitWithoutSolution,
-    /// The solve was cancelled through [`crate::SolveOptions::stop`]
-    /// (portfolio racing: the other backend finished first).
-    Canceled,
     /// A variable index did not belong to the model.
     BadVar(usize),
     /// The model is malformed (e.g. a variable with `lb > ub`, or a
@@ -34,7 +31,6 @@ impl fmt::Display for MilpError {
             MilpError::LimitWithoutSolution => {
                 write!(f, "limit reached before a feasible solution was found")
             }
-            MilpError::Canceled => write!(f, "solve was cancelled by its stop flag"),
             MilpError::BadVar(i) => write!(f, "variable index {i} is not in the model"),
             MilpError::BadModel(s) => write!(f, "malformed model: {s}"),
             MilpError::Numerical(s) => write!(f, "numerical failure: {s}"),

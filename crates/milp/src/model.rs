@@ -1,8 +1,6 @@
 //! Model assembly: variables, constraints, objective, solve entry points.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::branch;
@@ -82,7 +80,10 @@ pub enum Status {
 }
 
 /// Solver knobs.
-#[derive(Clone)]
+///
+/// Schedulers fingerprint an option set with `{:?}`, so the field order is
+/// part of every cache key.
+#[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Stop after this many branch-and-bound nodes (best incumbent is
     /// returned with [`Status::Feasible`]).
@@ -99,26 +100,6 @@ pub struct SolveOptions {
     /// the initial incumbent when it checks out, so the solver always has
     /// something to return and can prune immediately.
     pub warm_start: Option<Vec<f64>>,
-    /// Cooperative cancellation: the branch-and-bound loop aborts with
-    /// [`MilpError::Canceled`] once this flag reads `true`. Used by
-    /// portfolio racing to stop the losing backend.
-    pub stop: Option<Arc<AtomicBool>>,
-}
-
-// `stop` is deliberately excluded: callers fingerprint option sets via
-// `{:?}` and a cancellation handle is per-call plumbing, not a knob that
-// changes the solution.
-impl fmt::Debug for SolveOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolveOptions")
-            .field("node_limit", &self.node_limit)
-            .field("time_limit", &self.time_limit)
-            .field("gap_tol", &self.gap_tol)
-            .field("int_tol", &self.int_tol)
-            .field("max_lp_iters", &self.max_lp_iters)
-            .field("warm_start", &self.warm_start)
-            .finish()
-    }
 }
 
 impl Default for SolveOptions {
@@ -130,7 +111,6 @@ impl Default for SolveOptions {
             int_tol: 1e-6,
             max_lp_iters: 50_000,
             warm_start: None,
-            stop: None,
         }
     }
 }
@@ -445,17 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn debug_format_omits_stop_handle() {
+    fn debug_format_is_pinned() {
         // Schedulers fingerprint their options with `{:?}` and cache keys
-        // are derived from the fingerprint, so the stop handle must not
-        // perturb the format.
-        let opts = SolveOptions {
-            stop: Some(Arc::new(AtomicBool::new(false))),
-            ..Default::default()
-        };
-        let expected = format!("{:?}", SolveOptions::default());
-        assert_eq!(format!("{opts:?}"), expected);
-        assert!(!expected.contains("stop"));
+        // are derived from the fingerprint, so the format must not move.
+        assert_eq!(
+            format!("{:?}", SolveOptions::default()),
+            "SolveOptions { node_limit: 200000, time_limit: Some(120s), gap_tol: 1e-6, \
+             int_tol: 1e-6, max_lp_iters: 50000, warm_start: None }"
+        );
     }
 
     #[test]

@@ -369,6 +369,13 @@ impl SatProgram {
     /// incumbent, constrain the objective strictly below it, repeat until
     /// UNSAT (optimality proof), budget exhaustion or cancellation.
     /// `conflict_budget` caps total conflicts across all iterations.
+    ///
+    /// Every caller passes `stop: None` — [`SatScheduler`], the tests and
+    /// the benchmark harness (`benchmark/src/workloads/cold.rs`). The
+    /// parameter and [`OptimizeOutcome::Canceled`] are kept only because
+    /// the harness calls this signature, and can go with its next revision.
+    ///
+    /// [`SatScheduler`]: crate::SatScheduler
     pub fn optimize(
         &mut self,
         conflict_budget: Option<u64>,

@@ -9,9 +9,9 @@
 //!
 //! The encoding mirrors `cosa_core::CosaProgram` constraint for constraint
 //! (same coefficients, same epsilon placement), so the SAT and MILP
-//! backends share one feasible set and one optimum — the portfolio racer
-//! in the umbrella crate can take whichever finishes first without
-//! changing results.
+//! backends share one feasible set and one optimum — the umbrella crate's
+//! portfolio sends each layer to exactly one of them, by factor count,
+//! without changing which optimum is meant.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,8 +1,6 @@
 //! One-shot scheduling through the SAT backend.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cosa_core::{extract_schedule, refine_intra_level_order, FactorAssignment, ObjectiveWeights};
@@ -20,8 +18,6 @@ pub enum SatError {
     Infeasible,
     /// The conflict budget ran out before any model was found.
     Budget,
-    /// The solve was cancelled through its stop flag (portfolio racing).
-    Canceled,
     /// The decoded schedule failed validation — an encoder bug if ever hit.
     Extraction(String),
 }
@@ -31,7 +27,6 @@ impl fmt::Display for SatError {
         match self {
             SatError::Infeasible => write!(f, "scheduling constraints are unsatisfiable"),
             SatError::Budget => write!(f, "conflict budget exhausted before a schedule was found"),
-            SatError::Canceled => write!(f, "solve was cancelled by its stop flag"),
             SatError::Extraction(s) => write!(f, "decoded schedule failed validation: {s}"),
         }
     }
@@ -127,29 +122,14 @@ impl SatScheduler {
     /// [`SatError::Budget`] when the conflict budget ran out before any
     /// model appeared.
     pub fn schedule(&self, layer: &Layer) -> Result<SatOutcome, SatError> {
-        self.schedule_with_stop(layer, None)
-    }
-
-    /// Like [`SatScheduler::schedule`] with a cooperative cancellation
-    /// flag polled in the search loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`SatScheduler::schedule`]; additionally [`SatError::Canceled`]
-    /// once the flag reads `true`.
-    pub fn schedule_with_stop(
-        &self,
-        layer: &Layer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Result<SatOutcome, SatError> {
         let start = Instant::now();
         let mut program = SatProgram::build(layer, &self.arch, self.weights);
-        let (assignment, proven_optimal) = match program.optimize(self.conflict_budget, stop) {
+        let (assignment, proven_optimal) = match program.optimize(self.conflict_budget, None) {
             OptimizeOutcome::Optimal(a) => (a, true),
             OptimizeOutcome::Feasible(a) => (a, false),
             OptimizeOutcome::Infeasible => return Err(SatError::Infeasible),
             OptimizeOutcome::NoSolution => return Err(SatError::Budget),
-            OptimizeOutcome::Canceled => return Err(SatError::Canceled),
+            OptimizeOutcome::Canceled => unreachable!("no stop flag was installed"),
         };
         let mut schedule = extract_schedule(&self.arch, &assignment);
         refine_intra_level_order(layer, &self.arch, &mut schedule);

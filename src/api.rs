@@ -1,5 +1,5 @@
-//! The unified scheduling API: one [`Scheduler`] trait over CoSA and both
-//! baselines.
+//! The unified scheduling API: one [`Scheduler`] trait over CoSA's MILP and
+//! SAT backends, the portfolio that picks between them, and both baselines.
 //!
 //! The workspace historically exposed three mutually incompatible entry
 //! points (`CosaScheduler::schedule(&layer)`,
@@ -33,13 +33,10 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use cosa_core::CosaScheduler;
 use cosa_mappers::{layer_seed, HybridConfig, HybridMapper, RandomMapper};
-use cosa_milp::MilpError;
 use cosa_model::CostModel;
 use cosa_sat::{SatError, SatScheduler};
 use cosa_spec::{Arch, Layer, Schedule};
@@ -72,14 +69,6 @@ pub enum ScheduleError {
         /// Underlying error rendered as text.
         message: String,
     },
-    /// The solve was cancelled through its stop flag before finishing —
-    /// in a portfolio race, the other backend won.
-    Canceled {
-        /// Scheduler name.
-        scheduler: String,
-        /// Layer name.
-        layer: String,
-    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -97,9 +86,6 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::Evaluation { layer, message } => {
                 write!(f, "model evaluation failed on layer {layer}: {message}")
-            }
-            ScheduleError::Canceled { scheduler, layer } => {
-                write!(f, "{scheduler} was cancelled on layer {layer}")
             }
         }
     }
@@ -146,11 +132,13 @@ pub struct Scheduled {
 /// A scheduler with the uniform signature: given an architecture and a
 /// layer, produce a validated [`Scheduled`] result.
 ///
-/// Implemented by [`CosaScheduler`], [`RandomMapper`] and [`HybridMapper`];
+/// Implemented by [`CosaScheduler`], [`SatScheduler`],
+/// [`PortfolioScheduler`], [`RandomMapper`] and [`HybridMapper`];
 /// `Send + Sync` so trait objects fan out across the
 /// [`Engine`](crate::engine::Engine)'s worker threads.
 pub trait Scheduler: Send + Sync {
-    /// Short stable name for reports (`"cosa"`, `"random"`, `"hybrid"`).
+    /// Short stable name for reports (`"cosa"`, `"sat"`, `"portfolio"`,
+    /// `"random"`, `"hybrid"`).
     fn name(&self) -> &str;
 
     /// Schedule `layer` on `arch`.
@@ -160,21 +148,6 @@ pub trait Scheduler: Send + Sync {
     /// Returns [`ScheduleError`] when the underlying solver fails or the
     /// search finds no valid schedule.
     fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError>;
-
-    /// Like [`Scheduler::schedule`] with a cooperative cancellation flag:
-    /// once `stop` reads `true`, the backend should abandon the solve and
-    /// return [`ScheduleError::Canceled`] promptly. Backends without
-    /// cancellation support ignore the flag and run to completion (the
-    /// default), which is sound — just slower to cancel.
-    fn schedule_with_stop(
-        &self,
-        arch: &Arch,
-        layer: &Layer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Result<Scheduled, ScheduleError> {
-        let _ = stop;
-        self.schedule(arch, layer)
-    }
 
     /// A canonical description of this scheduler's configuration, used in
     /// content-addressed schedule-cache keys: two schedulers with equal
@@ -214,15 +187,6 @@ impl Scheduler for CosaScheduler {
     }
 
     fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-        Scheduler::schedule_with_stop(self, arch, layer, None)
-    }
-
-    fn schedule_with_stop(
-        &self,
-        arch: &Arch,
-        layer: &Layer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Result<Scheduled, ScheduleError> {
         let retargeted;
         let solver = if self.arch() == arch {
             self
@@ -230,19 +194,10 @@ impl Scheduler for CosaScheduler {
             retargeted = self.for_arch(arch);
             &retargeted
         };
-        let result = solver.schedule_with_stop(layer, stop).map_err(|e| {
-            if matches!(e, cosa_core::CosaError::Solver(MilpError::Canceled)) {
-                ScheduleError::Canceled {
-                    scheduler: "cosa".to_string(),
-                    layer: layer.name().to_string(),
-                }
-            } else {
-                ScheduleError::Solver {
-                    scheduler: "cosa".to_string(),
-                    layer: layer.name().to_string(),
-                    message: e.to_string(),
-                }
-            }
+        let result = solver.schedule(layer).map_err(|e| ScheduleError::Solver {
+            scheduler: "cosa".to_string(),
+            layer: layer.name().to_string(),
+            message: e.to_string(),
         })?;
         let (latency_cycles, energy_pj) = evaluate(arch, layer, &result.schedule)?;
         Ok(Scheduled {
@@ -279,15 +234,6 @@ impl Scheduler for SatScheduler {
     }
 
     fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-        Scheduler::schedule_with_stop(self, arch, layer, None)
-    }
-
-    fn schedule_with_stop(
-        &self,
-        arch: &Arch,
-        layer: &Layer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Result<Scheduled, ScheduleError> {
         let retargeted;
         let solver = if self.arch() == arch {
             self
@@ -295,13 +241,9 @@ impl Scheduler for SatScheduler {
             retargeted = self.for_arch(arch);
             &retargeted
         };
-        let result = solver.schedule_with_stop(layer, stop).map_err(|e| {
+        let result = solver.schedule(layer).map_err(|e| {
             let layer_name = layer.name().to_string();
             match e {
-                SatError::Canceled => ScheduleError::Canceled {
-                    scheduler: "sat".to_string(),
-                    layer: layer_name,
-                },
                 SatError::Budget => ScheduleError::NoValidSchedule {
                     scheduler: "sat".to_string(),
                     layer: layer_name,
@@ -331,22 +273,23 @@ impl Scheduler for SatScheduler {
     }
 }
 
-/// A two-backend racing scheduler: MILP ([`CosaScheduler`]) and SAT
-/// ([`SatScheduler`]) solve the same layer concurrently, the first
-/// finisher wins and the loser is cancelled through a shared stop flag.
+/// Layers with at most this many prime-factor instances go to the SAT
+/// backend, larger ones to the MILP. Measured on the `portfolio_cold`
+/// shapes, SAT proves optimality faster up to 14 factors and the MILP
+/// reaches its answer faster from 15 on (README, "Solver portfolio").
+const SAT_MAX_FACTORS: usize = 14;
+
+/// A two-backend scheduler that sends each layer to exactly one exact
+/// solver, picked by its prime-factor count: SAT ([`SatScheduler`]) for
+/// layers with at most 14 factor instances, the MILP ([`CosaScheduler`])
+/// for the rest.
 ///
-/// Both default backends run to *proven optimality* (the MILP unlimited,
-/// the SAT side with an unbounded conflict budget), so whichever side wins
-/// the returned cost is the same — the race only decides latency. The
-/// winning backend's name is kept in [`Scheduled::scheduler`] (`"cosa"`
-/// or `"sat"`), which is how the engine attributes per-backend wins and
-/// cache provenance. The losing solver is joined before this function
-/// returns: no thread outlives the call, and a cancelled loser never
-/// produces a result that could reach a cache.
-///
-/// Which backend wins may vary run to run (it is a wall-clock race), so
-/// schedule *bytes* are not reproducible across runs — costs are, since
-/// both sides prove the same optimum.
+/// The pick depends only on the layer, so the answer is whatever the
+/// chosen backend returns alone: as reproducible as that backend's
+/// configuration. The chosen backend's name is kept in
+/// [`Scheduled::scheduler`] (`"cosa"` or `"sat"`), which is how the engine
+/// attributes per-backend solves and cache provenance. A backend's error
+/// is returned as is; the other backend is not tried.
 #[derive(Debug, Clone)]
 pub struct PortfolioScheduler {
     milp: CosaScheduler,
@@ -354,8 +297,10 @@ pub struct PortfolioScheduler {
 }
 
 impl PortfolioScheduler {
-    /// A portfolio over `arch` with both backends configured for proven
-    /// optimality (cost-exact racing).
+    /// A portfolio over `arch`: SAT with an unbounded conflict budget, so
+    /// its answers are optimality proofs, and the default
+    /// [`CosaScheduler`], which stops at a 3 % gap or its 6 s clock — a
+    /// MILP answer whose clock binds is not bit-reproducible.
     pub fn new(arch: &Arch) -> PortfolioScheduler {
         PortfolioScheduler {
             milp: CosaScheduler::new(arch),
@@ -363,11 +308,9 @@ impl PortfolioScheduler {
         }
     }
 
-    /// A portfolio over explicit backend configurations. Note that if the
-    /// backends are configured with differing limits (node or conflict
-    /// budgets), the cost-exactness guarantee of [`PortfolioScheduler::new`]
-    /// no longer holds: the race then also picks between the backends'
-    /// anytime answers.
+    /// A portfolio over explicit backend configurations; a node-limited
+    /// MILP ([`CosaScheduler::with_deterministic_limits`]) makes every
+    /// answer reproducible.
     pub fn from_parts(milp: CosaScheduler, sat: SatScheduler) -> PortfolioScheduler {
         PortfolioScheduler { milp, sat }
     }
@@ -383,66 +326,6 @@ impl PortfolioScheduler {
     }
 }
 
-/// Of two losing errors, prefer reporting the one that is not a mere
-/// cancellation echo.
-fn prefer_real_error(a: ScheduleError, b: ScheduleError) -> ScheduleError {
-    if matches!(a, ScheduleError::Canceled { .. }) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Race two schedulers on one layer: both run on scoped threads sharing a
-/// stop flag, the first successful finisher wins and the loser is
-/// cancelled through the flag. The scope joins the loser before this
-/// returns — no thread outlives the call — and the loser's abandoned
-/// result is dropped unseen, so only the winner's output can ever be
-/// observed (or cached) by the caller.
-///
-/// This is [`PortfolioScheduler`]'s engine room, exposed so tests can
-/// race instrumented fake backends deterministically.
-///
-/// # Errors
-///
-/// When both sides fail, the non-[`ScheduleError::Canceled`] error is
-/// reported (a cancellation echo never masks a real failure).
-pub fn race_schedulers(
-    a: &dyn Scheduler,
-    b: &dyn Scheduler,
-    arch: &Arch,
-    layer: &Layer,
-) -> Result<Scheduled, ScheduleError> {
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<Result<Scheduled, ScheduleError>>();
-        let a_tx = tx.clone();
-        let a_stop = stop.clone();
-        scope.spawn(move || {
-            let r = a.schedule_with_stop(arch, layer, Some(a_stop));
-            let _ = a_tx.send(r);
-        });
-        let b_stop = stop.clone();
-        scope.spawn(move || {
-            let r = b.schedule_with_stop(arch, layer, Some(b_stop));
-            let _ = tx.send(r);
-        });
-        match rx.recv().expect("both backends report") {
-            Ok(won) => {
-                // First finisher wins: cancel the other side. The scope
-                // joins it before we return, so no thread leaks and its
-                // abandoned result is dropped unseen.
-                stop.store(true, Ordering::Relaxed);
-                Ok(won)
-            }
-            Err(first) => match rx.recv().expect("second backend reports") {
-                Ok(won) => Ok(won),
-                Err(second) => Err(prefer_real_error(first, second)),
-            },
-        }
-    })
-}
-
 impl Scheduler for PortfolioScheduler {
     fn name(&self) -> &str {
         "portfolio"
@@ -450,14 +333,18 @@ impl Scheduler for PortfolioScheduler {
 
     fn fingerprint(&self) -> String {
         format!(
-            "portfolio[{} | {}]",
+            "portfolio[sat if factors<={SAT_MAX_FACTORS} else cosa | {} | {}]",
             Scheduler::fingerprint(&self.milp),
             Scheduler::fingerprint(&self.sat),
         )
     }
 
     fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-        race_schedulers(&self.milp, &self.sat, arch, layer)
+        if layer.factor_instances().len() <= SAT_MAX_FACTORS {
+            Scheduler::schedule(&self.sat, arch, layer)
+        } else {
+            Scheduler::schedule(&self.milp, arch, layer)
+        }
     }
 }
 

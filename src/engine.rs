@@ -396,23 +396,22 @@ fn parallel_for_each<T: Sync>(items: &[T], workers: usize, f: impl Fn(&T) + Sync
     });
 }
 
-/// Per-backend fresh-solve tally: how many unique-shape solves a scheduler
-/// backend won, and the wall-clock it spent winning them.
+/// Fresh solves per backend: how many unique-shape solves a scheduler
+/// backend ran, and the wall-clock it spent on them.
 ///
-/// For single-backend schedulers this is plain accounting (every fresh
-/// solve is a "win" for that backend). Under the portfolio scheduler the
-/// winner of each MILP-vs-SAT race is credited — the entry's
-/// [`Scheduled::scheduler`](crate::api::Scheduled) names the racer that
-/// finished first, not the portfolio wrapper — so the distribution shows
-/// which backend actually carried which shapes.
+/// For single-backend schedulers every fresh solve goes to that backend.
+/// Under the portfolio scheduler the backend it picked for the layer is
+/// credited — the entry's [`Scheduled::scheduler`](crate::api::Scheduled)
+/// names `"cosa"` or `"sat"`, not the portfolio wrapper — so the
+/// distribution shows which backend carried which shapes. (The field names
+/// `wins`/`win_micros` are kept from the wire format.)
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendWin {
-    /// Backend name as reported by the winning result (e.g. `"cosa"`,
-    /// `"sat"`).
+    /// Backend name as reported by the result (e.g. `"cosa"`, `"sat"`).
     pub backend: String,
     /// Fresh solves credited to this backend.
     pub wins: u64,
-    /// Total wall-clock microseconds of the winning solves.
+    /// Total wall-clock microseconds of those fresh solves.
     pub win_micros: u64,
 }
 
@@ -453,8 +452,8 @@ pub struct CacheStats {
     /// Peak number of digests simultaneously in flight (the high-water
     /// mark of the single-flight wait map).
     pub in_flight_peak: u64,
-    /// Fresh solves per scheduler backend, sorted by backend name. Under
-    /// the portfolio scheduler this is the per-backend race win count
+    /// Fresh solves per backend, sorted by backend name. Under the
+    /// portfolio scheduler this counts the layers sent to each backend
     /// (see [`BackendWin`]); empty until the first fresh solve.
     pub backend_wins: Vec<BackendWin>,
     /// Live rows in the packed segment index.
@@ -669,9 +668,9 @@ pub struct Engine {
     /// Requests deduplicated against an in-flight solve (in-process
     /// followers + cross-process lock waits).
     dedup_waits: AtomicU64,
-    /// Per-backend fresh-solve tally `name -> (wins, win_micros)`, keyed
-    /// by the *winning result's* scheduler name (so portfolio races credit
-    /// the racer that finished, not the wrapper).
+    /// Fresh solves per backend `name -> (wins, win_micros)`, keyed by the
+    /// *result's* scheduler name (so the portfolio credits the backend it
+    /// picked, not the wrapper).
     backend_wins: Mutex<HashMap<String, (u64, u64)>>,
     /// High-water mark of `flights`.
     in_flight_peak: AtomicU64,
@@ -968,7 +967,7 @@ impl Engine {
     ) -> Result<CacheEntry, ScheduleError> {
         scheduler.schedule(&self.arch, layer).map(|scheduled| {
             // Credit the backend that produced the result (under the
-            // portfolio wrapper, the racer that finished first).
+            // portfolio wrapper, the backend it picked).
             {
                 let mut wins = self.backend_wins.lock().expect("wins lock");
                 let tally = wins.entry(scheduled.scheduler.clone()).or_insert((0, 0));

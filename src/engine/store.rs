@@ -260,7 +260,7 @@ pub struct CacheEntry {
     /// re-attempt missing verdicts rather than negatively caching them.
     pub noc: Option<NocSummary>,
     /// Which scheduler backend produced `scheduled` — under the portfolio
-    /// scheduler, the racer that won (e.g. `"cosa"` or `"sat"`).
+    /// scheduler, the backend it picked (e.g. `"cosa"` or `"sat"`).
     pub backend: Option<String>,
     /// Per-tensor DRAM traffic of `scheduled.schedule` — the inter-layer
     /// residency pass's input; caught up lazily when `None`.

@@ -14,8 +14,10 @@
 //! * [`core`] — the CoSA scheduler itself
 //! * [`mappers`] — the Random and Timeloop-Hybrid-style baselines
 //! * [`gpu`] — the K80 case study and the TVM-style tuner
+//! * [`sat`] — the from-scratch CDCL/pseudo-Boolean SAT scheduling backend
 //! * [`api`] — the uniform [`Scheduler`](api::Scheduler) trait over all
-//!   three schedulers
+//!   five schedulers: CoSA's MILP, SAT, the portfolio that sends each layer
+//!   to one of those two, and the Random and Hybrid baselines
 //! * [`engine`] — batch whole-network scheduling with an LRU +
 //!   persistent-on-disk schedule cache (GC'd under a [`engine::GcPolicy`]),
 //!   engine-level NoC evaluation and parallel fan-out
@@ -69,9 +71,7 @@ pub mod serve;
 
 /// The types most programs need.
 pub mod prelude {
-    pub use crate::api::{
-        race_schedulers, PortfolioScheduler, ScheduleError, ScheduleStats, Scheduled, Scheduler,
-    };
+    pub use crate::api::{PortfolioScheduler, ScheduleError, ScheduleStats, Scheduled, Scheduler};
     pub use crate::engine::{
         BackendWin, CacheEntry, CacheStats, CacheStore, Engine, GcPolicy, GcReport,
         InterlayerOptions, InterlayerReport, InterlayerStrategy, LayerReport, NetworkReport,

@@ -243,8 +243,8 @@ pub fn routing_digest(
     canon::digest128_hex(json.as_bytes())
 }
 
-/// Node budget for the default (`"cosa"`) serving scheduler — the same
-/// bound `engine_probe` uses, so the daemon and the probes share cache
+/// Node budget for the default (`"cosa"`) serving scheduler and the
+/// `"portfolio"` one's MILP side — the same bound `engine_probe` uses, so the daemon and the probes share cache
 /// entries and both stay bit-reproducible when the budget binds.
 pub const SERVE_COSA_NODE_LIMIT: usize = 300;
 
@@ -262,12 +262,16 @@ pub const SERVE_RANDOM_SEED: u64 = 7;
 ///
 /// Returns a message naming the valid schedulers for an unknown `name`.
 pub fn scheduler_from_name(name: &str, arch: &Arch) -> Result<Box<dyn Scheduler>, String> {
+    let serving_cosa = || CosaScheduler::new(arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT);
     match name {
-        "cosa" => Ok(Box::new(
-            CosaScheduler::new(arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT),
-        )),
+        "cosa" => Ok(Box::new(serving_cosa())),
         "sat" => Ok(Box::new(SatScheduler::new(arch))),
-        "portfolio" => Ok(Box::new(PortfolioScheduler::new(arch))),
+        // The `cosa` entry for the layers it sends to the MILP, so that
+        // side is node-bounded and reproducible too.
+        "portfolio" => Ok(Box::new(PortfolioScheduler::from_parts(
+            serving_cosa(),
+            SatScheduler::new(arch).with_conflict_budget(None),
+        ))),
         "random" => Ok(Box::new(
             RandomMapper::new(SERVE_RANDOM_SEED).with_limits(SearchLimits::quick()),
         )),

@@ -1,237 +1,163 @@
-//! Integration tests for the MILP/SAT portfolio race: deterministic
-//! gate-blocked race mechanics (winner selection, loser cancellation, no
-//! cache write from the loser, no thread leak), SAT/MILP optimal-cost
-//! agreement over randomized small shapes, `SatScheduler` determinism at
-//! the `Scheduled` level, and backend-provenance round-tripping through
-//! the persistent cache store.
+//! Integration tests for the MILP/SAT portfolio: the factor-count pick,
+//! cache keys that name it, cold→warm byte-identity across engine worker
+//! counts and a cache-dir reopen, SAT/MILP optimal-cost agreement over
+//! randomized small shapes, `SatScheduler` determinism at the `Scheduled`
+//! level, and backend-provenance round-tripping through the persistent
+//! cache store.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use cosa_repro::engine::Engine;
 use cosa_repro::prelude::*;
+use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use proptest::prelude::*;
 
 mod common;
 
-/// A scheduling result template the fakes can answer with: a real (cheap)
-/// solve so every fabricated `Scheduled` passes downstream validation.
-fn template(arch: &Arch, layer: &Layer) -> Scheduled {
-    let mapper = RandomMapper::new(5).with_limits(SearchLimits::quick());
-    Scheduler::schedule(&mapper, arch, layer).expect("template schedules")
+/// The portfolio with both sides bounded by work, so every answer is
+/// reproducible.
+fn deterministic_portfolio(arch: &Arch) -> PortfolioScheduler {
+    PortfolioScheduler::from_parts(
+        CosaScheduler::new(arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT),
+        SatScheduler::new(arch).with_conflict_budget(None),
+    )
 }
 
-/// A deterministic fake backend for race tests. Until its gate opens it
-/// only spins on the stop flag; a loser therefore *must* exit through
-/// cancellation, never by finishing. Counters record what it observed so
-/// tests can assert the race's contract from the outside.
-struct GatedBackend {
-    name: String,
-    result: Scheduled,
-    gate: Arc<AtomicBool>,
-    saw_stop: Arc<AtomicBool>,
-    finished: Arc<AtomicU64>,
+/// A mixed mini-suite on both sides of the 14-factor limit: three shapes
+/// of 6–13 factors go to SAT, the 16-factor `c3x3` to the MILP.
+fn mixed_network() -> Network {
+    Network::new("mixed")
+        .with_layer("prime_mm", Layer::matmul("prime_mm", 31, 16, 13), 1)
+        .with_layer("pow2_mm", Layer::matmul("pow2_mm", 32, 16, 16), 1)
+        .with_layer("c3x3", Layer::conv("c3x3", 3, 3, 8, 8, 16, 16, 1, 1, 1), 1)
+        .with_layer("c1x1", Layer::conv("c1x1", 1, 1, 7, 7, 32, 32, 1, 1, 1), 1)
 }
 
-impl GatedBackend {
-    fn new(name: &str, mut result: Scheduled, gate: Arc<AtomicBool>) -> GatedBackend {
-        result.scheduler = name.to_string();
-        GatedBackend {
-            name: name.to_string(),
-            result,
-            gate,
-            saw_stop: Arc::new(AtomicBool::new(false)),
-            finished: Arc::new(AtomicU64::new(0)),
+fn canonical(run: &cosa_repro::engine::NetworkRun) -> String {
+    serde_json::to_string(&run.report.without_timings()).expect("report serializes")
+}
+
+#[test]
+fn portfolio_picks_by_factor_count() {
+    let arch = Arch::simba_baseline();
+    let portfolio = deterministic_portfolio(&arch);
+    let cases = [
+        (Layer::matmul("mm_127x64x31", 127, 64, 31), 8, "sat"),
+        (
+            Layer::conv("conv_1x1_14x14_4_64", 1, 1, 14, 14, 4, 64, 1, 1, 1),
+            12,
+            "sat",
+        ),
+        (Layer::matmul("mm_32x64x64", 32, 64, 64), 17, "cosa"),
+        (
+            Layer::conv("conv_3x3_4x4_16_32", 3, 3, 4, 4, 16, 32, 1, 1, 1),
+            15,
+            "cosa",
+        ),
+        (
+            Layer::parse_paper_name("1_1_2048_1000_1").expect("paper layer name"),
+            17,
+            "cosa",
+        ),
+    ];
+    for (layer, factors, backend) in cases {
+        assert_eq!(layer.factor_instances().len(), factors, "{}", layer.name());
+        let mut picked = Scheduler::schedule(&portfolio, &arch, &layer).expect("portfolio");
+        assert_eq!(picked.scheduler, backend, "{}", layer.name());
+
+        // The answer is the picked backend's own, byte for byte.
+        let mut alone = match backend {
+            "sat" => Scheduler::schedule(portfolio.sat(), &arch, &layer),
+            _ => Scheduler::schedule(portfolio.milp(), &arch, &layer),
         }
-    }
-}
-
-impl Scheduler for GatedBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-        self.schedule_with_stop(arch, layer, None)
-    }
-
-    fn schedule_with_stop(
-        &self,
-        _arch: &Arch,
-        layer: &Layer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Result<Scheduled, ScheduleError> {
-        loop {
-            if stop.as_ref().is_some_and(|s| s.load(Ordering::Relaxed)) {
-                self.saw_stop.store(true, Ordering::Relaxed);
-                self.finished.fetch_add(1, Ordering::Relaxed);
-                return Err(ScheduleError::Canceled {
-                    scheduler: self.name.clone(),
-                    layer: layer.name().to_string(),
-                });
-            }
-            if self.gate.load(Ordering::Relaxed) {
-                self.finished.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.result.clone());
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-/// A race over two gated fakes, wrapped as a `Scheduler` so the Engine's
-/// single-flight/cache path can run it like the real portfolio.
-struct FakePortfolio {
-    fast: GatedBackend,
-    slow: GatedBackend,
-}
-
-impl Scheduler for FakePortfolio {
-    fn name(&self) -> &str {
-        "fake-portfolio"
-    }
-
-    fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-        race_schedulers(&self.fast, &self.slow, arch, layer)
+        .expect("backend alone");
+        picked.elapsed = Duration::ZERO;
+        alone.elapsed = Duration::ZERO;
+        assert_eq!(picked, alone, "{}", layer.name());
     }
 }
 
 #[test]
-fn gate_blocked_race_cancels_loser_without_cache_write_or_leak() {
-    let arch = Arch::simba_baseline();
-    let layer = Layer::conv("race", 1, 1, 4, 4, 8, 8, 1, 1, 1);
-    let result = template(&arch, &layer);
-
-    // The "fast" side's gate is open from the start; the "slow" side's
-    // gate never opens, so it can only exit via the stop flag — the race
-    // is deterministic, not timing-dependent.
-    let fast = GatedBackend::new("fastback", result.clone(), Arc::new(AtomicBool::new(true)));
-    let slow = GatedBackend::new("slowback", result.clone(), Arc::new(AtomicBool::new(false)));
-    let slow_saw_stop = slow.saw_stop.clone();
-    let slow_finished = slow.finished.clone();
-    let fast_finished = fast.finished.clone();
-    let portfolio = FakePortfolio { fast, slow };
-
-    let engine = Engine::new(arch.clone());
-    let won = engine
-        .schedule_layer(&portfolio, &layer)
-        .expect("race succeeds");
-    assert_eq!(won.scheduler, "fastback", "open-gated side must win");
-
-    // race_schedulers joins both scoped threads before returning, so by
-    // now the loser has observed the stop flag and exited — a leaked
-    // thread would leave `finished` at 0 here.
-    assert!(
-        slow_saw_stop.load(Ordering::Relaxed),
-        "loser must be cancelled via the shared stop flag"
-    );
-    assert_eq!(slow_finished.load(Ordering::Relaxed), 1, "loser joined");
-    assert_eq!(fast_finished.load(Ordering::Relaxed), 1, "winner joined");
-
-    // The single-flight cache path must have solved exactly once and
-    // credited only the winner; the cancelled loser never writes.
-    let stats = engine.cache_stats();
-    assert_eq!(stats.misses, 1, "one unique shape, one solve");
-    assert_eq!(stats.entries, 1, "exactly the winner's entry is cached");
-    assert_eq!(stats.backend_wins.len(), 1, "only the winner is credited");
-    assert_eq!(stats.backend_wins[0].backend, "fastback");
-    assert_eq!(stats.backend_wins[0].wins, 1);
-
-    // A warm repeat is a pure cache hit: no new race, no new wins.
-    let again = engine
-        .schedule_layer(&portfolio, &layer)
-        .expect("warm hit succeeds");
-    assert_eq!(again.scheduler, "fastback");
-    let stats = engine.cache_stats();
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.backend_wins[0].wins, 1, "cache hits add no wins");
-}
-
-#[test]
-fn race_lets_either_backend_win() {
-    let arch = Arch::simba_baseline();
-    let layer = Layer::conv("race2", 1, 1, 4, 4, 8, 8, 1, 1, 1);
-    let result = template(&arch, &layer);
-
-    // Reverse the gating: now the other side must win, proving the race
-    // has no positional bias (both backends can show nonzero wins).
-    let fast = GatedBackend::new("fastback", result.clone(), Arc::new(AtomicBool::new(false)));
-    let slow = GatedBackend::new("slowback", result, Arc::new(AtomicBool::new(true)));
-    let won = race_schedulers(&fast, &slow, &arch, &layer).expect("race succeeds");
-    assert_eq!(won.scheduler, "slowback");
-    assert!(fast.saw_stop.load(Ordering::Relaxed));
-}
-
-#[test]
-fn race_reports_real_error_over_cancellation_echo() {
-    let arch = Arch::simba_baseline();
-    let layer = Layer::conv("race3", 1, 1, 4, 4, 8, 8, 1, 1, 1);
-
-    /// A backend that fails immediately with a real error.
-    struct Failing;
-    impl Scheduler for Failing {
+fn portfolio_cache_key_names_the_dispatch_rule() {
+    /// A scheduler whose only trait is the fingerprint the racing
+    /// portfolio had, so the engine can key a layer by it.
+    struct RaceFingerprint(String);
+    impl Scheduler for RaceFingerprint {
         fn name(&self) -> &str {
-            "failing"
+            "portfolio"
+        }
+        fn fingerprint(&self) -> String {
+            self.0.clone()
         }
         fn schedule(&self, _arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
             Err(ScheduleError::NoValidSchedule {
-                scheduler: "failing".to_string(),
+                scheduler: "portfolio".to_string(),
                 layer: layer.name().to_string(),
             })
         }
     }
 
-    /// A backend that only ever exits through cancellation.
-    struct Blocked;
-    impl Scheduler for Blocked {
-        fn name(&self) -> &str {
-            "blocked"
-        }
-        fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
-            self.schedule_with_stop(arch, layer, None)
-        }
-        fn schedule_with_stop(
-            &self,
-            _arch: &Arch,
-            layer: &Layer,
-            stop: Option<Arc<AtomicBool>>,
-        ) -> Result<Scheduled, ScheduleError> {
-            let stop = stop.expect("race always passes a stop flag");
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(ScheduleError::Canceled {
-                scheduler: "blocked".to_string(),
-                layer: layer.name().to_string(),
-            })
-        }
-    }
+    let arch = Arch::simba_baseline();
+    let portfolio = PortfolioScheduler::new(&arch);
+    let raced = RaceFingerprint(format!(
+        "portfolio[{} | {}]",
+        Scheduler::fingerprint(portfolio.milp()),
+        Scheduler::fingerprint(portfolio.sat()),
+    ));
+    let fingerprint = Scheduler::fingerprint(&portfolio);
+    assert!(fingerprint.starts_with("portfolio[sat if factors<=14 else cosa | "));
+    assert_ne!(fingerprint, raced.fingerprint());
 
-    // Both sides lose (one really fails, one is cancelled when... nobody
-    // wins). With no winner the race drains both errors; it must report
-    // the real failure, not the cancellation echo. The blocked side is
-    // only released by the test's own stop: both-failed means the flag is
-    // never set by the race, so cancel it from outside via a watchdog
-    // backend instead — simplest is to have the failing side's error
-    // arrive first and the blocked side released by a pre-set stop.
-    let stop = Arc::new(AtomicBool::new(true));
-    let blocked = Blocked;
-    let err = blocked
-        .schedule_with_stop(&arch, &layer, Some(stop))
-        .expect_err("pre-set stop cancels");
-    assert!(matches!(err, ScheduleError::Canceled { .. }));
-
-    // Now the full race: Failing errors instantly; Blocked never gets a
-    // stop signal from the race (no winner sets it), so the race would
-    // hang — guard the combination with a second Failing instead and
-    // assert error preference on the pair that completes.
-    let err = race_schedulers(&Failing, &Failing, &arch, &layer).expect_err("both fail");
-    assert!(
-        matches!(err, ScheduleError::NoValidSchedule { .. }),
-        "real error must be reported, got {err}"
+    // Entries the race cached must never be served as dispatch answers.
+    let engine = Engine::new(arch);
+    let layer = Layer::conv("c3x3", 3, 3, 8, 8, 16, 16, 1, 1, 1);
+    assert_ne!(
+        engine.cache_key(&portfolio, &layer),
+        engine.cache_key(&raced, &layer)
     );
+}
+
+#[test]
+fn portfolio_reports_are_byte_identical_across_workers_and_reopen() {
+    let arch = Arch::simba_baseline();
+    let network = mixed_network();
+    let portfolio = deterministic_portfolio(&arch);
+    let dir = common::scratch_dir("cosa-portfolio", "identity");
+
+    let cold = {
+        let engine = Engine::new(arch.clone())
+            .with_threads(1)
+            .with_cache_dir(&dir)
+            .expect("open cache dir");
+        engine.schedule_network(&network, &portfolio)
+    };
+    assert!(cold.report.is_complete(), "every layer schedules");
+    assert_eq!(cold.cache_misses, network.unique_shapes() as u64);
+
+    let two_workers = Engine::new(arch.clone())
+        .with_threads(2)
+        .schedule_network(&network, &portfolio);
+    assert_eq!(
+        canonical(&cold),
+        canonical(&two_workers),
+        "worker count must not change the portfolio's answers"
+    );
+
+    let warm = Engine::new(arch)
+        .with_threads(2)
+        .with_cache_dir(&dir)
+        .expect("reopen cache dir")
+        .schedule_network(&network, &portfolio);
+    assert_eq!(
+        warm.cache_misses, 0,
+        "a reopened cache dir serves every layer"
+    );
+    assert_eq!(
+        canonical(&cold),
+        canonical(&warm),
+        "cached answers must be the ones a fresh solve gives"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -251,40 +177,34 @@ fn sat_scheduler_is_byte_identical_across_runs() {
 
 #[test]
 fn portfolio_engine_run_matches_milp_costs_and_both_backends_can_win() {
-    // A mixed-shape mini-suite spanning the regimes where each backend
-    // is fastest: prime-heavy shapes favour SAT, power-of-two-heavy ones
-    // MILP. Costs must match the MILP-only reference on every layer
-    // regardless of who wins each race.
+    // Costs must match the MILP-only reference on every layer, whichever
+    // backend the portfolio picks for it.
     let arch = Arch::simba_baseline();
-    let network = Network::new("mixed")
-        .with_layer("prime_mm", Layer::matmul("prime_mm", 31, 16, 13), 1)
-        .with_layer("pow2_mm", Layer::matmul("pow2_mm", 32, 16, 16), 1)
-        .with_layer("c3x3", Layer::conv("c3x3", 3, 3, 8, 8, 16, 16, 1, 1, 1), 1)
-        .with_layer("c1x1", Layer::conv("c1x1", 1, 1, 7, 7, 32, 32, 1, 1, 1), 1);
-
-    let portfolio = PortfolioScheduler::new(&arch);
+    let network = mixed_network();
+    let portfolio = deterministic_portfolio(&arch);
     let engine = Engine::new(arch.clone());
     let run = engine.schedule_network(&network, &portfolio);
     assert!(run.report.is_complete(), "every layer schedules");
 
-    // Exactness is on the Eq. 12 objective both backends optimize: either
-    // racer may win with a *different* optimal schedule (tie-broken
-    // differently), but never with a worse objective value.
-    let reference =
-        Engine::new(arch.clone()).schedule_network(&network, &CosaScheduler::new(&arch));
-    for (race, milp) in run.report.layers.iter().zip(&reference.report.layers) {
-        let (r, m) = (
-            race.scheduled.as_ref().expect("race scheduled"),
+    // Exactness is on the Eq. 12 objective both backends optimize: SAT
+    // may return a *different* optimal schedule (tie-broken differently),
+    // but never a worse objective value.
+    let reference = Engine::new(arch.clone()).schedule_network(&network, portfolio.milp());
+    for (picked, milp) in run.report.layers.iter().zip(&reference.report.layers) {
+        let (p, m) = (
+            picked.scheduled.as_ref().expect("portfolio scheduled"),
             milp.scheduled.as_ref().expect("milp scheduled"),
         );
-        let (ro, mo) = (
-            r.stats.milp_objective.expect("racer reports its objective"),
+        let (po, mo) = (
+            p.stats
+                .milp_objective
+                .expect("backend reports its objective"),
             m.stats.milp_objective.expect("milp reports its objective"),
         );
         assert!(
-            (ro - mo).abs() <= 1e-6 * ro.abs().max(mo.abs()).max(1.0),
-            "portfolio objective diverged from MILP on {}: {ro} vs {mo}",
-            race.name,
+            (po - mo).abs() <= 1e-6 * po.abs().max(mo.abs()).max(1.0),
+            "portfolio objective diverged from MILP on {}: {po} vs {mo}",
+            picked.name,
         );
     }
 
@@ -296,14 +216,13 @@ fn portfolio_engine_run_matches_milp_costs_and_both_backends_can_win() {
     for w in &stats.backend_wins {
         assert!(
             w.backend == "cosa" || w.backend == "sat",
-            "wins credited to a racer, got `{}`",
+            "solves credited to a backend, got `{}`",
             w.backend
         );
     }
 
-    // The shape mix spans regimes where each backend is decisively
-    // faster (prime/1x1 shapes: SAT by >10x; pow2 shapes: MILP by >10x),
-    // so both must show a nonzero win count.
+    // The mix spans both sides of the 14-factor limit (see
+    // `mixed_network`), so both backends must show a fresh solve.
     let wins_for = |name: &str| {
         stats
             .backend_wins
@@ -311,8 +230,8 @@ fn portfolio_engine_run_matches_milp_costs_and_both_backends_can_win() {
             .find(|w| w.backend == name)
             .map_or(0, |w| w.wins)
     };
-    assert!(wins_for("cosa") > 0, "MILP never won a race: {stats:?}");
-    assert!(wins_for("sat") > 0, "SAT never won a race: {stats:?}");
+    assert_eq!(wins_for("cosa"), 1, "only c3x3 goes to the MILP: {stats:?}");
+    assert_eq!(wins_for("sat"), 3, "three shapes go to SAT: {stats:?}");
 }
 
 #[test]
@@ -321,7 +240,7 @@ fn cache_entry_backend_provenance_round_trips() {
     let layer = Layer::conv("prov", 1, 1, 4, 4, 8, 8, 1, 1, 1);
     let dir = common::scratch_dir("cosa-portfolio", "prov");
 
-    // Fresh solves persist the winning backend's name in the entry.
+    // Fresh solves persist the producing backend's name in the entry.
     {
         let engine = Engine::new(arch.clone())
             .with_cache_dir(&dir)
