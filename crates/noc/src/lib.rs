@@ -35,7 +35,8 @@
 //!
 //! let arch = Arch::simba_baseline();
 //! let layer = Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1);
-//! let schedule = CosaScheduler::new(&arch).schedule(&layer)?.schedule;
+//! let cosa = CosaScheduler::new(&arch).with_deterministic_limits(300);
+//! let schedule = cosa.schedule(&layer)?.schedule;
 //! let report = NocSimulator::new(&arch).simulate(&layer, &schedule)?;
 //! assert!(report.total_cycles >= report.compute_cycles as f64);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

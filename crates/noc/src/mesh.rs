@@ -8,8 +8,38 @@
 //! route; body flits stream behind it; the tail releases the claim
 //! (wormhole switching). Multicast routes follow the unique X-Y path to
 //! each destination, so a flit copy forks exactly at the branch routers.
+//!
+//! # Data layout
+//!
+//! All input ports live in one flat `Vec` indexed `node * 6 + dir`; a
+//! precomputed table maps each output port to the input port it feeds at
+//! the neighbour. A wormhole grant is `(owner packet, output-port mask)`
+//! in one byte, and each node keeps the union of its grants. A packet's
+//! route is one output-port mask per `(packet, node)`, computed once per
+//! run by walking the X-Y path to each destination. Two bitsets over the
+//! ports hold the ones with a non-empty queue and the ones with a
+//! non-empty in-flight pipeline, so a cycle visits only active ports, and
+//! counters of outstanding ejections and queued packets make the
+//! termination test O(1). After the first cycles fill the queues, a step
+//! allocates nothing.
+//!
+//! # Contract
+//!
+//! Each cycle runs the same three phases in the same order as the
+//! straightforward simulator it replaced: arrivals, then one injection per
+//! source, then switch allocation per node in node order with the rotating
+//! `now % 6` input-port priority. Downstream occupancy counts queued plus
+//! in-flight flits, including those pushed earlier in the same cycle;
+//! grants last until the tail flit; a multicast head moves only when every
+//! branch is free; the cycle cap is unchanged. The cycle counts are
+//! identical: the replaced simulator is kept verbatim as a test-only
+//! reference module, and a seeded test compares the two on random packet
+//! sets.
 
 use std::collections::VecDeque;
+
+#[cfg(test)]
+mod reference;
 
 /// Static mesh parameters (a subset of [`cosa_spec::NocParams`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,23 +52,19 @@ pub struct MeshConfig {
     pub hop_latency: u64,
     /// Input buffer depth per port, in flits.
     pub buffer_depth: usize,
-    /// Node index (column-major `y * x + x`) where the global buffer /
-    /// DRAM interface attaches.
-    pub gb_node: usize,
     /// Whether routers may replicate flits (multicast). When `false`,
     /// multicast packets are serialized into unicast clones at injection.
     pub multicast: bool,
 }
 
 impl MeshConfig {
-    /// Build from architecture NoC parameters, GB at node 0.
+    /// Build from architecture NoC parameters.
     pub fn from_noc(p: &cosa_spec::NocParams) -> MeshConfig {
         MeshConfig {
             x: p.mesh_x,
             y: p.mesh_y,
             hop_latency: p.router_latency + p.link_latency,
             buffer_depth: p.buffer_depth,
-            gb_node: 0,
             multicast: p.multicast,
         }
     }
@@ -73,39 +99,73 @@ const DIR_S: usize = 3;
 const DIR_LOCAL: usize = 4;
 const DIR_INJECT: usize = 5;
 const NUM_PORTS: usize = 6;
+const LOCAL: u8 = 1 << DIR_LOCAL;
+/// The output ports that lead to a neighbour.
+const LINKS: u8 = (1 << DIR_E) | (1 << DIR_W) | (1 << DIR_N) | (1 << DIR_S);
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Flit {
     packet: u32,
-    /// Sequence index within the packet (0 = head).
-    seq: u64,
+    head: bool,
     tail: bool,
 }
 
-/// Per-input-port state: the queue and (while a packet streams through)
-/// the granted output port set.
-#[derive(Debug, Default, Clone)]
+/// Per-input-port state: the queue, the in-flight flits due to arrive, and
+/// (while a packet streams through) the granted output ports.
+#[derive(Debug, Default)]
 struct InPort {
     queue: VecDeque<Flit>,
-    /// In-flight flits due to arrive later: `(arrival_cycle, flit)`.
+    /// `(arrival_cycle, flit)`, in arrival order.
     pipeline: VecDeque<(u64, Flit)>,
-    /// Output ports currently granted to the packet streaming through.
-    grant: Option<(u32, Vec<usize>)>,
+    /// Packet owning the grant; meaningful only while `grant` is non-zero.
+    owner: u32,
+    /// Output-port mask granted to `owner`; zero when no packet streams.
+    grant: u8,
 }
 
 impl InPort {
     fn occupancy(&self) -> usize {
         self.queue.len() + self.pipeline.len()
     }
+}
 
-    fn drain_arrivals(&mut self, now: u64) {
-        while let Some((t, _)) = self.pipeline.front() {
-            if *t <= now {
-                let (_, f) = self.pipeline.pop_front().expect("checked front");
-                self.queue.push_back(f);
-            } else {
-                break;
+/// A set of port indices, one bit each.
+#[derive(Debug)]
+struct PortSet(Vec<u64>);
+
+impl PortSet {
+    fn new(ports: usize) -> PortSet {
+        PortSet(vec![0; ports.div_ceil(64)])
+    }
+
+    fn insert(&mut self, port: usize) {
+        self.0[port / 64] |= 1 << (port % 64);
+    }
+
+    fn remove(&mut self, port: usize) {
+        self.0[port / 64] &= !(1 << (port % 64));
+    }
+
+    /// The members among `node`'s six ports, bit `dir` for port `dir`.
+    fn node_mask(&self, node: usize) -> u8 {
+        let (word, shift) = (node * NUM_PORTS / 64, node * NUM_PORTS % 64);
+        let mut bits = self.0[word] >> shift;
+        if shift + NUM_PORTS > 64 {
+            bits |= self.0[word + 1] << (64 - shift);
+        }
+        (bits & 0x3f) as u8
+    }
+
+    /// The smallest member at or above `from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.0.get(word)? & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + bits.trailing_zeros() as usize);
             }
+            word += 1;
+            bits = *self.0.get(word)?;
         }
     }
 }
@@ -114,8 +174,7 @@ impl InPort {
 ///
 /// ```
 /// use cosa_noc::{MeshConfig, MeshSim, PacketSpec};
-/// let cfg = MeshConfig { x: 4, y: 4, hop_latency: 3, buffer_depth: 8,
-///                        gb_node: 0, multicast: true };
+/// let cfg = MeshConfig { x: 4, y: 4, hop_latency: 3, buffer_depth: 8, multicast: true };
 /// // A 10-flit unicast packet from the GB to the far corner.
 /// let cycles = MeshSim::new(cfg).run(&[PacketSpec { src: 0, dests: vec![15], flits: 10 }]);
 /// // 6 hops * 3 cycles + 10 flits of serialization, give or take setup.
@@ -124,14 +183,31 @@ impl InPort {
 #[derive(Debug)]
 pub struct MeshSim {
     cfg: MeshConfig,
-    /// `ports[node][dir]`.
-    ports: Vec<Vec<InPort>>,
-    /// Packet table: route sources and destination sets.
-    packets: Vec<PacketSpec>,
-    /// Remaining flits to eject per `(packet, dest)`.
-    remaining: Vec<Vec<(usize, u64)>>,
-    /// Per-source injection queues (packets are serialized per source).
+    /// Input ports, `node * 6 + dir`.
+    ports: Vec<InPort>,
+    /// Output port `node * 6 + dir` (a link direction) → the input port it
+    /// feeds at the neighbour; `usize::MAX` at the mesh edge.
+    downstream: Vec<usize>,
+    /// Per node, the union of its input ports' grants.
+    granted: Vec<u8>,
+    /// Ports whose queue is non-empty.
+    queued: PortSet,
+    /// Ports whose pipeline is non-empty.
+    in_flight: PortSet,
+    /// Flits per packet.
+    flits: Vec<u64>,
+    /// Output-port mask per `(packet, node)`, `packet * nodes + node`.
+    routes: Vec<u8>,
+    /// Per-source injection queues of `(packet, flits left to inject)`
+    /// (packets are serialized per source).
     inject_queues: Vec<VecDeque<(u32, u64)>>,
+    /// Nodes whose injection queue is non-empty, in no particular order.
+    sources: Vec<usize>,
+    /// Flit ejections still to happen, one per flit per distinct
+    /// destination.
+    outstanding: u64,
+    /// Packets not yet fully injected.
+    queued_packets: usize,
     now: u64,
 }
 
@@ -139,14 +215,36 @@ impl MeshSim {
     /// A fresh simulator for `cfg`.
     pub fn new(cfg: MeshConfig) -> MeshSim {
         let nodes = cfg.nodes();
+        let mut downstream = vec![usize::MAX; nodes * NUM_PORTS];
+        for node in 0..nodes {
+            let (x, y) = cfg.coords(node);
+            let out = &mut downstream[node * NUM_PORTS..][..NUM_PORTS];
+            if x + 1 < cfg.x {
+                out[DIR_E] = (node + 1) * NUM_PORTS + DIR_W;
+            }
+            if x > 0 {
+                out[DIR_W] = (node - 1) * NUM_PORTS + DIR_E;
+            }
+            if y > 0 {
+                out[DIR_N] = (node - cfg.x) * NUM_PORTS + DIR_S;
+            }
+            if y + 1 < cfg.y {
+                out[DIR_S] = (node + cfg.x) * NUM_PORTS + DIR_N;
+            }
+        }
         MeshSim {
             cfg,
-            ports: (0..nodes)
-                .map(|_| (0..NUM_PORTS).map(|_| InPort::default()).collect())
-                .collect(),
-            packets: Vec::new(),
-            remaining: Vec::new(),
+            ports: (0..nodes * NUM_PORTS).map(|_| InPort::default()).collect(),
+            downstream,
+            granted: vec![0; nodes],
+            queued: PortSet::new(nodes * NUM_PORTS),
+            in_flight: PortSet::new(nodes * NUM_PORTS),
+            flits: Vec::new(),
+            routes: Vec::new(),
             inject_queues: vec![VecDeque::new(); nodes],
+            sources: Vec::new(),
+            outstanding: 0,
+            queued_packets: 0,
             now: 0,
         }
     }
@@ -159,30 +257,22 @@ impl MeshSim {
     pub fn run(mut self, packets: &[PacketSpec]) -> u64 {
         // Expand multicast into unicast clones when the fabric lacks
         // replication support.
-        let expanded: Vec<PacketSpec> = if self.cfg.multicast {
-            packets.to_vec()
-        } else {
-            packets
-                .iter()
-                .flat_map(|p| {
-                    p.dests.iter().map(|d| PacketSpec {
-                        src: p.src,
-                        dests: vec![*d],
-                        flits: p.flits,
-                    })
-                })
-                .collect()
-        };
-        for (i, p) in expanded.iter().enumerate() {
+        for p in packets {
             debug_assert!(!p.dests.is_empty());
             debug_assert!(p.flits > 0);
-            self.remaining
-                .push(p.dests.iter().map(|d| (*d, p.flits)).collect());
-            self.inject_queues[p.src].push_back((i as u32, p.flits));
+            if self.cfg.multicast {
+                self.add_packet(p.src, &p.dests, p.flits);
+            } else {
+                for d in &p.dests {
+                    self.add_packet(p.src, std::slice::from_ref(d), p.flits);
+                }
+            }
         }
-        self.packets = expanded;
+        self.sources = (0..self.cfg.nodes())
+            .filter(|&n| !self.inject_queues[n].is_empty())
+            .collect();
 
-        let cap = self.cycle_cap();
+        let cap = self.cycle_cap(packets);
         while !self.done() {
             self.step();
             if self.now > cap {
@@ -197,204 +287,223 @@ impl MeshSim {
         self.now
     }
 
-    fn cycle_cap(&self) -> u64 {
-        let total_flits: u64 = self
-            .packets
-            .iter()
-            .map(|p| p.flits * p.dests.len() as u64)
-            .sum();
+    /// Register one (possibly multicast) packet: its route masks, its
+    /// ejection count and its place in the source's injection queue.
+    fn add_packet(&mut self, src: usize, dests: &[usize], flits: u64) {
+        let nodes = self.cfg.nodes();
+        let packet = self.flits.len();
+        self.flits.push(flits);
+        self.routes.resize((packet + 1) * nodes, 0);
+        let routes = &mut self.routes[packet * nodes..];
+        let (sx, sy) = self.cfg.coords(src);
+        for &d in dests {
+            // X-Y path: horizontal at sy from sx→dx, then vertical at dx.
+            let (dx, dy) = self.cfg.coords(d);
+            let (mut x, mut y) = (sx, sy);
+            loop {
+                let node = y * self.cfg.x + x;
+                let dir = if x != dx {
+                    if dx > x {
+                        x += 1;
+                        DIR_E
+                    } else {
+                        x -= 1;
+                        DIR_W
+                    }
+                } else if y != dy {
+                    if dy > y {
+                        y += 1;
+                        DIR_S
+                    } else {
+                        y -= 1;
+                        DIR_N
+                    }
+                } else {
+                    DIR_LOCAL
+                };
+                routes[node] |= 1 << dir;
+                if dir == DIR_LOCAL {
+                    break;
+                }
+            }
+        }
+        let dests = routes[..nodes].iter().filter(|&&r| r & LOCAL != 0).count();
+        self.outstanding += flits * dests as u64;
+        self.inject_queues[src].push_back((packet as u32, flits));
+        self.queued_packets += 1;
+    }
+
+    fn cycle_cap(&self, packets: &[PacketSpec]) -> u64 {
+        let total_flits: u64 = packets.iter().map(|p| p.flits * p.dests.len() as u64).sum();
         let hops = (self.cfg.x + self.cfg.y) as u64 * self.cfg.hop_latency;
         10_000 + hops * 4 + total_flits * 16
     }
 
     fn done(&self) -> bool {
-        self.remaining
-            .iter()
-            .all(|dests| dests.iter().all(|(_, n)| *n == 0))
-            && self.inject_queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Direction(s) a packet takes out of `node`: the union of next hops of
-    /// the X-Y paths to destinations whose route passes through `node`.
-    fn route_dirs(&self, node: usize, pkt: &PacketSpec) -> Vec<usize> {
-        let (nx, ny) = self.cfg.coords(node);
-        let (sx, sy) = self.cfg.coords(pkt.src);
-        let mut dirs = Vec::new();
-        for &d in &pkt.dests {
-            let (dx, dy) = self.cfg.coords(d);
-            // X-Y path: horizontal at sy from sx→dx, then vertical at dx.
-            let on_horizontal = ny == sy && within(nx, sx, dx);
-            let on_vertical = nx == dx && within(ny, sy, dy);
-            if !(on_horizontal || on_vertical) {
-                continue;
-            }
-            let dir = if d == node {
-                DIR_LOCAL
-            } else if ny == sy && nx != dx {
-                if dx > nx {
-                    DIR_E
-                } else {
-                    DIR_W
-                }
-            } else if dy > ny {
-                DIR_S
-            } else if dy < ny {
-                DIR_N
-            } else {
-                // On the vertical segment at the destination row but not the
-                // destination itself can not happen (nx == dx && ny == dy ⇒
-                // d == node).
-                continue;
-            };
-            if !dirs.contains(&dir) {
-                dirs.push(dir);
-            }
-        }
-        dirs
-    }
-
-    fn neighbor(&self, node: usize, dir: usize) -> (usize, usize) {
-        let (x, y) = self.cfg.coords(node);
-        // Returns (node, arrival input port at that node).
-        match dir {
-            DIR_E => (y * self.cfg.x + (x + 1), DIR_W),
-            DIR_W => (y * self.cfg.x + (x - 1), DIR_E),
-            DIR_N => ((y - 1) * self.cfg.x + x, DIR_S),
-            DIR_S => ((y + 1) * self.cfg.x + x, DIR_N),
-            _ => unreachable!("no neighbor through local ports"),
-        }
+        self.outstanding == 0 && self.queued_packets == 0
     }
 
     fn step(&mut self) {
         self.now += 1;
         let now = self.now;
-        let nodes = self.cfg.nodes();
 
         // 1. Arrivals reach the input queues.
-        for node in 0..nodes {
-            for port in self.ports[node].iter_mut() {
-                port.drain_arrivals(now);
+        for word in 0..self.in_flight.0.len() {
+            let mut bits = self.in_flight.0[word];
+            while bits != 0 {
+                let p = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let port = &mut self.ports[p];
+                while let Some(&(t, flit)) = port.pipeline.front() {
+                    if t > now {
+                        break;
+                    }
+                    port.pipeline.pop_front();
+                    port.queue.push_back(flit);
+                    self.queued.insert(p);
+                }
+                if port.pipeline.is_empty() {
+                    self.in_flight.remove(p);
+                }
             }
         }
 
         // 2. Source injection: one flit per source per cycle into the
         //    injection port (subject to buffer space).
-        for node in 0..nodes {
-            let Some(&(pkt, remaining)) = self.inject_queues[node].front() else {
-                continue;
-            };
-            let in_port = &mut self.ports[node][DIR_INJECT];
-            if in_port.occupancy() >= self.cfg.buffer_depth {
-                continue;
+        let mut i = 0;
+        while i < self.sources.len() {
+            let node = self.sources[i];
+            let p = node * NUM_PORTS + DIR_INJECT;
+            let queue = &mut self.inject_queues[node];
+            let (packet, left) = queue.front_mut().expect("sources have packets");
+            if self.ports[p].occupancy() < self.cfg.buffer_depth {
+                self.ports[p].queue.push_back(Flit {
+                    packet: *packet,
+                    head: *left == self.flits[*packet as usize],
+                    tail: *left == 1,
+                });
+                self.queued.insert(p);
+                *left -= 1;
+                if *left == 0 {
+                    queue.pop_front();
+                    self.queued_packets -= 1;
+                    if queue.is_empty() {
+                        self.sources.swap_remove(i);
+                        continue;
+                    }
+                }
             }
-            let total = self.packets[pkt as usize].flits;
-            let seq = total - remaining;
-            in_port.queue.push_back(Flit {
-                packet: pkt,
-                seq,
-                tail: remaining == 1,
-            });
-            if remaining == 1 {
-                self.inject_queues[node].pop_front();
-            } else {
-                self.inject_queues[node].front_mut().expect("nonempty").1 -= 1;
-            }
+            i += 1;
         }
 
         // 3. Switch allocation + traversal, one flit per input port per
         //    cycle, one grant per output port. Rotating priority between
-        //    input ports avoids starvation.
-        for node in 0..nodes {
-            let mut out_claimed = [false; NUM_PORTS];
-            // Output ports already owned by in-flight wormholes.
-            for port in self.ports[node].iter() {
-                if let Some((_, dirs)) = &port.grant {
-                    for &d in dirs {
-                        out_claimed[d] = true;
-                    }
+        //    input ports avoids starvation. Allocating at a node pops only
+        //    that node's queues, so the nodes to visit are found as we go.
+        let mut next = self.queued.next_from(0);
+        while let Some(p) = next {
+            let node = p / NUM_PORTS;
+            self.allocate(node, now);
+            next = self.queued.next_from((node + 1) * NUM_PORTS);
+        }
+    }
+
+    /// Phase 3 at one node: each input port with a queued flit, in rotating
+    /// priority from `now % 6`, forwards its head flit if the flit's output
+    /// ports are its own or free and every downstream buffer has room.
+    fn allocate(&mut self, node: usize, now: u64) {
+        let base = node * NUM_PORTS;
+        let mut claimed = self.granted[node];
+        let start = (now as usize) % NUM_PORTS;
+        let queued = self.queued.node_mask(node);
+        // Bit `off` of `order` is port `(start + off) % 6`.
+        let mut order = ((queued >> start) | (queued << (NUM_PORTS - start))) & 0x3f;
+        while order != 0 {
+            let pi = (start + order.trailing_zeros() as usize) % NUM_PORTS;
+            order &= order - 1;
+            let p = base + pi;
+            let port = &self.ports[p];
+            let flit = *port.queue.front().expect("queued port");
+            let held = port.grant;
+            let dirs = if held != 0 {
+                if port.owner != flit.packet {
+                    continue; // wormhole busy with another packet
                 }
+                held
+            } else {
+                if !flit.head {
+                    // Body flit without a grant: its head moved on under an
+                    // earlier grant that was released — cannot happen
+                    // because grants persist to tail.
+                    debug_assert!(flit.head, "body flit without grant");
+                    continue;
+                }
+                let route = self.routes[flit.packet as usize * self.cfg.nodes() + node];
+                if route == 0 {
+                    // Mis-routed flit; drop defensively.
+                    self.pop(p);
+                    continue;
+                }
+                // Head may only proceed if *all* branch ports are free
+                // (multicast fork is synchronous).
+                if route & claimed != 0 {
+                    continue;
+                }
+                route
+            };
+
+            // Check downstream space on every non-local branch.
+            let blocked = bits(dirs & LINKS).any(|d| {
+                self.ports[self.downstream[base + d]].occupancy() >= self.cfg.buffer_depth
+            });
+            if blocked {
+                continue;
             }
-            let start = (now as usize) % NUM_PORTS;
-            for off in 0..NUM_PORTS {
-                let pi = (start + off) % NUM_PORTS;
-                // Inspect the head flit.
-                let Some(&flit) = self.ports[node][pi].queue.front() else {
-                    continue;
-                };
-                let dirs: Vec<usize> = match &self.ports[node][pi].grant {
-                    Some((owner, dirs)) if *owner == flit.packet => dirs.clone(),
-                    Some(_) => continue, // wormhole busy with another packet
-                    None => {
-                        if flit.seq != 0 {
-                            // Body flit without a grant: its head moved on
-                            // under an earlier grant that was released —
-                            // cannot happen because grants persist to tail.
-                            debug_assert!(flit.seq == 0, "body flit without grant");
-                            continue;
-                        }
-                        let route = self.route_dirs(node, &self.packets[flit.packet as usize]);
-                        if route.is_empty() {
-                            // Mis-routed flit; drop defensively.
-                            self.ports[node][pi].queue.pop_front();
-                            continue;
-                        }
-                        // Head may only proceed if *all* branch ports are
-                        // free (multicast fork is synchronous).
-                        if route.iter().any(|&d| out_claimed[d]) {
-                            continue;
-                        }
-                        route
-                    }
-                };
 
-                // Check downstream space on every non-local branch.
-                let mut ok = true;
-                for &d in &dirs {
-                    if d == DIR_LOCAL {
-                        continue;
-                    }
-                    let (nn, np) = self.neighbor(node, d);
-                    if self.ports[nn][np].occupancy() >= self.cfg.buffer_depth {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-
-                // Forward the flit on all branches.
-                let flit = self.ports[node][pi].queue.pop_front().expect("head exists");
-                for &d in &dirs {
-                    out_claimed[d] = true;
-                    if d == DIR_LOCAL {
-                        // Ejection: deliver to this node.
-                        for (dest, left) in self.remaining[flit.packet as usize].iter_mut() {
-                            if *dest == node && *left > 0 {
-                                *left -= 1;
-                            }
-                        }
-                    } else {
-                        let (nn, np) = self.neighbor(node, d);
-                        self.ports[nn][np]
-                            .pipeline
-                            .push_back((now + self.cfg.hop_latency, flit));
-                    }
-                }
-                // Maintain the wormhole grant.
-                if flit.tail {
-                    self.ports[node][pi].grant = None;
-                } else {
-                    self.ports[node][pi].grant = Some((flit.packet, dirs));
-                }
+            // Forward the flit on all branches; each writes its own port.
+            let flit = self.pop(p);
+            claimed |= dirs;
+            if dirs & LOCAL != 0 {
+                // Ejection: deliver to this node.
+                self.outstanding -= 1;
+            }
+            for d in bits(dirs & LINKS) {
+                let q = self.downstream[base + d];
+                self.ports[q]
+                    .pipeline
+                    .push_back((now + self.cfg.hop_latency, flit));
+                self.in_flight.insert(q);
+            }
+            // Maintain the wormhole grant.
+            if flit.tail {
+                self.granted[node] &= !held;
+                self.ports[p].grant = 0;
+            } else if held == 0 {
+                self.granted[node] |= dirs;
+                self.ports[p].owner = flit.packet;
+                self.ports[p].grant = dirs;
             }
         }
     }
+
+    /// Pop port `p`'s head flit, keeping the queued set in step.
+    fn pop(&mut self, p: usize) -> Flit {
+        let queue = &mut self.ports[p].queue;
+        let flit = queue.pop_front().expect("queued port");
+        if queue.is_empty() {
+            self.queued.remove(p);
+        }
+        flit
+    }
 }
 
-fn within(v: usize, a: usize, b: usize) -> bool {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    v >= lo && v <= hi
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let d = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (d < 8).then_some(d)
+    })
 }
 
 #[cfg(test)]
@@ -407,7 +516,6 @@ mod tests {
             y: 4,
             hop_latency: 3,
             buffer_depth: 8,
-            gb_node: 0,
             multicast: true,
         }
     }
@@ -528,5 +636,76 @@ mod tests {
         }
         let cycles = MeshSim::new(cfg4()).run(&pkts);
         assert!(cycles > 0);
+    }
+
+    /// SplitMix64: enough randomness for packet sets, no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// 1-flit packets one time in four, else up to 24 flits.
+        fn flits(&mut self) -> u64 {
+            if self.below(4) == 0 {
+                1
+            } else {
+                1 + self.below(24)
+            }
+        }
+    }
+
+    /// Traffic shaped like a `TrafficPlan`'s, randomized: multicast or
+    /// unicast packets from the GB at node 0 (destinations drawn with
+    /// repeats, in any order), and writebacks to the GB from several PEs,
+    /// all interleaved in a random order.
+    fn random_packets(rng: &mut Rng, nodes: usize) -> Vec<PacketSpec> {
+        let mut packets = Vec::new();
+        for _ in 0..1 + rng.below(4) {
+            let fanout = 1 + rng.below(nodes.min(12) as u64);
+            packets.push(PacketSpec {
+                src: 0,
+                dests: (0..fanout)
+                    .map(|_| rng.below(nodes as u64) as usize)
+                    .collect(),
+                flits: rng.flits(),
+            });
+        }
+        for _ in 0..rng.below(7) {
+            packets.push(PacketSpec {
+                src: rng.below(nodes as u64) as usize,
+                dests: vec![0],
+                flits: rng.flits(),
+            });
+        }
+        for i in (1..packets.len()).rev() {
+            packets.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        packets
+    }
+
+    #[test]
+    fn cycle_counts_match_the_reference_simulator() {
+        let mut rng = Rng(0xC05A);
+        for (x, y) in [(2, 2), (4, 4), (8, 8), (26, 1)] {
+            for _ in 0..96 {
+                let cfg = MeshConfig {
+                    x,
+                    y,
+                    hop_latency: 1 + rng.below(4),
+                    buffer_depth: 1 + rng.below(8) as usize,
+                    multicast: rng.below(2) == 0,
+                };
+                let packets = random_packets(&mut rng, cfg.nodes());
+                let want = reference::MeshSim::new(cfg).run(&packets);
+                let got = MeshSim::new(cfg).run(&packets);
+                assert_eq!(got, want, "{cfg:?}\n{packets:?}");
+            }
+        }
     }
 }

@@ -235,8 +235,7 @@ impl TrafficPlan {
                 let mut with_rb = t.clone();
                 with_rb.count = t.count * revisit_frac;
                 with_rb.oa_readback = true;
-                let down_oa = gb_bytes(DataTensor::Outputs);
-                with_rb.dram_bytes += down_oa * 0.0; // GB-resident readbacks
+                // Readbacks come from the global buffer: no DRAM bytes.
                 let mut without = t;
                 without.count *= 1.0 - revisit_frac;
                 if with_rb.count > 0.0 {

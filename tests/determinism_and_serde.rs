@@ -178,3 +178,79 @@ fn serving_milp_meets_the_quality_floor_and_repeats() {
         "search moved off the pinned trajectory: {off_trajectory:#?}"
     );
 }
+
+/// The NoC simulator's numbers on the smallest layer of every suite,
+/// scheduled as the daemon's `"random"` schedules it: the layer latency's
+/// bits and the flit-simulated cycles of every iteration class. A
+/// speed-only change to `crates/noc` must leave them alone.
+#[test]
+fn noc_simulated_cycles_are_pinned() {
+    use cosa_repro::serve::SERVE_RANDOM_SEED;
+
+    let pinned: [(&str, u64, &[u64]); 7] = [
+        (
+            "1_1_4096_1000_1",
+            0x412134d200000000,
+            &[51727, 51209, 51209],
+        ),
+        (
+            "1_1_2048_1000_1",
+            0x4110939400000000,
+            &[12881, 12881, 13024, 12948, 13024, 12948],
+        ),
+        (
+            "1_1_2048_1000_1",
+            0x4110939400000000,
+            &[12881, 12881, 13024, 12948, 13024, 12948],
+        ),
+        (
+            "3_108_3_64_2",
+            0x41412e9380000000,
+            &[2754, 11686, 12583, 12583, 12583, 12583],
+        ),
+        (
+            "bert.attn_score",
+            0x4114a81000000000,
+            &[
+                597, 1326, 841, 1846, 1070, 1846, 1070, 1846, 1070, 1846, 1070, 1846, 1070, 1846,
+                1070, 1846, 1070,
+            ],
+        ),
+        (
+            "gpt.attn_score",
+            0x4100608800000000,
+            &[1080, 3089, 3089, 3089, 3089, 3089],
+        ),
+        (
+            "3_7_1_576_2",
+            0x40eb645555555555,
+            &[65, 788, 408, 794, 414, 794, 414, 794, 414],
+        ),
+    ];
+    let arch = Arch::simba_baseline();
+    let random = RandomMapper::new(SERVE_RANDOM_SEED).with_limits(SearchLimits::quick());
+    let noc = NocSimulator::new(&arch);
+    let mut moved = Vec::new();
+    for (suite, (name, total_bits, noc_cycles)) in Suite::ALL.into_iter().zip(pinned) {
+        let layer = suite
+            .workload()
+            .layers
+            .into_iter()
+            .min_by_key(Layer::macs)
+            .expect("suites are non-empty");
+        let schedule = Scheduler::schedule(&random, &arch, &layer)
+            .expect("random finds a schedule")
+            .schedule;
+        let report = noc.simulate(&layer, &schedule).expect("valid schedule");
+        let got: Vec<u64> = report.types.iter().map(|t| t.noc_cycles).collect();
+        let got = (layer.name(), report.total_cycles.to_bits(), got.as_slice());
+        if got != (name, total_bits, noc_cycles) {
+            moved.push(format!("(\"{}\", {:#x}, &{:?}),", got.0, got.1, got.2));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "simulated cycles moved:\n{}",
+        moved.join("\n")
+    );
+}
