@@ -537,36 +537,24 @@ pub struct NetworkReport {
 // field order matches the struct declaration, exactly as the derive would
 // emit it.
 impl Serialize for NetworkReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("network".to_string(), self.network.to_value()),
-            ("arch".to_string(), self.arch.to_value()),
-            ("scheduler".to_string(), self.scheduler.to_value()),
-            ("layers".to_string(), self.layers.to_value()),
-            (
-                "scheduled_layers".to_string(),
-                self.scheduled_layers.to_value(),
-            ),
-            ("failed_layers".to_string(), self.failed_layers.to_value()),
-            (
-                "total_latency_cycles".to_string(),
-                self.total_latency_cycles.to_value(),
-            ),
-            (
-                "total_energy_pj".to_string(),
-                self.total_energy_pj.to_value(),
-            ),
-            ("total_macs".to_string(), self.total_macs.to_value()),
-            (
-                "total_noc_cycles".to_string(),
-                self.total_noc_cycles.to_value(),
-            ),
-            ("cache".to_string(), self.cache.to_value()),
-        ];
+    fn serialize(&self, out: &mut serde::Writer) -> Result<(), serde::Error> {
+        let mut map = out.map();
+        map.field("network", &self.network)?;
+        map.field("arch", &self.arch)?;
+        map.field("scheduler", &self.scheduler)?;
+        map.field("layers", &self.layers)?;
+        map.field("scheduled_layers", &self.scheduled_layers)?;
+        map.field("failed_layers", &self.failed_layers)?;
+        map.field("total_latency_cycles", &self.total_latency_cycles)?;
+        map.field("total_energy_pj", &self.total_energy_pj)?;
+        map.field("total_macs", &self.total_macs)?;
+        map.field("total_noc_cycles", &self.total_noc_cycles)?;
+        map.field("cache", &self.cache)?;
         if let Some(interlayer) = &self.interlayer {
-            entries.push(("interlayer".to_string(), interlayer.to_value()));
+            map.field("interlayer", interlayer)?;
         }
-        serde::Value::Map(entries)
+        map.end();
+        Ok(())
     }
 }
 
@@ -644,6 +632,29 @@ pub struct NetworkRun {
     pub noc_sims: u64,
     /// Wall-clock time for the whole network call.
     pub elapsed: Duration,
+}
+
+/// A cache key's parts up to the layer, under one scheduler and one set of
+/// inter-layer options (see [`Engine::cache_key_with`]).
+struct KeyPrefix {
+    /// `fingerprint ‖ arch JSON`, already hashed.
+    digest: canon::CanonDigest,
+    /// The options' fingerprint, folded in after the layer when the pass is
+    /// enabled.
+    options: Option<String>,
+}
+
+impl KeyPrefix {
+    /// The key of `layer`: a copy of the prefix state extended by the
+    /// layer's canonical JSON (and the options).
+    fn key(&self, layer: &Layer) -> String {
+        let mut digest = self.digest.clone();
+        digest.push(&serde_json::to_string(layer).expect("layer serializes"));
+        if let Some(options) = &self.options {
+            digest.push(options);
+        }
+        digest.hex()
+    }
 }
 
 /// The batch scheduling engine. See the [module docs](self) for an example.
@@ -931,12 +942,18 @@ impl Engine {
         layer: &Layer,
         interlayer: &InterlayerOptions,
     ) -> String {
-        let layer = serde_json::to_string(layer).expect("layer serializes");
-        if interlayer.enabled {
-            let options = interlayer.fingerprint();
-            canon::cache_digest(&[&scheduler.fingerprint(), &self.arch_json, &layer, &options])
-        } else {
-            canon::cache_digest(&[&scheduler.fingerprint(), &self.arch_json, &layer])
+        self.key_prefix(scheduler, interlayer).key(layer)
+    }
+
+    /// The part of [`Engine::cache_key_with`] shared by every layer: the
+    /// scheduler fingerprint and the architecture, hashed once.
+    fn key_prefix(&self, scheduler: &dyn Scheduler, interlayer: &InterlayerOptions) -> KeyPrefix {
+        let mut digest = canon::CanonDigest::new();
+        digest.push(&scheduler.fingerprint());
+        digest.push(&self.arch_json);
+        KeyPrefix {
+            digest,
+            options: interlayer.enabled.then(|| interlayer.fingerprint()),
         }
     }
 
@@ -1243,10 +1260,11 @@ impl Engine {
         let noc_sims_before = self.noc_sims.load(Ordering::Relaxed);
 
         // Unique shapes in first-occurrence order.
+        let prefix = self.key_prefix(scheduler, interlayer);
         let keys: Vec<String> = network
             .layers
             .iter()
-            .map(|e| self.cache_key_with(scheduler, &e.layer, interlayer))
+            .map(|e| prefix.key(&e.layer))
             .collect();
         let mut unique: Vec<(&str, &Layer)> = Vec::new();
         let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
@@ -1650,5 +1668,59 @@ mod tests {
         assert!(cache.get("k0").is_some(), "recently touched entry kept");
         assert!(cache.get("k2").is_some());
         assert!(cache.bytes() <= one * 2 + one / 2);
+    }
+
+    /// A cache key built the way keys were built before the prefix was
+    /// hashed once per call: join every part, then digest the whole string.
+    fn joined_key(parts: &[&str]) -> String {
+        canon::digest128_hex(parts.join(&canon::CANON_SEP.to_string()).as_bytes())
+    }
+
+    /// Every layer of every suite, under every registry scheduler whose
+    /// keys the daemon derives and with the inter-layer pass off and on:
+    /// `cache_key_with` is the joined-parts digest, and the keys
+    /// `schedule_network_with` derives inside one call (from one prefix)
+    /// are exactly the per-layer keys — shown by a call that finds every
+    /// entry cached under the per-layer key and solves nothing.
+    #[test]
+    fn network_keys_match_per_layer_keys() {
+        use cosa_spec::Suite;
+
+        let arch = Arch::simba_baseline();
+        let engine = Engine::new(arch.clone()).with_threads(1);
+        let networks: Vec<Network> = Suite::ALL.into_iter().map(Network::from_suite).collect();
+        let mut schedules: HashMap<Layer, Scheduled> = HashMap::new();
+        for entry in networks.iter().flat_map(|n| &n.layers) {
+            schedules.entry(entry.layer.clone()).or_insert_with(|| {
+                Scheduler::schedule(&quick_random(), &arch, &entry.layer).expect("random schedules")
+            });
+        }
+        for name in ["cosa", "sat", "portfolio", "random"] {
+            let scheduler = crate::serve::scheduler_from_name(name, &arch).expect("registry");
+            let fingerprint = scheduler.fingerprint();
+            for interlayer in [InterlayerOptions::disabled(), InterlayerOptions::enabled()] {
+                for network in &networks {
+                    for entry in &network.layers {
+                        let layer_json = serde_json::to_string(&entry.layer).unwrap();
+                        let options = interlayer.fingerprint();
+                        let mut parts = vec![fingerprint.as_str(), &engine.arch_json, &layer_json];
+                        if interlayer.enabled {
+                            parts.push(&options);
+                        }
+                        let key =
+                            engine.cache_key_with(scheduler.as_ref(), &entry.layer, &interlayer);
+                        assert_eq!(key, joined_key(&parts), "{name} {}", entry.layer.name());
+                        let cached = CacheEntry::new(schedules[&entry.layer].clone());
+                        let cache = engine.cache.as_ref().expect("cache");
+                        cache.lock().unwrap().insert(key, cached);
+                    }
+                    let run =
+                        engine.schedule_network_with(network, scheduler.as_ref(), &interlayer);
+                    assert_eq!(run.cache_misses, 0, "{name} {}: a key moved", network.name);
+                    assert_eq!(run.cache_hits, network.layers.len() as u64);
+                }
+            }
+        }
+        assert_eq!(engine.cache_stats().misses, 0);
     }
 }

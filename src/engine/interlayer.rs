@@ -72,8 +72,9 @@ impl InterlayerStrategy {
 }
 
 impl Serialize for InterlayerStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
+    fn serialize(&self, out: &mut serde::Writer) -> Result<(), serde::Error> {
+        out.str(self.name());
+        Ok(())
     }
 }
 

@@ -3,8 +3,14 @@
 //! `Serialize`/`Deserialize` for downstream persistence; wire formats are
 //! the consumer's choice.)
 
+use std::time::Duration;
+
 use cosa_repro::prelude::*;
+use cosa_repro::spec::canon::digest128_hex;
 use cosa_repro::spec::workloads;
+use serde::Value;
+
+mod common;
 
 #[test]
 fn cosa_is_deterministic() {
@@ -253,4 +259,299 @@ fn noc_simulated_cycles_are_pinned() {
         "simulated cycles moved:\n{}",
         moved.join("\n")
     );
+}
+
+/// A daemon-style `"random"` engine answer for a whole suite, volatile
+/// parts zeroed.
+fn suite_response(
+    engine: &Engine,
+    suite: Suite,
+    interlayer: &InterlayerOptions,
+) -> ScheduleResponse {
+    let random = scheduler_from_name("random", engine.arch()).expect("registry scheduler");
+    let run =
+        engine.schedule_network_with(&Network::from_suite(suite), random.as_ref(), interlayer);
+    ScheduleResponse::from_report(run.report).without_timings()
+}
+
+/// A `CacheEntry` exactly as the persistent store writes it (NoC verdict,
+/// backend and DRAM profile filled in), wall-clock zeroed.
+fn stored_entry(arch: &Arch) -> CacheEntry {
+    let dir = common::scratch_dir("cosa-byte-pin", "store");
+    let engine = Engine::new(arch.clone())
+        .with_noc()
+        .with_cache_dir(&dir)
+        .expect("cache dir");
+    let random = scheduler_from_name("random", arch).expect("registry scheduler");
+    let layer = Layer::parse_paper_name("3_7_1_576_2").expect("paper name");
+    engine
+        .schedule_layer(random.as_ref(), &layer)
+        .expect("random schedules");
+    let key = engine.cache_key(random.as_ref(), &layer);
+    let mut entry = engine
+        .store()
+        .expect("store attached")
+        .load_entry(&key)
+        .expect("entry persisted");
+    entry.scheduled.elapsed = Duration::ZERO;
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+    entry
+}
+
+/// Every escaping and number-formatting case of the JSON writer in one
+/// tree.
+fn awkward_value() -> Value {
+    let text = |s: &str| Value::Str(s.to_string());
+    Value::Map(vec![
+        (
+            "strings".to_string(),
+            Value::Seq(vec![
+                text("quote \" and backslash \\"),
+                text("control \u{1} \u{8} \u{c} \u{1f} \n \r \t end"),
+                text("non-ASCII: é ß → 😀 日本"),
+                text(""),
+            ]),
+        ),
+        ("ke\"y\u{1}".to_string(), Value::Null),
+        (
+            "floats".to_string(),
+            Value::Seq(
+                [
+                    3.0,
+                    -2.0,
+                    -0.0,
+                    0.0,
+                    0.1,
+                    -1.5e-7,
+                    1e-300,
+                    5e-324,
+                    1e300,
+                    -1e300,
+                    123_456_789_012_345.0,
+                    999_999_999_999_999.0,
+                    1e15,
+                    -1e15,
+                    2.5e16,
+                    f64::MAX,
+                    f64::MIN_POSITIVE,
+                ]
+                .into_iter()
+                .map(Value::F64)
+                .collect(),
+            ),
+        ),
+        (
+            "integers".to_string(),
+            Value::Seq(vec![
+                Value::U64(0),
+                Value::U64(u64::MAX),
+                Value::I64(-1),
+                Value::I64(i64::MIN),
+            ]),
+        ),
+        (
+            "bools".to_string(),
+            Value::Seq(vec![Value::Bool(true), Value::Bool(false)]),
+        ),
+        ("empty_map".to_string(), Value::Map(Vec::new())),
+        ("empty_seq".to_string(), Value::Seq(Vec::new())),
+        (
+            "nested".to_string(),
+            Value::Seq(vec![
+                Value::Map(Vec::new()),
+                Value::Seq(vec![Value::Seq(Vec::new())]),
+                Value::Map(vec![("x".to_string(), Value::Map(Vec::new()))]),
+            ]),
+        ),
+    ])
+}
+
+/// `value`'s compact and pretty JSON as a pin-table row: `(name, compact
+/// length, compact digest, pretty length, pretty digest)`.
+fn json_row<T: serde::Serialize>(name: &str, value: &T) -> String {
+    let compact = serde_json::to_string(value).expect("serializes");
+    let pretty = serde_json::to_string_pretty(value).expect("serializes");
+    format!(
+        "(\"{name}\", {}, \"{}\", {}, \"{}\"),",
+        compact.len(),
+        digest128_hex(compact.as_bytes()),
+        pretty.len(),
+        digest128_hex(pretty.as_bytes())
+    )
+}
+
+/// The JSON writer's bytes, compact and pretty, for every type that reaches
+/// the wire, the store or a cache key (rows as [`json_row`]). Recorded before the writer was
+/// rewritten to stream without a `Value` tree; any change to field order,
+/// escaping or number formatting moves a row.
+#[test]
+fn json_bytes_are_pinned() {
+    let pinned: [(&str, usize, &str, usize, &str); 11] = [
+        (
+            "AlexNet",
+            9765,
+            "58c2f7dffce65322bc037fa1fbd648ab",
+            32137,
+            "9172d4cd520c041a15aca9a8c2150eb7",
+        ),
+        (
+            "ResNet-50",
+            37321,
+            "8330a22c6bdf66b2d718a86d913b333b",
+            126718,
+            "67c52b4d94cd9f1602132b93ebe0ca21",
+        ),
+        (
+            "MobileNetV2",
+            39146,
+            "bb48b05edde377d0339dcb54405c98ff",
+            130878,
+            "a9bb2887023c5d6658b2db919a3ec19d",
+        ),
+        (
+            "GPT-mini",
+            47113,
+            "83a87e845d5ac9d963c59c59ef44adb4",
+            161809,
+            "8f4bc46bf2ee629d2d467c0f34048a2c",
+        ),
+        (
+            "gpt_mini+noc+interlayer",
+            56120,
+            "e9a5fbcea4b55012cbbd312f0e52c5d1",
+            176995,
+            "16a75c97c8b9ded0961004beebc827c1",
+        ),
+        (
+            "layer_response",
+            1099,
+            "218fa966b9e8f71ab6c664c54f0d0a23",
+            2961,
+            "d35dad0d3022d31c462302cba4472831",
+        ),
+        (
+            "cache_entry",
+            983,
+            "00192fbac8c718ace1397c7c9c3b73f9",
+            2311,
+            "188ac9010251e0d2e4519f21086e484b",
+        ),
+        (
+            "stats_response",
+            509,
+            "721c8574d53a51e95c730906d9b15548",
+            716,
+            "b313224697b33ac559d567b310f02ba2",
+        ),
+        (
+            "request_with_interlayer",
+            5649,
+            "0a65614f9372027e0d2aba041cee66f3",
+            14011,
+            "62479f0e681a2d2ca8be2db0a06ae659",
+        ),
+        (
+            "simba_baseline",
+            944,
+            "40fd6bcb16760c4bca54c13ee11a370c",
+            1555,
+            "fc0014d8ecb97979a8a2a63dc910badc",
+        ),
+        (
+            "awkward_value",
+            2294,
+            "ba6d7f3268db9a40956d5b3e3a7a04eb",
+            2517,
+            "7a2d0c73f29d0ffc612e45b2ba91662d",
+        ),
+    ];
+    let arch = Arch::simba_baseline();
+    let engine = Engine::new(arch.clone()).with_threads(1);
+    let random = scheduler_from_name("random", &arch).expect("registry scheduler");
+    let off = InterlayerOptions::disabled();
+
+    let mut got: Vec<String> = [
+        Suite::AlexNet,
+        Suite::ResNet50,
+        Suite::MobileNetV2,
+        Suite::GptMini,
+    ]
+    .into_iter()
+    .map(|suite| json_row(suite.name(), &suite_response(&engine, suite, &off)))
+    .collect();
+    // The hand-written `NetworkReport` writer with its optional sections
+    // present: NoC totals and the inter-layer report.
+    let noc_engine = Engine::new(arch.clone()).with_threads(1).with_noc();
+    let interlayer = InterlayerOptions::enabled().with_strategy(InterlayerStrategy::Milp);
+    got.push(json_row(
+        "gpt_mini+noc+interlayer",
+        &suite_response(&noc_engine, Suite::GptMini, &interlayer),
+    ));
+    let layer = workloads::find_layer("3_13_384_256_1").expect("layer");
+    let scheduled = engine
+        .schedule_layer(random.as_ref(), &layer)
+        .expect("random schedules");
+    got.push(json_row(
+        "layer_response",
+        &ScheduleResponse::from_scheduled(scheduled).without_timings(),
+    ));
+    got.push(json_row("cache_entry", &stored_entry(&arch)));
+    let stats = StatsResponse {
+        served: 12,
+        errors: 1,
+        queue_capacity: 64,
+        workers: 2,
+        engines: 1,
+        p50_micros: 144,
+        p99_micros: 1329,
+        cache: CacheStats {
+            hits: 7,
+            misses: 3,
+            entries: 3,
+            bytes: 4096,
+            backend_wins: vec![BackendWin {
+                backend: "cosa".to_string(),
+                wins: 3,
+                win_micros: 123_456,
+            }],
+            ..CacheStats::default()
+        },
+        ..StatsResponse::default()
+    };
+    got.push(json_row("stats_response", &stats));
+    let request = ScheduleRequest::for_network(Network::from_suite(Suite::GptMini))
+        .with_scheduler("portfolio")
+        .with_arch(arch.clone())
+        .with_interlayer(
+            InterlayerOptions::enabled()
+                .with_budget_bytes(65_536)
+                .with_strategy(InterlayerStrategy::Milp),
+        );
+    got.push(json_row("request_with_interlayer", &request));
+    got.push(json_row("simba_baseline", &arch));
+    got.push(json_row("awkward_value", &awkward_value()));
+
+    let want: Vec<String> = pinned
+        .iter()
+        .map(|(name, clen, cdig, plen, pdig)| {
+            format!("(\"{name}\", {clen}, \"{cdig}\", {plen}, \"{pdig}\"),")
+        })
+        .collect();
+    assert_eq!(
+        want,
+        got,
+        "JSON bytes moved; current rows:\n{}",
+        got.join("\n")
+    );
+
+    // JSON has no spelling for a non-finite number, at any depth.
+    assert!(serde_json::to_string(&f64::NAN).is_err());
+    assert!(serde_json::to_string_pretty(&f64::INFINITY).is_err());
+    let nested = Value::Map(vec![(
+        "x".to_string(),
+        Value::Seq(vec![Value::F64(f64::NAN)]),
+    )]);
+    assert!(serde_json::to_string(&nested).is_err());
+    assert!(serde_json::to_string_pretty(&nested).is_err());
 }
