@@ -45,8 +45,6 @@
 //! `probe-throughput: requests=.. elapsed_micros=.. rps=..` line.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cosa_bench::{flag_value, parse_flag, write_csv};
@@ -54,7 +52,7 @@ use cosa_repro::serve::{
     CommonArgs, LatencyRecorder, ScheduleRequest, ScheduleResponse, StatsResponse,
 };
 use cosa_serve::http;
-use cosa_spec::{Network, Suite};
+use cosa_spec::{fanout, Network, Suite};
 
 /// Poll `/v1/healthz` until the daemon answers 200 or the deadline passes.
 fn wait_ready(addr: SocketAddr, wait: Duration) {
@@ -189,44 +187,30 @@ fn main() {
     wait_ready(addr, wait);
     let before = get_stats(addr);
 
-    // Fire the request set from a fixed-width client pool sharing a
-    // work-stealing index (mirrors the engine's own fan-out helper).
-    let outcomes: Mutex<Vec<(usize, u64, u16, String)>> = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
+    // Fire the request set from a fixed-width client pool, this thread
+    // being one of the clients.
+    let order: Vec<usize> = (0..requests).collect();
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..concurrency.clamp(1, requests) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= requests {
-                    break;
-                }
-                let body = &bodies[i % bodies.len()];
-                // The daemon sheds load with 429 once its bounded queue
-                // fills; back off and retry a few times so the probe
-                // measures the serving path, not the shedding path.
-                let mut attempt = 0;
-                let (micros, resp) = loop {
-                    let sent = Instant::now();
-                    let resp = http::request(addr, "POST", "/v1/schedule", body)
-                        .expect("POST /v1/schedule");
-                    if resp.status == 429 && attempt < 5 {
-                        attempt += 1;
-                        std::thread::sleep(Duration::from_millis(50 * attempt));
-                        continue;
-                    }
-                    break (sent.elapsed().as_micros() as u64, resp);
-                };
-                outcomes
-                    .lock()
-                    .expect("outcomes lock")
-                    .push((i, micros, resp.status, resp.body));
-            });
-        }
+    let outcomes = fanout::map(&order, concurrency, |&i| {
+        let body = &bodies[i % bodies.len()];
+        // The daemon sheds load with 429 once its bounded queue
+        // fills; back off and retry a few times so the probe
+        // measures the serving path, not the shedding path.
+        let mut attempt = 0;
+        let (micros, resp) = loop {
+            let sent = Instant::now();
+            let resp =
+                http::request(addr, "POST", "/v1/schedule", body).expect("POST /v1/schedule");
+            if resp.status == 429 && attempt < 5 {
+                attempt += 1;
+                std::thread::sleep(Duration::from_millis(50 * attempt));
+                continue;
+            }
+            break (sent.elapsed().as_micros() as u64, resp);
+        };
+        (i, micros, resp.status, resp.body)
     });
     let elapsed = started.elapsed();
-    let mut outcomes = outcomes.into_inner().expect("outcomes lock");
-    outcomes.sort_by_key(|(i, ..)| *i);
 
     // Every answer must be 200 and canonically identical to the other
     // answers for its payload.

@@ -21,7 +21,12 @@
 //! odometer step — exactly the `Y` prefix indicator of the paper's Eq. 9).
 //! Each distinct type's transfer set is simulated cycle-by-cycle at flit
 //! granularity on the mesh; the layer latency composes the per-type
-//! durations with their exact occurrence counts. Within a type the
+//! durations with their exact occurrence counts. A layer's distinct
+//! transfer sets are independent, so they are simulated concurrently on up
+//! to `available_parallelism` threads (the caller among them, and the
+//! caller alone when the sets are too small to pay for a thread); the
+//! composition runs in plan order afterwards, so the verdict does not
+//! depend on the thread count. Within a type the
 //! simulation is cycle-accurate, including link serialization, head-of-line
 //! blocking, multicast forking and hop latencies — the congestion effects
 //! Timeloop's bandwidth model misses, which is the point of Fig. 10.

@@ -1,12 +1,73 @@
 //! Layer-latency composition: per-type flit simulations + exact counts.
+//!
+//! A layer's iteration classes share a handful of distinct transfer sets.
+//! Each set is simulated once, and the sets run concurrently on up to
+//! `available_parallelism` threads ([`cosa_spec::fanout`]) unless they are
+//! too small to pay for a thread; the per-class timings are then composed
+//! in plan order, so the verdict does not depend on the thread count.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
-use cosa_spec::{Arch, DataTensor, Layer, Schedule, SpecError};
+use cosa_spec::{fanout, Arch, DataTensor, Layer, Schedule, SpecError};
 use serde::{Deserialize, Serialize};
 
 use crate::mesh::{MeshConfig, MeshSim, PacketSpec};
-use crate::traffic::TrafficPlan;
+use crate::traffic::{IterationType, TrafficPlan};
+
+/// Below this many flits outside a layer's largest transfer set, its sets
+/// are simulated on the calling thread alone. The work outside the largest
+/// set is the most a helper thread can take off the caller, and a helper
+/// costs 35–150 µs to start and join (2-core x86 VM), as long as the mesh
+/// takes for 250–1 000 flits at ≈ 150 ns a flit; this keeps a 4× margin.
+const MIN_FANOUT_FLITS: u64 = 1 << 12;
+
+/// Threads for simulating transfer sets of `flits` volume each: one per
+/// set up to `available_parallelism`, or just the caller when the sets
+/// other than the largest are too small to pay for a helper.
+fn sim_threads(flits: &[u64]) -> usize {
+    let largest = flits.iter().copied().max().unwrap_or(0);
+    if flits.iter().sum::<u64>() - largest < MIN_FANOUT_FLITS {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The packet groups an iteration class puts on the mesh: the resent
+/// weights/inputs, the partial-sum readback and the output writeback.
+/// Classes with equal sets take equal NoC time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TransferSet {
+    resend: [bool; DataTensor::COUNT],
+    oa_readback: bool,
+    oa_writeback: bool,
+}
+
+impl TransferSet {
+    fn of(t: &IterationType) -> TransferSet {
+        TransferSet {
+            resend: t.resend,
+            oa_readback: t.oa_readback,
+            oa_writeback: t.oa_writeback,
+        }
+    }
+
+    /// The set's packets, in the order the mesh injects them.
+    fn packets(self, plan: &TrafficPlan) -> Vec<PacketSpec> {
+        let mut packets = Vec::new();
+        for v in DataTensor::ALL {
+            if self.resend[v.index()] && v != DataTensor::Outputs {
+                packets.extend_from_slice(&plan.down_packets[v.index()]);
+            }
+        }
+        if self.oa_readback {
+            packets.extend_from_slice(&plan.down_packets[DataTensor::Outputs.index()]);
+        }
+        if self.oa_writeback {
+            packets.extend_from_slice(&plan.up_packets);
+        }
+        packets
+    }
+}
 
 /// Timing of one iteration class.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +83,7 @@ pub struct TypeTiming {
 }
 
 /// The NoC simulator's verdict on one schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocReport {
     /// End-to-end layer latency in cycles.
     pub total_cycles: f64,
@@ -99,6 +160,11 @@ impl NocSimulator {
 
     /// Validate and simulate `schedule`, returning the latency report.
     ///
+    /// The layer's distinct transfer sets are simulated concurrently on up
+    /// to `available_parallelism` threads, the calling thread among them
+    /// (on the caller alone when they are small); the report is the same
+    /// on any number of threads.
+    ///
     /// # Errors
     ///
     /// Returns [`SpecError::InvalidSchedule`] for schedules that do not fit
@@ -127,38 +193,47 @@ impl NocSimulator {
         let dram_bw = self.arch.noc().dram_bandwidth;
         let dram_lat = self.arch.noc().dram_latency as f64;
 
-        // Per-class flit simulation, memoized on the transfer-set shape.
-        let mut cache: HashMap<(bool, bool, bool, bool, bool), u64> = HashMap::new();
+        // Distinct transfer sets in first-occurrence order; `set_of[i]` is
+        // the set of `plan.types[i]`.
+        let mut sets: Vec<TransferSet> = Vec::new();
+        let set_of: Vec<usize> = plan
+            .types
+            .iter()
+            .map(|t| {
+                let set = TransferSet::of(t);
+                sets.iter().position(|s| *s == set).unwrap_or_else(|| {
+                    sets.push(set);
+                    sets.len() - 1
+                })
+            })
+            .collect();
+
+        // One flit simulation per set, the sets run concurrently, largest
+        // flit volume first so the longest run never starts last.
+        let packets: Vec<Vec<PacketSpec>> = sets.iter().map(|s| s.packets(&plan)).collect();
+        let flits: Vec<u64> = packets
+            .iter()
+            .map(|p| p.iter().map(|p| p.flits).sum())
+            .collect();
+        let mut order: Vec<usize> = (0..sets.len()).collect();
+        order.sort_by_key(|&i| Reverse(flits[i]));
+        let cycles_in_order = fanout::map(&order, sim_threads(&flits), |&i| {
+            if packets[i].is_empty() {
+                0
+            } else {
+                MeshSim::new(cfg).run(&packets[i])
+            }
+        });
+        let mut set_cycles = vec![0u64; sets.len()];
+        for (&i, cycles) in order.iter().zip(cycles_in_order) {
+            set_cycles[i] = cycles;
+        }
+
         let mut types = Vec::with_capacity(plan.types.len());
         let mut pipeline = 0.0f64;
         let mut dram_total = 0.0f64;
-        for t in &plan.types {
-            let key = (
-                t.resend[0],
-                t.resend[1],
-                t.resend[2],
-                t.oa_readback,
-                t.oa_writeback,
-            );
-            let noc_cycles = *cache.entry(key).or_insert_with(|| {
-                let mut packets: Vec<PacketSpec> = Vec::new();
-                for v in DataTensor::ALL {
-                    if t.resend[v.index()] && v != DataTensor::Outputs {
-                        packets.extend_from_slice(&plan.down_packets[v.index()]);
-                    }
-                }
-                if t.oa_readback {
-                    packets.extend_from_slice(&plan.down_packets[DataTensor::Outputs.index()]);
-                }
-                if t.oa_writeback {
-                    packets.extend_from_slice(&plan.up_packets);
-                }
-                if packets.is_empty() {
-                    0
-                } else {
-                    MeshSim::new(cfg).run(&packets)
-                }
-            });
+        for (t, &set) in plan.types.iter().zip(&set_of) {
+            let noc_cycles = set_cycles[set];
             let dram_cycles = if t.dram_bytes > 0.0 {
                 dram_lat + t.dram_bytes / dram_bw
             } else {
@@ -316,6 +391,82 @@ mod tests {
         let report = NocSimulator::new(&arch).simulate(&layer, &s).unwrap();
         assert!(report.dram_cycles > report.compute_cycles as f64);
         assert!(report.communication_bound());
+    }
+
+    /// Every prime factor of `lp.bound` as a loop like `lp` on `level`.
+    fn push_factors(s: &mut Schedule, level: usize, lp: Loop) {
+        for f in cosa_spec::primes::factorize(lp.bound) {
+            s.push(level, Loop { bound: f, ..lp });
+        }
+    }
+
+    #[test]
+    fn concurrent_sets_match_direct_mesh_runs() {
+        // P and Q across the 4×4 PEs, 8×8 input tiles and 32-lane MACs
+        // inside each PE, K and C stepped above it: five transfer sets of
+        // 0.4–4.9 k flits, enough for the sets to fan out.
+        let arch = arch();
+        let (noc, dram) = (arch.noc_level(), arch.dram_level());
+        let layer = Layer::conv("t", 1, 1, 32, 32, 128, 64, 1, 1, 1);
+        let mut s = Schedule::new(arch.num_levels());
+        push_factors(&mut s, 0, Loop::spatial(Dim::C, 32));
+        push_factors(&mut s, 3, Loop::temporal(Dim::P, 8));
+        push_factors(&mut s, 3, Loop::temporal(Dim::Q, 8));
+        push_factors(&mut s, noc, Loop::spatial(Dim::P, 4));
+        push_factors(&mut s, noc, Loop::spatial(Dim::Q, 4));
+        push_factors(&mut s, noc, Loop::temporal(Dim::K, 4));
+        push_factors(&mut s, dram, Loop::temporal(Dim::C, 4));
+        push_factors(&mut s, dram, Loop::temporal(Dim::K, 16));
+
+        let plan = TrafficPlan::build(&layer, &arch, &s);
+        let mut distinct: Vec<TransferSet> = Vec::new();
+        for set in plan.types.iter().map(TransferSet::of) {
+            if !distinct.contains(&set) {
+                distinct.push(set);
+            }
+        }
+        assert!(distinct.len() >= 3, "{} transfer sets", distinct.len());
+        let flits: Vec<u64> = distinct
+            .iter()
+            .map(|set| set.packets(&plan).iter().map(|p| p.flits).sum())
+            .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(sim_threads(&flits), cores, "flits {flits:?}");
+
+        let sim = NocSimulator::new(&arch);
+        let report = sim.simulate(&layer, &s).unwrap();
+        assert_eq!(report.types.len(), plan.types.len());
+        let cfg = MeshConfig::from_noc(arch.noc());
+        for (t, timing) in plan.types.iter().zip(&report.types) {
+            let mut packets = Vec::new();
+            for v in [DataTensor::Weights, DataTensor::Inputs] {
+                if t.resend[v.index()] {
+                    packets.extend_from_slice(&plan.down_packets[v.index()]);
+                }
+            }
+            if t.oa_readback {
+                packets.extend_from_slice(&plan.down_packets[DataTensor::Outputs.index()]);
+            }
+            if t.oa_writeback {
+                packets.extend_from_slice(&plan.up_packets);
+            }
+            let direct = if packets.is_empty() {
+                0
+            } else {
+                MeshSim::new(cfg).run(&packets)
+            };
+            assert_eq!(timing.noc_cycles, direct, "class {t:?}");
+        }
+        assert_eq!(report, sim.simulate(&layer, &s).unwrap());
+    }
+
+    #[test]
+    fn small_sets_stay_on_the_caller() {
+        assert_eq!(sim_threads(&[]), 1);
+        assert_eq!(sim_threads(&[1 << 20]), 1);
+        assert_eq!(sim_threads(&[1 << 20, MIN_FANOUT_FLITS - 1]), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(sim_threads(&[1 << 20, MIN_FANOUT_FLITS]), cores);
     }
 
     #[test]

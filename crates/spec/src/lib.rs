@@ -25,6 +25,8 @@
 //! * [`Network`] / [`Suite`] — execution-ordered whole-network workloads
 //!   with per-layer repeat counts, the batch-scheduling unit of the
 //!   umbrella crate's `Engine`.
+//! * [`fanout`] — the caller-inclusive thread fan-out the engine and the
+//!   NoC simulator share.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ mod arch;
 pub mod canon;
 mod dims;
 mod error;
+pub mod fanout;
 mod layer;
 pub mod mapspace;
 pub mod network;

@@ -8,9 +8,9 @@
 //! layer shapes through a cache keyed by the canonical serialization of
 //! `(architecture, layer, scheduler fingerprint)` (digested via
 //! [`cosa_spec::canon`]), fans the remaining unique layers out across
-//! `std::thread` workers and returns a serializable [`NetworkReport`] with
-//! whole-network latency/energy totals (per-layer results weighted by each
-//! entry's repeat count).
+//! scoped worker threads ([`cosa_spec::fanout`]) and returns a
+//! serializable [`NetworkReport`] with whole-network latency/energy totals
+//! (per-layer results weighted by each entry's repeat count).
 //!
 //! Three tiers of reuse:
 //!
@@ -67,13 +67,13 @@ pub mod store;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cosa_model::CostModel;
 use cosa_noc::{NocSimulator, NocSummary};
-use cosa_spec::{canon, Arch, Layer, Network};
+use cosa_spec::{canon, fanout, Arch, Layer, Network};
 use serde::{Deserialize, Serialize};
 
 use crate::api::{ScheduleError, Scheduled, Scheduler};
@@ -374,26 +374,6 @@ enum CrossProcess {
     Locked(SolveLock),
     /// Locking is unavailable (I/O trouble); solve unlocked (fail-open).
     Unlocked,
-}
-
-/// Run `f` over every item on up to `workers` scoped threads sharing a
-/// work-stealing index — the fan-out used by both the solve and the NoC
-/// backfill passes (the campaign's external NoC pass was a third copy of
-/// this plumbing before engine-level evaluation replaced it).
-fn parallel_for_each<T: Sync>(items: &[T], workers: usize, f: impl Fn(&T) + Sync) {
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(items.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
-                    break;
-                };
-                f(item);
-            });
-        }
-    });
 }
 
 /// Fresh solves per backend: how many unique-shape solves a scheduler
@@ -749,7 +729,8 @@ impl Engine {
         self
     }
 
-    /// Set the number of worker threads for network fan-out (min 1).
+    /// Set the number of worker threads for network fan-out, the calling
+    /// thread included (min 1).
     pub fn with_threads(mut self, threads: usize) -> Engine {
         self.threads = threads.max(1);
         self
@@ -1233,7 +1214,10 @@ impl Engine {
     /// Repeated layer shapes are scheduled once: entries are deduplicated
     /// against the cache and within the call, and the remaining unique
     /// shapes are solved (and, with [`Engine::with_noc`], NoC-simulated)
-    /// in parallel on up to [`Engine::threads`] workers. Fresh results are
+    /// in parallel on up to [`Engine::threads`] workers, the calling thread
+    /// being one of them ([`cosa_spec::fanout`]): it spawns `threads − 1`
+    /// helpers at most, and none when at most one shape needs work, so a
+    /// fully warm call runs on the caller alone. Fresh results are
     /// written through to the persistent store when one is attached.
     /// Per-entry failures are recorded in the report rather than aborting
     /// the network.
@@ -1314,46 +1298,30 @@ impl Engine {
         // concurrent call (or another process sharing the store) is
         // waited on, not re-solved; successes are published to the cache
         // and the persistent store inside `resolve_entry`.
-        // Digest → (outcome, whether this call led the solve).
-        type Solved = HashMap<String, (Result<CacheEntry, ScheduleError>, bool)>;
-        let solved: Mutex<Solved> = Mutex::new(HashMap::new());
-        let fresh_solves = AtomicU64::new(0);
-        parallel_for_each(&jobs, self.threads, |(key, layer)| {
-            let (outcome, led) = self.resolve_entry(scheduler, key, layer);
-            if led {
-                fresh_solves.fetch_add(1, Ordering::Relaxed);
-            }
-            solved
-                .lock()
-                .expect("no poisoned workers")
-                .insert(key.to_string(), (outcome, led));
+        let outcomes = fanout::map(&jobs, self.threads, |(key, layer)| {
+            self.resolve_entry(scheduler, key, layer)
         });
-        let solved = solved.into_inner().expect("no poisoned workers");
-        let fresh_solves = fresh_solves.into_inner();
+        // Digest → (outcome, whether this call led the solve).
+        let solved: HashMap<&str, (Result<CacheEntry, ScheduleError>, bool)> =
+            jobs.iter().map(|(key, _)| *key).zip(outcomes).collect();
+        let fresh_solves = solved.values().filter(|(_, led)| *led).count() as u64;
 
         // Backfill NoC verdicts for warm entries that lacked one.
-        if !noc_jobs.is_empty() {
-            let filled: Mutex<Vec<(String, NocSummary)>> = Mutex::new(Vec::new());
-            parallel_for_each(&noc_jobs, self.threads, |(key, layer, scheduled)| {
-                if let Some(noc) = self.noc_verdict(layer, scheduled) {
-                    filled
-                        .lock()
-                        .expect("no poisoned workers")
-                        .push((key.to_string(), noc));
-                }
-            });
-            for (key, noc) in filled.into_inner().expect("no poisoned workers") {
-                if let Some(entry) = resolved.get_mut(key.as_str()) {
-                    entry.noc = Some(noc);
-                    if let Some(cache) = &self.cache {
-                        cache
-                            .lock()
-                            .expect("cache lock")
-                            .insert(key.clone(), entry.clone());
-                    }
-                    self.persist(&key, entry);
-                }
+        let verdicts = fanout::map(&noc_jobs, self.threads, |(_, layer, scheduled)| {
+            self.noc_verdict(layer, scheduled)
+        });
+        for ((key, _, _), noc) in noc_jobs.iter().zip(verdicts) {
+            let (Some(noc), Some(entry)) = (noc, resolved.get_mut(key)) else {
+                continue;
+            };
+            entry.noc = Some(noc);
+            if let Some(cache) = &self.cache {
+                cache
+                    .lock()
+                    .expect("cache lock")
+                    .insert(key.to_string(), entry.clone());
             }
+            self.persist(key, entry);
         }
 
         // The residency pass reads per-tensor DRAM provenance; cache hits
@@ -1397,9 +1365,9 @@ impl Engine {
             // solve — one resolved lazily from the disk tier (the packed
             // warm start decodes on first use) or by waiting on another
             // flight is a hit, not a miss.
-            let fresh =
-                first_use.insert(key.as_str()) && solved.get(key).is_some_and(|(_, led)| *led);
-            let outcome: Result<CacheEntry, ScheduleError> = match solved.get(key) {
+            let fresh = first_use.insert(key.as_str())
+                && solved.get(key.as_str()).is_some_and(|(_, led)| *led);
+            let outcome: Result<CacheEntry, ScheduleError> = match solved.get(key.as_str()) {
                 Some((res, _)) => res.clone(),
                 None => Ok(resolved
                     .get(key.as_str())

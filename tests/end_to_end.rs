@@ -2,6 +2,7 @@
 //! architectures; both evaluation platforms agree on sanity invariants.
 
 use cosa_repro::prelude::*;
+use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use cosa_repro::spec::workloads;
 
 fn naive_schedule(layer: &Layer, arch: &Arch) -> Schedule {
@@ -17,7 +18,7 @@ fn naive_schedule(layer: &Layer, arch: &Arch) -> Schedule {
 #[test]
 fn cosa_schedules_sample_paper_layers_validly() {
     let arch = Arch::simba_baseline();
-    let scheduler = CosaScheduler::new(&arch);
+    let scheduler = CosaScheduler::new(&arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT);
     // One layer from each suite, spanning convs, grouped convs and FCs.
     for name in [
         "5_27_64_192_1",
@@ -39,6 +40,7 @@ fn cosa_beats_naive_on_both_platforms() {
     let arch = Arch::simba_baseline();
     let layer = workloads::find_layer("3_14_256_256_1").expect("resnet layer");
     let cosa = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("schedules")
         .schedule;
@@ -68,6 +70,7 @@ fn platforms_agree_on_compute_bound() {
     let arch = Arch::simba_baseline();
     let layer = workloads::find_layer("3_54_64_64_1").expect("deepbench layer");
     let schedule = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
@@ -93,10 +96,12 @@ fn architecture_variants_scale_sensibly() {
     let model_base = CostModel::new(&base);
     let model_big = CostModel::new(&big);
     let s_base = CosaScheduler::new(&base)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
     let s_big = CosaScheduler::new(&big)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
@@ -114,6 +119,7 @@ fn gpu_pipeline_end_to_end() {
     let gpu = k80();
     let layer = workloads::find_layer("1_14_256_1024_1").expect("resnet layer");
     let cosa = CosaScheduler::new(&gpu)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("cosa on gpu");
     assert!(cosa.schedule.is_valid(&layer, &gpu));

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use cosa_repro::engine::{CacheEntry, CacheStore, GcPolicy};
 use cosa_repro::prelude::*;
+use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use proptest::prelude::*;
 
 mod common;
@@ -47,7 +48,9 @@ proptest! {
     #[test]
     fn cosa_always_valid(layer in layer_strategy()) {
         let arch = Arch::simba_baseline();
-        let result = CosaScheduler::new(&arch).schedule(&layer);
+        let result = CosaScheduler::new(&arch)
+            .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
+            .schedule(&layer);
         let result = result.expect("CoSA programs are feasible by construction");
         prop_assert!(result.schedule.is_valid(&layer, &arch));
     }
@@ -57,7 +60,9 @@ proptest! {
     #[test]
     fn model_invariants(layer in layer_strategy()) {
         let arch = Arch::simba_baseline();
-        let schedule = CosaScheduler::new(&arch).schedule(&layer)
+        let schedule = CosaScheduler::new(&arch)
+            .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
+            .schedule(&layer)
             .expect("feasible").schedule;
         let eval = CostModel::new(&arch).evaluate(&layer, &schedule).expect("valid");
         prop_assert!(eval.latency_cycles >= schedule.temporal_product() as f64 * 0.999);
@@ -72,7 +77,9 @@ proptest! {
     #[test]
     fn noc_invariants(layer in layer_strategy()) {
         let arch = Arch::simba_baseline();
-        let schedule = CosaScheduler::new(&arch).schedule(&layer)
+        let schedule = CosaScheduler::new(&arch)
+            .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
+            .schedule(&layer)
             .expect("feasible").schedule;
         let report = NocSimulator::new(&arch).simulate(&layer, &schedule).expect("valid");
         prop_assert!(report.total_cycles >= report.compute_cycles as f64 * 0.999);
