@@ -538,31 +538,55 @@ impl Serialize for NetworkReport {
     }
 }
 
+// Hand-written so an absent `interlayer` key reads as `None`; every other
+// field follows the derive's rules (first of duplicate keys wins, unknown
+// keys are skipped, an absent key is `missing field`).
 impl Deserialize for NetworkReport {
-    fn from_value(value: &serde::Value) -> Result<NetworkReport, serde::Error> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for NetworkReport"))?;
-        let interlayer = match map.iter().find(|(k, _)| k == "interlayer") {
-            None => None,
-            Some((_, v)) => Option::<InterlayerReport>::from_value(v)?,
-        };
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<NetworkReport, serde::Error> {
+        let (mut network, mut arch, mut scheduler, mut layers) = (None, None, None, None);
+        let (mut scheduled_layers, mut failed_layers) = (None, None);
+        let (mut total_latency_cycles, mut total_energy_pj) = (None, None);
+        let (mut total_macs, mut total_noc_cycles) = (None, None);
+        let (mut cache, mut interlayer) = (None, None);
+        r.map("NetworkReport", |r, key| {
+            fn fill<T: Deserialize>(
+                slot: &mut Option<T>,
+                r: &mut serde::Reader<'_>,
+            ) -> Result<(), serde::Error> {
+                match slot {
+                    Some(_) => r.skip(),
+                    None => T::deserialize(r).map(|value| *slot = Some(value)),
+                }
+            }
+            match key {
+                "network" => fill(&mut network, r),
+                "arch" => fill(&mut arch, r),
+                "scheduler" => fill(&mut scheduler, r),
+                "layers" => fill(&mut layers, r),
+                "scheduled_layers" => fill(&mut scheduled_layers, r),
+                "failed_layers" => fill(&mut failed_layers, r),
+                "total_latency_cycles" => fill(&mut total_latency_cycles, r),
+                "total_energy_pj" => fill(&mut total_energy_pj, r),
+                "total_macs" => fill(&mut total_macs, r),
+                "total_noc_cycles" => fill(&mut total_noc_cycles, r),
+                "cache" => fill(&mut cache, r),
+                "interlayer" => fill::<Option<InterlayerReport>>(&mut interlayer, r),
+                _ => r.skip(),
+            }
+        })?;
         Ok(NetworkReport {
-            network: Deserialize::from_value(serde::map_get(map, "network")?)?,
-            arch: Deserialize::from_value(serde::map_get(map, "arch")?)?,
-            scheduler: Deserialize::from_value(serde::map_get(map, "scheduler")?)?,
-            layers: Deserialize::from_value(serde::map_get(map, "layers")?)?,
-            scheduled_layers: Deserialize::from_value(serde::map_get(map, "scheduled_layers")?)?,
-            failed_layers: Deserialize::from_value(serde::map_get(map, "failed_layers")?)?,
-            total_latency_cycles: Deserialize::from_value(serde::map_get(
-                map,
-                "total_latency_cycles",
-            )?)?,
-            total_energy_pj: Deserialize::from_value(serde::map_get(map, "total_energy_pj")?)?,
-            total_macs: Deserialize::from_value(serde::map_get(map, "total_macs")?)?,
-            total_noc_cycles: Deserialize::from_value(serde::map_get(map, "total_noc_cycles")?)?,
-            cache: Deserialize::from_value(serde::map_get(map, "cache")?)?,
-            interlayer,
+            network: serde::required(network, "network")?,
+            arch: serde::required(arch, "arch")?,
+            scheduler: serde::required(scheduler, "scheduler")?,
+            layers: serde::required(layers, "layers")?,
+            scheduled_layers: serde::required(scheduled_layers, "scheduled_layers")?,
+            failed_layers: serde::required(failed_layers, "failed_layers")?,
+            total_latency_cycles: serde::required(total_latency_cycles, "total_latency_cycles")?,
+            total_energy_pj: serde::required(total_energy_pj, "total_energy_pj")?,
+            total_macs: serde::required(total_macs, "total_macs")?,
+            total_noc_cycles: serde::required(total_noc_cycles, "total_noc_cycles")?,
+            cache: serde::required(cache, "cache")?,
+            interlayer: interlayer.flatten(),
         })
     }
 }

@@ -79,11 +79,14 @@ impl Serialize for InterlayerStrategy {
 }
 
 impl Deserialize for InterlayerStrategy {
-    fn from_value(v: &serde::Value) -> Result<InterlayerStrategy, serde::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected string for InterlayerStrategy"))?;
-        InterlayerStrategy::parse(s).ok_or_else(|| {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<InterlayerStrategy, serde::Error> {
+        if r.peek() != Some(b'"') {
+            return Err(serde::Error::custom(
+                "expected string for InterlayerStrategy",
+            ));
+        }
+        let s = r.str()?;
+        InterlayerStrategy::parse(&s).ok_or_else(|| {
             serde::Error::custom(format!(
                 "unknown interlayer strategy `{s}` (expected `greedy` or `milp`)"
             ))
@@ -151,30 +154,28 @@ impl InterlayerOptions {
 
 // Hand-written so missing wire fields mean defaults: `{"enabled": true}`
 // and `{}` are valid option objects (the derive would require every field).
+// A duplicate key's last value wins; a `null` strategy is the default.
 impl Deserialize for InterlayerOptions {
-    fn from_value(value: &serde::Value) -> Result<InterlayerOptions, serde::Error> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for InterlayerOptions"))?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<InterlayerOptions, serde::Error> {
         const KNOWN: [&str; 3] = ["enabled", "budget_bytes", "strategy"];
-        if let Some((k, _)) = map.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-            return Err(serde::Error::custom(format!(
-                "unknown interlayer option `{k}` (expected one of {KNOWN:?})"
-            )));
-        }
         let mut opts = InterlayerOptions::default();
-        for (k, v) in map {
-            match k.as_str() {
-                "enabled" => opts.enabled = Deserialize::from_value(v)?,
-                "budget_bytes" => opts.budget_bytes = Deserialize::from_value(v)?,
+        r.map("InterlayerOptions", |r, key| {
+            match key {
+                "enabled" => opts.enabled = Deserialize::deserialize(r)?,
+                "budget_bytes" => opts.budget_bytes = Deserialize::deserialize(r)?,
                 "strategy" => {
-                    if !v.is_null() {
-                        opts.strategy = Deserialize::from_value(v)?;
+                    if !r.null() {
+                        opts.strategy = Deserialize::deserialize(r)?;
                     }
                 }
-                _ => unreachable!("unknown keys rejected above"),
+                unknown => {
+                    return Err(serde::Error::custom(format!(
+                        "unknown interlayer option `{unknown}` (expected one of {KNOWN:?})"
+                    )))
+                }
             }
-        }
+            Ok(())
+        })?;
         Ok(opts)
     }
 }

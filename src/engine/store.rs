@@ -37,6 +37,9 @@
 //!   generation other than the view's (a checkpoint another handle renamed
 //!   in — inode numbers are reused, so inode and length cannot tell)
 //!   triggers a full reload. Writers always check the generation.
+//! - **Read**: the view holds an open handle to the file its rows
+//!   describe, so reading an entry is the refresh's `stat` plus one
+//!   positioned read of its frame.
 //! - **Checkpoint**: the live records, under an exact index and a fresh
 //!   generation, go to a temp file that is fsynced and renamed into place.
 //!   A save takes one when the frames past the checkpoint would outnumber
@@ -108,18 +111,20 @@
 //! `WouldBlock` error, which the engine counts in `store_errors` while
 //! the entry stays served from the memory tier.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::hash::BuildHasher;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use cosa_noc::NocSummary;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 use crate::api::Scheduled;
 
@@ -280,14 +285,50 @@ impl CacheEntry {
 }
 
 /// The head of a record envelope — everything before its `"entry"`,
-/// which replay reads without decoding the entry itself.
-#[derive(Debug, Deserialize)]
-struct RecordHead {
+/// which replay reads without decoding the entry itself — borrowed from
+/// the frame.
+#[derive(Debug)]
+struct RecordHead<'a> {
     version: u32,
-    key: String,
+    key: Cow<'a, str>,
     saved_at_millis: u64,
-    /// [`record_check`] of the key and the raw entry JSON.
-    check: String,
+    /// [`record_check`] of the key and the raw entry JSON, in hex.
+    check: Cow<'a, str>,
+}
+
+impl<'a> RecordHead<'a> {
+    /// Read `head`, an envelope up to (not including) its `,"entry":`, in
+    /// place: the members of an object whose closing brace lies past the
+    /// text, under a derived struct's rules (unknown keys skipped, the
+    /// first of duplicate keys wins, every field required).
+    fn read(head: &'a str) -> Result<RecordHead<'a>, serde::Error> {
+        let mut r = Reader::new(head);
+        let (mut version, mut key, mut saved_at_millis, mut check) = (None, None, None, None);
+        r.expect(b'{')?;
+        loop {
+            let name = r.str()?;
+            r.expect(b':')?;
+            match &*name {
+                "version" if version.is_none() => version = Some(u32::deserialize(&mut r)?),
+                "key" if key.is_none() => key = Some(r.str()?),
+                "saved_at_millis" if saved_at_millis.is_none() => {
+                    saved_at_millis = Some(u64::deserialize(&mut r)?);
+                }
+                "check" if check.is_none() => check = Some(r.str()?),
+                _ => r.skip()?,
+            }
+            if r.peek().is_none() {
+                break;
+            }
+            r.expect(b',')?;
+        }
+        Ok(RecordHead {
+            version: serde::required(version, "version")?,
+            key: serde::required(key, "key")?,
+            saved_at_millis: serde::required(saved_at_millis, "saved_at_millis")?,
+            check: serde::required(check, "check")?,
+        })
+    }
 }
 
 /// One index row: where a digest's record lives and enough metadata
@@ -316,6 +357,11 @@ struct SegmentHeader {
 /// behind a `(len, mtime)` fingerprint and kept current by tail replay.
 #[derive(Debug, Default)]
 struct SegmentView {
+    /// An open handle to the file the rows describe, replaced whenever a
+    /// refresh, replay or checkpoint rebuilds the view, so a read is one
+    /// positioned read with no `open`. `None` when the segment file does
+    /// not exist. Writers sync the view through a read-write handle first.
+    file: Option<Arc<fs::File>>,
     /// `(len, mtime)` of the file this view was read from; `None` when
     /// the segment file does not exist.
     stat: Option<(u64, SystemTime)>,
@@ -360,10 +406,10 @@ impl SegmentView {
     }
 
     /// Append one frame at the replay position through the writer's
-    /// handle and fsync it — the only write a save makes.
+    /// read-write handle and fsync it — the only write a save makes.
     fn append(
         &mut self,
-        file: &mut fs::File,
+        file: &fs::File,
         mut row: SegmentIndexEntry,
         record: &[u8],
     ) -> io::Result<()> {
@@ -375,8 +421,7 @@ impl SegmentView {
         let mut frame = Vec::with_capacity(8 + record.len());
         frame.extend_from_slice(&(record.len() as u64).to_le_bytes());
         frame.extend_from_slice(record);
-        file.seek(SeekFrom::Start(self.file_len))?;
-        file.write_all(&frame)?;
+        file.write_all_at(&frame, self.file_len)?;
         file.sync_data()?;
         row.offset = self.file_len + 8;
         self.file_len = row.offset + row.len;
@@ -587,38 +632,34 @@ impl CacheStore {
     }
 
     /// Bring `view` up to date with the file: an unchanged `(len, mtime)`
-    /// costs one `stat`, anything else a [`sync_view`].
+    /// costs one `stat`, anything else a [`sync_view`] through a fresh
+    /// handle.
     fn refresh_view(&self, view: &mut SegmentView) {
         if file_stat(&self.segment_path()) == view.stat {
             return;
         }
         match fs::File::open(self.segment_path()) {
-            Ok(mut file) => sync_view(&mut file, view),
+            Ok(file) => sync_view(file, view),
             Err(_) => *view = SegmentView::default(),
         }
     }
 
     /// Take the segment writer lock and sync `view` through a read-write
-    /// handle, checking the generation even when `(len, mtime)` match, so
-    /// a writer never builds on a stale view. The handle is `None` when
-    /// the segment does not exist.
-    fn lock_for_write(&self, view: &mut SegmentView) -> io::Result<(SolveLock, Option<fs::File>)> {
+    /// handle, which becomes the view's, checking the generation even when
+    /// `(len, mtime)` match, so a writer never builds on a stale view. The
+    /// view has no handle when the segment does not exist.
+    fn lock_for_write(&self, view: &mut SegmentView) -> io::Result<SolveLock> {
         let lock = self.segment_lock()?;
         let opened = fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(self.segment_path());
         match opened {
-            Ok(mut file) => {
-                sync_view(&mut file, view);
-                Ok((lock, Some(file)))
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                *view = SegmentView::default();
-                Ok((lock, None))
-            }
-            Err(e) => Err(e),
+            Ok(file) => sync_view(file, view),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => *view = SegmentView::default(),
+            Err(e) => return Err(e),
         }
+        Ok(lock)
     }
 
     /// Load the single entry for `key`, if present and valid. Re-checks
@@ -626,20 +667,20 @@ impl CacheStore {
     /// *other* processes after its own warm start (the cross-process
     /// read-through path).
     pub fn load_entry(&self, key: &str) -> Option<CacheEntry> {
-        // A miss costs a refresh, never an index read. A row whose record
-        // fails to validate gets one retry from a rebuilt view: another
-        // handle's checkpoint may have moved it.
+        // A hit costs one `stat` and one positioned read through the
+        // view's handle; a miss costs a refresh, never an index read. A row
+        // whose record fails to validate gets one retry from a rebuilt view
+        // and a fresh handle: another handle's checkpoint may have moved it.
         for attempt in 0..2 {
-            let row = {
+            let (row, file) = {
                 let mut view = self.seg_guard();
                 if attempt > 0 {
                     *view = SegmentView::default();
                 }
                 self.refresh_view(&mut view);
-                view.rows.get(key).cloned()?
+                (view.rows.get(key).cloned()?, view.file.clone()?)
             };
-            let mut file = fs::File::open(self.segment_path()).ok()?;
-            if let Some(entry) = read_entry(&mut file, &row) {
+            if let Some(entry) = read_entry(&file, &row) {
                 return Some(entry);
             }
         }
@@ -767,23 +808,18 @@ impl CacheStore {
     pub fn load(&self) -> StoreLoad {
         let start = Instant::now();
         let mut load = StoreLoad::default();
-        let rows: Vec<SegmentIndexEntry> = {
+        let (rows, file): (Vec<SegmentIndexEntry>, _) = {
             let mut view = self.seg_guard();
             self.refresh_view(&mut view);
             load.skipped += view.skipped_total();
-            view.rows.values().cloned().collect()
+            (view.rows.values().cloned().collect(), view.file.clone())
         };
-        if !rows.is_empty() {
-            match fs::File::open(self.segment_path()) {
-                Ok(mut file) => {
-                    for row in rows {
-                        match read_entry(&mut file, &row) {
-                            Some(entry) => load.entries.push((row.key, entry)),
-                            None => load.skipped += 1,
-                        }
-                    }
+        if let Some(file) = file {
+            for row in rows {
+                match read_entry(&file, &row) {
+                    Some(entry) => load.entries.push((row.key, entry)),
+                    None => load.skipped += 1,
                 }
-                Err(_) => load.skipped += rows.len(),
             }
         }
         load.entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -826,19 +862,12 @@ impl CacheStore {
             saved_at_millis,
         };
         let mut view = self.seg_guard();
-        let (_lock, file) = self.lock_for_write(&mut view)?;
-        match file {
-            Some(mut file)
-                if view.generation.is_some() && view.tail_frames < view.checkpoint_rows =>
-            {
-                view.append(&mut file, row, record.as_bytes())
+        let _lock = self.lock_for_write(&mut view)?;
+        match view.file.clone() {
+            Some(file) if view.generation.is_some() && view.tail_frames < view.checkpoint_rows => {
+                view.append(&file, row, record.as_bytes())
             }
-            file => self.checkpoint(
-                &mut view,
-                file,
-                |k| k != key,
-                Some((row, record.into_bytes())),
-            ),
+            _ => self.checkpoint(&mut view, |k| k != key, Some((row, record.into_bytes()))),
         }
     }
 
@@ -853,8 +882,8 @@ impl CacheStore {
         let mut view = self.seg_guard();
         self.refresh_view(&mut view);
         if view.rows.contains_key(key) {
-            let (_lock, file) = self.lock_for_write(&mut view)?;
-            self.checkpoint(&mut view, file, |k| k != key, None)?;
+            let _lock = self.lock_for_write(&mut view)?;
+            self.checkpoint(&mut view, |k| k != key, None)?;
         }
         Ok(())
     }
@@ -990,9 +1019,9 @@ impl CacheStore {
             .unwrap_or_else(|| running.max(DEFAULT_COMPACT_MIN_DEAD));
         if !victims.is_empty() || (dead > 0 && dead >= threshold) {
             let old_len = view.stat.map_or(0, |(len, _)| len);
-            let rewritten = self.lock_for_write(&mut view).and_then(|(_lock, file)| {
-                self.checkpoint(&mut view, file, |k| !victims.contains(k), None)
-            });
+            let rewritten = self
+                .lock_for_write(&mut view)
+                .and_then(|_lock| self.checkpoint(&mut view, |k| !victims.contains(k), None));
             if rewritten.is_ok() {
                 report.removed = victims.len();
                 report.removed_bytes = total - running;
@@ -1016,7 +1045,7 @@ impl CacheStore {
     /// Returns the first I/O error encountered.
     pub fn clear(&self) -> io::Result<usize> {
         let mut view = self.seg_guard();
-        let (_lock, _) = self.lock_for_write(&mut view)?;
+        let _lock = self.lock_for_write(&mut view)?;
         let removed = view.rows.len();
         match fs::remove_file(self.segment_path()) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
@@ -1027,13 +1056,12 @@ impl CacheStore {
     }
 
     /// Rewrite the segment as a checkpoint (the caller holds the writer
-    /// lock and `file` is the synced handle): the view's live rows that
-    /// pass `keep`, plus `add`. Dead frames are dropped and the tail folds
-    /// into the index, so replay restarts from zero frames.
+    /// lock and has synced `view`): the view's live rows that pass `keep`,
+    /// plus `add`. Dead frames are dropped and the tail folds into the
+    /// index, so replay restarts from zero frames.
     fn checkpoint(
         &self,
         view: &mut SegmentView,
-        file: Option<fs::File>,
         keep: impl Fn(&str) -> bool,
         add: Option<(SegmentIndexEntry, Vec<u8>)>,
     ) -> io::Result<()> {
@@ -1041,9 +1069,9 @@ impl CacheStore {
             view.rows.values().filter(|r| keep(&r.key)).collect();
         rows.sort_by_key(|r| r.offset);
         let mut items = Vec::with_capacity(rows.len() + 1);
-        if let Some(mut file) = file {
+        if let Some(file) = &view.file {
             for row in rows {
-                if let Some(bytes) = read_bytes_in(&mut file, row.offset, row.len) {
+                if let Some(bytes) = read_bytes_in(file, row.offset, row.len) {
                     items.push((row.clone(), bytes));
                 }
             }
@@ -1095,7 +1123,13 @@ impl CacheStore {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut f = fs::File::create(&tmp)?;
+        // Read-write: the new view reads through this handle.
+        let mut f = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
         f.write_all(&buf)?;
         f.sync_all()?;
         if let Err(e) = fs::rename(&tmp, self.segment_path()) {
@@ -1109,6 +1143,7 @@ impl CacheStore {
         });
         Ok(SegmentView {
             stat: handle_stat(&f),
+            file: Some(Arc::new(f)),
             generation: Some(generation),
             payload_start: header_end,
             file_len: header_end + payload_len,
@@ -1149,14 +1184,23 @@ fn now_millis() -> u64 {
 /// step. Every step is a bijection of the running value, so damage to any
 /// one word always changes the check; it is a damage check, not a digest,
 /// and cheap enough to run on every replayed frame and every read.
-fn record_check(key: &str, entry: &str) -> String {
+/// A record carries it as 16 lowercase hex digits.
+fn record_check(key: &str, entry: &str) -> u64 {
     let words = key.as_bytes().chunks(8).chain(entry.as_bytes().chunks(8));
-    let check = words.fold(0xcbf2_9ce4_8422_2325_u64, |h, chunk| {
+    words.fold(0xcbf2_9ce4_8422_2325_u64, |h, chunk| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
         (h ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{check:016x}")
+    })
+}
+
+/// `true` when `hex` is `check` written as 16 lowercase hex digits.
+fn is_check(hex: &str, check: u64) -> bool {
+    hex.len() == 16
+        && hex.bytes().enumerate().all(|(i, b)| {
+            let nibble = (check >> (60 - 4 * i)) & 0xf;
+            b == b"0123456789abcdef"[nibble as usize]
+        })
 }
 
 /// Serialize the versioned record envelope for one entry — a frame body
@@ -1165,7 +1209,7 @@ fn record_check(key: &str, entry: &str) -> String {
 fn encode_record(key: &str, entry: &CacheEntry, saved_at_millis: u64) -> io::Result<String> {
     let entry = serde_json::to_string(entry)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let check = record_check(key, &entry);
+    let check = format!("{:016x}", record_check(key, &entry));
     Ok(format!(
         "{{\"version\":{STORE_VERSION},\"key\":\"{key}\",\"saved_at_millis\":{saved_at_millis},\
          \"check\":\"{check}\",\"entry\":{entry}}}"
@@ -1174,27 +1218,28 @@ fn encode_record(key: &str, entry: &CacheEntry, saved_at_millis: u64) -> io::Res
 
 /// Split a record into its head and raw entry JSON, or `None` when it is
 /// damaged, fails its check, or belongs to another [`STORE_VERSION`].
-fn decode_record(bytes: &[u8]) -> Option<(RecordHead, &str)> {
+fn decode_record(bytes: &[u8]) -> Option<(RecordHead<'_>, &str)> {
     const ENTRY: &str = ",\"entry\":";
     let text = std::str::from_utf8(bytes).ok()?;
     let at = text.find(ENTRY)?;
-    let head: RecordHead = serde_json::from_str(&format!("{}}}", &text[..at])).ok()?;
+    let head = RecordHead::read(&text[..at]).ok()?;
     let entry = text[at + ENTRY.len()..].strip_suffix('}')?;
-    let intact = head.version == STORE_VERSION && head.check == record_check(&head.key, entry);
+    let intact =
+        head.version == STORE_VERSION && is_check(&head.check, record_check(&head.key, entry));
     intact.then_some((head, entry))
 }
 
-/// Read `len` bytes at `offset` from an already-open segment file.
-fn read_bytes_in(file: &mut fs::File, offset: u64, len: u64) -> Option<Vec<u8>> {
-    file.seek(SeekFrom::Start(offset)).ok()?;
-    let mut buf = vec![0u8; len as usize];
-    file.read_exact(&mut buf).ok()?;
+/// Read `len` bytes at `offset` from an open segment file: one positioned
+/// read, which leaves the handle's cursor alone.
+fn read_bytes_in(file: &fs::File, offset: u64, len: u64) -> Option<Vec<u8>> {
+    let mut buf = vec![0u8; usize::try_from(len).ok()?];
+    file.read_exact_at(&mut buf, offset).ok()?;
     Some(buf)
 }
 
 /// Read and decode the entry `row` points at, validating the record
 /// against the row's key.
-fn read_entry(file: &mut fs::File, row: &SegmentIndexEntry) -> Option<CacheEntry> {
+fn read_entry(file: &fs::File, row: &SegmentIndexEntry) -> Option<CacheEntry> {
     let bytes = read_bytes_in(file, row.offset, row.len)?;
     let (head, entry) = decode_record(&bytes)?;
     if head.key != row.key {
@@ -1203,11 +1248,18 @@ fn read_entry(file: &mut fs::File, row: &SegmentIndexEntry) -> Option<CacheEntry
     serde_json::from_str(entry).ok()
 }
 
-/// Bring `view` up to date through an open segment file. When the file
-/// still carries the view's generation and has not shrunk, only the frames
-/// past the replay position are read; anything else (another checkpoint,
-/// a truncation, another `SEGMENT_VERSION`) rebuilds the view.
-fn sync_view(file: &mut fs::File, view: &mut SegmentView) {
+/// Bring `view` up to date through an open segment file, which becomes the
+/// view's handle. When the file still carries the view's generation and has
+/// not shrunk, only the frames past the replay position are read; anything
+/// else (another checkpoint, a truncation, another `SEGMENT_VERSION`)
+/// rebuilds the view.
+fn sync_view(file: fs::File, view: &mut SegmentView) {
+    replay(&file, view);
+    view.file = Some(Arc::new(file));
+}
+
+/// [`sync_view`]'s reading half.
+fn replay(file: &fs::File, view: &mut SegmentView) {
     let stat = handle_stat(file);
     let len = stat.map_or(0, |(len, _)| len);
     let preamble = read_preamble(file);
@@ -1261,7 +1313,7 @@ fn sync_view(file: &mut fs::File, view: &mut SegmentView) {
 
 /// `(generation, index_len)` from the fixed preamble, or `None` for a
 /// short file or another `SEGMENT_VERSION`.
-fn read_preamble(file: &mut fs::File) -> Option<(u64, u64)> {
+fn read_preamble(file: &fs::File) -> Option<(u64, u64)> {
     let bytes = read_bytes_in(file, 0, PREAMBLE_LEN)?;
     let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
     (word(0) == SEGMENT_VERSION).then(|| (word(1), word(2)))
@@ -1271,7 +1323,7 @@ fn read_preamble(file: &mut fs::File) -> Option<(u64, u64)> {
 /// one frame reader for open and refresh alike. It stops before a frame
 /// running past `end` — torn, or still being written — so a later refresh
 /// or a writer's truncation resumes exactly there.
-fn scan_payload(file: &mut fs::File, end: u64, view: &mut SegmentView) {
+fn scan_payload(mut file: &fs::File, end: u64, view: &mut SegmentView) {
     if view.file_len + 8 > end || file.seek(SeekFrom::Start(view.file_len)).is_err() {
         return;
     }
@@ -1296,17 +1348,169 @@ fn scan_payload(file: &mut fs::File, end: u64, view: &mut SegmentView) {
         match decode_record(&frame) {
             Some((head, _)) => {
                 let row = SegmentIndexEntry {
-                    key: head.key.clone(),
+                    key: head.key.to_string(),
                     offset,
                     len,
                     version: STORE_VERSION,
                     saved_at_millis: head.saved_at_millis,
                 };
-                view.rows.insert(head.key, row);
+                view.rows.insert(head.key.into_owned(), row);
             }
             // Framing is intact (the length prefix was honored), so a
             // single bad record does not end the replay.
             None => view.skipped += 1,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Value;
+
+    fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Index paths of every object member in `value`.
+    fn member_paths(value: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let children: Vec<&Value> = match value {
+            Value::Map(entries) => entries.iter().map(|(_, v)| v).collect(),
+            Value::Seq(items) => items.iter().collect(),
+            _ => return,
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            if matches!(value, Value::Map(_)) {
+                out.push(path.clone());
+            }
+            member_paths(child, path, out);
+            path.pop();
+        }
+    }
+
+    /// The object holding member `path`, and the member's index in it.
+    fn member_mut<'v>(
+        value: &'v mut Value,
+        path: &[usize],
+    ) -> (&'v mut Vec<(String, Value)>, usize) {
+        let (&index, parent) = path.split_last().unwrap();
+        let node = parent.iter().fold(value, |node, &i| match node {
+            Value::Map(entries) => &mut entries[i].1,
+            Value::Seq(items) => &mut items[i],
+            _ => unreachable!(),
+        });
+        match node {
+            Value::Map(entries) => (entries, index),
+            _ => unreachable!(),
+        }
+    }
+
+    /// Variants of a JSON object's text, as in `tests/json_parse_pin.rs`:
+    /// each member dropped, nulled, duplicated with another value before and
+    /// after, an integer member written as a float, an unknown member beside
+    /// it; pretty whitespace; every cut; seeded ASCII substitutions.
+    fn variants(text: &str) -> Vec<String> {
+        let root: Value = serde_json::from_str(text).unwrap();
+        let compact = serde_json::to_string(&root).unwrap();
+        let mut docs = vec![
+            compact.clone(),
+            serde_json::to_string_pretty(&root).unwrap(),
+        ];
+        let mut paths = Vec::new();
+        member_paths(&root, &mut Vec::new(), &mut paths);
+        type Members = Vec<(String, Value)>;
+        let mut edit = |change: &dyn Fn(&mut Members, usize)| {
+            for path in &paths {
+                let mut v = root.clone();
+                let (members, i) = member_mut(&mut v, path);
+                change(members, i);
+                docs.push(serde_json::to_string(&v).unwrap());
+            }
+        };
+        edit(&|m, i| drop(m.remove(i)));
+        edit(&|m, i| m[i].1 = Value::Null);
+        edit(&|m, i| m.insert(i, (m[i].0.clone(), Value::Str("x".into()))));
+        edit(&|m, i| m.insert(i + 1, (m[i].0.clone(), Value::Str("x".into()))));
+        edit(&|m, i| m.insert(i + 1, ("zz_unknown".into(), Value::Seq(vec![Value::Null]))));
+        edit(&|m, i| {
+            if let Value::U64(n) = m[i].1 {
+                m[i].1 = Value::F64(n as f64);
+            }
+        });
+        docs.extend((0..compact.len()).map(|n| compact[..n].to_string()));
+        const ALPHABET: &[u8] = b"{}[],:\"\\ 0123456789.-+eEtrufalsn x";
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ compact.len() as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for _ in 0..256 {
+            let mut bytes = compact.clone().into_bytes();
+            let at = next() % bytes.len();
+            bytes[at] = ALPHABET[next() % ALPHABET.len()];
+            docs.push(String::from_utf8(bytes).unwrap());
+        }
+        docs
+    }
+
+    /// Pins what `decode_record` accepts of a record head and what
+    /// `SegmentHeader` parsing accepts of an index, under the same kinds of
+    /// damage as `tests/json_parse_pin.rs` (a head variant keeps the
+    /// record's `,"entry":…}` tail intact).
+    #[test]
+    fn record_head_and_index_parse_outcomes_are_pinned() {
+        let entry: CacheEntry = serde_json::from_str(include_str!(
+            "../../tests/fixtures/parse_pin/cache_entry.json"
+        ))
+        .unwrap();
+        let record = encode_record("k3y", &entry, 1_234).unwrap();
+        let (head, tail) = record.split_at(record.find(",\"entry\":").unwrap());
+        let mut combined = 0xcbf2_9ce4_8422_2325_u64;
+        let mut accepted = 0;
+        for doc in variants(&format!("{head}}}")) {
+            let head = doc.strip_suffix('}').unwrap_or(&doc);
+            let outcome = match decode_record(format!("{head}{tail}").as_bytes()) {
+                Some((h, entry)) => format!(
+                    "ok:{} {} {} {} {}",
+                    h.version,
+                    h.key,
+                    h.saved_at_millis,
+                    h.check,
+                    entry.len()
+                ),
+                None => "err".to_string(),
+            };
+            accepted += usize::from(outcome != "err");
+            combined = fnv(fnv(combined, doc.as_bytes()), outcome.as_bytes());
+        }
+
+        let row = |key: &str, offset: u64| SegmentIndexEntry {
+            key: key.to_string(),
+            offset,
+            len: 977,
+            version: STORE_VERSION,
+            saved_at_millis: 1_700_000_000_123,
+        };
+        let header = SegmentHeader {
+            entries: vec![row("a1", 8), row("b2", 993)],
+        };
+        for doc in variants(&serde_json::to_string(&header).unwrap()) {
+            let outcome = match serde_json::from_str::<SegmentHeader>(&doc) {
+                Ok(h) => format!("ok:{}", serde_json::to_string(&h).unwrap()),
+                Err(_) => "err".to_string(),
+            };
+            accepted += usize::from(outcome != "err");
+            combined = fnv(fnv(combined, doc.as_bytes()), outcome.as_bytes());
+        }
+        assert_eq!(
+            format!("{combined:016x} {accepted}"),
+            "b567dd06af4a9103 87",
+            "parse outcomes moved"
+        );
     }
 }

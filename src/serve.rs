@@ -37,7 +37,7 @@ use cosa_core::CosaScheduler;
 use cosa_mappers::{HybridConfig, HybridMapper, RandomMapper, SearchLimits};
 use cosa_sat::SatScheduler;
 use cosa_spec::{canon, Arch, Layer, Network, Suite};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Reader, Serialize};
 
 use crate::api::{PortfolioScheduler, Scheduled, Scheduler};
 use crate::engine::CacheStats;
@@ -180,21 +180,27 @@ impl ScheduleOptions {
 // Hand-written so a partial object is valid: absent and `null` fields are
 // the defaults, unknown fields fail loudly.
 impl Deserialize for ScheduleOptions {
-    fn from_value(value: &Value) -> Result<ScheduleOptions, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected map for ScheduleOptions"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<ScheduleOptions, SerdeError> {
         const KNOWN: [&str; 3] = ["arch", "scheduler", "interlayer"];
-        if let Some((unknown, _)) = map.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-            return Err(SerdeError::custom(format!(
-                "unknown option `{unknown}` (expected one of {KNOWN:?})"
-            )));
-        }
-        Ok(ScheduleOptions {
-            arch: opt_field(map, "arch")?,
-            scheduler: opt_field(map, "scheduler")?,
-            interlayer: opt_field(map, "interlayer")?,
-        })
+        let mut options = ScheduleOptions::default();
+        let mut seen = [false; KNOWN.len()];
+        r.map("ScheduleOptions", |r, key| {
+            let Some(i) = KNOWN.iter().position(|k| *k == key) else {
+                return Err(SerdeError::custom(format!(
+                    "unknown option `{key}` (expected one of {KNOWN:?})"
+                )));
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                return r.skip(); // the first of duplicate keys wins
+            }
+            match i {
+                0 => options.arch = Deserialize::deserialize(r)?,
+                1 => options.scheduler = Deserialize::deserialize(r)?,
+                _ => options.interlayer = Deserialize::deserialize(r)?,
+            }
+            Ok(())
+        })?;
+        Ok(options)
     }
 }
 
@@ -300,34 +306,32 @@ pub struct ScheduleRequest {
     pub suite: Option<String>,
 }
 
-/// Read an optional field: absent and `null` both deserialize to `None`.
-fn opt_field<T: Deserialize>(map: &[(String, Value)], key: &str) -> Result<Option<T>, SerdeError> {
-    match map.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, v)) => Option::<T>::from_value(v),
-    }
-}
-
 impl Deserialize for ScheduleRequest {
-    fn from_value(value: &Value) -> Result<ScheduleRequest, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected map for ScheduleRequest"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<ScheduleRequest, SerdeError> {
         // Lenient about *missing* fields, strict about *unknown* ones: a
         // misspelled "schedulr" must fail loudly, not silently fall back
-        // to the default scheduler.
+        // to the default scheduler. Absent and `null` fields are `None`.
         const KNOWN: [&str; 4] = ["options", "layer", "network", "suite"];
-        if let Some((unknown, _)) = map.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-            return Err(SerdeError::custom(format!(
-                "unknown request field `{unknown}` (expected one of {KNOWN:?})"
-            )));
-        }
-        Ok(ScheduleRequest {
-            options: opt_field(map, "options")?.unwrap_or_default(),
-            layer: opt_field(map, "layer")?,
-            network: opt_field(map, "network")?,
-            suite: opt_field(map, "suite")?,
-        })
+        let mut request = ScheduleRequest::default();
+        let mut seen = [false; KNOWN.len()];
+        r.map("ScheduleRequest", |r, key| {
+            let Some(i) = KNOWN.iter().position(|k| *k == key) else {
+                return Err(SerdeError::custom(format!(
+                    "unknown request field `{key}` (expected one of {KNOWN:?})"
+                )));
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                return r.skip(); // the first of duplicate keys wins
+            }
+            match i {
+                0 => request.options = Option::deserialize(r)?.unwrap_or_default(),
+                1 => request.layer = Deserialize::deserialize(r)?,
+                2 => request.network = Deserialize::deserialize(r)?,
+                _ => request.suite = Deserialize::deserialize(r)?,
+            }
+            Ok(())
+        })?;
+        Ok(request)
     }
 }
 

@@ -307,6 +307,19 @@ fn malformed_requests_get_4xx_and_daemon_stays_up() {
     let resp = http::request(handle.addr(), "POST", "/v1/schedule", "{}").unwrap();
     assert_eq!(resp.status, 400);
 
+    // Arrays nested 10 000 deep, as a field's value and under a key the
+    // reader skips, → 400: nesting past the reader's limit is an error, not
+    // a stack overflow that takes the daemon down.
+    let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    for body in [
+        format!(r#"{{"layer": {deep}}}"#),
+        format!(r#"{{"layer": {{"name": "deep", "skipped": {deep}}}}}"#),
+    ] {
+        let resp = http::request(handle.addr(), "POST", "/v1/schedule", &body).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(parse_response(&resp).error.is_some());
+    }
+
     // Unknown scheduler and unknown suite → 400.
     let resp = post_schedule(
         &handle,
