@@ -23,6 +23,55 @@
 //! termination test O(1). After the first cycles fill the queues, a step
 //! allocates nothing.
 //!
+//! # Steady state
+//!
+//! While long packets stream, the mesh settles into a pattern that repeats
+//! exactly every few priority rotations, and stepping through it cycle by
+//! cycle is most of a large layer's host time. The run jumps over those
+//! repeats instead; [`MeshSim::step`] stays the only code that moves flits.
+//!
+//! A step reads the state only through the *canonical state*: every port's
+//! queue and in-flight pipeline (arrival times counted from `now`), the
+//! grants, owners and per-node grant unions, the source list, the injection
+//! queues' packets, `queued_packets` and the rotating priority `now % 6`. Two
+//! things are left out. The first is the front packets' flits left to
+//! inject, which a step reads only to mark the injected flit a head
+//! (`left == flits`) or a tail (`left == 1`, after which the queue pops).
+//! The second is `outstanding`, which a step only decrements. So from equal
+//! canonical states, two runs take equal steps as long as they inject the
+//! same kind of flits (head, body, tail) at the same steps.
+//!
+//! While a source's front packet holds at least [`JUMP_MIN_FLITS`] flits to
+//! inject, the run probes on every multiple of 6 cycles, so all probes see
+//! the same rotating priority. A probe snapshots the canonical
+//! state and, separately, each source's `left` and `outstanding`. At later
+//! probes it compares the live canonical state with the snapshot by exact
+//! equality. A new snapshot replaces the old one after a head or tail
+//! injection, or when no match came within a few rotations. A match after
+//! `P` cycles with no head or tail injected in between means:
+//!
+//! - the window of `P` steps starting from the live state repeats the one
+//!   starting from the snapshot, step for step, while it again injects only
+//!   body flits;
+//! - in one window, source `s` injects `d_s` body flits (its `left` fell by
+//!   `d_s`) and `e` flits eject (`outstanding` fell by `e`).
+//!
+//! A source with `d_s > 0` whose `left` is `L` at the match injects, in the
+//! `j`-th further window, with `left` running from `L − (j − 1)·d_s` down to
+//! `L − j·d_s + 1`. That is below the packet's length, so never a head, and
+//! above 1, so never a tail, for every `j ≤ k = ⌊(L − 1)/d_s⌋`. By induction
+//! over the steps, the next `k·P` cycles (`k` the minimum over the sources
+//! with `d_s > 0`) repeat the window `k` times. The run applies them at once:
+//! `left −= k·d_s`, `outstanding −= k·e`, and `now` and every pipeline
+//! arrival move `k·P` later. That is exactly the state stepping would have
+//! reached; no source is left below one flit, so `done()` could not have
+//! held inside the jumped cycles, and the cycle-cap check after the jump
+//! returns what it would have returned. A match with no `d_s > 0` (nothing
+//! injected, so nothing can eject either) never jumps, and such a run steps
+//! on to the cap as before. The snapshot buffers live in [`MeshSim`] and are
+//! reused, so a step still allocates nothing, and a packet set without a
+//! packet of [`JUMP_MIN_FLITS`] flits never probes.
+//!
 //! # Contract
 //!
 //! Each cycle runs the same three phases in the same order as the
@@ -31,10 +80,11 @@
 //! `now % 6` input-port priority. Downstream occupancy counts queued plus
 //! in-flight flits, including those pushed earlier in the same cycle;
 //! grants last until the tail flit; a multicast head moves only when every
-//! branch is free; the cycle cap is unchanged. The cycle counts are
-//! identical: the replaced simulator is kept verbatim as a test-only
-//! reference module, and a seeded test compares the two on random packet
-//! sets.
+//! branch is free; the cycle cap is unchanged. Steady-state jumps skip only
+//! cycles whose outcome is proven above. The cycle counts are identical:
+//! the replaced simulator is kept verbatim as a test-only reference module,
+//! and seeded tests compare the two on random packet sets, short ones and
+//! ones long enough to jump.
 
 use std::collections::VecDeque;
 
@@ -99,6 +149,18 @@ const DIR_S: usize = 3;
 const DIR_LOCAL: usize = 4;
 const DIR_INJECT: usize = 5;
 const NUM_PORTS: usize = 6;
+/// Cycles between steady-state probes: one priority rotation, so that every
+/// probe falls on the same `now % 6`.
+const PROBE_CYCLES: u64 = NUM_PORTS as u64;
+/// Cycles a snapshot is kept without a match before a newer one replaces
+/// it; the longest window a jump can repeat.
+const SNAPSHOT_CYCLES: u64 = 8 * PROBE_CYCLES;
+/// A run probes for a steady state only while some source's front packet
+/// has this many flits left to inject. At 64, sets whose longest packet
+/// holds 97 flits ran 8–10 % slower than without probes; from 128 up they
+/// are unchanged, and the suites' sets take the same host time at 128 as
+/// at 64 or 256.
+pub(crate) const JUMP_MIN_FLITS: u64 = 128;
 const LOCAL: u8 = 1 << DIR_LOCAL;
 /// The output ports that lead to a neighbour.
 const LINKS: u8 = (1 << DIR_E) | (1 << DIR_W) | (1 << DIR_N) | (1 << DIR_S);
@@ -209,6 +271,28 @@ pub struct MeshSim {
     /// Packets not yet fully injected.
     queued_packets: usize,
     now: u64,
+    /// Whether a head or tail flit was injected since the last snapshot.
+    event: bool,
+    /// The steady-state probe's buffers, reused across probes.
+    snapshot: Snapshot,
+    /// Cycles stepped, to show that a run jumped.
+    #[cfg(test)]
+    steps: u64,
+}
+
+/// A snapshot of the canonical state (see "Steady state" in the module
+/// doc) and what it leaves out.
+#[derive(Debug, Default)]
+struct Snapshot {
+    /// The canonical state at `now`; empty when there is no snapshot.
+    state: Vec<u64>,
+    /// The live canonical state, compared with `state`.
+    live: Vec<u64>,
+    /// The front packet's flits left to inject, per source in `sources`
+    /// order.
+    left: Vec<u64>,
+    outstanding: u64,
+    now: u64,
 }
 
 impl MeshSim {
@@ -246,6 +330,10 @@ impl MeshSim {
             outstanding: 0,
             queued_packets: 0,
             now: 0,
+            event: false,
+            snapshot: Snapshot::default(),
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -255,6 +343,10 @@ impl MeshSim {
     /// different sources inject concurrently (each node has its own
     /// injection port).
     pub fn run(mut self, packets: &[PacketSpec]) -> u64 {
+        self.simulate(packets)
+    }
+
+    fn simulate(&mut self, packets: &[PacketSpec]) -> u64 {
         // Expand multicast into unicast clones when the fabric lacks
         // replication support.
         for p in packets {
@@ -273,8 +365,12 @@ impl MeshSim {
             .collect();
 
         let cap = self.cycle_cap(packets);
+        let probe = packets.iter().any(|p| p.flits >= JUMP_MIN_FLITS);
         while !self.done() {
             self.step();
+            if probe && self.now.is_multiple_of(PROBE_CYCLES) {
+                self.probe();
+            }
             if self.now > cap {
                 // Deadlock guard: report the cap rather than hang. The
                 // traffic patterns generated from valid schedules do not
@@ -346,6 +442,10 @@ impl MeshSim {
     fn step(&mut self) {
         self.now += 1;
         let now = self.now;
+        #[cfg(test)]
+        {
+            self.steps += 1;
+        }
 
         // 1. Arrivals reach the input queues.
         for word in 0..self.in_flight.0.len() {
@@ -377,11 +477,13 @@ impl MeshSim {
             let queue = &mut self.inject_queues[node];
             let (packet, left) = queue.front_mut().expect("sources have packets");
             if self.ports[p].occupancy() < self.cfg.buffer_depth {
-                self.ports[p].queue.push_back(Flit {
+                let flit = Flit {
                     packet: *packet,
                     head: *left == self.flits[*packet as usize],
                     tail: *left == 1,
-                });
+                };
+                self.event |= flit.head || flit.tail;
+                self.ports[p].queue.push_back(flit);
                 self.queued.insert(p);
                 *left -= 1;
                 if *left == 0 {
@@ -486,6 +588,136 @@ impl MeshSim {
         }
     }
 
+    /// Every `PROBE_CYCLES`: snapshot the canonical state, or compare it
+    /// with the snapshot and, on a match, jump over as many repeats of the
+    /// window between them as the front packets' flits left allow.
+    fn probe(&mut self) {
+        let long = self
+            .sources
+            .iter()
+            .any(|&s| front_left(&self.inject_queues[s]) >= JUMP_MIN_FLITS);
+        if !long {
+            self.snapshot.state.clear();
+            return;
+        }
+        let mut live = std::mem::take(&mut self.snapshot.live);
+        self.canonical_state(&mut live);
+        if !self.event && live == self.snapshot.state {
+            self.jump();
+        } else if self.event
+            || self.snapshot.state.is_empty()
+            || self.now - self.snapshot.now >= SNAPSHOT_CYCLES
+        {
+            std::mem::swap(&mut live, &mut self.snapshot.state);
+            let snap = &mut self.snapshot;
+            snap.left.clear();
+            let queues = &self.inject_queues;
+            snap.left
+                .extend(self.sources.iter().map(|&s| front_left(&queues[s])));
+            snap.outstanding = self.outstanding;
+            snap.now = self.now;
+            self.event = false;
+        }
+        self.snapshot.live = live;
+    }
+
+    /// The state repeats the snapshot's, with no head or tail injected in
+    /// between: jump over as many more repeats of the window as leave every
+    /// source its tail flit to inject.
+    fn jump(&mut self) {
+        let snap = &self.snapshot;
+        // Source `s` injects `then - now` body flits per window.
+        let windows = self
+            .sources
+            .iter()
+            .zip(&snap.left)
+            .filter_map(|(&s, &then)| {
+                let now = front_left(&self.inject_queues[s]);
+                (then > now).then(|| (now - 1) / (then - now))
+            })
+            .min()
+            .unwrap_or(0);
+        if windows == 0 {
+            return;
+        }
+        let period = self.now - snap.now;
+        self.outstanding -= windows * (snap.outstanding - self.outstanding);
+        for (&s, &then) in self.sources.iter().zip(&snap.left) {
+            let left = &mut self.inject_queues[s]
+                .front_mut()
+                .expect("sources have packets")
+                .1;
+            *left -= windows * (then - *left);
+        }
+        let skipped = windows * period;
+        self.now += skipped;
+        for word in 0..self.in_flight.0.len() {
+            let mut bits = self.in_flight.0[word];
+            while bits != 0 {
+                let p = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (t, _) in &mut self.ports[p].pipeline {
+                    *t += skipped;
+                }
+            }
+        }
+        self.snapshot.state.clear();
+    }
+
+    /// Encode into `out` everything the next steps depend on except the
+    /// front packets' flits left, `outstanding` and `now`: arrival times
+    /// count from `now`, and probes share `now % 6`. Equal encodings are
+    /// equal states; every length is written before its items.
+    fn canonical_state(&self, out: &mut Vec<u64>) {
+        let flit = |f: &Flit| (f.packet as u64) << 2 | (f.head as u64) << 1 | f.tail as u64;
+        out.clear();
+        out.push(self.queued_packets as u64);
+        out.extend_from_slice(&self.queued.0);
+        out.extend_from_slice(&self.in_flight.0);
+        out.extend(self.granted.chunks(8).map(|c| {
+            let mut word = [0; 8];
+            word[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(word)
+        }));
+        for (node, _) in self.granted.iter().enumerate().filter(|(_, &g)| g != 0) {
+            out.extend(
+                self.ports[node * NUM_PORTS..][..NUM_PORTS]
+                    .iter()
+                    .map(|port| {
+                        if port.grant == 0 {
+                            0
+                        } else {
+                            (port.owner as u64) << 8 | port.grant as u64
+                        }
+                    }),
+            );
+        }
+        for word in 0..self.queued.0.len() {
+            let mut bits = self.queued.0[word] | self.in_flight.0[word];
+            while bits != 0 {
+                let port = &self.ports[word * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                out.push(port.queue.len() as u64);
+                out.extend(port.queue.iter().map(flit));
+                out.push(port.pipeline.len() as u64);
+                for (t, f) in &port.pipeline {
+                    out.push(t - self.now);
+                    out.push(flit(f));
+                }
+            }
+        }
+        out.push(self.sources.len() as u64);
+        for &s in &self.sources {
+            out.push(s as u64);
+            out.push(self.inject_queues[s].len() as u64);
+            out.extend(
+                self.inject_queues[s]
+                    .iter()
+                    .map(|&(packet, _)| packet as u64),
+            );
+        }
+    }
+
     /// Pop port `p`'s head flit, keeping the queued set in step.
     fn pop(&mut self, p: usize) -> Flit {
         let queue = &mut self.ports[p].queue;
@@ -495,6 +727,11 @@ impl MeshSim {
         }
         flit
     }
+}
+
+/// Flits of an injection queue's front packet still to inject.
+fn front_left(queue: &VecDeque<(u32, u64)>) -> u64 {
+    queue.front().map_or(0, |&(_, left)| left)
 }
 
 /// The indices of the set bits of `mask`, lowest first.
@@ -707,5 +944,82 @@ mod tests {
                 assert_eq!(got, want, "{cfg:?}\n{packets:?}");
             }
         }
+    }
+
+    /// Packets long enough to reach a steady state (up to 3 000 flits one
+    /// time in three) mixed with short ones: from the GB at node 0, multicast
+    /// or unicast, and 1–6 writebacks from random PEs contending at the GB.
+    fn long_packets(rng: &mut Rng, nodes: usize) -> Vec<PacketSpec> {
+        let flits = |rng: &mut Rng| {
+            if rng.below(3) == 0 {
+                1 + rng.below(3000)
+            } else {
+                rng.flits()
+            }
+        };
+        let mut packets = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let fanout = 1 + rng.below(nodes.min(6) as u64);
+            packets.push(PacketSpec {
+                src: 0,
+                dests: (0..fanout)
+                    .map(|_| rng.below(nodes as u64) as usize)
+                    .collect(),
+                flits: flits(rng),
+            });
+        }
+        for _ in 0..1 + rng.below(6) {
+            packets.push(PacketSpec {
+                src: 1 + rng.below(nodes as u64 - 1) as usize,
+                dests: vec![0],
+                flits: flits(rng),
+            });
+        }
+        for i in (1..packets.len()).rev() {
+            packets.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        packets
+    }
+
+    #[test]
+    fn steady_state_jumps_match_the_reference_simulator() {
+        let mut rng = Rng(0x57EAD);
+        let (mut cycles, mut steps) = (0, 0);
+        for (x, y) in [(2, 2), (4, 4), (8, 8), (26, 1), (5, 3)] {
+            for _ in 0..40 {
+                let cfg = MeshConfig {
+                    x,
+                    y,
+                    hop_latency: 1 + rng.below(4),
+                    buffer_depth: 1 + rng.below(8) as usize,
+                    multicast: rng.below(2) == 0,
+                };
+                let packets = long_packets(&mut rng, cfg.nodes());
+                let want = reference::MeshSim::new(cfg).run(&packets);
+                let mut sim = MeshSim::new(cfg);
+                let got = sim.simulate(&packets);
+                assert_eq!(got, want, "{cfg:?}\n{packets:?}");
+                cycles += got;
+                steps += sim.steps;
+            }
+        }
+        assert!(steps * 2 < cycles, "stepped {steps} of {cycles} cycles");
+    }
+
+    #[test]
+    fn a_long_packet_is_mostly_jumped_over() {
+        let mut sim = MeshSim::new(cfg4());
+        let flits = 1 << 20;
+        let cycles = sim.simulate(&[PacketSpec {
+            src: 0,
+            dests: vec![15],
+            flits,
+        }]);
+        assert!(cycles > flits, "{cycles}");
+        assert!(
+            sim.steps < 1_000,
+            "stepped {} of {cycles} cycles",
+            sim.steps
+        );
     }
 }

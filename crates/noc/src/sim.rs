@@ -2,8 +2,8 @@
 //!
 //! A layer's iteration classes share a handful of distinct transfer sets.
 //! Each set is simulated once, and the sets run concurrently on up to
-//! `available_parallelism` threads ([`cosa_spec::fanout`]) unless they are
-//! too small to pay for a thread; the per-class timings are then composed
+//! `available_parallelism` threads ([`cosa_spec::fanout`]) unless they step
+//! too few cycles to pay for a thread; the per-class timings are then composed
 //! in plan order, so the verdict does not depend on the thread count.
 
 use std::cmp::Reverse;
@@ -11,18 +11,30 @@ use std::cmp::Reverse;
 use cosa_spec::{fanout, Arch, DataTensor, Layer, Schedule, SpecError};
 use serde::{Deserialize, Serialize};
 
-use crate::mesh::{MeshConfig, MeshSim, PacketSpec};
+use crate::mesh::{MeshConfig, MeshSim, PacketSpec, JUMP_MIN_FLITS};
 use crate::traffic::{IterationType, TrafficPlan};
 
-/// Below this many flits outside a layer's largest transfer set, its sets
-/// are simulated on the calling thread alone. The work outside the largest
-/// set is the most a helper thread can take off the caller, and a helper
-/// costs 35–150 µs to start and join (2-core x86 VM), as long as the mesh
-/// takes for 250–1 000 flits at ≈ 150 ns a flit; this keeps a 4× margin.
-const MIN_FANOUT_FLITS: u64 = 1 << 12;
+/// Below this many stepped flits (see [`stepped_flits`]) outside a layer's
+/// largest transfer set, its sets are simulated on the calling thread alone.
+/// The work outside the largest set is the most a helper thread can take off
+/// the caller. A helper costs 35–150 µs to start and join (2-core x86 VM); a
+/// stepped cycle costs ≈ 150 ns on a lightly loaded mesh and up to ≈ 900 ns
+/// on a congested one, so 1 024 of them pay for a helper. On
+/// `baseline_eval_sweep` (medians of 6 runs) this threshold ties the
+/// flit-volume rule it replaced (≥ 4 096 flits), 4 096 stepped flits is 9 %
+/// slower, and no helper at all (one core) is 23 % slower.
+const MIN_FANOUT_FLITS: u64 = 1 << 10;
 
-/// Threads for simulating transfer sets of `flits` volume each: one per
-/// set up to `available_parallelism`, or just the caller when the sets
+/// The flits of `packets` the mesh steps through, which is what predicts a
+/// set's host time: a packet long enough to jump a steady state (see
+/// [`MeshSim`]) costs about as many steps as one of [`JUMP_MIN_FLITS`] flits,
+/// whatever its length.
+fn stepped_flits(packets: &[PacketSpec]) -> u64 {
+    packets.iter().map(|p| p.flits.min(JUMP_MIN_FLITS)).sum()
+}
+
+/// Threads for simulating transfer sets of `flits` stepped flits each: one
+/// per set up to `available_parallelism`, or just the caller when the sets
 /// other than the largest are too small to pay for a helper.
 fn sim_threads(flits: &[u64]) -> usize {
     let largest = flits.iter().copied().max().unwrap_or(0);
@@ -208,13 +220,10 @@ impl NocSimulator {
             })
             .collect();
 
-        // One flit simulation per set, the sets run concurrently, largest
-        // flit volume first so the longest run never starts last.
+        // One flit simulation per set, the sets run concurrently, most
+        // stepped flits first so the longest run never starts last.
         let packets: Vec<Vec<PacketSpec>> = sets.iter().map(|s| s.packets(&plan)).collect();
-        let flits: Vec<u64> = packets
-            .iter()
-            .map(|p| p.iter().map(|p| p.flits).sum())
-            .collect();
+        let flits: Vec<u64> = packets.iter().map(|p| stepped_flits(p)).collect();
         let mut order: Vec<usize> = (0..sets.len()).collect();
         order.sort_by_key(|&i| Reverse(flits[i]));
         let cycles_in_order = fanout::map(&order, sim_threads(&flits), |&i| {

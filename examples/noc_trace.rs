@@ -1,10 +1,12 @@
 //! Dissect a schedule's on-chip traffic with the NoC simulator: iteration
 //! classes, their transfer sets, and where the cycles go. Contrasts a
-//! CoSA schedule against naive DRAM streaming.
+//! CoSA schedule against naive DRAM streaming. The CoSA solve is
+//! node-bounded, so the output is the same on every machine.
 //!
 //! Run with: `cargo run --release --example noc_trace`
 
 use cosa_repro::prelude::*;
+use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use cosa_repro::spec::Dim;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,8 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             naive.push(arch.dram_level(), Loop::temporal(d, p));
         }
     }
-    // Schedule B: CoSA.
-    let cosa = CosaScheduler::new(&arch).schedule(&layer)?.schedule;
+    // Schedule B: CoSA, at the serving node limit.
+    let cosa = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
+        .schedule(&layer)?
+        .schedule;
 
     for (name, schedule) in [("naive DRAM streaming", &naive), ("CoSA", &cosa)] {
         let report = sim.simulate(&layer, schedule)?;

@@ -185,15 +185,17 @@ fn serving_milp_meets_the_quality_floor_and_repeats() {
     );
 }
 
-/// The NoC simulator's numbers on the smallest layer of every suite,
-/// scheduled as the daemon's `"random"` schedules it: the layer latency's
-/// bits and the flit-simulated cycles of every iteration class. A
-/// speed-only change to `crates/noc` must leave them alone.
+/// The NoC simulator's numbers on the smallest layer of every suite and on
+/// AlexNet fc6, scheduled as the daemon's `"random"` schedules them: the
+/// layer latency's bits and the flit-simulated cycles of every iteration
+/// class. fc6's sets are long enough for the mesh's steady-state jump; its
+/// row was recorded with a simulator that stepped every cycle. A speed-only
+/// change to `crates/noc` must leave them alone.
 #[test]
 fn noc_simulated_cycles_are_pinned() {
     use cosa_repro::serve::SERVE_RANDOM_SEED;
 
-    let pinned: [(&str, u64, &[u64]); 7] = [
+    let pinned: [(&str, u64, &[u64]); 8] = [
         (
             "1_1_4096_1000_1",
             0x412134d200000000,
@@ -232,18 +234,28 @@ fn noc_simulated_cycles_are_pinned() {
             0x40eb645555555555,
             &[65, 788, 408, 794, 414, 794, 414, 794, 414],
         ),
+        (
+            "1_1_9216_4096_1",
+            0x4156845b80000000,
+            &[1180238, 1180617, 1179845, 1181194, 1180422],
+        ),
     ];
     let arch = Arch::simba_baseline();
     let random = RandomMapper::new(SERVE_RANDOM_SEED).with_limits(SearchLimits::quick());
     let noc = NocSimulator::new(&arch);
-    let mut moved = Vec::new();
-    for (suite, (name, total_bits, noc_cycles)) in Suite::ALL.into_iter().zip(pinned) {
-        let layer = suite
+    let smallest = Suite::ALL.into_iter().map(|suite| {
+        suite
             .workload()
             .layers
             .into_iter()
             .min_by_key(Layer::macs)
-            .expect("suites are non-empty");
+            .expect("suites are non-empty")
+    });
+    // One full-scale verdict: AlexNet fc6, whose transfer sets run to
+    // ≈ 1.2 M flits each.
+    let fc6 = workloads::find_layer("1_1_9216_4096_1").expect("layer");
+    let mut moved = Vec::new();
+    for (layer, (name, total_bits, noc_cycles)) in smallest.chain([fc6]).zip(pinned) {
         let schedule = Scheduler::schedule(&random, &arch, &layer)
             .expect("random finds a schedule")
             .schedule;
