@@ -19,7 +19,10 @@
 //! The Eq. 12 objective is linear in the ladder and product bits; it is
 //! optimized by solve-then-tighten on a single reused pseudo-Boolean
 //! bound (see [`SatProgram::optimize`]), with clause learning preserved
-//! across iterations.
+//! across iterations. The search closes on one of two proofs ([`Proof`]):
+//! the refutation of the tightened bound, or — once a search has run long
+//! — the root LP bound of the `CosaProgram` it mirrors, which can show that
+//! refutation is certain before it is run.
 
 // Index-heavy constraint assembly mirrors the MILP formulation
 // (`cosa_core::formulation`); ranged loops keep the row/column indices
@@ -29,7 +32,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use cosa_core::{FactorAssignment, ObjectiveWeights};
+use cosa_core::{CosaProgram, FactorAssignment, ObjectiveWeights};
 use cosa_milp::SolveStats;
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
@@ -44,11 +47,30 @@ struct Group {
     log_p: f64,
 }
 
+/// Conflicts a layer's search must have spent before a model calls on the
+/// root bound. The root LP of the mirrored `CosaProgram` costs about 1 ms
+/// on a matmul and 20–32 ms on a 3×3 conv, a large share of a search that
+/// finds its last model this early, so such searches never build it: five
+/// of the six shapes of `tests/trajectory.rs`, and the four SAT shapes of
+/// the benchmark's `portfolio_cold`.
+const ROOT_BOUND_AFTER_CONFLICTS: u64 = 8_192;
+
+/// How [`SatProgram::optimize`] proved its answer optimal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Proof {
+    /// The closing UNSAT: no assignment beats the answer by the tightening
+    /// margin (or the objective has no literal terms at all).
+    Refutation,
+    /// The root LP bound of the mirrored `CosaProgram` already exceeds the
+    /// next tightened bound, so the refutation was certain and not run.
+    RootBound,
+}
+
 /// Result of [`SatProgram::optimize`].
 #[derive(Debug, Clone)]
 pub enum OptimizeOutcome {
-    /// Optimality proven: the final incumbent plus an UNSAT proof of the
-    /// tightened bound.
+    /// Optimality proven: the final incumbent, proved by either
+    /// [`Proof`] ([`SatProgram::proof`] says which).
     Optimal(FactorAssignment),
     /// Budget exhausted with a feasible incumbent in hand (anytime answer).
     Feasible(FactorAssignment),
@@ -60,10 +82,25 @@ pub enum OptimizeOutcome {
     Canceled,
 }
 
+/// The MILP program a [`SatProgram`] mirrors, with its root LP bound.
+#[derive(Debug)]
+struct Twin {
+    program: CosaProgram,
+    root_bound: Option<f64>,
+}
+
 /// The assembled Boolean program for one `(layer, architecture)` pair.
 #[derive(Debug)]
 pub struct SatProgram {
     solver: Solver,
+    /// What the program encodes, kept to build its MILP twin on demand.
+    layer: Layer,
+    arch: Arch,
+    weights: ObjectiveWeights,
+    /// Built at the first model after [`ROOT_BOUND_AFTER_CONFLICTS`].
+    twin: Option<Twin>,
+    /// How the last `optimize` proved its answer, if it did.
+    proof: Option<Proof>,
     groups: Vec<Group>,
     /// `bits[group][level][k]` — unary ladder variables, `k = 0` spatial /
     /// `1` temporal. Ladder length equals the MILP variable's upper bound.
@@ -349,6 +386,11 @@ impl SatProgram {
 
         SatProgram {
             solver,
+            layer: layer.clone(),
+            arch: arch.clone(),
+            weights,
+            twin: None,
+            proof: None,
             groups,
             bits,
             active_dims,
@@ -367,8 +409,20 @@ impl SatProgram {
 
     /// Optimize Eq. 12 by iterative bound-tightening: solve, evaluate the
     /// incumbent, constrain the objective strictly below it, repeat until
-    /// UNSAT (optimality proof), budget exhaustion or cancellation.
-    /// `conflict_budget` caps total conflicts across all iterations.
+    /// a proof, budget exhaustion or cancellation. `conflict_budget` caps
+    /// total conflicts across all iterations.
+    ///
+    /// Tightening below a model of objective `o` asks for `obj ≤ o − margin`
+    /// with `margin = 1e-7·max(1,|o|)`; its UNSAT is the refutation proof.
+    /// At the first model after `ROOT_BOUND_AFTER_CONFLICTS` (8 192) conflicts
+    /// the root LP of `CosaProgram::build` on the same layer, arch and
+    /// weights is solved once. From then on, a model with
+    /// `root − 1e-9·max(1,|o|) > o − margin` is returned as optimal without
+    /// that call, since the call could only be UNSAT. Every model up to the
+    /// exit is the one the refutation-only loop finds, so the answer is
+    /// unchanged; only the counters of root-certified layers drop. A
+    /// budget-stopped answer carries the root bound as its `best_bound`
+    /// when one was computed, `-inf` otherwise.
     ///
     /// Every caller passes `stop: None` — [`SatScheduler`], the tests and
     /// the benchmark harness (`benchmark/src/workloads/cold.rs`). The
@@ -382,6 +436,7 @@ impl SatProgram {
         stop: Option<Arc<AtomicBool>>,
     ) -> OptimizeOutcome {
         self.solver.set_stop(stop);
+        self.proof = None;
         let budget_end = conflict_budget.map(|b| self.solver.stats.conflicts.saturating_add(b));
         let mut best: Option<FactorAssignment> = None;
         loop {
@@ -389,10 +444,7 @@ impl SatProgram {
                 Some(end) => {
                     let r = end.saturating_sub(self.solver.stats.conflicts);
                     if r == 0 {
-                        return match best {
-                            Some(b) => OptimizeOutcome::Feasible(b),
-                            None => OptimizeOutcome::NoSolution,
-                        };
+                        return self.stopped(best);
                     }
                     Some(r)
                 }
@@ -402,11 +454,15 @@ impl SatProgram {
                 SolveOutcome::Sat => {
                     let asg = self.decode();
                     let obj = asg.objective;
-                    best = Some(asg);
                     // Strict improvement: push the bound just below the
                     // incumbent. The margin also defines the optimality
                     // granularity of the proof.
                     let margin = 1e-7 * obj.abs().max(1.0);
+                    if self.root_certifies(&asg, margin) {
+                        self.proof = Some(Proof::RootBound);
+                        return OptimizeOutcome::Optimal(proven(asg));
+                    }
+                    best = Some(asg);
                     let bound = obj - margin - self.obj_constant;
                     match self.obj_pb {
                         Some(idx) => self.solver.set_pb_bound(idx, bound),
@@ -418,29 +474,80 @@ impl SatProgram {
                     if self.obj_pb.is_none() {
                         // Objective has no literal terms (degenerate layer):
                         // the first model is the optimum.
+                        self.proof = Some(Proof::Refutation);
                         return OptimizeOutcome::Optimal(proven(best.expect("just set")));
                     }
                 }
                 SolveOutcome::Unsat => {
                     return match best {
-                        Some(b) => OptimizeOutcome::Optimal(proven(b)),
+                        Some(b) => {
+                            self.proof = Some(Proof::Refutation);
+                            OptimizeOutcome::Optimal(proven(b))
+                        }
                         None => OptimizeOutcome::Infeasible,
                     };
                 }
-                SolveOutcome::Limit => {
-                    return match best {
-                        Some(b) => OptimizeOutcome::Feasible(b),
-                        None => OptimizeOutcome::NoSolution,
-                    };
-                }
+                SolveOutcome::Limit => return self.stopped(best),
                 SolveOutcome::Canceled => return OptimizeOutcome::Canceled,
             }
+        }
+    }
+
+    /// Whether the root bound shows that no model scores `asg.objective −
+    /// margin` or less, so tightening to it could only be UNSAT. Builds the
+    /// MILP twin and solves its root LP at the first model after
+    /// `ROOT_BOUND_AFTER_CONFLICTS` conflicts.
+    fn root_certifies(&mut self, asg: &FactorAssignment, margin: f64) -> bool {
+        if self.twin.is_none() && self.solver.stats.conflicts >= ROOT_BOUND_AFTER_CONFLICTS {
+            let program = CosaProgram::build(&self.layer, &self.arch, self.weights);
+            let root_bound = program.root_bound();
+            self.twin = Some(Twin {
+                program,
+                root_bound,
+            });
+        }
+        let Some(twin) = &self.twin else {
+            return false;
+        };
+        let obj = asg.objective;
+        let certified = twin
+            .root_bound
+            .is_some_and(|root| root - 1e-9 * obj.abs().max(1.0) > obj - margin);
+        if certified {
+            debug_assert_eq!(certificate_premise(&twin.program, asg), Ok(()));
+        }
+        certified
+    }
+
+    /// The budget ran out: the incumbent, bounded below by the root bound
+    /// when this layer's search computed one.
+    fn stopped(&self, best: Option<FactorAssignment>) -> OptimizeOutcome {
+        match best {
+            Some(mut b) => {
+                if let Some(root) = self.root_bound() {
+                    b.stats.best_bound = root;
+                }
+                OptimizeOutcome::Feasible(b)
+            }
+            None => OptimizeOutcome::NoSolution,
         }
     }
 
     /// Search statistics accumulated so far.
     pub fn stats(&self) -> SatStats {
         self.solver.stats
+    }
+
+    /// How the last [`SatProgram::optimize`] proved its answer optimal;
+    /// `None` when it stopped without a proof.
+    pub fn proof(&self) -> Option<Proof> {
+        self.proof
+    }
+
+    /// The root LP bound of the mirrored `CosaProgram` (Eq. 12 scale), once
+    /// a long search has computed it.
+    pub fn root_bound(&self) -> Option<f64> {
+        self.twin.as_ref().and_then(|t| t.root_bound)
     }
 
     /// Read the current model back into the MILP-shaped
@@ -492,19 +599,38 @@ impl SatProgram {
             stats: SolveStats {
                 nodes: stats.conflicts as usize,
                 simplex_iters: stats.propagations as usize,
-                // No lower bound until UNSAT proves the incumbent optimal
-                // (see `proven`): a budget-stopped answer claims no gap.
+                // No lower bound until a proof makes the incumbent its own
+                // (see `proven`) or a budget stop hands it the root bound.
                 best_bound: f64::NEG_INFINITY,
             },
         }
     }
 }
 
-/// The incumbent the closing UNSAT proved optimal: its own objective is
-/// now a valid lower bound.
+/// The incumbent a [`Proof`] showed optimal: its own objective is now a
+/// valid lower bound.
 fn proven(mut asg: FactorAssignment) -> FactorAssignment {
     asg.stats.best_bound = asg.objective;
     asg
+}
+
+/// The premise of a root-bound certificate: the answer is a feasible point
+/// of the MILP whose bound certified it and scores the same Eq. 12
+/// objective there. If the two transcriptions of Eq. 1–12 drift apart, the
+/// bound certifies a different program, and this is what fails.
+fn certificate_premise(twin: &CosaProgram, asg: &FactorAssignment) -> Result<(), String> {
+    let point = twin
+        .warm_start_from(asg)
+        .ok_or("the SAT answer is infeasible in the MILP")?;
+    let milp = twin.model().objective().eval(&point);
+    if (milp - asg.objective).abs() <= 1e-9 {
+        Ok(())
+    } else {
+        Err(format!(
+            "MILP objective {milp} differs from the SAT objective {}",
+            asg.objective
+        ))
+    }
 }
 
 /// A unary ladder of `len` bits with `b[k+1] → b[k]` ordering clauses.
@@ -630,9 +756,49 @@ mod tests {
         let proof = optimal(&layer, &arch);
         assert_eq!(proof.stats.best_bound.to_bits(), proof.objective.to_bits());
         let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
+        p.optimize(None, None);
+        assert_eq!(p.proof(), Some(Proof::Refutation));
+        let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
         match p.optimize(Some(100), None) {
             OptimizeOutcome::Feasible(a) => assert_eq!(a.stats.best_bound, f64::NEG_INFINITY),
             other => panic!("expected a budget-stopped incumbent, got {other:?}"),
+        }
+        assert_eq!(p.proof(), None);
+        // A budget stop after the search paid for the root bound claims it.
+        // This shape's root gap is ≈ 0.69, so the bound certifies nothing.
+        let layer = Layer::matmul("mm_64x64x64", 64, 64, 64);
+        let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
+        match p.optimize(Some(20_000), None) {
+            OptimizeOutcome::Feasible(a) => {
+                let root = p.root_bound().expect("a model came after 8 192 conflicts");
+                assert_eq!(a.stats.best_bound.to_bits(), root.to_bits());
+                assert!(root < a.objective - 0.5, "{root} vs {}", a.objective);
+            }
+            other => panic!("expected a budget-stopped incumbent, got {other:?}"),
+        }
+        assert_eq!(p.proof(), None);
+    }
+
+    #[test]
+    fn root_certificates_rest_on_the_same_program() {
+        // The premise `optimize` debug-asserts on every root-bound exit,
+        // checked here in every build on the shapes that take that exit.
+        let arch = Arch::simba_baseline();
+        for (p, q, c, k) in [(4, 4, 16, 32), (8, 8, 8, 16), (6, 6, 8, 8)] {
+            let layer = Layer::conv("c", 3, 3, p, q, c, k, 1, 1, 1);
+            let mut prog = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
+            let asg = match prog.optimize(None, None) {
+                OptimizeOutcome::Optimal(a) => a,
+                other => panic!("expected optimum, got {other:?}"),
+            };
+            assert_eq!(prog.proof(), Some(Proof::RootBound), "conv {p}x{q} {c} {k}");
+            assert_eq!(asg.stats.best_bound.to_bits(), asg.objective.to_bits());
+            let twin = &prog
+                .twin
+                .as_ref()
+                .expect("built for the certificate")
+                .program;
+            assert_eq!(certificate_premise(twin, &asg), Ok(()));
         }
     }
 

@@ -20,6 +20,6 @@ pub mod encode;
 mod scheduler;
 mod solver;
 
-pub use encode::SatProgram;
+pub use encode::{Proof, SatProgram};
 pub use scheduler::{SatError, SatOutcome, SatScheduler};
 pub use solver::{Lit, SatStats, SolveOutcome, Solver, Var};

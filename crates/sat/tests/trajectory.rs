@@ -4,10 +4,13 @@
 //! moves one has changed the search (and possibly which of several
 //! equal-objective optima is returned) and has to say so.
 //!
-//! The five shapes cover the solver's regimes: a few-conflict solve, a
+//! The six shapes cover the solver's regimes: a few-conflict solve, a
 //! prime-heavy matmul, a small 1x1 conv, one run that crosses both the
 //! 1e100 activity rescale (≈ 4 490 conflicts) and the first `reduce_db`
-//! (4 000 learnts), and the longest of the lot.
+//! (4 000 learnts), the longest refutation of the lot, and one search
+//! that closes on the MILP root bound instead of a refutation (its
+//! objective bits are the ones the refutation, 65 303 conflicts long,
+//! proved).
 
 use cosa_sat::SatScheduler;
 use cosa_spec::{Arch, Layer};
@@ -50,6 +53,10 @@ fn pinned() -> Vec<(Layer, Pin)> {
         (
             conv(3, 14, 1, 32),
             (9624, 13_154, 314_184, 45, 0xc026_4861_f0d2_4016),
+        ),
+        (
+            conv(3, 4, 16, 32),
+            (9070, 14_861, 317_163, 39, 0xc023_86a1_a689_1dab),
         ),
     ]
 }
