@@ -7,7 +7,7 @@
 //! `<layer-name>` is a suite layer or a paper-style shape name such as
 //! `3_7_512_512_1`; schedulers are the serving registry's work-bounded
 //! configurations, so a run is reproducible. For `sat` it also prints
-//! which proof closed the search and the gap to the MILP root bound.
+//! which proof closed the search, the exact bound and the gap to it.
 use cosa_bench::flag_value;
 use cosa_model::CostModel;
 use cosa_repro::serve::scheduler_from_name;
@@ -71,20 +71,20 @@ fn main() {
     }
 }
 
-/// How a SAT search closed, and how far its answer sits above the root LP
-/// bound of the mirrored MILP when the search computed one.
+/// How a SAT search closed, and how far its answer sits above the exact
+/// optimum of the program (`cosa_core::exact`).
 fn proof_summary(out: &SatOutcome) -> String {
     let proof = match out.proof {
         Some(Proof::Refutation) => "refutation (closing UNSAT)",
-        Some(Proof::RootBound) => "MILP root bound",
+        Some(Proof::ExactBound) => "exact bound",
         None => "none (conflict budget ran out)",
     };
-    let root = match out.root_bound {
-        Some(root) => format!("{root:.12}, gap {:.3e}", out.objective - root),
-        None => "not computed (short search)".to_string(),
+    let bound = match out.bound {
+        Some(bound) => format!("{bound:.12}, gap {:.3e}", out.objective - bound),
+        None => "none (over the state cap)".to_string(),
     };
     format!(
-        "objective {:.12}  proof: {proof}  conflicts {}\nroot LP bound {root}",
+        "objective {:.12}  proof: {proof}  conflicts {}\nexact bound {bound}",
         out.objective, out.stats.conflicts
     )
 }

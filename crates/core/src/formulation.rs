@@ -13,7 +13,6 @@
 //! themselves never changes the traffic term (Eq. 9–10 only observe
 //! dimension–tensor relevance and log-bound sums).
 
-use cosa_milp::simplex::{LpProblem, LpResult};
 use cosa_milp::{Cmp, LinExpr, Model, Sense, SolveOptions, SolveStats, Var};
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
@@ -610,20 +609,6 @@ impl CosaProgram {
         &self.model
     }
 
-    /// The optimum of the root LP relaxation on the Eq. 12 scale, with the
-    /// objective constant and sense applied: no integer assignment scores
-    /// below it, up to the simplex's floating-point tolerances. `None` when
-    /// the relaxation does not solve (iteration limit or singular basis).
-    pub fn root_bound(&self) -> Option<f64> {
-        let lp = LpProblem::from_model(&self.model);
-        match lp.solve(SolveOptions::default().max_lp_iters) {
-            Ok(LpResult::Optimal(root)) => {
-                Some(lp.sense_flip() * root.objective + self.model.objective().constant())
-            }
-            _ => None,
-        }
-    }
-
     /// Solve with default options.
     ///
     /// # Errors
@@ -733,25 +718,6 @@ mod tests {
         for &r in &asg.ranks {
             assert!(!seen[r], "duplicate rank {r}");
             seen[r] = true;
-        }
-    }
-
-    #[test]
-    fn root_bound_is_a_lower_bound() {
-        let arch = Arch::simba_baseline();
-        for layer in [
-            Layer::matmul("m", 16, 16, 16),
-            Layer::conv("c", 3, 3, 4, 4, 8, 8, 1, 1, 1),
-        ] {
-            let prog = CosaProgram::build(&layer, &arch, ObjectiveWeights::default());
-            let bound = prog.root_bound().expect("the relaxation solves");
-            let asg = prog.solve_default().unwrap();
-            assert!(
-                bound <= asg.objective + 1e-9,
-                "{}: root bound {bound} above the optimum {}",
-                layer.name(),
-                asg.objective
-            );
         }
     }
 

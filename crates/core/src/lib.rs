@@ -42,6 +42,7 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
+pub mod exact;
 mod formulation;
 pub mod objective;
 mod scheduler;

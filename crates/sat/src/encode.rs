@@ -20,9 +20,10 @@
 //! optimized by solve-then-tighten on a single reused pseudo-Boolean
 //! bound (see [`SatProgram::optimize`]), with clause learning preserved
 //! across iterations. The search closes on one of two proofs ([`Proof`]):
-//! the refutation of the tightened bound, or — once a search has run long
-//! — the root LP bound of the `CosaProgram` it mirrors, which can show that
-//! refutation is certain before it is run.
+//! the exact optimum of the same program, computed once by the dynamic
+//! program of [`cosa_core::exact`], which shows when the next tightening
+//! step is certain to fail; or, on layers too large for it, the refutation
+//! of the tightened bound.
 
 // Index-heavy constraint assembly mirrors the MILP formulation
 // (`cosa_core::formulation`); ranged loops keep the row/column indices
@@ -32,7 +33,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use cosa_core::{CosaProgram, FactorAssignment, ObjectiveWeights};
+use cosa_core::{exact, FactorAssignment, ObjectiveWeights};
 use cosa_milp::SolveStats;
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
@@ -47,23 +48,16 @@ struct Group {
     log_p: f64,
 }
 
-/// Conflicts a layer's search must have spent before a model calls on the
-/// root bound. The root LP of the mirrored `CosaProgram` costs about 1 ms
-/// on a matmul and 20–32 ms on a 3×3 conv, a large share of a search that
-/// finds its last model this early, so such searches never build it: five
-/// of the six shapes of `tests/trajectory.rs`, and the four SAT shapes of
-/// the benchmark's `portfolio_cold`.
-const ROOT_BOUND_AFTER_CONFLICTS: u64 = 8_192;
-
 /// How [`SatProgram::optimize`] proved its answer optimal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proof {
     /// The closing UNSAT: no assignment beats the answer by the tightening
     /// margin (or the objective has no literal terms at all).
     Refutation,
-    /// The root LP bound of the mirrored `CosaProgram` already exceeds the
-    /// next tightened bound, so the refutation was certain and not run.
-    RootBound,
+    /// The exact optimum of the program ([`cosa_core::exact`]) already
+    /// exceeds the next tightened bound, so the refutation was certain and
+    /// not run.
+    ExactBound,
 }
 
 /// Result of [`SatProgram::optimize`].
@@ -82,23 +76,17 @@ pub enum OptimizeOutcome {
     Canceled,
 }
 
-/// The MILP program a [`SatProgram`] mirrors, with its root LP bound.
-#[derive(Debug)]
-struct Twin {
-    program: CosaProgram,
-    root_bound: Option<f64>,
-}
-
 /// The assembled Boolean program for one `(layer, architecture)` pair.
 #[derive(Debug)]
 pub struct SatProgram {
     solver: Solver,
-    /// What the program encodes, kept to build its MILP twin on demand.
+    /// What the program encodes, kept to compute its exact optimum.
     layer: Layer,
     arch: Arch,
     weights: ObjectiveWeights,
-    /// Built at the first model after [`ROOT_BOUND_AFTER_CONFLICTS`].
-    twin: Option<Twin>,
+    /// The exact optimum, computed at the first model: `Some(None)` when
+    /// the layer is over [`exact::MAX_STATES`].
+    exact: Option<Option<f64>>,
     /// How the last `optimize` proved its answer, if it did.
     proof: Option<Proof>,
     groups: Vec<Group>,
@@ -389,7 +377,7 @@ impl SatProgram {
             layer: layer.clone(),
             arch: arch.clone(),
             weights,
-            twin: None,
+            exact: None,
             proof: None,
             groups,
             bits,
@@ -414,15 +402,15 @@ impl SatProgram {
     ///
     /// Tightening below a model of objective `o` asks for `obj ≤ o − margin`
     /// with `margin = 1e-7·max(1,|o|)`; its UNSAT is the refutation proof.
-    /// At the first model after `ROOT_BOUND_AFTER_CONFLICTS` (8 192) conflicts
-    /// the root LP of `CosaProgram::build` on the same layer, arch and
-    /// weights is solved once. From then on, a model with
-    /// `root − 1e-9·max(1,|o|) > o − margin` is returned as optimal without
-    /// that call, since the call could only be UNSAT. Every model up to the
-    /// exit is the one the refutation-only loop finds, so the answer is
-    /// unchanged; only the counters of root-certified layers drop. A
-    /// budget-stopped answer carries the root bound as its `best_bound`
-    /// when one was computed, `-inf` otherwise.
+    /// At the first model, [`exact::exact_optimum`] computes the optimum of
+    /// the same layer, arch and weights once. A model with
+    /// `bound − 1e-9·max(1,|o|) > o − margin` is returned as optimal without
+    /// the tightening call, since that call could only be UNSAT. Every model
+    /// up to the exit is the one the refutation-only loop finds, so the
+    /// answer is unchanged; only the work counters drop. Layers over
+    /// [`exact::MAX_STATES`] states have no bound and close on the
+    /// refutation. A budget-stopped answer carries the bound as its
+    /// `best_bound` when there is one, `-inf` otherwise.
     ///
     /// Every caller passes `stop: None` — [`SatScheduler`], the tests and
     /// the benchmark harness (`benchmark/src/workloads/cold.rs`). The
@@ -458,9 +446,16 @@ impl SatProgram {
                     // incumbent. The margin also defines the optimality
                     // granularity of the proof.
                     let margin = 1e-7 * obj.abs().max(1.0);
-                    if self.root_certifies(&asg, margin) {
-                        self.proof = Some(Proof::RootBound);
-                        return OptimizeOutcome::Optimal(proven(asg));
+                    if let Some(bound) = self.exact_bound() {
+                        let slack = 1e-9 * obj.abs().max(1.0);
+                        debug_assert!(
+                            obj >= bound - slack,
+                            "model objective {obj} below the exact optimum {bound}"
+                        );
+                        if bound - slack > obj - margin {
+                            self.proof = Some(Proof::ExactBound);
+                            return OptimizeOutcome::Optimal(proven(asg));
+                        }
                     }
                     best = Some(asg);
                     let bound = obj - margin - self.obj_constant;
@@ -493,39 +488,28 @@ impl SatProgram {
         }
     }
 
-    /// Whether the root bound shows that no model scores `asg.objective −
-    /// margin` or less, so tightening to it could only be UNSAT. Builds the
-    /// MILP twin and solves its root LP at the first model after
-    /// `ROOT_BOUND_AFTER_CONFLICTS` conflicts.
-    fn root_certifies(&mut self, asg: &FactorAssignment, margin: f64) -> bool {
-        if self.twin.is_none() && self.solver.stats.conflicts >= ROOT_BOUND_AFTER_CONFLICTS {
-            let program = CosaProgram::build(&self.layer, &self.arch, self.weights);
-            let root_bound = program.root_bound();
-            self.twin = Some(Twin {
-                program,
-                root_bound,
-            });
-        }
-        let Some(twin) = &self.twin else {
-            return false;
-        };
-        let obj = asg.objective;
-        let certified = twin
-            .root_bound
-            .is_some_and(|root| root - 1e-9 * obj.abs().max(1.0) > obj - margin);
-        if certified {
-            debug_assert_eq!(certificate_premise(&twin.program, asg), Ok(()));
-        }
-        certified
+    /// The same program searched without the exact bound: the
+    /// refutation-only loop that layers over the state cap run.
+    #[cfg(test)]
+    fn without_bound(mut self) -> SatProgram {
+        self.exact = Some(None);
+        self
     }
 
-    /// The budget ran out: the incumbent, bounded below by the root bound
-    /// when this layer's search computed one.
+    /// The exact optimum of the program, computed on the first call.
+    fn exact_bound(&mut self) -> Option<f64> {
+        *self
+            .exact
+            .get_or_insert_with(|| exact::exact_optimum(&self.layer, &self.arch, self.weights))
+    }
+
+    /// The budget ran out: the incumbent, bounded below by the exact
+    /// optimum when the layer has one.
     fn stopped(&self, best: Option<FactorAssignment>) -> OptimizeOutcome {
         match best {
             Some(mut b) => {
-                if let Some(root) = self.root_bound() {
-                    b.stats.best_bound = root;
+                if let Some(bound) = self.bound() {
+                    b.stats.best_bound = bound;
                 }
                 OptimizeOutcome::Feasible(b)
             }
@@ -544,10 +528,11 @@ impl SatProgram {
         self.proof
     }
 
-    /// The root LP bound of the mirrored `CosaProgram` (Eq. 12 scale), once
-    /// a long search has computed it.
-    pub fn root_bound(&self) -> Option<f64> {
-        self.twin.as_ref().and_then(|t| t.root_bound)
+    /// The exact optimum of the program (Eq. 12 scale), once a model has
+    /// been found; `None` before that and on layers over
+    /// [`exact::MAX_STATES`] states.
+    pub fn bound(&self) -> Option<f64> {
+        self.exact.flatten()
     }
 
     /// Read the current model back into the MILP-shaped
@@ -600,7 +585,7 @@ impl SatProgram {
                 nodes: stats.conflicts as usize,
                 simplex_iters: stats.propagations as usize,
                 // No lower bound until a proof makes the incumbent its own
-                // (see `proven`) or a budget stop hands it the root bound.
+                // (see `proven`) or a budget stop hands it the exact bound.
                 best_bound: f64::NEG_INFINITY,
             },
         }
@@ -612,25 +597,6 @@ impl SatProgram {
 fn proven(mut asg: FactorAssignment) -> FactorAssignment {
     asg.stats.best_bound = asg.objective;
     asg
-}
-
-/// The premise of a root-bound certificate: the answer is a feasible point
-/// of the MILP whose bound certified it and scores the same Eq. 12
-/// objective there. If the two transcriptions of Eq. 1–12 drift apart, the
-/// bound certifies a different program, and this is what fails.
-fn certificate_premise(twin: &CosaProgram, asg: &FactorAssignment) -> Result<(), String> {
-    let point = twin
-        .warm_start_from(asg)
-        .ok_or("the SAT answer is infeasible in the MILP")?;
-    let milp = twin.model().objective().eval(&point);
-    if (milp - asg.objective).abs() <= 1e-9 {
-        Ok(())
-    } else {
-        Err(format!(
-            "MILP objective {milp} differs from the SAT objective {}",
-            asg.objective
-        ))
-    }
 }
 
 /// A unary ladder of `len` bits with `b[k+1] → b[k]` ordering clauses.
@@ -757,49 +723,111 @@ mod tests {
         assert_eq!(proof.stats.best_bound.to_bits(), proof.objective.to_bits());
         let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
         p.optimize(None, None);
-        assert_eq!(p.proof(), Some(Proof::Refutation));
+        assert_eq!(p.proof(), Some(Proof::ExactBound));
+        // A budget stop claims the exact optimum as its bound: a finite
+        // gap, not a proof.
         let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
+        match p.optimize(Some(100), None) {
+            OptimizeOutcome::Feasible(a) => {
+                let bound = p.bound().expect("a model was found");
+                assert_eq!(a.stats.best_bound.to_bits(), bound.to_bits());
+                assert!(bound < a.objective, "{bound} vs {}", a.objective);
+                assert!(
+                    (bound - proof.objective).abs() <= 1e-9,
+                    "{bound} vs the proved optimum {}",
+                    proof.objective
+                );
+            }
+            other => panic!("expected a budget-stopped incumbent, got {other:?}"),
+        }
+        assert_eq!(p.proof(), None);
+        // Without the bound, a budget stop claims nothing.
+        let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default()).without_bound();
         match p.optimize(Some(100), None) {
             OptimizeOutcome::Feasible(a) => assert_eq!(a.stats.best_bound, f64::NEG_INFINITY),
             other => panic!("expected a budget-stopped incumbent, got {other:?}"),
         }
         assert_eq!(p.proof(), None);
-        // A budget stop after the search paid for the root bound claims it.
-        // This shape's root gap is ≈ 0.69, so the bound certifies nothing.
-        let layer = Layer::matmul("mm_64x64x64", 64, 64, 64);
-        let mut p = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
-        match p.optimize(Some(20_000), None) {
-            OptimizeOutcome::Feasible(a) => {
-                let root = p.root_bound().expect("a model came after 8 192 conflicts");
-                assert_eq!(a.stats.best_bound.to_bits(), root.to_bits());
-                assert!(root < a.objective - 0.5, "{root} vs {}", a.objective);
-            }
-            other => panic!("expected a budget-stopped incumbent, got {other:?}"),
+    }
+
+    /// Knuth's MMIX linear congruential generator; the high bits are the
+    /// usable ones.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            from[(self.0 >> 33) as usize % from.len()]
         }
-        assert_eq!(p.proof(), None);
     }
 
     #[test]
-    fn root_certificates_rest_on_the_same_program() {
-        // The premise `optimize` debug-asserts on every root-bound exit,
-        // checked here in every build on the shapes that take that exit.
-        let arch = Arch::simba_baseline();
-        for (p, q, c, k) in [(4, 4, 16, 32), (8, 8, 8, 16), (6, 6, 8, 8)] {
-            let layer = Layer::conv("c", 3, 3, p, q, c, k, 1, 1, 1);
-            let mut prog = SatProgram::build(&layer, &arch, ObjectiveWeights::default());
-            let asg = match prog.optimize(None, None) {
-                OptimizeOutcome::Optimal(a) => a,
-                other => panic!("expected optimum, got {other:?}"),
-            };
-            assert_eq!(prog.proof(), Some(Proof::RootBound), "conv {p}x{q} {c} {k}");
-            assert_eq!(asg.stats.best_bound.to_bits(), asg.objective.to_bits());
-            let twin = &prog
-                .twin
-                .as_ref()
-                .expect("built for the certificate")
-                .program;
-            assert_eq!(certificate_premise(twin, &asg), Ok(()));
+    fn exact_bound_equals_the_refutation_optimum() {
+        // The refutation-only loop (the path of layers over the state cap)
+        // against the dynamic program, on seeded random layers over three
+        // archs, two weight sets, both strides and batches above 1.
+        let weight_sets = [
+            ObjectiveWeights::default(),
+            ObjectiveWeights {
+                w_util: 1.0,
+                w_comp: 4.0,
+                w_traf: 0.5,
+            },
+        ];
+        let mut cases = Vec::new();
+        let mut rng = Lcg(0x00c0_5a00_d9ee);
+        for arch in [
+            Arch::simba_baseline(),
+            Arch::simba_8x8(),
+            Arch::simba_big_buffers(),
+        ] {
+            for weights in weight_sets {
+                for _ in 0..36 {
+                    let r = rng.pick(&[1, 1, 3]);
+                    let p = rng.pick(&[1, 2, 4, 7]);
+                    let stride = rng.pick(&[1, 2]);
+                    let layer = Layer::conv(
+                        "random",
+                        r,
+                        r,
+                        p,
+                        p,
+                        rng.pick(&[1, 2, 3, 4, 8, 16]),
+                        rng.pick(&[2, 4, 6, 8, 16]),
+                        rng.pick(&[1, 2, 3, 4]),
+                        stride,
+                        stride,
+                    );
+                    cases.push((arch.clone(), weights, layer));
+                }
+            }
         }
+        // Few layers this small place temporal factors at the NoC level for
+        // more than one tensor pair, where the best loop order matters; this
+        // one does (its optimum is 0.08 below the dims' index order's).
+        cases.push((
+            Arch::simba_big_buffers(),
+            weight_sets[1],
+            Layer::conv("order", 3, 3, 14, 14, 16, 2, 4, 2, 2),
+        ));
+        for (arch, weights, layer) in &cases {
+            let mut prog = SatProgram::build(layer, arch, *weights).without_bound();
+            let refuted = match prog.optimize(None, None) {
+                OptimizeOutcome::Optimal(a) => a.objective,
+                other => panic!("{layer:?}: expected an optimum, got {other:?}"),
+            };
+            assert_eq!(prog.proof(), Some(Proof::Refutation));
+            let exact = exact::exact_optimum(layer, arch, *weights).expect("under the cap");
+            assert!(
+                (exact - refuted).abs() <= 1e-9,
+                "{layer:?} on {}: exact {exact} vs refuted {refuted}",
+                arch.name()
+            );
+        }
+        assert_eq!(cases.len(), 217);
     }
 
     #[test]

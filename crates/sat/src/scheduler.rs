@@ -48,9 +48,9 @@ pub struct SatOutcome {
     pub proven_optimal: bool,
     /// Which proof closed the search; `None` when the budget stopped it.
     pub proof: Option<Proof>,
-    /// The root LP bound of the mirrored MILP (Eq. 12 scale), when the
-    /// search ran long enough to compute it.
-    pub root_bound: Option<f64>,
+    /// The exact optimum of the program (Eq. 12 scale) from
+    /// [`cosa_core::exact`]; `None` on layers over its state cap.
+    pub bound: Option<f64>,
     /// Search statistics.
     pub stats: SatStats,
     /// Wall-clock time spent in `schedule()`.
@@ -69,9 +69,10 @@ pub struct SatScheduler {
 
 /// Default total conflict budget: bounds the worst case deterministically,
 /// but does not prove every layer of the paper's size. The 14-factor
-/// MobileNetV2 depthwise proofs take 676 124 (`3_28_1_144_2`), 324 047
-/// (`3_14_1_384_1`) and 609 700 (`3_14_1_576_1`) conflicts, so it binds on
-/// two of those three.
+/// MobileNetV2 depthwise proofs close on the exact bound at 213 273
+/// (`3_28_1_144_2`), 306 312 (`3_14_1_384_1`) and 560 823 (`3_14_1_576_1`)
+/// conflicts, so it binds on the last of those three, whose answer then
+/// carries the exact bound as a finite gap.
 const DEFAULT_CONFLICT_BUDGET: u64 = 400_000;
 
 impl SatScheduler {
@@ -150,7 +151,7 @@ impl SatScheduler {
             assignment,
             proven_optimal,
             proof: program.proof(),
-            root_bound: program.root_bound(),
+            bound: program.bound(),
             stats: program.stats(),
             solve_time: start.elapsed(),
         })

@@ -1,8 +1,8 @@
-//! Answer pin for the root-bound certificate: every shape below returns
+//! Answer pin for the exact-bound certificate: every shape below returns
 //! exactly the schedule the refutation-only search returned — counts,
 //! ranks and objective bits, recorded in `fixtures/certified_answers.txt`
-//! before the certificate existed — and exactly the named shapes close on
-//! the root bound instead of a refutation.
+//! before any certificate existed — closes on the exact bound instead of a
+//! refutation, and that bound equals the recorded optimum.
 //!
 //! The shapes are the ten of the benchmark's `sat_proof_cold`, the five of
 //! `trajectory.rs` (three of them shared) and `conv_3x3_6x6_8_8`.
@@ -11,13 +11,6 @@ use cosa_sat::{Proof, SatScheduler};
 use cosa_spec::{Arch, Layer};
 
 const FIXTURE: &str = include_str!("fixtures/certified_answers.txt");
-
-/// The shapes whose search closes on the root bound; all others refute.
-const ROOT_CERTIFIED: [&str; 3] = [
-    "conv_3x3_4x4_16_32",
-    "conv_3x3_8x8_8_16",
-    "conv_3x3_6x6_8_8",
-];
 
 fn shapes() -> Vec<Layer> {
     let conv = |r, p, c, k| {
@@ -93,19 +86,12 @@ fn answers_match_the_refutation_only_search() {
         assert_eq!(a.assignment.ranks.to_vec(), ranks, "{name}: ranks moved");
         assert_eq!(a.assignment.counts, counts, "{name}: counts moved");
         assert!(a.proven_optimal, "{name}: unbounded budget proves");
-        let want = if ROOT_CERTIFIED.contains(&name) {
-            Proof::RootBound
-        } else {
-            Proof::Refutation
-        };
-        assert_eq!(a.proof, Some(want), "{name}: closing proof");
-        if want == Proof::RootBound {
-            let root = a.root_bound.expect("a root-certified search has the bound");
-            assert!(
-                (a.objective - root).abs() <= 1e-7 * a.objective.abs(),
-                "{name}: root bound {root} vs optimum {}",
-                a.objective
-            );
-        }
+        assert_eq!(a.proof, Some(Proof::ExactBound), "{name}: closing proof");
+        let bound = a.bound.expect("every fixture shape is under the state cap");
+        let recorded = f64::from_bits(bits);
+        assert!(
+            (bound - recorded).abs() <= 1e-9,
+            "{name}: exact bound {bound} vs recorded optimum {recorded}"
+        );
     }
 }

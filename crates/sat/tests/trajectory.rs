@@ -5,12 +5,12 @@
 //! equal-objective optima is returned) and has to say so.
 //!
 //! The six shapes cover the solver's regimes: a few-conflict solve, a
-//! prime-heavy matmul, a small 1x1 conv, one run that crosses both the
-//! 1e100 activity rescale (≈ 4 490 conflicts) and the first `reduce_db`
-//! (4 000 learnts), the longest refutation of the lot, and one search
-//! that closes on the MILP root bound instead of a refutation (its
-//! objective bits are the ones the refutation, 65 303 conflicts long,
-//! proved).
+//! prime-heavy matmul, two small 1x1 convs, and two 3x3 convs whose
+//! searches cross the first `reduce_db` (≈ 4 360 conflicts there) and the
+//! 1e100 activity rescale (4 490 conflicts), the longer one both twice.
+//! Every search closes on the exact bound (`cosa_core::exact`) at the
+//! model the refutation used to prove, so the objective bits are the
+//! refutation's and the counters stop at that model.
 
 use cosa_sat::SatScheduler;
 use cosa_spec::{Arch, Layer};
@@ -36,23 +36,23 @@ fn pinned() -> Vec<(Layer, Pin)> {
     vec![
         (
             Layer::matmul("mm_16x16x16", 16, 16, 16),
-            (1640, 2987, 56629, 5, 0xc026_6a91_0dd6_8fd1),
+            (1258, 2500, 41638, 3, 0xc026_6a91_0dd6_8fd1),
         ),
         (
             Layer::matmul("mm_127x64x31", 127, 64, 31),
-            (283, 640, 8437, 0, 0xc021_71f1_adaa_b5c6),
+            (255, 610, 7806, 0, 0xc021_71f1_adaa_b5c6),
         ),
         (
             conv(1, 8, 16, 16),
-            (5531, 8687, 234_676, 24, 0xc027_cd75_3dc6_3374),
+            (2824, 5292, 106_102, 11, 0xc027_cd75_3dc6_3374),
         ),
         (
             conv(1, 14, 4, 64),
-            (5730, 8108, 210_814, 26, 0xc026_4861_f0d2_400f),
+            (3373, 5469, 129_717, 14, 0xc026_4861_f0d2_400f),
         ),
         (
             conv(3, 14, 1, 32),
-            (9624, 13_154, 314_184, 45, 0xc026_4861_f0d2_4016),
+            (7852, 11_167, 255_927, 37, 0xc026_4861_f0d2_4016),
         ),
         (
             conv(3, 4, 16, 32),
