@@ -24,46 +24,25 @@
 //! every `k_j` counts exactly the tensors the reuse indicators of Eq. 9
 //! switch on.
 //!
-//! The transcription follows `cosa_sat::SatProgram::build` term for term,
-//! with the same epsilon in every bound, so it is the third statement of
-//! the program beside [`crate::CosaProgram`] and the SAT encoding, and
-//! tests hold it to both.
+//! It is the third lowering of [`crate::statement`], beside
+//! [`crate::CosaProgram`] and the SAT encoding: the slot bounds, the rows'
+//! right-hand sides and the objective's constants come from the statement,
+//! and tests hold the optimum to both other lowerings.
 
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
 use crate::objective::ObjectiveWeights;
+use crate::statement::{factor_groups, FactorGroup, Statement};
 
 /// Largest state space [`exact_optimum`] sweeps. Every unique layer of the
 /// seven workload suites fits; the largest has 48 000 states.
 pub const MAX_STATES: u64 = 65_536;
 
-/// One `(dimension, prime)` factor group, as the MILP and SAT programs
-/// build them.
-struct Group {
-    dim: Dim,
-    count: usize,
-    log_p: f64,
-}
-
-fn groups(layer: &Layer) -> Vec<Group> {
-    let mut groups = Vec::new();
-    for d in Dim::ALL {
-        for (prime, count) in cosa_spec::primes::factor_counts(layer.dim(d)) {
-            groups.push(Group {
-                dim: d,
-                count: count as usize,
-                log_p: (prime as f64).ln(),
-            });
-        }
-    }
-    groups
-}
-
 /// Number of DP states of `layer`: `Π(n_g+1)` over its factor groups
 /// (saturating). [`exact_optimum`] runs when this is at most
 /// [`MAX_STATES`].
 pub fn state_count(layer: &Layer) -> u64 {
-    groups(layer)
+    factor_groups(layer)
         .iter()
         .fold(1u64, |s, g| s.saturating_mul(g.count as u64 + 1))
 }
@@ -77,8 +56,8 @@ struct Space {
 }
 
 impl Space {
-    fn new(groups: &[Group]) -> Space {
-        let radix: Vec<usize> = groups.iter().map(|g| g.count + 1).collect();
+    fn new(groups: &[FactorGroup]) -> Space {
+        let radix: Vec<usize> = groups.iter().map(|g| g.count as usize + 1).collect();
         let mut stride = Vec::with_capacity(radix.len());
         let mut size = 1;
         for &r in &radix {
@@ -163,22 +142,14 @@ struct Shift {
     cost: f64,
 }
 
-/// The spatial vectors of `level` that fit its fanout (Eq. 4) and the
-/// per-group ladder cap `⌊log_p fanout⌋`, each costing `unit[g]` per
-/// factor.
-fn shifts(arch: &Arch, level: usize, groups: &[Group], space: &Space, unit: &[f64]) -> Vec<Shift> {
-    let fanout = arch.spatial_fanout(level);
-    if fanout <= 1 {
+/// The spatial vectors of `level` that fit its fanout row (Eq. 4) and the
+/// slots' spatial bounds, each costing `unit[g]` per factor.
+fn shifts(st: &Statement, level: usize, space: &Space, unit: &[f64]) -> Vec<Shift> {
+    let Some((_, row)) = st.fanout.iter().find(|(i, _)| *i == level) else {
         return Vec::new();
-    }
-    let room = (fanout as f64).ln() + 1e-9;
-    let caps: Vec<usize> = groups
-        .iter()
-        .map(|g| {
-            let max = ((fanout as f64).ln() / g.log_p + 1e-9).floor().max(0.0) as usize;
-            g.count.min(max)
-        })
-        .collect();
+    };
+    let (groups, room) = (&st.groups, row.rhs);
+    let caps: Vec<usize> = st.caps.iter().map(|c| c[level][0] as usize).collect();
     let mut out = Vec::new();
     let mut counts = vec![0; groups.len()];
     // Odometer over the capped counts, pruned by the fanout row.
@@ -201,7 +172,7 @@ fn shifts(arch: &Arch, level: usize, groups: &[Group], space: &Space, unit: &[f6
             g += 1;
         }
         out.push(Shift {
-            offset: counts.iter().zip(&space.stride).map(|(s, st)| s * st).sum(),
+            offset: counts.iter().zip(&space.stride).map(|(c, s)| c * s).sum(),
             cost: counts.iter().zip(unit).map(|(&s, u)| u * s as f64).sum(),
             counts: counts.clone(),
         });
@@ -242,9 +213,9 @@ fn reuse_vectors(active: &[Dim]) -> Vec<[u8; Dim::COUNT]> {
 }
 
 /// The minimum of the Eq. 12 objective of [`crate::CosaProgram::build`]
-/// (and of the SAT encoding that mirrors it) for `layer` on `arch`, on the
-/// same scale as their objectives; `+∞` when no schedule satisfies the
-/// capacity rows. `None` when the layer has more than [`MAX_STATES`]
+/// (and of the SAT lowering of the same statement) for `layer` on `arch`,
+/// on the same scale as their objectives; `+∞` when no schedule satisfies
+/// the capacity rows. `None` when the layer has more than [`MAX_STATES`]
 /// states.
 ///
 /// Exact when `weights.w_traf ≥ 0`; otherwise a lower bound.
@@ -252,8 +223,9 @@ pub fn exact_optimum(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> O
     if state_count(layer) > MAX_STATES {
         return None;
     }
-    let groups = groups(layer);
-    let space = Space::new(&groups);
+    let st = Statement::new(layer, arch);
+    let groups = &st.groups;
+    let space = Space::new(groups);
     let noc = arch.noc_level();
     let dram = arch.dram_level();
 
@@ -271,23 +243,11 @@ pub fn exact_optimum(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> O
             }
         }
     }
-    let halo = |v: DataTensor| {
-        if v == DataTensor::Inputs {
-            (layer.stride_w() as f64).ln() + (layer.stride_h() as f64).ln()
-        } else {
-            0.0
-        }
-    };
 
     // The objective's constant part: Û's precision and halo logs.
     let mut constant = 0.0;
-    for (i, lvl) in arch.levels().iter().enumerate() {
-        if i == dram {
-            continue;
-        }
-        for v in DataTensor::ALL.into_iter().filter(|v| lvl.stores(*v)) {
-            constant -= weights.w_util * ((arch.precision(v) as f64).ln() + halo(v));
-        }
+    for tile in &st.tiles {
+        constant -= weights.w_util * tile.constant;
     }
 
     // The state cost after level i (Û, D_v below the NoC), or +∞ where a
@@ -296,19 +256,15 @@ pub fn exact_optimum(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> O
         if i == dram {
             return;
         }
-        let lvl = &arch.levels()[i];
         let mut coef = [0.0; DataTensor::COUNT];
         let mut rows = Vec::new();
-        for v in DataTensor::ALL {
-            if let Some(cap) = lvl.capacity_for(v) {
-                coef[v.index()] -= weights.w_util;
-                rows.push((
-                    v.index(),
-                    (cap as f64 / arch.precision(v) as f64).ln() - halo(v) + 1e-9,
-                ));
-            }
-            if i + 1 == noc {
-                coef[v.index()] += weights.w_traf;
+        for tile in st.tiles.iter().filter(|t| t.level == i) {
+            coef[tile.tensor.index()] -= weights.w_util;
+            rows.push((tile.tensor.index(), tile.capacity));
+        }
+        if i + 1 == noc {
+            for c in &mut coef {
+                *c += weights.w_traf;
             }
         }
         for (idx, x) in a.iter_mut().enumerate() {
@@ -338,7 +294,7 @@ pub fn exact_optimum(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> O
     // Every level but the NoC, where spatial factors are free.
     let free = vec![0.0; groups.len()];
     let level = |i: usize, a: Vec<f64>| {
-        let mut a = space.spatial(&a, &shifts(arch, i, &groups, &space, &free));
+        let mut a = space.spatial(&a, &shifts(&st, i, &space, &free));
         space.temporal(&mut a, &compute);
         settle(i, &mut a);
         a
@@ -352,10 +308,9 @@ pub fn exact_optimum(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> O
     // The NoC level's spatial part does not depend on the order, so it is
     // shared by every k vector; only the temporal part and the levels
     // above are rerun.
-    let shared = space.spatial(&below, &shifts(arch, noc, &groups, &space, &unicast));
-    let active: Vec<Dim> = Dim::ALL.into_iter().filter(|d| layer.dim(*d) > 1).collect();
+    let shared = space.spatial(&below, &shifts(&st, noc, &space, &unicast));
     let mut best = f64::INFINITY;
-    for k in reuse_vectors(&active) {
+    for k in reuse_vectors(&st.active) {
         let alpha: Vec<f64> = groups
             .iter()
             .zip(&compute)

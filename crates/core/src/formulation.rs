@@ -1,33 +1,21 @@
-//! The CoSA mixed-integer program (Sec. III-B and III-C).
+//! The MILP lowering of the CoSA program (Sec. III-B and III-C).
 //!
-//! The paper's binary matrix `X` assigns each prime-factor *instance* a
-//! memory level, spatial/temporal mapping and permutation rank. Factor
-//! instances of the same `(dimension, prime)` are interchangeable in every
-//! constraint and objective term, so this implementation aggregates them
-//! into integer *counts* per `(dimension, prime, level, mapping)` — a pure
-//! symmetry reduction that leaves the reachable schedule space (and all
-//! costs) unchanged while shrinking the search tree dramatically.
+//! [`crate::statement`] states the shared part of Eq. 1–12 over aggregated
+//! factor groups; this module makes one integer variable per slot, adds the
+//! statement's rows and objective terms, and adds the permutation block the
+//! MILP needs for the traffic term.
 //!
-//! Permutation ranks are likewise assigned per *dimension* at the NoC level
-//! (a 7×7 permutation matrix): reordering same-dimension factors among
-//! themselves never changes the traffic term (Eq. 9–10 only observe
-//! dimension–tensor relevance and log-bound sums).
+//! Permutation ranks are assigned per *dimension* at the NoC level (a 7×7
+//! permutation matrix): reordering same-dimension factors among themselves
+//! never changes the traffic term (Eq. 9–10 only observe dimension–tensor
+//! relevance and log-bound sums).
 
 use cosa_milp::{Cmp, LinExpr, Model, Sense, SolveOptions, SolveStats, Var};
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
 use crate::error::CosaError;
 use crate::objective::ObjectiveWeights;
-
-/// One aggregated factor group: `count` prime-factor instances of `prime`
-/// belonging to `dim`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FactorGroup {
-    dim: Dim,
-    prime: u64,
-    count: u32,
-    log_p: f64,
-}
+use crate::statement::{complete_ranks, FactorGroup, Statement, Terms};
 
 /// Which overall objective shape to optimize (Sec. III-D.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,16 +50,22 @@ pub struct FactorAssignment {
 /// The `(e, Y, w)` traffic-indicator variable handles of the full program.
 type IndicatorVars = (Vec<Var>, Vec<Vec<Var>>, Vec<Vec<Var>>);
 
+/// `n_vars[group][level][k]`; `None` where the slot does not exist.
+type SlotVars = Vec<Vec<[Option<Var>; 2]>>;
+
 /// The assembled CoSA MILP for one `(layer, architecture)` pair.
 ///
 /// ```
+/// use cosa_milp::SolveOptions;
 /// use cosa_spec::{Arch, Layer};
 /// use cosa_core::{CosaProgram, ObjectiveWeights};
 ///
 /// let arch = Arch::simba_baseline();
 /// let layer = Layer::parse_paper_name("3_13_256_256_1")?;
 /// let program = CosaProgram::build(&layer, &arch, ObjectiveWeights::default());
-/// let assignment = program.solve_default()?;
+/// // A node budget, not a clock: the same answer on every machine.
+/// let opts = SolveOptions { node_limit: 300, time_limit: None, ..SolveOptions::default() };
+/// let assignment = program.solve(&opts)?;
 /// // Every prime factor is assigned exactly once.
 /// let total: u32 = assignment.counts.iter().flatten().flatten().sum();
 /// assert_eq!(total as usize, layer.factor_instances().len());
@@ -81,9 +75,7 @@ type IndicatorVars = (Vec<Var>, Vec<Vec<Var>>, Vec<Vec<Var>>);
 pub struct CosaProgram {
     model: Model,
     groups: Vec<FactorGroup>,
-    /// `n_vars[group][level][k]`; `None` where spatial mapping is not
-    /// available.
-    n_vars: Vec<Vec<[Option<Var>; 2]>>,
+    n_vars: SlotVars,
     /// Dimensions that actually have prime factors (rank slots exist only
     /// for these).
     active_dims: Vec<Dim>,
@@ -133,180 +125,90 @@ impl CosaProgram {
         with_permutation: bool,
         kind: ObjectiveKind,
     ) -> CosaProgram {
-        let num_levels = arch.num_levels();
+        let st = Statement::new(layer, arch);
         let noc = arch.noc_level();
         let mut model = Model::new(Sense::Minimize);
 
-        // --- factor groups --------------------------------------------
-        let mut groups = Vec::new();
-        for d in Dim::ALL {
-            for (prime, count) in cosa_spec::primes::factor_counts(layer.dim(d)) {
-                groups.push(FactorGroup {
-                    dim: d,
-                    prime,
-                    count,
-                    log_p: (prime as f64).ln(),
-                });
-            }
-        }
-
         // --- allocation variables (the aggregated X matrix) ------------
-        let mut n_vars: Vec<Vec<[Option<Var>; 2]>> = Vec::with_capacity(groups.len());
-        for (gi, g) in groups.iter().enumerate() {
-            let mut per_level = Vec::with_capacity(num_levels);
-            for i in 0..num_levels {
-                // Presolve: at most ⌊log_p(fanout)⌋ factors of prime p fit a
-                // level's spatial resources; tighter bounds shrink the tree.
-                let fanout = arch.spatial_fanout(i);
-                let max_spatial = ((fanout as f64).ln() / g.log_p + 1e-9).floor().max(0.0) as u32;
-                let spatial = if fanout > 1 && max_spatial > 0 {
-                    Some(model.add_integer(
-                        format!("n_{}{}_L{}s", g.dim, gi, i),
-                        0.0,
-                        g.count.min(max_spatial) as f64,
-                    ))
-                } else {
-                    None
+        let mut n_vars: SlotVars = Vec::with_capacity(st.groups.len());
+        for (gi, g) in st.groups.iter().enumerate() {
+            let mut per_level = Vec::with_capacity(st.caps[gi].len());
+            for (i, caps) in st.caps[gi].iter().enumerate() {
+                let mut slot = |k: usize, tag: &str| {
+                    let name = format!("n_{}{gi}_L{i}{tag}", g.dim);
+                    (caps[k] > 0).then(|| model.add_integer(name, 0.0, caps[k] as f64))
                 };
-                let temporal = Some(model.add_integer(
-                    format!("n_{}{}_L{}t", g.dim, gi, i),
-                    0.0,
-                    g.count as f64,
-                ));
-                per_level.push([spatial, temporal]);
+                per_level.push([slot(0, "s"), slot(1, "t")]);
             }
             n_vars.push(per_level);
         }
-
-        // Eq. 3: every factor instance gets exactly one configuration.
-        for (gi, g) in groups.iter().enumerate() {
-            let vars = n_vars[gi].iter().flatten().flatten().copied();
-            model.add_named_constraint(
-                LinExpr::sum(vars),
-                Cmp::Eq,
-                g.count as f64,
-                Some(format!("assign_{}{}", g.dim, gi)),
-            );
-        }
-
-        // Eq. 4: spatial factors fit the fanout at each level.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..num_levels {
-            let fanout = arch.spatial_fanout(i);
-            if fanout <= 1 {
-                continue;
+        // `e += Σ coefficient·n[slot]`, term by term.
+        let add = |e: &mut LinExpr, terms: &Terms| {
+            for &(s, c) in terms {
+                e.add_term(n_vars[s.group][s.level][s.k].expect("stated slot"), c);
             }
+        };
+        let expr = |terms: &Terms| {
             let mut e = LinExpr::new();
-            for (gi, g) in groups.iter().enumerate() {
-                if let Some(v) = n_vars[gi][i][0] {
-                    e.add_term(v, g.log_p);
-                }
-            }
-            model.add_named_constraint(
-                e,
-                Cmp::Le,
-                (fanout as f64).ln() + 1e-9,
-                Some(format!("fanout_L{i}")),
-            );
-        }
+            add(&mut e, terms);
+            e
+        };
 
-        // Eq. 1–2: buffer capacities in the log domain. The tile resident at
-        // level I is the product of every factor below I plus the spatial
-        // factors at I (the level serves all of its spatial children).
-        for (level_i, lvl) in arch.levels().iter().enumerate() {
-            if level_i == arch.dram_level() {
-                continue;
-            }
-            for v in DataTensor::ALL {
-                let Some(cap) = lvl.capacity_for(v) else {
-                    continue;
-                };
-                let mut util = LinExpr::new();
-                for (gi, g) in groups.iter().enumerate() {
-                    if !v.relevant_to(g.dim) {
-                        continue;
-                    }
-                    // Every factor at or below the level occupies it (the
-                    // level's own loops sweep sub-tiles of its resident
-                    // tile; its spatial loops distribute it).
-                    for slots in n_vars[gi].iter().take(level_i + 1) {
-                        for var in slots.iter().flatten() {
-                            util.add_term(*var, g.log_p);
-                        }
-                    }
-                }
-                // Conservative input halo: w ≤ p·stride_w·r, h ≤ q·stride_h·s
-                // (exact when stride = 1 and the kernel is 1×1).
-                let halo = if v == DataTensor::Inputs {
-                    (layer.stride_w() as f64).ln() + (layer.stride_h() as f64).ln()
-                } else {
-                    0.0
-                };
-                let rhs = (cap as f64 / arch.precision(v) as f64).ln() - halo + 1e-9;
-                model.add_named_constraint(
-                    util,
-                    Cmp::Le,
-                    rhs,
-                    Some(format!("cap_{}_{}", lvl.name, v)),
-                );
-            }
+        // Eq. 3, 4 and 1–2: assignment, fanout and capacity rows.
+        for (gi, row) in st.assign.iter().enumerate() {
+            let name = format!("assign_{}{gi}", st.groups[gi].dim);
+            model.add_named_constraint(expr(&row.terms), Cmp::Eq, row.rhs, Some(name));
+        }
+        for (i, row) in &st.fanout {
+            let name = format!("fanout_L{i}");
+            model.add_named_constraint(expr(&row.terms), Cmp::Le, row.rhs, Some(name));
+        }
+        for tile in &st.tiles {
+            let name = format!("cap_{}_{}", arch.levels()[tile.level].name, tile.tensor);
+            model.add_named_constraint(expr(&tile.terms), Cmp::Le, tile.capacity, Some(name));
         }
 
         // --- permutation ranks at the NoC level (Table III, O0..OZ) ----
         // Rank slots exist only for dimensions that have prime factors;
         // bound-1 dimensions have no loops to order.
-        let active_dims: Vec<Dim> = Dim::ALL.into_iter().filter(|d| layer.dim(*d) > 1).collect();
-        let zslots = if with_permutation {
-            active_dims.len()
-        } else {
-            0
-        };
-        let perm: Vec<Vec<Var>> = if with_permutation {
-            active_dims
-                .iter()
-                .map(|d| {
-                    (0..zslots)
-                        .map(|z| model.add_binary(format!("perm_{d}_z{z}")))
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let ranked: &[Dim] = if with_permutation { &st.active } else { &[] };
+        let zslots = ranked.len();
+        let perm: Vec<Vec<Var>> = ranked
+            .iter()
+            .map(|d| {
+                (0..zslots)
+                    .map(|z| model.add_binary(format!("perm_{d}_z{z}")))
+                    .collect()
+            })
+            .collect();
+        let mut one = |e: LinExpr, name| model.add_named_constraint(e, Cmp::Eq, 1.0, Some(name));
         for (j, row) in perm.iter().enumerate() {
-            model.add_named_constraint(
-                LinExpr::sum(row.iter().copied()),
-                Cmp::Eq,
-                1.0,
-                Some(format!("perm_row_{j}")),
-            );
+            one(LinExpr::sum(row.iter().copied()), format!("perm_row_{j}"));
         }
         for z in 0..zslots {
-            model.add_named_constraint(
+            one(
                 LinExpr::sum(perm.iter().map(|row| row[z])),
-                Cmp::Eq,
-                1.0,
-                Some(format!("perm_col_{z}")),
+                format!("perm_col_{z}"),
             );
         }
+
+        // The temporal NoC variables of each ranked dimension.
+        let noc_t = |d: Dim| {
+            st.groups
+                .iter()
+                .enumerate()
+                .filter(move |(_, g)| g.dim == d)
+                .filter_map(|(gi, g)| Some((n_vars[gi][noc][1]?, g)))
+        };
 
         // Presence indicators: e[j] = 1 iff dim j has a temporal factor at
         // the NoC level.
         let mut e_vars = Vec::with_capacity(zslots);
-        for d in active_dims
-            .iter()
-            .take(if with_permutation { usize::MAX } else { 0 })
-        {
+        for &d in ranked {
             let e = model.add_binary(format!("e_{d}"));
-            let total: u32 = groups.iter().filter(|g| g.dim == *d).map(|g| g.count).sum();
+            let total: u32 = noc_t(d).map(|(_, g)| g.count).sum();
             debug_assert!(total > 0, "active dims have factors");
-            let sum_noc_t = LinExpr::sum(
-                groups
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.dim == *d)
-                    .filter_map(|(gi, _)| n_vars[gi][noc][1]),
-            );
+            let sum_noc_t = LinExpr::sum(noc_t(d).map(|(var, _)| var));
             // Σn ≤ total·e forces e up; e ≤ Σn forces it back down.
             model.add_constraint(
                 sum_noc_t.clone() - total as f64 * LinExpr::from(e),
@@ -324,9 +226,8 @@ impl CosaProgram {
         for v in DataTensor::ALL {
             let mut per_z = Vec::with_capacity(zslots);
             for z in 0..zslots {
-                // (no slots when the permutation machinery is disabled)
                 let y = model.add_continuous(format!("y_{v}_z{z}"), 0.0, 1.0);
-                for (j, d) in active_dims.iter().enumerate() {
+                for (j, d) in ranked.iter().enumerate() {
                     if v.relevant_to(*d) {
                         // y ≥ p[j][z] + e[j] − 1
                         model.add_constraint(
@@ -350,31 +251,29 @@ impl CosaProgram {
         // where L_j is the log temporal NoC bound of dim j and M_j its
         // maximum. Exactly one dimension occupies rank z, so w[v][z] takes
         // that dimension's contribution; the other rows are slack.
+        let bounds: Vec<(LinExpr, f64)> = ranked
+            .iter()
+            .map(|&d| {
+                let mut l_j = LinExpr::new();
+                for (var, g) in noc_t(d) {
+                    l_j.add_term(var, g.log_p);
+                }
+                let m_j: f64 = noc_t(d).map(|(_, g)| g.log_p * g.count as f64).sum();
+                (l_j, m_j)
+            })
+            .collect();
         let mut t_exprs: Vec<LinExpr> = Vec::with_capacity(DataTensor::COUNT);
         let mut w_vars: Vec<Vec<Var>> = Vec::with_capacity(DataTensor::COUNT);
-        for (vi, _v) in DataTensor::ALL.iter().enumerate() {
+        for (vi, y_row) in y_vars.iter().enumerate() {
             let mut t_v = LinExpr::new();
             let mut w_row = Vec::with_capacity(zslots);
             for z in 0..zslots {
                 let w = model.add_continuous(format!("w_v{vi}_z{z}"), 0.0, f64::INFINITY);
                 w_row.push(w);
-                for (j, d) in active_dims.iter().enumerate() {
-                    let m_j: f64 = groups
-                        .iter()
-                        .filter(|g| g.dim == *d)
-                        .map(|g| g.log_p * g.count as f64)
-                        .sum();
-                    let mut l_j = LinExpr::new();
-                    for (gi, g) in groups.iter().enumerate() {
-                        if g.dim == *d {
-                            if let Some(var) = n_vars[gi][noc][1] {
-                                l_j.add_term(var, g.log_p);
-                            }
-                        }
-                    }
+                for (j, (l_j, m_j)) in bounds.iter().enumerate() {
                     // w − L_j + M_j·(2 − y − p) ≥ 0
-                    let penalty = ((-1.0) * y_vars[vi][z] + (-1.0) * perm[j][z] + 2.0) * m_j;
-                    let expr = LinExpr::from(w) - l_j + penalty;
+                    let penalty = ((-1.0) * y_row[z] + (-1.0) * perm[j][z] + 2.0) * *m_j;
+                    let expr = LinExpr::from(w) - l_j.clone() + penalty;
                     model.add_constraint(expr, Cmp::Ge, 0.0);
                 }
                 t_v.add_term(w, 1.0);
@@ -384,74 +283,26 @@ impl CosaProgram {
         }
 
         // --- objective (Eq. 5, 6, 7, 8, 11, 12) -------------------------
-        // Û: summed log utilization over buffer levels and tensors. The
-        // constant parts (datatype precision, input-halo stride bound) do
-        // not steer the optimization but keep the reported objective on the
-        // same scale as `objective::breakdown`.
         let mut util_expr = LinExpr::new();
-        for (level_i, lvl) in arch.levels().iter().enumerate() {
-            if level_i == arch.dram_level() {
-                continue;
-            }
-            for v in DataTensor::ALL {
-                if !lvl.stores(v) {
-                    continue;
-                }
-                let mut constant = (arch.precision(v) as f64).ln();
-                if v == DataTensor::Inputs {
-                    constant += (layer.stride_w() as f64).ln() + (layer.stride_h() as f64).ln();
-                }
-                util_expr += LinExpr::constant_expr(constant);
-                for (gi, g) in groups.iter().enumerate() {
-                    if !v.relevant_to(g.dim) {
-                        continue;
-                    }
-                    for slots in n_vars[gi].iter().take(level_i + 1) {
-                        for var in slots.iter().flatten() {
-                            util_expr.add_term(*var, g.log_p);
-                        }
-                    }
-                }
-            }
+        for tile in &st.tiles {
+            util_expr += LinExpr::constant_expr(tile.constant);
+            add(&mut util_expr, &tile.terms);
         }
-
-        // Ĉ: every temporal factor at every level.
-        let mut comp_expr = LinExpr::new();
-        for (gi, g) in groups.iter().enumerate() {
-            for slots in &n_vars[gi] {
-                if let Some(t) = slots[1] {
-                    comp_expr.add_term(t, g.log_p);
-                }
-            }
-        }
-
+        let comp_expr = expr(&st.compute);
         // T̂ = Σ_v D_v + L_v + T_v.
         let mut traf_expr = LinExpr::new();
         for (vi, v) in DataTensor::ALL.iter().enumerate() {
-            for (gi, g) in groups.iter().enumerate() {
-                if !v.relevant_to(g.dim) {
-                    continue;
-                }
-                // D_v: all factors below the NoC level.
-                for slots in n_vars[gi].iter().take(noc) {
-                    for var in slots.iter().flatten() {
-                        traf_expr.add_term(*var, g.log_p);
-                    }
-                }
-                // L_v: relevant spatial factors at the NoC level.
-                if let Some(s) = n_vars[gi][noc][0] {
-                    traf_expr.add_term(s, g.log_p);
-                }
-                // Permutation-free proxy for T_v: every relevant temporal
-                // NoC factor multiplies the tensor's traffic.
-                if !with_permutation {
-                    if let Some(t) = n_vars[gi][noc][1] {
-                        traf_expr.add_term(t, g.log_p);
-                    }
-                }
-            }
+            add(&mut traf_expr, &st.traffic[vi]);
             if with_permutation {
                 traf_expr += t_exprs[vi].clone();
+                continue;
+            }
+            // Permutation-free proxy for T_v: every relevant temporal NoC
+            // factor multiplies the tensor's traffic.
+            for &d in st.active.iter().filter(|d| v.relevant_to(**d)) {
+                for (var, g) in noc_t(d) {
+                    traf_expr.add_term(var, g.log_p);
+                }
             }
         }
 
@@ -485,7 +336,7 @@ impl CosaProgram {
         // Always-feasible warm start: every factor temporal at DRAM with
         // the identity permutation; all indicators and traffic slacks zero.
         let mut warm_start = vec![0.0; model.num_vars()];
-        for (gi, g) in groups.iter().enumerate() {
+        for (gi, g) in st.groups.iter().enumerate() {
             let v = n_vars[gi][arch.dram_level()][1].expect("temporal slot always exists");
             warm_start[v.index()] = g.count as f64;
         }
@@ -500,18 +351,13 @@ impl CosaProgram {
             "DRAM-resident warm start must satisfy the program"
         );
 
-        let indicator_vars = if with_permutation {
-            Some((e_vars, y_vars, w_vars))
-        } else {
-            None
-        };
         CosaProgram {
             model,
-            groups,
+            groups: st.groups,
             n_vars,
-            active_dims,
+            active_dims: st.active,
             perm,
-            indicator_vars,
+            indicator_vars: with_permutation.then_some((e_vars, y_vars, w_vars)),
             noc_level: noc,
             balance,
             warm_start,
@@ -547,43 +393,30 @@ impl CosaProgram {
         if let Some((t, wt, wc)) = &self.balance {
             values[t.index()] = (wt.eval(&values) - wc.eval(&values)).abs();
         }
-        if self.model.is_feasible(&values, 1e-6) {
-            Some(values)
-        } else {
-            None
-        }
+        self.model.is_feasible(&values, 1e-6).then_some(values)
     }
 
-    /// Fill `e`, `Y`, `w` warm values for a fixed tiling and permutation.
-    /// Variable creation order is: perm rows, then e per active dim, then
-    /// y per (tensor, z), then w per (tensor, z) — mirroring `build`.
+    /// Fill `e`, `Y`, `w` warm values for a fixed tiling and permutation,
+    /// through the handles captured at build time.
     fn fill_indicator_values(&self, values: &mut [f64], order: &[usize]) {
-        use cosa_spec::DataTensor;
+        let Some((e_vars, y_vars, w_vars)) = &self.indicator_vars else {
+            return;
+        };
         let zslots = self.active_dims.len();
-        let noc = self.noc_level_of_n_vars();
         // L_j and presence per active dim.
         let mut l_of = vec![0.0f64; zslots];
         let mut present = vec![false; zslots];
         for (gi, g) in self.groups.iter().enumerate() {
-            if let Some(pos) = self.active_dims.iter().position(|d| *d == g.dim) {
-                if let Some(var) = self.n_vars[gi][noc][1] {
-                    let c = values[var.index()];
-                    if c > 0.0 {
-                        l_of[pos] += g.log_p * c;
-                        present[pos] = true;
-                    }
+            let j = self.active_dims.iter().position(|d| *d == g.dim);
+            let var = self.n_vars[gi][self.noc_level][1];
+            if let (Some(j), Some(var)) = (j, var) {
+                let c = values[var.index()];
+                if c > 0.0 {
+                    l_of[j] += g.log_p * c;
+                    present[j] = true;
                 }
             }
         }
-        // e variables follow the perm block in creation order; recover their
-        // indices from the stored handles instead: e is not stored, so scan
-        // by name is fragile — recompute via model var count arithmetic is
-        // worse. Instead, exploit that e/Y/w values are *implied*: set them
-        // through the stored Var handles captured at build time.
-        let (e_vars, y_vars, w_vars) = match &self.indicator_vars {
-            Some(t) => t.clone(),
-            None => return,
-        };
         for (j, &e) in e_vars.iter().enumerate() {
             values[e.index()] = if present[j] { 1.0 } else { 0.0 };
         }
@@ -598,10 +431,6 @@ impl CosaProgram {
                 values[w_vars[vi][z].index()] = if seen { l_of[j] } else { 0.0 };
             }
         }
-    }
-
-    fn noc_level_of_n_vars(&self) -> usize {
-        self.noc_level
     }
 
     /// The underlying MILP (for inspection or statistics).
@@ -631,19 +460,13 @@ impl CosaProgram {
             opts.warm_start = Some(self.warm_start.clone());
         }
         let sol = self.model.solve_with(&opts)?;
-        let mut counts = Vec::with_capacity(self.groups.len());
-        for per_level in &self.n_vars {
-            let mut lv = Vec::with_capacity(per_level.len());
-            for slots in per_level {
-                lv.push([
-                    slots[0].map(|v| sol.value_round(v) as u32).unwrap_or(0),
-                    slots[1].map(|v| sol.value_round(v) as u32).unwrap_or(0),
-                ]);
-            }
-            counts.push(lv);
-        }
-        // Ranks for active dimensions come from the permutation matrix;
-        // bound-1 dimensions have no loops and get outermost leftovers.
+        let value = |var: Option<Var>| var.map_or(0, |v| sol.value_round(v) as u32);
+        let counts = self
+            .n_vars
+            .iter()
+            .map(|per_level| per_level.iter().map(|slots| slots.map(value)).collect())
+            .collect();
+        // Ranks for active dimensions come from the permutation matrix.
         let mut ranks = [usize::MAX; Dim::COUNT];
         for (j, row) in self.perm.iter().enumerate() {
             for (z, var) in row.iter().enumerate() {
@@ -652,13 +475,7 @@ impl CosaProgram {
                 }
             }
         }
-        let mut next = self.active_dims.len();
-        for r in ranks.iter_mut() {
-            if *r == usize::MAX {
-                *r = next;
-                next += 1;
-            }
-        }
+        complete_ranks(&mut ranks, self.active_dims.len());
         Ok(FactorAssignment {
             groups: self
                 .groups
@@ -677,12 +494,22 @@ impl CosaProgram {
 mod tests {
     use super::*;
 
+    /// The serving node budget instead of `solve_default`'s clock.
+    fn solve_bounded(prog: &CosaProgram) -> FactorAssignment {
+        let opts = SolveOptions {
+            node_limit: 300,
+            time_limit: None,
+            ..SolveOptions::default()
+        };
+        prog.solve(&opts).unwrap()
+    }
+
     #[test]
     fn assignment_covers_all_factors() {
         let arch = Arch::simba_baseline();
         let layer = Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1);
         let prog = CosaProgram::build(&layer, &arch, ObjectiveWeights::default());
-        let asg = prog.solve_default().unwrap();
+        let asg = solve_bounded(&prog);
         for (g, per_level) in asg.groups.iter().zip(&asg.counts) {
             let total: u32 = per_level.iter().flatten().sum();
             assert_eq!(total, g.2, "group {g:?}");
@@ -694,7 +521,7 @@ mod tests {
         let arch = Arch::simba_baseline();
         let layer = Layer::conv("t", 1, 1, 8, 8, 64, 64, 1, 1, 1);
         let prog = CosaProgram::build(&layer, &arch, ObjectiveWeights::default());
-        let asg = prog.solve_default().unwrap();
+        let asg = solve_bounded(&prog);
         for level in 0..arch.num_levels() {
             let mut spatial_product = 1u64;
             for (g, per_level) in asg.groups.iter().zip(&asg.counts) {

@@ -19,8 +19,10 @@
 //! * utilization (Eq. 5), compute (Eq. 6) and traffic (Eq. 7–11) combine
 //!   into the overall objective `Ô = −wU·Û + wC·Ĉ + wT·T̂` (Eq. 12).
 //!
-//! Solving the program with [`cosa_milp`] yields a complete schedule in one
-//! shot — no iterative search.
+//! The program is stated once ([`statement`]) and lowered to the MILP of
+//! [`CosaProgram`], to the SAT backend's encoding and to the exact dynamic
+//! program of [`exact`]. Solving the MILP with [`cosa_milp`] yields a
+//! complete schedule in one shot — no iterative search.
 //!
 //! # Example
 //!
@@ -30,7 +32,9 @@
 //!
 //! let arch = Arch::simba_baseline();
 //! let layer = Layer::parse_paper_name("3_7_512_512_1")?;
-//! let scheduler = CosaScheduler::new(&arch);
+//! // A node budget rather than the default clock: the same schedule on
+//! // every machine.
+//! let scheduler = CosaScheduler::new(&arch).with_deterministic_limits(300);
 //! let result = scheduler.schedule(&layer)?;
 //! // The one-shot schedule is always valid for the architecture.
 //! assert!(result.schedule.is_valid(&layer, &arch));
@@ -46,6 +50,7 @@ pub mod exact;
 mod formulation;
 pub mod objective;
 mod scheduler;
+pub mod statement;
 
 pub use error::CosaError;
 pub use formulation::{CosaProgram, FactorAssignment, ObjectiveKind};

@@ -9,6 +9,7 @@ use cosa_spec::{Arch, Dim, Layer, Loop, Schedule};
 use crate::error::CosaError;
 use crate::formulation::{CosaProgram, FactorAssignment};
 use crate::objective::{breakdown, ObjectiveBreakdown, ObjectiveWeights};
+use crate::statement::complete_ranks;
 
 /// Output of one CoSA scheduling run.
 #[derive(Debug, Clone)]
@@ -299,13 +300,7 @@ pub(crate) fn best_ranks(
     for (z, d) in best_order.iter().enumerate() {
         ranks[d.index()] = z;
     }
-    let mut next = best_order.len();
-    for r in ranks.iter_mut() {
-        if *r == usize::MAX {
-            *r = next;
-            next += 1;
-        }
-    }
+    complete_ranks(&mut ranks, best_order.len());
     ranks
 }
 
@@ -348,11 +343,16 @@ mod tests {
         assert_eq!(unique.len(), 6);
     }
 
+    /// A scheduler bounded by the serving node budget instead of a clock.
+    fn bounded(arch: &Arch) -> CosaScheduler {
+        CosaScheduler::new(arch).with_deterministic_limits(300)
+    }
+
     #[test]
     fn schedules_small_layer_validly() {
         let arch = Arch::simba_baseline();
         let layer = Layer::conv("t", 3, 3, 8, 8, 16, 16, 1, 1, 1);
-        let result = CosaScheduler::new(&arch).schedule(&layer).unwrap();
+        let result = bounded(&arch).schedule(&layer).unwrap();
         assert!(result.schedule.is_valid(&layer, &arch));
     }
 
@@ -370,7 +370,7 @@ mod tests {
         }
         let naive_eval = model.evaluate(&layer, &naive).unwrap();
 
-        let result = CosaScheduler::new(&arch).schedule(&layer).unwrap();
+        let result = bounded(&arch).schedule(&layer).unwrap();
         let cosa_eval = model.evaluate(&layer, &result.schedule).unwrap();
         assert!(
             cosa_eval.latency_cycles * 4.0 < naive_eval.latency_cycles,

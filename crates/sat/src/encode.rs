@@ -1,20 +1,15 @@
-//! Boolean encoding of the CoSA scheduling program (Sec. III-B/C).
+//! Boolean lowering of the CoSA program (Sec. III-B/C).
 //!
-//! The encoding mirrors `cosa_core::CosaProgram` exactly — same factor
-//! groups, same coefficients, same epsilon placement in every bound — so
-//! the SAT backend's feasible set and optimum coincide with the MILP's.
-//!
-//! Integer allocation counts `n[group][level][mapping]` become **unary
-//! ladders**: bit `k` means "count ≥ k+1", with ladder clauses
-//! `b[k+1] → b[k]`. Ladder lengths reproduce the MILP variable bounds
-//! (including the spatial presolve cap `⌊log_p fanout⌋`), Eq. 3's
-//! exactly-`count` allocation becomes a cardinality pair over the group's
-//! bits — pure one-hot clauses when the group has a single factor — and
-//! Eq. 1–2/4 capacity and fanout bounds become pseudo-Boolean constraints
-//! with `log p` coefficients. The permutation block (Table III) is one-hot
-//! per row and column; the reuse indicators of Eq. 9–10 (`e`, `Y` and the
-//! rank-of-dimension products) are Tseitin-defined in both directions so
-//! every model determines them uniquely.
+//! [`cosa_core::statement`] states the program once; this module lowers
+//! it. Each slot's integer count becomes a **unary ladder** as long as the
+//! slot's bound: bit `k` means "count ≥ k+1", with ladder clauses
+//! `b[k+1] → b[k]`. The Eq. 3 rows become a cardinality pair over the
+//! group's bits (pure one-hot clauses when the group has a single factor)
+//! and the Eq. 1–2/4 rows pseudo-Boolean constraints with the rows' `log p`
+//! coefficients, so the feasible set and optimum are the MILP's. The
+//! permutation block (Table III) is one-hot per row and column; the reuse
+//! indicators of Eq. 9–10 (`e`, `Y` and the rank-of-dimension products)
+//! are Tseitin-defined in both directions so every model determines them.
 //!
 //! The Eq. 12 objective is linear in the ladder and product bits; it is
 //! optimized by solve-then-tighten on a single reused pseudo-Boolean
@@ -25,28 +20,19 @@
 //! step is certain to fail; or, on layers too large for it, the refutation
 //! of the tightened bound.
 
-// Index-heavy constraint assembly mirrors the MILP formulation
-// (`cosa_core::formulation`); ranged loops keep the row/column indices
-// visibly aligned with the paper's equations.
+// Ranged loops keep the permutation block's row/column indices visibly
+// aligned with the paper's equations.
 #![allow(clippy::needless_range_loop)]
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use cosa_core::statement::{complete_ranks, FactorGroup, Slot, Statement, Terms};
 use cosa_core::{exact, FactorAssignment, ObjectiveWeights};
 use cosa_milp::SolveStats;
 use cosa_spec::{Arch, DataTensor, Dim, Layer};
 
 use crate::solver::{Lit, SatStats, SolveOutcome, Solver, Var};
-
-/// One aggregated factor group (mirrors the MILP's symmetry reduction).
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    dim: Dim,
-    prime: u64,
-    count: u32,
-    log_p: f64,
-}
 
 /// How [`SatProgram::optimize`] proved its answer optimal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +75,7 @@ pub struct SatProgram {
     exact: Option<Option<f64>>,
     /// How the last `optimize` proved its answer, if it did.
     proof: Option<Proof>,
-    groups: Vec<Group>,
+    groups: Vec<FactorGroup>,
     /// `bits[group][level][k]` — unary ladder variables, `k = 0` spatial /
     /// `1` temporal. Ladder length equals the MILP variable's upper bound.
     bits: Vec<Vec<[Vec<Var>; 2]>>,
@@ -111,107 +97,54 @@ impl SatProgram {
     /// Encode the scheduling program for `layer` on `arch` with Eq. 12
     /// weights (the [`cosa_core::ObjectiveKind::Weighted`] shape).
     pub fn build(layer: &Layer, arch: &Arch, weights: ObjectiveWeights) -> SatProgram {
-        let num_levels = arch.num_levels();
+        let st = Statement::new(layer, arch);
         let noc = arch.noc_level();
-        let dram = arch.dram_level();
         let mut solver = Solver::new();
 
-        // --- factor groups (identical construction to the MILP) ---------
-        let mut groups = Vec::new();
-        for d in Dim::ALL {
-            for (prime, count) in cosa_spec::primes::factor_counts(layer.dim(d)) {
-                groups.push(Group {
-                    dim: d,
-                    prime,
-                    count,
-                    log_p: (prime as f64).ln(),
-                });
-            }
-        }
-
-        // --- allocation ladders -----------------------------------------
-        let mut bits: Vec<Vec<[Vec<Var>; 2]>> = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let mut per_level = Vec::with_capacity(num_levels);
-            for i in 0..num_levels {
-                let fanout = arch.spatial_fanout(i);
-                let max_spatial = ((fanout as f64).ln() / g.log_p + 1e-9).floor().max(0.0) as u32;
-                let s_len = if fanout > 1 && max_spatial > 0 {
-                    g.count.min(max_spatial)
-                } else {
-                    0
-                };
-                let spatial = ladder(&mut solver, s_len);
-                let temporal = ladder(&mut solver, g.count);
-                per_level.push([spatial, temporal]);
-            }
-            bits.push(per_level);
-        }
+        // One ladder per slot, as long as the slot's bound.
+        let bits: Vec<Vec<[Vec<Var>; 2]>> = st
+            .caps
+            .iter()
+            .map(|per_level| {
+                per_level
+                    .iter()
+                    .map(|&[s, t]| [ladder(&mut solver, s), ladder(&mut solver, t)])
+                    .collect()
+            })
+            .collect();
+        // `(w·coefficient, bit)` per ladder bit of each term's slot.
+        let lits = |terms: &Terms, w: f64| -> Vec<(f64, Lit)> {
+            let slot_bits = |&(s, c): &(Slot, f64)| {
+                let ladder: &[Var] = &bits[s.group][s.level][s.k];
+                ladder.iter().map(move |&b| (w * c, Lit::pos(b)))
+            };
+            terms.iter().flat_map(slot_bits).collect()
+        };
 
         // Eq. 3: every factor instance is placed exactly once. With a
         // single instance this is a literal one-hot over the group's bits;
         // otherwise a cardinality pair (≤ count and ≥ count).
-        for (gi, g) in groups.iter().enumerate() {
-            let all: Vec<Var> = bits[gi].iter().flatten().flatten().copied().collect();
+        for (row, g) in st.assign.iter().zip(&st.groups) {
+            let le = lits(&row.terms, 1.0);
             if g.count == 1 {
+                let all: Vec<Var> = le.iter().map(|&(_, l)| l.variable()).collect();
                 one_hot(&mut solver, &all);
             } else {
-                let le: Vec<(f64, Lit)> = all.iter().map(|&b| (1.0, Lit::pos(b))).collect();
-                solver.add_pb_le(&le, g.count as f64);
-                let ge: Vec<(f64, Lit)> = all.iter().map(|&b| (1.0, Lit::neg(b))).collect();
-                solver.add_pb_le(&ge, (all.len() - g.count as usize) as f64);
+                solver.add_pb_le(&le, row.rhs);
+                let ge: Vec<(f64, Lit)> = le.iter().map(|&(c, l)| (c, l.inverse())).collect();
+                solver.add_pb_le(&ge, (le.len() - g.count as usize) as f64);
             }
         }
-
-        // Eq. 4: spatial factors fit the fanout at each level.
-        for i in 0..num_levels {
-            let fanout = arch.spatial_fanout(i);
-            if fanout <= 1 {
-                continue;
-            }
-            let mut terms = Vec::new();
-            for (gi, g) in groups.iter().enumerate() {
-                for &b in &bits[gi][i][0] {
-                    terms.push((g.log_p, Lit::pos(b)));
-                }
-            }
-            solver.add_pb_le(&terms, (fanout as f64).ln() + 1e-9);
+        // Eq. 4 and 1–2: fanout and capacity rows.
+        for (_, row) in &st.fanout {
+            solver.add_pb_le(&lits(&row.terms, 1.0), row.rhs);
         }
-
-        // Eq. 1–2: buffer capacities in the log domain; the occupying set
-        // (all slots at levels ≤ I) and the input-halo/precision handling
-        // match the MILP line for line.
-        for (level_i, lvl) in arch.levels().iter().enumerate() {
-            if level_i == dram {
-                continue;
-            }
-            for v in DataTensor::ALL {
-                let Some(cap) = lvl.capacity_for(v) else {
-                    continue;
-                };
-                let mut terms = Vec::new();
-                for (gi, g) in groups.iter().enumerate() {
-                    if !v.relevant_to(g.dim) {
-                        continue;
-                    }
-                    for slots in bits[gi].iter().take(level_i + 1) {
-                        for &b in slots.iter().flatten() {
-                            terms.push((g.log_p, Lit::pos(b)));
-                        }
-                    }
-                }
-                let halo = if v == DataTensor::Inputs {
-                    (layer.stride_w() as f64).ln() + (layer.stride_h() as f64).ln()
-                } else {
-                    0.0
-                };
-                let rhs = (cap as f64 / arch.precision(v) as f64).ln() - halo + 1e-9;
-                solver.add_pb_le(&terms, rhs);
-            }
+        for tile in &st.tiles {
+            solver.add_pb_le(&lits(&tile.terms, 1.0), tile.capacity);
         }
 
         // --- permutation ranks at the NoC level (Table III) -------------
-        let active_dims: Vec<Dim> = Dim::ALL.into_iter().filter(|d| layer.dim(*d) > 1).collect();
+        let active_dims = st.active;
         let zslots = active_dims.len();
         let perm: Vec<Vec<Var>> = (0..zslots)
             .map(|_| (0..zslots).map(|_| solver.new_var()).collect())
@@ -229,17 +162,11 @@ impl SatProgram {
         let mut e_vars = Vec::with_capacity(zslots);
         for d in &active_dims {
             let e = solver.new_var();
-            let firsts: Vec<Var> = groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.dim == *d)
-                .map(|(gi, _)| bits[gi][noc][1][0])
+            let firsts: Vec<Lit> = (0..st.groups.len())
+                .filter(|&gi| st.groups[gi].dim == *d)
+                .map(|gi| Lit::pos(bits[gi][noc][1][0]))
                 .collect();
-            define_or(
-                &mut solver,
-                e,
-                &firsts.iter().map(|&b| Lit::pos(b)).collect::<Vec<_>>(),
-            );
+            define_or(&mut solver, e, &firsts);
             e_vars.push(e);
         }
 
@@ -280,7 +207,7 @@ impl SatProgram {
         // Y indicator is on, so its temporal NoC factors multiply tensor
         // v's traffic (the T_v term of Eq. 10).
         let mut s_vars: Vec<Vec<Var>> = Vec::with_capacity(DataTensor::COUNT);
-        for (vi, _v) in DataTensor::ALL.iter().enumerate() {
+        for vi in 0..DataTensor::COUNT {
             let mut row = Vec::with_capacity(zslots);
             for j in 0..zslots {
                 let mut hs: Vec<Lit> = Vec::with_capacity(zslots);
@@ -304,62 +231,16 @@ impl SatProgram {
         // --- objective (Eq. 5–8, 11, 12) --------------------------------
         let mut obj_terms: Vec<(f64, Lit)> = Vec::new();
         let mut obj_constant = 0.0;
-
-        // Û and its constants.
-        for (level_i, lvl) in arch.levels().iter().enumerate() {
-            if level_i == dram {
-                continue;
-            }
-            for v in DataTensor::ALL {
-                if !lvl.stores(v) {
-                    continue;
-                }
-                let mut constant = (arch.precision(v) as f64).ln();
-                if v == DataTensor::Inputs {
-                    constant += (layer.stride_w() as f64).ln() + (layer.stride_h() as f64).ln();
-                }
-                obj_constant -= weights.w_util * constant;
-                for (gi, g) in groups.iter().enumerate() {
-                    if !v.relevant_to(g.dim) {
-                        continue;
-                    }
-                    for slots in bits[gi].iter().take(level_i + 1) {
-                        for &b in slots.iter().flatten() {
-                            obj_terms.push((-weights.w_util * g.log_p, Lit::pos(b)));
-                        }
-                    }
-                }
-            }
+        for tile in &st.tiles {
+            obj_constant -= weights.w_util * tile.constant;
+            obj_terms.extend(lits(&tile.terms, -weights.w_util));
         }
-
-        // Ĉ: every temporal bit at every level.
-        for (gi, g) in groups.iter().enumerate() {
-            for slots in &bits[gi] {
-                for &b in &slots[1] {
-                    obj_terms.push((weights.w_comp * g.log_p, Lit::pos(b)));
-                }
-            }
-        }
-
+        obj_terms.extend(lits(&st.compute, weights.w_comp));
         // T̂ = Σ_v D_v + L_v + T_v.
-        for (vi, v) in DataTensor::ALL.iter().enumerate() {
-            for (gi, g) in groups.iter().enumerate() {
-                if !v.relevant_to(g.dim) {
-                    continue;
-                }
-                // D_v: all factors below the NoC level.
-                for slots in bits[gi].iter().take(noc) {
-                    for &b in slots.iter().flatten() {
-                        obj_terms.push((weights.w_traf * g.log_p, Lit::pos(b)));
-                    }
-                }
-                // L_v: spatial factors at the NoC level.
-                for &b in &bits[gi][noc][0] {
-                    obj_terms.push((weights.w_traf * g.log_p, Lit::pos(b)));
-                }
-            }
+        for (vi, traffic) in st.traffic.iter().enumerate() {
+            obj_terms.extend(lits(traffic, weights.w_traf));
             // T_v: each temporal NoC bit of dim j, gated by s[v][j].
-            for (gi, g) in groups.iter().enumerate() {
+            for (gi, g) in st.groups.iter().enumerate() {
                 let j = active_dims
                     .iter()
                     .position(|d| *d == g.dim)
@@ -379,7 +260,7 @@ impl SatProgram {
             weights,
             exact: None,
             proof: None,
-            groups,
+            groups: st.groups,
             bits,
             active_dims,
             perm,
@@ -388,6 +269,19 @@ impl SatProgram {
             obj_pb: None,
             obj_card: None,
         }
+    }
+
+    /// The encoding as built, for the lowering pin: the clause/PB database
+    /// and the objective, which reaches the solver at the first tightening.
+    #[cfg(test)]
+    pub(crate) fn encoding_dump(&self) -> String {
+        let terms: Vec<_> = self
+            .obj_terms
+            .iter()
+            .map(|&(c, l)| (c.to_bits(), l))
+            .collect();
+        let constant = self.obj_constant.to_bits();
+        format!("{:?} {terms:?} {constant:#x}", self.solver)
     }
 
     /// Number of variables in the encoding.
@@ -539,17 +433,18 @@ impl SatProgram {
     /// [`FactorAssignment`] (counts per slot, permutation ranks, objective
     /// value on the Eq. 12 scale).
     fn decode(&self) -> FactorAssignment {
-        let mut counts = Vec::with_capacity(self.groups.len());
-        for per_level in &self.bits {
-            let mut lv = Vec::with_capacity(per_level.len());
-            for slots in per_level {
-                lv.push([
-                    slots[0].iter().filter(|&&b| self.solver.value(b)).count() as u32,
-                    slots[1].iter().filter(|&&b| self.solver.value(b)).count() as u32,
-                ]);
-            }
-            counts.push(lv);
-        }
+        let set =
+            |ladder: &Vec<Var>| ladder.iter().filter(|&&b| self.solver.value(b)).count() as u32;
+        let counts = self
+            .bits
+            .iter()
+            .map(|per_level| {
+                per_level
+                    .iter()
+                    .map(|slots| slots.each_ref().map(set))
+                    .collect()
+            })
+            .collect();
         let mut ranks = [usize::MAX; Dim::COUNT];
         for (j, row) in self.perm.iter().enumerate() {
             for (z, &var) in row.iter().enumerate() {
@@ -558,13 +453,7 @@ impl SatProgram {
                 }
             }
         }
-        let mut next = self.active_dims.len();
-        for r in ranks.iter_mut() {
-            if *r == usize::MAX {
-                *r = next;
-                next += 1;
-            }
-        }
+        complete_ranks(&mut ranks, self.active_dims.len());
         let mut objective = self.obj_constant;
         for &(c, l) in &self.obj_terms {
             if self.solver.value(l.variable()) != l.is_neg() {
@@ -693,8 +582,8 @@ mod tests {
 
     #[test]
     fn objective_matches_milp_optimum() {
-        // The encoding mirrors the MILP constraint for constraint, so the
-        // optima must coincide (up to the bound-tightening granularity).
+        // Both lower the same statement of the program, so the optima
+        // must coincide (up to the bound-tightening granularity).
         let arch = Arch::simba_baseline();
         for layer in [
             Layer::matmul("m", 16, 16, 16),

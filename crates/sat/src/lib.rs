@@ -7,9 +7,9 @@
 //! the Eq. 12 objective by iterative bound-tightening and extracts the same
 //! loop-nest schedules as the MILP path.
 //!
-//! The encoding mirrors `cosa_core::CosaProgram` constraint for constraint
-//! (same coefficients, same epsilon placement), so the SAT and MILP
-//! backends share one feasible set and one optimum — the umbrella crate's
+//! The encoding and `cosa_core::CosaProgram` lower the same statement of
+//! the program (`cosa_core::statement`), so the SAT and MILP backends
+//! share one feasible set and one optimum — the umbrella crate's
 //! portfolio sends each layer to exactly one of them, by factor count,
 //! without changing which optimum is meant.
 
@@ -17,6 +17,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod encode;
+#[cfg(test)]
+mod lowering_pin;
 mod scheduler;
 mod solver;
 
