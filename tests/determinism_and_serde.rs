@@ -185,6 +185,94 @@ fn serving_milp_meets_the_quality_floor_and_repeats() {
     );
 }
 
+/// The six `portfolio_cold` shapes the portfolio sends to the MILP, solved
+/// at the portfolio's node limit: `(nodes, simplex_iters, objective bits,
+/// best_bound bits)` and a digest of the schedule's JSON, recorded while
+/// every basis install still ran a fresh dense-scanning Gauss–Jordan.
+/// These searches run up to 11 259 nodes against the serving pin's 300, so
+/// they re-install far more bases. A speed-only change to `crates/milp`
+/// must leave them alone; a change that moves them has altered the search.
+#[test]
+fn portfolio_milp_searches_are_pinned() {
+    // The benchmark's `PORTFOLIO_NODE_LIMIT` (its MILP side's node budget).
+    const NODE_LIMIT: usize = 20_000;
+    let conv = |r, p, c, k| {
+        Layer::conv(
+            format!("conv_{r}x{r}_{p}x{p}_{c}_{k}"),
+            r,
+            r,
+            p,
+            p,
+            c,
+            k,
+            1,
+            1,
+            1,
+        )
+    };
+    let mm = |c, k, n| Layer::matmul(format!("mm_{c}x{k}x{n}"), c, k, n);
+    let pinned = [
+        (
+            mm(64, 64, 64),
+            (91, 1067, 0xc023a4c8adf74897, 0xc023a4c8adf74897),
+            "1e7a3e910fd4163e73e99e1fc976b593",
+        ),
+        (
+            mm(64, 192, 32),
+            (11259, 39716, 0xc021724b5ebb6d47, 0xc021724b5ebb6d47),
+            "8c114727d0f8f4ac42c099ac77459ead",
+        ),
+        (
+            mm(32, 64, 64),
+            (31, 360, 0xc024563ac5ef1a66, 0xc024563ac5ef1a66),
+            "5e9f0e92872f345621cc3b0760a810cb",
+        ),
+        (
+            mm(64, 256, 32),
+            (525, 3125, 0xc020df004e31c66b, 0xc020df004e31c66b),
+            "f3726a15926a442ecdcbc9c20b1f8185",
+        ),
+        (
+            conv(3, 4, 16, 32),
+            (1, 608, 0xc02386a1a6891da4, 0xc02386a1a6891da4),
+            "46355ef22cb8ea9f986026d39f3e38b4",
+        ),
+        (
+            conv(3, 8, 8, 16),
+            (1, 589, 0xc0264c6a066864e1, 0xc0264c6a066864e1),
+            "9e1b964b2fe7dcc8ea0268f1a16b2927",
+        ),
+    ];
+    let arch = Arch::simba_baseline();
+    let cosa = CosaScheduler::new(&arch).with_deterministic_limits(NODE_LIMIT);
+    let mut off_trajectory = Vec::new();
+    for (layer, trajectory, schedule_digest) in &pinned {
+        let out = cosa.schedule(layer).expect("portfolio MILP solve");
+        let got = (
+            out.stats.nodes,
+            out.stats.simplex_iters,
+            out.milp_objective.to_bits(),
+            out.stats.best_bound.to_bits(),
+        );
+        let json = serde_json::to_string(&out.schedule).expect("serializes");
+        let digest = digest128_hex(json.as_bytes());
+        if got != *trajectory || digest != *schedule_digest {
+            off_trajectory.push(format!(
+                "{}: ({}, {}, {:#x}, {:#x}), \"{digest}\"",
+                layer.name(),
+                got.0,
+                got.1,
+                got.2,
+                got.3
+            ));
+        }
+    }
+    assert!(
+        off_trajectory.is_empty(),
+        "search moved off the pinned trajectory: {off_trajectory:#?}"
+    );
+}
+
 /// The NoC simulator's numbers on the smallest layer of every suite and on
 /// AlexNet fc6, scheduled as the daemon's `"random"` schedules them: the
 /// layer latency's bits and the flit-simulated cycles of every iteration
