@@ -1,11 +1,17 @@
 //! The readiness-driven serving front: one epoll event loop owning every
-//! connection, a fixed worker pool owning every *complete* request.
+//! connection and answering what needs no solver, a fixed worker pool
+//! owning every *complete* request that does.
 //!
 //! ```text
 //!            event-loop thread (epoll)              worker pool (N threads)
-//!  accept ──► nonblocking read ──► RequestParser ──► bounded dispatch queue
-//!                  │  (per-conn state machine)             │ pop
-//!                  │ queue full? 429 from the loop         ▼
+//!  accept ──► nonblocking read ──► RequestParser
+//!                  │  (per-conn state machine)
+//!                  │ Handler::answer_now ── Some ──► answered on the loop
+//!                  │        │ None
+//!                  │        ▼
+//!                  │ queue full? 429 ──► bounded dispatch queue
+//!                  │                               │ pop
+//!                  │                               ▼
 //!                  ◄── completion queue + eventfd ◄── Handler::handle
 //!                  │
 //!                  └──► nonblocking write ──► close (Connection: close)
@@ -15,14 +21,23 @@
 //! to `close`, so connection count was bounded by worker count and one
 //! byte-trickling client pinned a worker for its whole request. Here a
 //! connection costs a registered fd plus a parse buffer until its request
-//! is **complete**; only then does it enter the bounded dispatch queue and
-//! occupy a worker. Consequences the tests pin down:
+//! is **complete**. The loop then offers it to [`Handler::answer_now`]:
+//! an answer that needs no solver (a warm cache hit, a 4xx, `/v1/stats`)
+//! is written straight back, with no thread hand-off. Only a request the
+//! handler declines enters the bounded dispatch queue and occupies a
+//! worker. The loop's contract: it never solves, builds an engine, writes
+//! to disk or waits on the store's segment mutex or a lock file, so one
+//! slow request cannot stall the others. Consequences the tests pin down:
 //!
 //! * a slowloris-style client (byte-at-a-time request) never occupies a
 //!   worker — concurrent well-behaved requests are served meanwhile;
 //! * idle connections scale far beyond the worker count;
-//! * overload sheds crisply: a complete request arriving at a full queue
-//!   is answered `429` by the event loop itself, without a worker;
+//! * answers that need no solver are never stuck behind solves: with every
+//!   worker busy, warm hits, `/v1/stats` and `/v1/healthz` still answer;
+//! * overload sheds crisply: a complete request that needs a worker and
+//!   arrives at a full queue is answered `429` by the event loop itself;
+//! * a panicking handler costs that request a `500`, on the loop or a
+//!   worker, and the front keeps serving;
 //! * graceful drain carries over: on shutdown the loop stops dispatching,
 //!   answers new arrivals `503`, flushes every in-flight response, then
 //!   exits.
@@ -31,7 +46,9 @@
 //! daemon plugs in its engine-backed handler, and tests plug in fakes
 //! (a sleeping handler makes shedding and drain deterministic) that
 //! inherit the same queue, shedding, drain, latency-ring and counter
-//! machinery.
+//! machinery. Both paths share one piece of bookkeeping (latency ring,
+//! counters, request log, panic → 500, shutdown), so a request counts the
+//! same wherever it was answered.
 
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
@@ -79,8 +96,9 @@ impl Routed {
 }
 
 /// A live view of the front's own counters, handed to [`Handler::handle`]
-/// so a `/stats`-style route can report queue depth, shed count and
-/// latency percentiles without the handler owning that machinery.
+/// and [`Handler::answer_now`] so a `/stats`-style route can report queue
+/// depth, shed count and latency percentiles without the handler owning
+/// that machinery.
 pub struct FrontView<'a> {
     shared: &'a Shared,
 }
@@ -91,7 +109,8 @@ impl FrontView<'_> {
         self.shared.queue.lock().expect("queue lock").len()
     }
 
-    /// Bound on [`FrontView::queue_depth`] beyond which requests shed 429.
+    /// Bound on [`FrontView::queue_depth`] beyond which requests that need
+    /// a worker shed 429.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
     }
@@ -129,10 +148,28 @@ impl FrontView<'_> {
 
 /// The pluggable application half of the front: the engine-backed daemon
 /// implements it, and so do the test fakes.
+///
+/// Every complete request is first offered to [`Handler::answer_now`] on
+/// the event loop; only when that declines does it queue for
+/// [`Handler::handle`] on a worker.
 pub trait Handler: Send + Sync + 'static {
     /// Answer one complete, parsed request. Runs on a worker thread;
     /// blocking here (a solve) is the design.
     fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed;
+
+    /// Answer `request` on the event loop, or return `None` to send it to
+    /// a worker. Every connection waits while this runs, so an answer
+    /// here must need no solver: it must not solve, build an engine,
+    /// write to disk, or wait on a lock another thread may hold across
+    /// I/O (the store's segment mutex, a lock file). A panic costs the
+    /// request a `500`, as on a worker.
+    ///
+    /// The default declines everything, so a handler that only
+    /// implements [`Handler::handle`] dispatches every request.
+    fn answer_now(&self, request: &Request, front: FrontView<'_>) -> Option<Routed> {
+        let _ = (request, front);
+        None
+    }
 }
 
 /// Front configuration — the transport-level subset of the daemon config.
@@ -143,7 +180,7 @@ pub struct FrontConfig {
     /// Worker threads handling complete requests.
     pub workers: usize,
     /// Bound on parsed requests awaiting a worker; beyond it the event
-    /// loop answers `429` itself.
+    /// loop answers a request that needs a worker `429` itself.
     pub queue_capacity: usize,
     /// Bound on simultaneously open connections; beyond it new accepts
     /// are dropped outright (the honest signal under a connection flood).
@@ -163,7 +200,6 @@ struct Dispatched {
 struct Completion {
     token: u64,
     bytes: Vec<u8>,
-    shutdown: bool,
 }
 
 /// Everything the event loop, the workers and [`FrontView`] share.
@@ -272,7 +308,9 @@ pub fn start(config: FrontConfig, handler: Arc<dyn Handler>) -> io::Result<Front
         let max_connections = config.max_connections.max(1);
         std::thread::Builder::new()
             .name("cosa-serve-events".to_string())
-            .spawn(move || event_loop(listener, poller, &shared, max_connections))?
+            .spawn(move || {
+                event_loop(listener, poller, &shared, handler.as_ref(), max_connections)
+            })?
     };
     Ok(FrontHandle {
         addr,
@@ -329,7 +367,13 @@ fn error_body(message: &str) -> String {
 
 /// The epoll event loop: owns the listener, the waker and every live
 /// connection; never blocks on a socket.
-fn event_loop(listener: TcpListener, poller: Poller, shared: &Shared, max_connections: usize) {
+fn event_loop(
+    listener: TcpListener,
+    poller: Poller,
+    shared: &Shared,
+    handler: &dyn Handler,
+    max_connections: usize,
+) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<Event> = Vec::new();
@@ -364,7 +408,7 @@ fn event_loop(listener: TcpListener, poller: Poller, shared: &Shared, max_connec
                         continue;
                     }
                     if event.readable && matches!(conn.phase, Phase::Reading) {
-                        drive_read(&poller, shared, &mut conns, token);
+                        drive_read(&poller, shared, handler, &mut conns, token);
                     } else if event.writable && matches!(conn.phase, Phase::Writing) {
                         drive_write(&poller, &mut conns, token);
                     }
@@ -381,9 +425,6 @@ fn event_loop(listener: TcpListener, poller: Poller, shared: &Shared, max_connec
             .drain(..)
             .collect();
         for completion in completions {
-            if completion.shutdown {
-                shared.begin_shutdown();
-            }
             if conns.contains_key(&completion.token) {
                 start_write(&poller, &mut conns, completion.token, completion.bytes);
             }
@@ -463,7 +504,13 @@ fn accept_ready(
 }
 
 /// Read until `WouldBlock`, feeding the parser; dispatch on completion.
-fn drive_read(poller: &Poller, shared: &Shared, conns: &mut HashMap<u64, Conn>, token: u64) {
+fn drive_read(
+    poller: &Poller,
+    shared: &Shared,
+    handler: &dyn Handler,
+    conns: &mut HashMap<u64, Conn>,
+    token: u64,
+) {
     let mut chunk = [0u8; 8192];
     loop {
         let conn = conns.get_mut(&token).expect("conn exists");
@@ -475,7 +522,7 @@ fn drive_read(poller: &Poller, shared: &Shared, conns: &mut HashMap<u64, Conn>, 
             }
             Ok(n) => match conn.parser.feed(&chunk[..n]) {
                 Ok(Some(request)) => {
-                    dispatch(poller, shared, conns, token, request);
+                    dispatch(poller, shared, handler, conns, token, request);
                     return;
                 }
                 Ok(None) => continue,
@@ -498,16 +545,25 @@ fn drive_read(poller: &Poller, shared: &Shared, conns: &mut HashMap<u64, Conn>, 
     }
 }
 
-/// Hand a complete request to the worker pool — or shed it right here.
+/// Answer a complete request on the loop when the handler can, else hand
+/// it to the worker pool — or shed it right here.
 fn dispatch(
     poller: &Poller,
     shared: &Shared,
+    handler: &dyn Handler,
     conns: &mut HashMap<u64, Conn>,
     token: u64,
     request: Request,
 ) {
     if shared.shutdown.load(Ordering::SeqCst) {
         respond(poller, conns, token, 503, "daemon is shutting down");
+        return;
+    }
+    let received = Instant::now();
+    if let Some(bytes) = run_handler(shared, &request, received, |view| {
+        handler.answer_now(&request, view)
+    }) {
+        start_write(poller, conns, token, bytes);
         return;
     }
     let mut queue = shared.queue.lock().expect("queue lock");
@@ -523,7 +579,7 @@ fn dispatch(
     queue.push_back(Dispatched {
         token,
         request,
-        received: Instant::now(),
+        received,
     });
     drop(queue);
     shared.queue_ready.notify_one();
@@ -632,6 +688,48 @@ fn is_schedule_path(path: &str) -> bool {
     path == "/v1/schedule"
 }
 
+/// Run one handler call under the bookkeeping every answered request gets,
+/// on the loop or on a worker: a panic becomes a `500` (it must cost the
+/// request, not the thread), then the latency ring, the served/errors
+/// counters, the request log and a requested shutdown. Returns the
+/// response bytes, or `None` when `call` declined to answer.
+fn run_handler(
+    shared: &Shared,
+    request: &Request,
+    received: Instant,
+    call: impl FnOnce(FrontView<'_>) -> Option<Routed>,
+) -> Option<Vec<u8>> {
+    let view = FrontView { shared };
+    let routed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(view))) {
+        Ok(routed) => routed?,
+        Err(_) => {
+            eprintln!("[serve] caught a request panic (500 returned)");
+            Routed::new(500, error_body("internal error handling request"))
+        }
+    };
+
+    let micros = received.elapsed().as_micros() as u64;
+    if is_schedule_path(&request.path) {
+        shared.latency.lock().expect("latency lock").record(micros);
+        if routed.status == 200 {
+            shared.served.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    if routed.status != 200 {
+        shared.errors.fetch_add(1, Ordering::Relaxed);
+    }
+    if shared.log_requests {
+        println!(
+            "[serve] {} {} {} {micros}µs",
+            request.method, request.path, routed.status,
+        );
+    }
+    if routed.shutdown {
+        shared.begin_shutdown();
+    }
+    Some(response_bytes(routed.status, &routed.body, &[]))
+}
+
 /// Pop complete requests and run the handler until shutdown + drained.
 fn worker_loop(shared: &Shared, handler: &dyn Handler) {
     loop {
@@ -662,42 +760,15 @@ fn worker_loop(shared: &Shared, handler: &dyn Handler) {
             return;
         };
 
-        // A panicking request must cost a 500, not a pool thread.
-        let view = FrontView { shared };
-        let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler.handle(&request, view)
-        }))
-        .unwrap_or_else(|_| {
-            eprintln!("[serve] worker caught a request panic (500 returned)");
-            Routed::new(500, error_body("internal error handling request"))
-        });
-
-        let micros = received.elapsed().as_micros() as u64;
-        if is_schedule_path(&request.path) {
-            shared.latency.lock().expect("latency lock").record(micros);
-            if routed.status == 200 {
-                shared.served.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if routed.status != 200 {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if shared.log_requests {
-            println!(
-                "[serve] {} {} {} {micros}µs",
-                request.method, request.path, routed.status,
-            );
-        }
-        let bytes = response_bytes(routed.status, &routed.body, &[]);
+        let bytes = run_handler(shared, &request, received, |view| {
+            Some(handler.handle(&request, view))
+        })
+        .expect("a worker answers every request");
         shared
             .completions
             .lock()
             .expect("completions lock")
-            .push(Completion {
-                token,
-                bytes,
-                shutdown: routed.shutdown,
-            });
+            .push(Completion { token, bytes });
         shared.waker.wake();
     }
 }

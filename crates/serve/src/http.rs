@@ -75,6 +75,10 @@ struct Head {
 pub struct RequestParser {
     buf: Vec<u8>,
     head: Option<Head>,
+    /// Bytes of `buf` already searched for the end of the head, so each
+    /// feed scans only what is new (a head trickled byte by byte costs
+    /// O(head), not O(head²)).
+    scanned: usize,
 }
 
 impl RequestParser {
@@ -109,10 +113,13 @@ impl RequestParser {
     /// Try to complete a request from the bytes buffered so far.
     fn advance(&mut self) -> io::Result<Option<Request>> {
         if self.head.is_none() {
-            let Some(head_end) = find_head_end(&self.buf) else {
+            // Resume 3 bytes back: the terminator may straddle two feeds.
+            let from = self.scanned.saturating_sub(3);
+            let Some(head_end) = find_head_end(&self.buf[from..]).map(|at| from + at) else {
                 if self.buf.len() > MAX_HEAD_BYTES {
                     return Err(invalid("request head exceeds 16 KiB"));
                 }
+                self.scanned = self.buf.len();
                 return Ok(None);
             };
             let head = std::str::from_utf8(&self.buf[..head_end])
@@ -189,8 +196,11 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     }
 }
 
+/// Offset of the `\r\n\r\n` that ends a head, when `buf` holds one.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    (3..buf.len())
+        .find(|&i| buf[i] == b'\n' && buf[i - 3..i] == *b"\r\n\r")
+        .map(|i| i - 3)
 }
 
 /// The standard reason phrase for the status codes the daemon uses.
@@ -359,6 +369,30 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A request whose head is `head_len` bytes (terminator included),
+    /// padded with `X: aaa…` headers of at most 64 bytes — many lone CRLFs
+    /// for the head scan to pass over — plus a small body.
+    fn request_with_head_of(head_len: usize) -> Vec<u8> {
+        let body = r#"{"x":1}"#;
+        let mut head = format!(
+            "POST /v1/schedule HTTP/1.1\r\nContent-Length: {}\r\n",
+            body.len()
+        )
+        .into_bytes();
+        let mut filler = head_len - 2 - head.len();
+        while filler > 0 {
+            let line = if filler >= 69 { 64 } else { filler };
+            head.extend_from_slice(b"X: ");
+            head.resize(head.len() + line - 5, b'a');
+            head.extend_from_slice(b"\r\n");
+            filler -= line;
+        }
+        head.extend_from_slice(b"\r\n");
+        assert_eq!(head.len(), head_len);
+        head.extend_from_slice(body.as_bytes());
+        head
+    }
+
     #[test]
     fn parser_completes_byte_at_a_time() {
         let raw = b"POST /v1/schedule HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"x\":1}";
@@ -372,6 +406,34 @@ mod tests {
         assert_eq!(request.method, "POST");
         assert_eq!(request.path, "/v1/schedule");
         assert_eq!(request.body, r#"{"x":1}"#);
+
+        // A head of nearly `MAX_HEAD_BYTES`, split into two feeds at every
+        // point — the `\r\n\r\n` straddling them included — and trickled
+        // one byte per feed, parses to the one-chunk request each time.
+        let raw = request_with_head_of(MAX_HEAD_BYTES - 8);
+        let whole = RequestParser::new()
+            .feed(&raw)
+            .unwrap()
+            .expect("one chunk parses");
+        assert_eq!(whole.body, r#"{"x":1}"#);
+        for split in 1..raw.len() {
+            let mut parser = RequestParser::new();
+            let first = parser.feed(&raw[..split]).unwrap();
+            assert!(
+                first.is_none(),
+                "complete after {split} of {} bytes",
+                raw.len()
+            );
+            let second = parser.feed(&raw[split..]).unwrap();
+            assert_eq!(second.as_ref(), Some(&whole), "split at {split}");
+        }
+        let mut parser = RequestParser::new();
+        let mut result = None;
+        for byte in &raw {
+            assert!(result.is_none(), "complete before the last byte");
+            result = parser.feed(std::slice::from_ref(byte)).unwrap();
+        }
+        assert_eq!(result, Some(whole), "byte at a time");
     }
 
     #[test]

@@ -16,22 +16,33 @@
 //! # Architecture
 //!
 //! ```text
-//!        event-loop thread (epoll)            worker pool (N threads)
-//!  accept ─► nonblocking parse ─► bounded queue ─pop─► route → respond
-//!                 │ full?                               │
-//!                 └──► 429 from the loop                └──► Engine
-//!                                                      (shared, cache-dir
-//!                                                       warm)
+//!        event-loop thread (epoll)                    worker pool (N threads)
+//!  accept ─► nonblocking parse ─► answer_now ─None─► bounded queue ─pop─► route
+//!                                     │ Some           │ full?              │
+//!                                     ▼                ▼                    ▼
+//!                   answered on the loop:        429 from the loop   Engine: solve,
+//!                   memory-tier hits, 4xx,                           engine build,
+//!                   stats, healthz, shutdown                         GC, persist
 //! ```
 //!
 //! * **Readiness-driven front** — one epoll event loop owns every
 //!   connection; a worker is involved only once a *complete* request has
 //!   been parsed, so connection count decouples from worker count and a
 //!   byte-trickling client cannot pin a worker (see [`front`]).
-//! * **Bounded queue** — complete requests wait in a FIFO of at most
-//!   `queue_capacity`; beyond that the event loop answers `429` without
-//!   touching a worker, so overload degrades crisply instead of piling up
-//!   latency.
+//! * **Answers without a hand-off** — the loop answers a complete request
+//!   itself when no solver is needed: a schedule request for a resident
+//!   engine whose every shape is in the memory tier with the NoC and DRAM
+//!   data it needs, every `4xx`, `/v1/stats`, `/v1/healthz` and
+//!   `/v1/shutdown`. A miss, an engine that is not resident, a due GC
+//!   sweep or a NoC/DRAM catch-up goes to a worker, and the failed memory
+//!   attempt counts no hit or miss. The loop never solves, builds an
+//!   engine, writes to disk or waits on the store's segment mutex or a
+//!   lock file, so warm answers are never stuck behind a solve.
+//! * **Bounded queue** — requests that need a worker wait in a FIFO of at
+//!   most `queue_capacity`; beyond that the event loop answers `429`
+//!   without touching a worker, so overload degrades crisply instead of
+//!   piling up latency. Only those requests shed: warm hits, stats and
+//!   health checks answer on the loop even when the queue is full.
 //! * **Warm restarts** — the engine loads the cache dir before the
 //!   listener binds, so `/v1/healthz` answering at all means warm-start is
 //!   done; a restarted daemon serves its whole request set with zero
@@ -75,7 +86,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cosa_repro::engine::{CacheStats, Engine, GcPolicy, InterlayerOptions};
+use cosa_repro::engine::{CacheStats, Engine, GcPolicy, InterlayerOptions, Resident, Work};
 use cosa_repro::serve::{
     scheduler_from_name, CommonArgs, HealthResponse, ScheduleRequest, ScheduleResponse,
     StatsResponse,
@@ -94,8 +105,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads handling requests.
     pub workers: usize,
-    /// Bound on queued (complete, undispatched) requests; beyond it the
-    /// event loop answers `429`.
+    /// Bound on queued (complete, undispatched) requests that need a
+    /// worker; beyond it the event loop answers them `429`.
     pub queue_capacity: usize,
     /// Bound on simultaneously open connections; beyond it new accepts
     /// are dropped outright. Idle and mid-parse connections are cheap
@@ -291,7 +302,9 @@ struct GcCounters {
 /// The engine-backed request handler: everything above the transport.
 /// Owns the architecture-keyed engine map, the GC cadence and the
 /// `/v1/*` routing table; the [`front`] owns sockets, the queue and the
-/// latency/served/rejected counters.
+/// latency/served/rejected counters. Its [`Handler::answer_now`] answers
+/// on the event loop whatever needs no solver (see the crate docs'
+/// Architecture section).
 struct EngineHandler {
     config: ServeConfig,
     /// Engines keyed by the canonical digest of their architecture; the
@@ -319,20 +332,15 @@ impl EngineHandler {
     /// is retained in the resident map. Callers must fold a non-retained
     /// engine's counters into [`EngineHandler::overflow_stats`] when done
     /// with it.
-    fn engine_for(&self, arch: Option<Arch>) -> io::Result<(Arc<Engine>, bool)> {
-        let Some(arch) = arch else {
-            return Ok((self.default_engine.clone(), true));
-        };
-        if &arch == self.default_engine.arch() {
-            return Ok((self.default_engine.clone(), true));
+    fn engine_for(&self, arch: Option<&Arch>) -> io::Result<(Arc<Engine>, bool)> {
+        if let Some(engine) = self.resident_engine(arch) {
+            return Ok((engine, true));
         }
-        let key = arch_digest(&arch);
-        if let Some(engine) = self.engines.lock().expect("engines lock").get(&key) {
-            return Ok((engine.clone(), true));
-        }
+        let arch = arch.expect("the default engine is always resident");
+        let key = arch_digest(arch);
         // Built outside the lock: a warm load can take a while and must
         // not stall requests for other architectures.
-        let engine = build_engine(&self.config, arch, SECONDARY_ENGINE_CACHE_BYTES)?;
+        let engine = build_engine(&self.config, arch.clone(), SECONDARY_ENGINE_CACHE_BYTES)?;
         let mut engines = self.engines.lock().expect("engines lock");
         // A racing request for the same arch may have inserted first;
         // keep the incumbent (replacing it would discard its cache
@@ -351,6 +359,22 @@ impl EngineHandler {
             return Ok((engine, true));
         }
         Ok((engine, false))
+    }
+
+    /// The resident engine for a request's architecture (the default
+    /// engine when it carries none or repeats the default), without
+    /// building one: the event loop's [`EngineHandler::engine_for`].
+    fn resident_engine(&self, arch: Option<&Arch>) -> Option<Arc<Engine>> {
+        match arch {
+            None => Some(self.default_engine.clone()),
+            Some(arch) if arch == self.default_engine.arch() => Some(self.default_engine.clone()),
+            Some(arch) => self
+                .engines
+                .lock()
+                .expect("engines lock")
+                .get(&arch_digest(arch))
+                .cloned(),
+        }
     }
 
     /// Sum cache counters over every resident engine plus everything
@@ -412,9 +436,31 @@ impl EngineHandler {
         }
     }
 
-    /// Count a served schedule request and trigger the every-N GC sweep.
-    fn after_schedule_request(&self) {
+    /// `true` when the next served schedule request is the one that runs
+    /// the every-N GC sweep (never with an unbounded policy, whose sweep
+    /// does nothing).
+    fn gc_due(&self) -> bool {
+        self.config.gc_every != 0
+            && !self.config.gc.is_unbounded()
+            && self.gc.since_gc.load(Ordering::Relaxed) + 1 >= self.config.gc_every
+    }
+
+    /// Count a served schedule request and trigger the every-N GC sweep —
+    /// on a worker. The event loop (`may_sweep == false`) never sweeps: it
+    /// counts up to one short of the sweep, and [`EngineHandler::gc_due`]
+    /// then sends the next schedule request to a worker, which runs it.
+    fn after_schedule_request(&self, may_sweep: bool) {
         if self.config.gc_every == 0 {
+            return;
+        }
+        if !may_sweep {
+            let last = self.config.gc_every - 1;
+            let _ = self
+                .gc
+                .since_gc
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |since| {
+                    Some((since + 1).min(last))
+                });
             return;
         }
         let since = self.gc.since_gc.fetch_add(1, Ordering::Relaxed) + 1;
@@ -424,21 +470,27 @@ impl EngineHandler {
         }
     }
 
-    /// Answer one schedule request.
-    fn handle_schedule(&self, body: &str) -> (u16, String) {
+    /// Answer one schedule request. With `solve` (a worker) every request
+    /// is answered. Without it (the event loop) only what needs no solver
+    /// is: the 4xx answers and a resident engine's memory-tier hits; any
+    /// miss, an engine that is not resident, a due GC sweep or a NoC/DRAM
+    /// catch-up returns `None`, having counted nothing, for a worker to
+    /// answer.
+    fn handle_schedule(&self, body: &str, solve: bool) -> Option<(u16, String)> {
+        let bad = |message: String| Some((400, error_body(&message)));
         let request: ScheduleRequest = match serde_json::from_str(body) {
             Ok(r) => r,
-            Err(e) => return (400, error_body(&format!("malformed request JSON: {e}"))),
+            Err(e) => return bad(format!("malformed request JSON: {e}")),
         };
         if let Err(msg) = request.work_item() {
-            return (400, error_body(&msg));
+            return bad(msg);
         }
         // Derived deserialization accepts structurally valid but
         // semantically broken architectures (no levels, NoC level out of
         // range, ...); validate before any solver code can trip over one.
         if let Some(arch) = request.arch() {
             if let Err(e) = arch.validate() {
-                return (400, error_body(&format!("invalid architecture: {e}")));
+                return bad(format!("invalid architecture: {e}"));
             }
         }
         // Resolve the work item before touching an engine: a bad suite
@@ -447,47 +499,65 @@ impl EngineHandler {
             (Some(network), _) => Some(network.clone()),
             (None, Some(name)) => match name.parse::<Suite>() {
                 Ok(suite) => Some(Network::from_suite(suite)),
-                Err(e) => return (400, error_body(&e.to_string())),
+                Err(e) => return bad(e.to_string()),
             },
             (None, None) => None, // work_item() guarantees `layer` is set.
         };
 
-        let (engine, retained) = match self.engine_for(request.arch().cloned()) {
-            Ok(engine) => engine,
-            Err(e) => return (500, error_body(&format!("engine unavailable: {e}"))),
+        let (engine, retained) = if solve {
+            match self.engine_for(request.arch()) {
+                Ok(engine) => engine,
+                Err(e) => return Some((500, error_body(&format!("engine unavailable: {e}")))),
+            }
+        } else {
+            (self.resident_engine(request.arch())?, true)
         };
         let scheduler = match scheduler_from_name(request.scheduler_name(), engine.arch()) {
             Ok(s) => s,
-            Err(msg) => return (400, error_body(&msg)),
+            Err(msg) => return bad(msg),
         };
         let interlayer = request.interlayer_or(&self.config.interlayer);
-
-        let outcome = match (&request.layer, network) {
-            (Some(layer), _) => engine
-                .schedule_layer(scheduler.as_ref(), layer)
-                .map(ScheduleResponse::from_scheduled)
-                .map_err(|e| e.to_string()),
-            (None, Some(network)) => {
-                let run = engine.schedule_network_with(&network, scheduler.as_ref(), &interlayer);
-                Ok(ScheduleResponse::from_report(run.report))
-            }
+        let work = match (&request.layer, &network) {
+            (Some(layer), _) => Work::Layer(layer),
+            (None, Some(network)) => Work::Network(network, &interlayer),
             (None, None) => unreachable!("work_item() guarantees one item"),
+        };
+
+        let outcome = if solve {
+            match work {
+                Work::Layer(layer) => engine
+                    .schedule_layer(scheduler.as_ref(), layer)
+                    .map(ScheduleResponse::from_scheduled)
+                    .map_err(|e| e.to_string()),
+                Work::Network(network, interlayer) => {
+                    let run = engine.schedule_network_with(network, scheduler.as_ref(), interlayer);
+                    Ok(ScheduleResponse::from_report(run.report))
+                }
+            }
+        } else {
+            if self.gc_due() {
+                return None;
+            }
+            Ok(match engine.schedule_resident(scheduler.as_ref(), work)? {
+                Resident::Layer(scheduled) => ScheduleResponse::from_scheduled(scheduled),
+                Resident::Network(run) => ScheduleResponse::from_report(run.report),
+            })
         };
         // A non-retained engine is dropped here; bank its counters so
         // /v1/stats still accounts for the solver work it did.
         if !retained {
             self.fold_overflow_stats(&engine);
         }
-        match outcome {
+        Some(match outcome {
             Ok(response) => {
-                self.after_schedule_request();
+                self.after_schedule_request(solve);
                 (
                     200,
                     serde_json::to_string(&response).expect("response serializes"),
                 )
             }
             Err(message) => (422, error_body(&message)),
-        }
+        })
     }
 
     fn handle_stats(&self, front: &FrontView<'_>) -> String {
@@ -527,14 +597,18 @@ impl EngineHandler {
     }
 }
 
-impl Handler for EngineHandler {
-    fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed {
-        match (request.method.as_str(), request.path.as_str()) {
+impl EngineHandler {
+    /// The `/v1/*` routing table, shared by both halves of [`Handler`]:
+    /// `solve` answers everything (a worker); without it only what
+    /// [`EngineHandler::handle_schedule`] can answer from memory, plus
+    /// every other route, which never needs a solver.
+    fn route(&self, request: &Request, front: &FrontView<'_>, solve: bool) -> Option<Routed> {
+        Some(match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/v1/schedule") => {
-                let (status, body) = self.handle_schedule(&request.body);
+                let (status, body) = self.handle_schedule(&request.body, solve)?;
                 Routed::new(status, body)
             }
-            ("GET", "/v1/stats") => Routed::new(200, self.handle_stats(&front)),
+            ("GET", "/v1/stats") => Routed::new(200, self.handle_stats(front)),
             ("GET", "/v1/healthz") => Routed::new(200, self.handle_healthz()),
             ("POST", "/v1/shutdown") => Routed {
                 status: 200,
@@ -543,7 +617,20 @@ impl Handler for EngineHandler {
             },
             ("POST" | "GET", path) => Routed::new(404, error_body(&format!("no route {path}"))),
             (method, _) => Routed::new(405, error_body(&format!("method {method} not allowed"))),
-        }
+        })
+    }
+}
+
+impl Handler for EngineHandler {
+    fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed {
+        self.route(request, &front, true)
+            .expect("a worker answers every request")
+    }
+
+    /// Everything but a schedule request that needs a solver, an engine
+    /// build, a GC sweep or a NoC/DRAM catch-up: those go to a worker.
+    fn answer_now(&self, request: &Request, front: FrontView<'_>) -> Option<Routed> {
+        self.route(request, &front, false)
     }
 }
 

@@ -212,6 +212,13 @@ impl ScheduleCache {
         }
     }
 
+    /// The entry under `key` without counting a hit or a miss and without
+    /// refreshing LRU order — a residency check that leaves every counter
+    /// as it was.
+    fn resident(&self, key: &str) -> Option<&CacheEntry> {
+        self.entries.get(key).map(|slot| &slot.entry)
+    }
+
     /// Count one miss: a single-flight leader is about to run the solver.
     pub fn note_miss(&mut self) {
         self.misses += 1;
@@ -636,6 +643,30 @@ pub struct NetworkRun {
     pub noc_sims: u64,
     /// Wall-clock time for the whole network call.
     pub elapsed: Duration,
+}
+
+/// What [`Engine::schedule_resident`] is asked to answer: one layer (keyed
+/// under the engine's default inter-layer options, as
+/// [`Engine::schedule_layer`] keys it) or a whole network under explicit
+/// options (as [`Engine::schedule_network_with`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Work<'a> {
+    /// A single layer.
+    Layer(&'a Layer),
+    /// A network with its inter-layer options.
+    Network(&'a Network, &'a InterlayerOptions),
+}
+
+/// A [`Work`] answered from the in-memory tier: exactly what
+/// [`Engine::schedule_layer`] or [`Engine::schedule_network_with`] would
+/// have returned.
+#[derive(Debug, Clone)]
+pub enum Resident {
+    /// The layer's schedule.
+    Layer(Scheduled),
+    /// The network's run (`cache_misses` and `noc_sims` are 0; boxed, as
+    /// a run dwarfs a schedule).
+    Network(Box<NetworkRun>),
 }
 
 /// A cache key's parts up to the layer, under one scheduler and one set of
@@ -1228,9 +1259,63 @@ impl Engine {
         scheduler: &dyn Scheduler,
         layer: &Layer,
     ) -> Result<Scheduled, ScheduleError> {
+        self.layer_run(scheduler, layer, true)
+            .expect("a solving run always answers")
+    }
+
+    /// Answer `work` from the in-memory tier alone, or return `None`
+    /// without side effects when that is not possible: a shape is not
+    /// resident, or an entry lacks the NoC verdict ([`Engine::with_noc`])
+    /// or the DRAM profile (inter-layer pass enabled) the answer needs.
+    /// An answer runs no solver, NoC simulation or inter-layer catch-up,
+    /// touches no disk beyond a non-blocking [`CacheStore::disk_stats`],
+    /// and waits on no lock held across I/O — a serving event loop may
+    /// call it. It is byte for byte the answer of [`Engine::schedule_layer`]
+    /// or [`Engine::schedule_network_with`], and it counts its hits exactly
+    /// as they would; a `None` counts nothing, so the solving call that
+    /// follows counts each hit and miss once.
+    pub fn schedule_resident(&self, scheduler: &dyn Scheduler, work: Work<'_>) -> Option<Resident> {
+        match work {
+            Work::Layer(layer) => self
+                .layer_run(scheduler, layer, false)
+                .map(|outcome| Resident::Layer(outcome.expect("resident entries are successes"))),
+            Work::Network(network, interlayer) => self
+                .network_run(network, scheduler, interlayer, false)
+                .map(|run| Resident::Network(Box::new(run))),
+        }
+    }
+
+    /// `true` when a resident `entry` carries everything an answer needs
+    /// without a catch-up: the NoC verdict when the engine simulates, the
+    /// DRAM profile when the inter-layer pass reads it.
+    fn answers_without_catch_up(&self, entry: &CacheEntry, needs_dram: bool) -> bool {
+        (!self.simulate_noc || entry.noc.is_some()) && (!needs_dram || entry.dram.is_some())
+    }
+
+    /// The layer path behind [`Engine::schedule_layer`] (`solve`: every
+    /// dedup tier, then the solver) and [`Engine::schedule_resident`]
+    /// (`!solve`: the memory tier only, `None` unless the entry is
+    /// resident and complete; the check counts nothing, the hit counts
+    /// once).
+    fn layer_run(
+        &self,
+        scheduler: &dyn Scheduler,
+        layer: &Layer,
+        solve: bool,
+    ) -> Option<Result<Scheduled, ScheduleError>> {
         let key = self.cache_key(scheduler, layer);
-        let (outcome, _led) = self.resolve_entry(scheduler, &key, layer);
-        outcome.map(|entry| entry.scheduled)
+        if solve {
+            let (outcome, _led) = self.resolve_entry(scheduler, &key, layer);
+            return Some(outcome.map(|entry| entry.scheduled));
+        }
+        let mut cache = self.cache.as_ref()?.lock().expect("cache lock");
+        let complete = cache
+            .resident(&key)
+            .is_some_and(|entry| self.answers_without_catch_up(entry, false));
+        if !complete {
+            return None;
+        }
+        cache.peek(&key).map(|entry| Ok(entry.scheduled))
     }
 
     /// Schedule every entry of `network` with `scheduler`.
@@ -1264,6 +1349,22 @@ impl Engine {
         scheduler: &dyn Scheduler,
         interlayer: &InterlayerOptions,
     ) -> NetworkRun {
+        self.network_run(network, scheduler, interlayer, true)
+            .expect("a solving run always completes")
+    }
+
+    /// The network path behind [`Engine::schedule_network_with`] (`solve`)
+    /// and [`Engine::schedule_resident`] (`!solve`: `None`, with nothing
+    /// counted, unless every unique shape is resident and complete — then
+    /// no job, NoC backfill or DRAM catch-up runs and the report is
+    /// assembled exactly as a warm solving call assembles it).
+    fn network_run(
+        &self,
+        network: &Network,
+        scheduler: &dyn Scheduler,
+        interlayer: &InterlayerOptions,
+        solve: bool,
+    ) -> Option<NetworkRun> {
         let start = Instant::now();
         let noc_sims_before = self.noc_sims.load(Ordering::Relaxed);
 
@@ -1292,6 +1393,17 @@ impl Engine {
         let mut jobs: Vec<(&str, &Layer)> = Vec::new();
         if let Some(cache) = &self.cache {
             let mut cache = cache.lock().expect("cache lock");
+            // Checked under the same hold as the peeks below: a memory-only
+            // call either takes every hit or counts nothing.
+            if !solve
+                && !unique.iter().all(|(key, _)| {
+                    cache.resident(key).is_some_and(|entry| {
+                        self.answers_without_catch_up(entry, interlayer.enabled)
+                    })
+                })
+            {
+                return None;
+            }
             for (key, layer) in &unique {
                 match cache.peek(key) {
                     Some(hit) => {
@@ -1300,8 +1412,10 @@ impl Engine {
                     None => jobs.push((key, layer)),
                 }
             }
-        } else {
+        } else if solve {
             jobs = unique.clone();
+        } else {
+            return None;
         }
 
         // Cache hits solved before NoC evaluation existed (or by a
@@ -1452,7 +1566,7 @@ impl Engine {
             .run()
         });
 
-        NetworkRun {
+        Some(NetworkRun {
             report: NetworkReport {
                 network: network.name.clone(),
                 arch: self.arch.name().to_string(),
@@ -1471,7 +1585,7 @@ impl Engine {
             cache_misses: fresh_solves,
             noc_sims: self.noc_sims.load(Ordering::Relaxed) - noc_sims_before,
             elapsed: start.elapsed(),
-        }
+        })
     }
 }
 
@@ -1660,6 +1774,79 @@ mod tests {
         assert!(cache.get("k0").is_some(), "recently touched entry kept");
         assert!(cache.get("k2").is_some());
         assert!(cache.bytes() <= one * 2 + one / 2);
+    }
+
+    /// `schedule_resident` answers exactly what the solving calls answer
+    /// once everything is resident, and before that declines with every
+    /// counter untouched — also when only the NoC verdict is missing.
+    #[test]
+    fn resident_answers_match_solving_calls_and_count_once() {
+        let mapper = quick_random();
+        let net = tiny_network();
+        let off = InterlayerOptions::disabled();
+        let layer = &net.layers[1].layer;
+        let engine = Engine::new(Arch::simba_baseline()).with_threads(1);
+        assert!(engine
+            .schedule_resident(&mapper, Work::Network(&net, &off))
+            .is_none());
+        assert!(engine
+            .schedule_resident(&mapper, Work::Layer(layer))
+            .is_none());
+        engine.schedule_layer(&mapper, layer).expect("valid");
+        let stats = engine.cache_stats();
+        assert!(
+            engine
+                .schedule_resident(&mapper, Work::Network(&net, &off))
+                .is_none(),
+            "one shape is still cold"
+        );
+        assert_eq!(
+            engine.cache_stats(),
+            stats,
+            "a declined call counts nothing"
+        );
+
+        let solved = engine.schedule_network_with(&net, &mapper, &off);
+        let after_solve = engine.cache_stats();
+        let Some(Resident::Network(resident)) =
+            engine.schedule_resident(&mapper, Work::Network(&net, &off))
+        else {
+            panic!("every shape is resident");
+        };
+        assert_eq!(resident.cache_misses, 0);
+        assert_eq!(resident.cache_hits, solved.cache_hits + solved.cache_misses);
+        assert_eq!(
+            resident.report.without_timings(),
+            engine
+                .schedule_network_with(&net, &mapper, &off)
+                .report
+                .without_timings()
+        );
+        let hits = engine.cache_stats().hits - after_solve.hits;
+        assert_eq!(hits, 4, "two unique shapes, two calls, one hit each");
+        let Some(Resident::Layer(scheduled)) =
+            engine.schedule_resident(&mapper, Work::Layer(layer))
+        else {
+            panic!("the layer is resident");
+        };
+        assert_eq!(scheduled, engine.schedule_layer(&mapper, layer).unwrap());
+
+        // With NoC evaluation on, entries without a verdict need a
+        // catch-up: declined, nothing counted, nothing simulated.
+        let noc = Engine::new(Arch::simba_baseline()).with_noc();
+        let bare = CacheEntry::new(Scheduler::schedule(&mapper, noc.arch(), layer).unwrap());
+        let key = noc.cache_key(&mapper, layer);
+        noc.cache
+            .as_ref()
+            .unwrap()
+            .lock()
+            .unwrap()
+            .insert(key, bare);
+        let stats = noc.cache_stats();
+        assert!(noc.schedule_resident(&mapper, Work::Layer(layer)).is_none());
+        assert_eq!(noc.cache_stats(), stats);
+        noc.schedule_layer(&mapper, layer).expect("caught up");
+        assert!(noc.schedule_resident(&mapper, Work::Layer(layer)).is_some());
     }
 
     /// A cache key built the way keys were built before the prefix was

@@ -120,7 +120,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant, SystemTime};
 
 use cosa_noc::NocSummary;
@@ -556,6 +556,10 @@ pub struct CacheStore {
     lock_staleness: Duration,
     /// Cached segment view; see [`SegmentView`].
     seg: Mutex<SegmentView>,
+    /// The disk-tier numbers the last holder of `seg` published, for a
+    /// [`CacheStore::disk_stats`] that finds `seg` held (a save holds it
+    /// through its lock-file wait, append and fsync). Held only to copy.
+    published: Mutex<DiskTierStats>,
     /// Compactions run by this handle (process-local activity counter).
     compactions: AtomicU64,
 }
@@ -573,6 +577,7 @@ impl CacheStore {
             dir,
             lock_staleness: DEFAULT_LOCK_STALENESS,
             seg: Mutex::new(SegmentView::default()),
+            published: Mutex::new(DiskTierStats::default()),
             compactions: AtomicU64::new(0),
         })
     }
@@ -863,12 +868,14 @@ impl CacheStore {
         };
         let mut view = self.seg_guard();
         let _lock = self.lock_for_write(&mut view)?;
-        match view.file.clone() {
+        let saved = match view.file.clone() {
             Some(file) if view.generation.is_some() && view.tail_frames < view.checkpoint_rows => {
                 view.append(&file, row, record.as_bytes())
             }
             _ => self.checkpoint(&mut view, |k| k != key, Some((row, record.into_bytes()))),
-        }
+        };
+        self.publish(&view);
+        saved
     }
 
     /// Remove one entry (a missing entry is not an error). Like every
@@ -884,6 +891,7 @@ impl CacheStore {
         if view.rows.contains_key(key) {
             let _lock = self.lock_for_write(&mut view)?;
             self.checkpoint(&mut view, |k| k != key, None)?;
+            self.publish(&view);
         }
         Ok(())
     }
@@ -911,17 +919,46 @@ impl CacheStore {
     }
 
     /// A point-in-time description of the disk tier's shape (index size,
-    /// live/dead payload split) for stats surfaces.
+    /// live/dead payload split) for stats surfaces. Never waits: when
+    /// another thread holds the segment view (a save mid-fsync), it
+    /// returns the numbers that holder's last publication left instead of
+    /// refreshing — a serving event loop reports stats through here.
     pub fn disk_stats(&self) -> DiskTierStats {
-        let mut view = self.seg_guard();
-        self.refresh_view(&mut view);
-        DiskTierStats {
+        let held = match self.seg.try_lock() {
+            Ok(view) => Some(view),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let mut stats = match held {
+            Some(mut view) => {
+                self.refresh_view(&mut view);
+                self.publish(&view)
+            }
+            None => self
+                .published
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .clone(),
+        };
+        stats.compactions = self.compactions.load(Ordering::Relaxed);
+        stats
+    }
+
+    /// Record `view`'s disk-tier numbers for a [`CacheStore::disk_stats`]
+    /// that finds the view held, and return them.
+    fn publish(&self, view: &SegmentView) -> DiskTierStats {
+        let stats = DiskTierStats {
             index_entries: view.rows.len(),
             segment_bytes: view.stat.map_or(0, |(len, _)| len),
             live_bytes: view.live_bytes(),
             dead_bytes: view.dead_bytes(),
             compactions: self.compactions.load(Ordering::Relaxed),
-        }
+        };
+        self.published
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone_from(&stats);
+        stats
     }
 
     /// Enforce `policy` on the disk tier, evicting digests until both
@@ -1032,6 +1069,7 @@ impl CacheStore {
                 report.delete_errors = victims.len();
             }
         }
+        self.publish(&view);
         report.retained = report.examined - report.removed;
         report.retained_bytes = total - report.removed_bytes;
         Ok(report)
@@ -1052,6 +1090,7 @@ impl CacheStore {
             _ => {}
         }
         *view = SegmentView::default();
+        self.publish(&view);
         Ok(removed)
     }
 
@@ -1512,5 +1551,55 @@ mod tests {
             "b567dd06af4a9103 87",
             "parse outcomes moved"
         );
+    }
+
+    /// `disk_stats` never waits on the segment view: while another thread
+    /// holds it (as a save does through its lock-file wait, append and
+    /// fsync), the call returns the numbers last published instead of
+    /// blocking, and once the view is free it refreshes as before.
+    #[test]
+    fn disk_stats_returns_while_the_segment_view_is_held() {
+        use std::sync::mpsc;
+
+        let dir = std::env::temp_dir().join(format!("cosa-disk-stats-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = Arc::new(CacheStore::open(&dir).unwrap());
+        let entry: CacheEntry = serde_json::from_str(include_str!(
+            "../../tests/fixtures/parse_pin/cache_entry.json"
+        ))
+        .unwrap();
+        store.save("k1", &entry).unwrap();
+        let before = store.disk_stats();
+        assert_eq!(before.index_entries, 1);
+        assert!(before.segment_bytes > 0);
+
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                let _view = store.seg_guard();
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        };
+        held_rx.recv().unwrap();
+        let (stats_tx, stats_rx) = mpsc::channel();
+        let reader = {
+            let store = store.clone();
+            std::thread::spawn(move || stats_tx.send(store.disk_stats()).unwrap())
+        };
+        let during = stats_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("disk_stats waited on the held segment view");
+        assert_eq!(during, before, "the published numbers");
+        drop(release_tx);
+        holder.join().unwrap();
+        reader.join().unwrap();
+
+        store.save("k2", &entry).unwrap();
+        let after = store.disk_stats();
+        assert_eq!(after.index_entries, 2, "a free view refreshes");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

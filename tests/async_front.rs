@@ -5,12 +5,18 @@
 //! and shutdown are answered, never dropped: a full queue sheds `429`, a
 //! shutdown drains what was queued.
 //!
-//! Every daemon runs on `127.0.0.1:0` with the fast `random` scheduler.
-//! The shedding and drain tests need requests that take a known time, so
-//! they run the bare front around a `SleepingHandler` fake instead.
+//! Answers that need no solver are answered by the event loop itself, so
+//! they are never stuck behind a solve, and a panicking handler costs
+//! only its request a `500`, on the loop or on a worker.
+//!
+//! Every daemon runs on `127.0.0.1:0` with the fast `random` scheduler,
+//! except where a slow `cosa` solve is the point. The shedding and drain
+//! tests need requests that take a known time, so they run the bare front
+//! around a `SleepingHandler` fake instead.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -260,4 +266,143 @@ fn graceful_shutdown_drains_queued_requests() {
         http::request(addr, "GET", "/v1/healthz", "").is_err(),
         "port must be closed after shutdown"
     );
+}
+
+/// A handler whose requests panic where told to: `/panic` in
+/// [`Handler::handle`] on the worker, `/panic-now` in
+/// [`Handler::answer_now`] on the event loop. `/now` is answered on the
+/// loop, anything else on the worker, and `/v1/stats` answers the front's
+/// error count as a bare number.
+struct PanickingHandler;
+
+impl Handler for PanickingHandler {
+    fn handle(&self, request: &Request, front: FrontView<'_>) -> Routed {
+        match request.path.as_str() {
+            "/panic" => panic!("handler panic on the worker"),
+            "/v1/stats" => Routed::new(200, front.errors().to_string()),
+            _ => Routed::new(200, "\"worker\"".to_string()),
+        }
+    }
+
+    fn answer_now(&self, request: &Request, _front: FrontView<'_>) -> Option<Routed> {
+        match request.path.as_str() {
+            "/panic-now" => panic!("handler panic on the event loop"),
+            "/now" => Some(Routed::new(200, "\"loop\"".to_string())),
+            _ => None,
+        }
+    }
+}
+
+#[test]
+fn a_panic_costs_a_500_and_the_front_keeps_serving() {
+    // One worker: the request after its panic can only be served by the
+    // same thread, so a 200 there shows the panic cost no pool thread.
+    let config = FrontConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_capacity: 8,
+        max_connections: 64,
+        log_requests: false,
+    };
+    let handle = front::start(config, Arc::new(PanickingHandler)).expect("start front");
+    let addr = handle.addr();
+    for (path, status, body) in [
+        ("/panic", 500, None),
+        ("/work", 200, Some("\"worker\"")),
+        ("/panic-now", 500, None),
+        ("/now", 200, Some("\"loop\"")),
+        ("/work", 200, Some("\"worker\"")),
+        ("/panic-now", 500, None),
+        ("/panic", 500, None),
+        ("/now", 200, Some("\"loop\"")),
+    ] {
+        let resp = http::request(addr, "POST", path, "").expect(path);
+        assert_eq!(resp.status, status, "{path}: {}", resp.body);
+        if let Some(body) = body {
+            assert_eq!(resp.body, body, "{path}");
+        }
+    }
+    let errors = http::request(addr, "GET", "/v1/stats", "").expect("stats");
+    assert_eq!(errors.body, "4", "every 500 is counted once");
+    handle.begin_shutdown();
+    handle.join().expect("no front thread died");
+}
+
+#[test]
+fn hits_and_health_are_not_stuck_behind_a_solve() {
+    // One worker, one queue slot. While the worker runs a cold `cosa`
+    // solve, a warm layer hit and `/v1/healthz` are answered by the event
+    // loop, before the solve's reply; with a second cold request filling
+    // the queue, `/v1/stats` and `/v1/healthz` still answer 200 (a front
+    // that queued them would shed them 429 or keep them behind the solve).
+    let handle = Server::start(ServeConfig::builder().workers(1).queue_capacity(1).build())
+        .expect("start daemon");
+    let addr = handle.addr();
+
+    let warm = layer_body();
+    let resp = http::request(addr, "POST", "/v1/schedule", &warm).expect("warm-up");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    // ResNet-50's 20-odd distinct shapes through the serving MILP: seconds
+    // of solving, so everything below happens mid-solve.
+    let cold =
+        serde_json::to_string(&ScheduleRequest::for_suite(Suite::ResNet50).with_scheduler("cosa"))
+            .expect("request serializes");
+
+    let replies = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let send = |method: &'static str, path: &'static str, body: &str| {
+            let (body, replies) = (body.to_string(), &replies);
+            scope.spawn(move || {
+                let resp = http::request(addr, method, path, &body).expect(path);
+                (resp.status, replies.fetch_add(1, Ordering::SeqCst))
+            })
+        };
+        let stats = || {
+            let resp = http::request(addr, "GET", "/v1/stats", "").expect("stats");
+            assert_eq!(resp.status, 200, "stats mid-solve: {}", resp.body);
+            serde_json::from_str::<StatsResponse>(&resp.body).expect("stats parse")
+        };
+        let wait_for = |what: &str, done: &dyn Fn(&StatsResponse) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done(&stats()) {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let solve = send("POST", "/v1/schedule", &cold);
+        wait_for("the worker never started the solve", &|s| {
+            s.cache.in_flight_peak >= 1
+        });
+        let hit = send("POST", "/v1/schedule", &warm);
+        let health = send("GET", "/v1/healthz", "");
+        let (hit_status, hit_at) = hit.join().expect("hit client");
+        let (health_status, health_at) = health.join().expect("health client");
+        assert_eq!((hit_status, health_status), (200, 200));
+
+        // The same cold suite again: not resident yet, so it waits for the
+        // busy worker in the one queue slot.
+        let queued = send("POST", "/v1/schedule", &cold);
+        wait_for("the second cold request never queued", &|s| {
+            s.queue_depth == 1
+        });
+        let resp = http::request(addr, "GET", "/v1/healthz", "").expect("healthz");
+        assert_eq!(
+            resp.status, 200,
+            "healthz behind a full queue: {}",
+            resp.body
+        );
+
+        let (solve_status, solve_at) = solve.join().expect("solve client");
+        assert_eq!(solve_status, 200);
+        assert!(
+            hit_at < solve_at && health_at < solve_at,
+            "reply order: hit {hit_at}, healthz {health_at}, cold solve {solve_at}"
+        );
+        let (queued_status, _) = queued.join().expect("queued client");
+        assert_eq!(
+            queued_status, 200,
+            "the queued request is served from the cache"
+        );
+    });
+    handle.shutdown().expect("clean shutdown");
 }

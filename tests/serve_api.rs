@@ -589,3 +589,51 @@ fn daemon_periodic_gc_keeps_disk_tier_bounded() {
     assert_eq!(store.len(), 1, "disk tier bounded to the newest entry");
     assert_eq!(store.load().skipped, 0, "survivor is intact");
 }
+
+#[test]
+fn a_suite_with_one_cold_shape_counts_each_hit_and_miss_once() {
+    // Every AlexNet shape but the last is made resident through layer
+    // requests; the suite request then cannot be answered from memory and
+    // goes to a worker. Its memory-only attempt on the event loop must
+    // count nothing, so `/v1/stats` moves by one hit per resident shape,
+    // one miss for the cold one and one served request.
+    let handle = quick_server();
+    let network = Network::from_suite(Suite::AlexNet);
+    let mut shapes: Vec<Layer> = Vec::new();
+    for entry in &network.layers {
+        if !shapes.contains(&entry.layer) {
+            shapes.push(entry.layer.clone());
+        }
+    }
+    let (cold, warm) = shapes.split_last().expect("AlexNet has layers");
+    for layer in warm {
+        let resp = post_schedule(
+            &handle,
+            &ScheduleRequest::for_layer(layer.clone()).with_scheduler("random"),
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+
+    let suite = ScheduleRequest::for_suite(Suite::AlexNet).with_scheduler("random");
+    let before = get_stats(&handle);
+    let resp = post_schedule(&handle, &suite);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let after = get_stats(&handle);
+    assert_eq!(after.cache.hits - before.cache.hits, warm.len() as u64);
+    assert_eq!(
+        after.cache.misses - before.cache.misses,
+        1,
+        "{} solves once",
+        cold.name()
+    );
+    assert_eq!(after.served - before.served, 1);
+
+    // Now every shape is resident: the repeat is all hits, no miss.
+    let resp = post_schedule(&handle, &suite);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let again = get_stats(&handle);
+    assert_eq!(again.cache.hits - after.cache.hits, shapes.len() as u64);
+    assert_eq!(again.cache.misses, after.cache.misses);
+    assert_eq!(again.served - after.served, 1);
+    handle.shutdown().expect("clean shutdown");
+}
