@@ -174,7 +174,7 @@ fn main() {
 /// byte budget. Panics (failing CI) when the contract is violated.
 fn run_offline_gc(dir: &str, policy: &GcPolicy) {
     let store = CacheStore::open(dir).expect("open cache dir");
-    let before_bytes = store.total_bytes();
+    let before_bytes = store.disk_stats().live_bytes;
     // Damaged or version-mismatched entries may predate the sweep (a
     // crashed writer, an old STORE_VERSION); only corruption the sweep
     // itself would introduce is a failure.
@@ -224,7 +224,7 @@ fn run_offline_gc(dir: &str, policy: &GcPolicy) {
 
 /// One engine against a persistent cache directory: the warm-start path
 /// the CI `warm-cache` job exercises twice. The cache-facing knobs
-/// (format, NoC, lock staleness) come from the shared [`CommonArgs`] set.
+/// (NoC, inter-layer options) come from the shared [`CommonArgs`] set.
 #[allow(clippy::too_many_arguments)]
 fn run_persistent(
     arch: &Arch,
@@ -240,9 +240,6 @@ fn run_persistent(
         .with_interlayer(common.interlayer);
     if common.noc {
         engine = engine.with_noc();
-    }
-    if let Some(staleness) = common.lock_staleness {
-        engine = engine.with_lock_staleness(staleness);
     }
     let engine = engine.with_cache_dir(dir).expect("open cache dir");
     let loaded = engine.cache_stats();

@@ -17,9 +17,6 @@
 //! * `--cache-dir PATH` (or `COSA_CACHE_DIR`) — shared persistent
 //!   schedule cache (one packed `segment.cosa` file); restarts
 //!   warm-start from it.
-//! * `--lock-staleness-secs N` — how old a per-digest solve-lock file
-//!   must be before it is presumed orphaned and taken over (default
-//!   300 s; keep it above the worst-case solve time).
 //! * `--noc` — engine-level NoC evaluation per unique shape.
 //! * `--interlayer` (plus `--interlayer-budget-bytes N`,
 //!   `--interlayer-strategy greedy|milp`) — default inter-layer residency

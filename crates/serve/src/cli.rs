@@ -30,7 +30,7 @@ const DAEMON_FLAGS: [(&str, bool); 7] = [
 /// Map the daemon flag set onto a [`ServeConfig`] builder:
 /// `--addr` (default `127.0.0.1:7878`)/`--workers`/`--queue`/
 /// `--max-connections`, the [`CommonArgs`] set
-/// (`--cache-dir`/`--lock-staleness-secs`/`--noc`/`--interlayer*`) and
+/// (`--cache-dir`/`--noc`/`--interlayer*`) and
 /// `--gc-max-bytes`/`--gc-max-age-secs`/`--gc-every`.
 ///
 /// # Errors
@@ -117,8 +117,6 @@ mod tests {
             "9",
             "--max-connections",
             "111",
-            "--lock-staleness-secs",
-            "42",
             "--noc",
             "--gc-every",
             "5",
@@ -135,7 +133,6 @@ mod tests {
         assert_eq!(config.workers, 3);
         assert_eq!(config.queue_capacity, 9);
         assert_eq!(config.max_connections, 111);
-        assert_eq!(config.lock_staleness, Some(Duration::from_secs(42)));
         assert!(config.noc);
         assert_eq!(config.gc_every, 5);
         assert_eq!(
@@ -161,8 +158,14 @@ mod tests {
         assert!(err.contains("`--cache-dri`"), "{err}");
         assert!(err.contains("--cache-dir"), "lists the accepted set: {err}");
         // Removed flags are unknown like any other: the cache format
-        // switch, the injected service delay and the shard list.
-        for removed in ["--cache-format", "--request-delay-micros", "--shards"] {
+        // switch, the injected service delay, the shard list and the
+        // solve-lock staleness knob.
+        for removed in [
+            "--cache-format",
+            "--request-delay-micros",
+            "--shards",
+            "--lock-staleness-secs",
+        ] {
             let err = parse(&["bin", removed, "1"]).unwrap_err();
             assert!(err.contains(&format!("`{removed}`")), "{err}");
         }

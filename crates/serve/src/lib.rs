@@ -84,7 +84,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use cosa_repro::engine::{CacheStats, Engine, GcPolicy, InterlayerOptions, Resident, Work};
 use cosa_repro::serve::{
@@ -114,11 +113,6 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Shared persistent schedule-cache directory, when set.
     pub cache_dir: Option<PathBuf>,
-    /// Cross-process solve-lock staleness bound (`None` = the engine's
-    /// default). Must comfortably exceed the worst-case solve time, or
-    /// another daemon sharing the cache dir takes over a *live* solver's
-    /// lock and duplicates its work.
-    pub lock_staleness: Option<Duration>,
     /// Enable engine-level NoC evaluation.
     pub noc: bool,
     /// Disk-tier GC policy (no-op when unbounded or memory-only).
@@ -145,7 +139,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_connections: 1024,
             cache_dir: None,
-            lock_staleness: None,
             noc: false,
             gc: GcPolicy::default(),
             gc_every: 64,
@@ -216,13 +209,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Cross-process solve-lock staleness bound.
-    #[must_use]
-    pub fn lock_staleness(mut self, staleness: Duration) -> Self {
-        self.config.lock_staleness = Some(staleness);
-        self
-    }
-
     /// Enable engine-level NoC evaluation.
     #[must_use]
     pub fn noc(mut self, noc: bool) -> Self {
@@ -266,13 +252,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Apply the shared `--scheduler`/`--cache-dir`/
-    /// `--lock-staleness-secs`/`--noc`/`--interlayer*` flag set parsed by
-    /// [`CommonArgs`] (the per-request scheduler choice does not live in
-    /// the daemon config and is ignored here).
+    /// Apply the shared `--scheduler`/`--cache-dir`/`--noc`/
+    /// `--interlayer*` flag set parsed by [`CommonArgs`] (the per-request
+    /// scheduler choice does not live in the daemon config and is ignored
+    /// here).
     #[must_use]
     pub fn common(mut self, common: &CommonArgs) -> Self {
-        self.config.lock_staleness = common.lock_staleness;
         if common.cache_dir.is_some() {
             self.config.cache_dir = common.cache_dir.clone();
         }
@@ -655,9 +640,6 @@ fn build_engine(config: &ServeConfig, arch: Arch, cache_bytes: u64) -> io::Resul
     }
     if config.noc {
         engine = engine.with_noc();
-    }
-    if let Some(staleness) = config.lock_staleness {
-        engine = engine.with_lock_staleness(staleness);
     }
     if let Some(dir) = &config.cache_dir {
         engine = engine.with_cache_dir(dir)?;

@@ -16,7 +16,9 @@
 //!
 //! * **within a call** — repeated shapes in one network solve once;
 //! * **across calls** — the in-memory LRU front ([`ScheduleCache`], with
-//!   byte-size accounting) returns earlier results verbatim;
+//!   byte-size accounting and an optional byte budget,
+//!   [`Engine::with_cache_bytes`]) returns earlier results verbatim; every
+//!   engine has it;
 //! * **across processes** — with [`Engine::with_cache_dir`] every entry is
 //!   written through to a [`store::CacheStore`] directory and loaded back
 //!   on the next start, so warm runs perform zero solver calls.
@@ -34,7 +36,10 @@
 //! With [`Engine::with_noc`] the cycle-level NoC simulator runs *inside*
 //! the engine, once per unique shape, and its verdict is cached (and
 //! persisted) alongside the schedule — the Fig. 10 campaign reads
-//! [`LayerReport::noc`] instead of re-simulating outside.
+//! [`LayerReport::noc`] instead of re-simulating outside. A cached entry
+//! that lacks what an answer needs (saved without a NoC verdict, or without
+//! the DRAM profile the inter-layer pass reads) goes through one completion
+//! step that fills in both, then re-inserts and persists the entry once.
 //!
 //! Reports are deterministic: scheduling is one-shot/seeded, totals are
 //! accumulated in network order, and cached results are returned verbatim.
@@ -93,7 +98,7 @@ use interlayer::InterlayerPass;
 /// entry (or the lock for staleness) while another process solves.
 const CROSS_PROCESS_POLL: Duration = Duration::from_millis(25);
 
-/// Extra wait beyond the lock-staleness bound before a cross-process
+/// Extra wait beyond [`DEFAULT_LOCK_STALENESS`] before a cross-process
 /// waiter gives up on a foreign lock entirely and solves unlocked. A
 /// healthy holder persists within the staleness bound and a crashed one
 /// is taken over at it, so this only triggers when the lock file is
@@ -117,10 +122,10 @@ struct Slot {
 /// Keys are the canonical digest of the architecture and layer plus the
 /// scheduler's [`Scheduler::fingerprint`], so equal inputs hit regardless
 /// of which network (or engine call) first scheduled them. Eviction is
-/// **LRU** under an optional entry-count and/or byte budget: every hit or
-/// insert refreshes the slot's logical timestamp, and inserts evict the
-/// least-recently-used slots until the budget holds again. Byte accounting
-/// uses each entry's canonical-JSON size — the same bytes the persistent
+/// **LRU** under an optional byte budget: every hit or insert refreshes the
+/// slot's logical timestamp, and inserts evict the least-recently-used
+/// slots until the budget holds again. Byte accounting uses each entry's
+/// canonical-JSON size — the same bytes the persistent
 /// [`store::CacheStore`] writes.
 ///
 /// Eviction only touches this in-memory front; entries written through to
@@ -131,7 +136,6 @@ pub struct ScheduleCache {
     entries: HashMap<String, Slot>,
     /// Logical clock driving LRU timestamps.
     clock: u64,
-    max_entries: Option<usize>,
     max_bytes: Option<u64>,
     bytes: u64,
     hits: u64,
@@ -145,15 +149,6 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// A cache evicting least-recently-used entries beyond `capacity`
-    /// entries.
-    pub fn bounded(capacity: usize) -> ScheduleCache {
-        ScheduleCache {
-            max_entries: Some(capacity.max(1)),
-            ..ScheduleCache::default()
-        }
-    }
-
     /// A cache evicting least-recently-used entries once the resident set
     /// exceeds `max_bytes` of canonical-JSON size. The most recent insert
     /// is never evicted, so a single oversized entry still caches.
@@ -164,13 +159,6 @@ impl ScheduleCache {
         }
     }
 
-    /// Apply (or tighten) an entry-count bound, evicting LRU entries that
-    /// no longer fit. Existing entries and counters are kept.
-    pub fn bound_entries(&mut self, capacity: usize) {
-        self.max_entries = Some(capacity.max(1));
-        self.shrink_to_budget();
-    }
-
     /// Apply (or tighten) a byte bound, evicting LRU entries that no
     /// longer fit. Existing entries and counters are kept.
     pub fn bound_bytes(&mut self, max_bytes: u64) {
@@ -179,25 +167,14 @@ impl ScheduleCache {
     }
 
     fn shrink_to_budget(&mut self) {
-        while self.over_budget() && self.entries.len() > 1 {
+        while self.max_bytes.is_some_and(|cap| self.bytes > cap) && self.entries.len() > 1 {
             self.evict_lru();
         }
     }
 
-    /// Look up a key, counting a hit or miss and refreshing LRU order.
-    pub fn get(&mut self, key: &str) -> Option<CacheEntry> {
-        match self.peek(key) {
-            Some(entry) => Some(entry),
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Look up a key without counting a miss on absence: a present entry
-    /// still counts a hit and refreshes LRU order. The engine's
-    /// single-flight path uses this so that `misses` counts *solver
+    /// counts a hit and refreshes LRU order. Misses are counted apart
+    /// ([`ScheduleCache::note_miss`]) so that `misses` counts *solver
     /// invocations* — an absent key whose solve is deduplicated against
     /// an in-flight leader is a [`CacheStats::dedup_waits`], not a miss.
     pub fn peek(&mut self, key: &str) -> Option<CacheEntry> {
@@ -231,8 +208,8 @@ impl ScheduleCache {
     }
 
     /// Insert (or replace) an entry, then evict least-recently-used slots
-    /// until the entry/byte budgets hold. The just-touched entry survives
-    /// even when it alone exceeds the byte budget.
+    /// until the byte budget holds. The just-touched entry survives even
+    /// when it alone exceeds the budget.
     pub fn insert(&mut self, key: String, entry: CacheEntry) {
         self.clock += 1;
         let bytes = entry_bytes(&key, &entry);
@@ -248,11 +225,6 @@ impl ScheduleCache {
         }
         self.bytes += bytes;
         self.shrink_to_budget();
-    }
-
-    fn over_budget(&self) -> bool {
-        self.max_entries.is_some_and(|cap| self.entries.len() > cap)
-            || self.max_bytes.is_some_and(|cap| self.bytes > cap)
     }
 
     /// Evict the least-recently-used slot. Linear scan: the engine's
@@ -274,24 +246,13 @@ impl ScheduleCache {
     }
 
     /// Number of cached schedules.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total canonical-JSON bytes accounted to resident entries.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
     }
 }
 
@@ -680,6 +641,22 @@ struct KeyPrefix {
 }
 
 impl KeyPrefix {
+    /// The prefix for `scheduler` on the architecture whose canonical JSON
+    /// is `arch_json`.
+    fn new(
+        scheduler: &dyn Scheduler,
+        arch_json: &str,
+        interlayer: &InterlayerOptions,
+    ) -> KeyPrefix {
+        let mut digest = canon::CanonDigest::new();
+        digest.push(&scheduler.fingerprint());
+        digest.push(arch_json);
+        KeyPrefix {
+            digest,
+            options: interlayer.enabled.then(|| interlayer.fingerprint()),
+        }
+    }
+
     /// The key of `layer`: a copy of the prefix state extended by the
     /// layer's canonical JSON (and the options).
     fn key(&self, layer: &Layer) -> String {
@@ -692,6 +669,19 @@ impl KeyPrefix {
     }
 }
 
+/// The cache key of `layer` under `scheduler` on the architecture whose
+/// canonical JSON is `arch_json`: the one statement of the key format,
+/// behind [`Engine::cache_key_with`] and the wire's
+/// [`routing_digest`](crate::serve::routing_digest).
+pub(crate) fn cache_key(
+    scheduler: &dyn Scheduler,
+    arch_json: &str,
+    layer: &Layer,
+    interlayer: &InterlayerOptions,
+) -> String {
+    KeyPrefix::new(scheduler, arch_json, interlayer).key(layer)
+}
+
 /// The batch scheduling engine. See the [module docs](self) for an example.
 #[derive(Debug)]
 pub struct Engine {
@@ -699,7 +689,7 @@ pub struct Engine {
     /// Canonical serialization of `arch`, computed once for cache keys.
     arch_json: String,
     threads: usize,
-    cache: Option<Mutex<ScheduleCache>>,
+    cache: Mutex<ScheduleCache>,
     /// Persistent write-through tier, when a cache dir is configured.
     store: Option<CacheStore>,
     /// Run the cycle-level NoC simulator per unique shape.
@@ -720,9 +710,6 @@ pub struct Engine {
     backend_wins: Mutex<HashMap<String, (u64, u64)>>,
     /// High-water mark of `flights`.
     in_flight_peak: AtomicU64,
-    /// Solve-lock staleness override, applied to the store (kept so the
-    /// builder methods compose in either order).
-    lock_staleness: Option<Duration>,
     /// Default inter-layer residency options for network scheduling
     /// (disabled unless [`Engine::with_interlayer`] set them).
     interlayer: InterlayerOptions,
@@ -740,7 +727,7 @@ impl Engine {
             arch,
             arch_json,
             threads,
-            cache: Some(Mutex::new(ScheduleCache::unbounded())),
+            cache: Mutex::new(ScheduleCache::unbounded()),
             store: None,
             simulate_noc: false,
             noc_sims: AtomicU64::new(0),
@@ -751,7 +738,6 @@ impl Engine {
             dedup_waits: AtomicU64::new(0),
             backend_wins: Mutex::new(HashMap::new()),
             in_flight_peak: AtomicU64::new(0),
-            lock_staleness: None,
             interlayer: InterlayerOptions::disabled(),
         }
     }
@@ -771,19 +757,6 @@ impl Engine {
         &self.interlayer
     }
 
-    /// Set the cross-process solve-lock staleness bound (default
-    /// [`DEFAULT_LOCK_STALENESS`]): locks older than this are presumed
-    /// orphaned and taken over, so it must comfortably exceed the
-    /// worst-case solve time. Composes with [`Engine::with_cache_dir`]
-    /// in either order; a no-op for memory-only engines.
-    pub fn with_lock_staleness(mut self, staleness: Duration) -> Engine {
-        self.lock_staleness = Some(staleness);
-        if let Some(store) = &mut self.store {
-            store.set_lock_staleness(staleness);
-        }
-        self
-    }
-
     /// Set the number of worker threads for network fan-out, the calling
     /// thread included (min 1).
     pub fn with_threads(mut self, threads: usize) -> Engine {
@@ -791,43 +764,16 @@ impl Engine {
         self
     }
 
-    /// Bound the in-memory cache to `capacity` entries (LRU eviction).
-    /// Composes with [`Engine::with_cache_dir`] in either order: entries
-    /// already resident (e.g. warm-loaded) are kept, shrunk to the bound.
-    pub fn with_cache(self, capacity: usize) -> Engine {
-        let engine = self.ensure_cache();
-        if let Some(cache) = &engine.cache {
-            cache.lock().expect("cache lock").bound_entries(capacity);
-        }
-        engine
-    }
-
     /// Bound the in-memory cache to `max_bytes` of canonical-JSON size
-    /// (LRU eviction with byte accounting). Composes with
-    /// [`Engine::with_cache_dir`] in either order, like [`Engine::with_cache`].
-    pub fn with_cache_bytes(self, max_bytes: u64) -> Engine {
-        let engine = self.ensure_cache();
-        if let Some(cache) = &engine.cache {
-            cache.lock().expect("cache lock").bound_bytes(max_bytes);
-        }
-        engine
-    }
-
-    fn ensure_cache(mut self) -> Engine {
-        if self.cache.is_none() {
-            self.cache = Some(Mutex::new(ScheduleCache::unbounded()));
-        }
-        self
-    }
-
-    /// Disable cross-call caching (within-run deduplication still applies).
-    /// Also detaches any persistent store: with no in-memory front there is
-    /// nothing to warm-start or write through.
-    pub fn without_cache(mut self) -> Engine {
-        self.cache = None;
-        self.store = None;
-        self.warm_entries = 0;
-        self.load_micros = 0;
+    /// (LRU eviction with byte accounting; the newest entry always stays,
+    /// so a budget of 1 byte keeps exactly one). Composes with
+    /// [`Engine::with_cache_dir`] in either order: entries already
+    /// resident are kept, shrunk to the bound.
+    pub fn with_cache_bytes(mut self, max_bytes: u64) -> Engine {
+        self.cache
+            .get_mut()
+            .expect("cache lock")
+            .bound_bytes(max_bytes);
         self
     }
 
@@ -841,19 +787,16 @@ impl Engine {
 
     /// Attach a persistent cache directory: the segment index is read in
     /// one pass (an O(index) warm start — entries decode lazily on first
-    /// use) and every fresh result is written through. Re-enables
-    /// caching if it was disabled. Corrupt on-disk entries are skipped
-    /// and counted in [`CacheStats::store_errors`], never fatal.
+    /// use) and every fresh result is written through. Corrupt on-disk
+    /// entries are skipped and counted in [`CacheStats::store_errors`],
+    /// never fatal.
     ///
     /// # Errors
     ///
     /// Returns the I/O error when the directory cannot be created.
     pub fn with_cache_dir(mut self, dir: impl AsRef<Path>) -> io::Result<Engine> {
         let start = Instant::now();
-        let mut store = CacheStore::open(dir.as_ref())?;
-        if let Some(staleness) = self.lock_staleness {
-            store.set_lock_staleness(staleness);
-        }
+        let store = CacheStore::open(dir.as_ref())?;
         let load = store.load_index();
         self.warm_entries = load.entries;
         // The whole warm start: one index read and a tail replay bounded
@@ -861,7 +804,6 @@ impl Engine {
         self.load_micros = start.elapsed().as_micros() as u64;
         self.store_errors
             .fetch_add(load.skipped as u64, Ordering::Relaxed);
-        self = self.ensure_cache();
         self.store = Some(store);
         Ok(self)
     }
@@ -876,17 +818,12 @@ impl Engine {
         self.threads
     }
 
-    /// `true` when engine-level NoC evaluation is enabled.
-    pub fn noc_enabled(&self) -> bool {
-        self.simulate_noc
-    }
-
     /// The persistent store, when a cache dir is configured.
     pub fn store(&self) -> Option<&CacheStore> {
         self.store.as_ref()
     }
 
-    /// Current cache counters (all zero when caching is disabled).
+    /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats {
             noc_sims: self.noc_sims.load(Ordering::Relaxed),
@@ -910,14 +847,13 @@ impl Engine {
             },
             ..CacheStats::default()
         };
-        if let Some(cache) = &self.cache {
-            let c = cache.lock().expect("cache lock");
-            stats.hits = c.hits;
-            stats.misses = c.misses;
-            stats.evictions = c.evictions;
-            stats.entries = c.len();
-            stats.bytes = c.bytes();
-        }
+        let cache = self.cache.lock().expect("cache lock");
+        stats.hits = cache.hits;
+        stats.misses = cache.misses;
+        stats.evictions = cache.evictions;
+        stats.entries = cache.len();
+        stats.bytes = cache.bytes();
+        drop(cache);
         if let Some(store) = &self.store {
             let disk = store.disk_stats();
             stats.disk_index_entries = disk.index_entries;
@@ -947,15 +883,6 @@ impl Engine {
         self.store.as_ref().map(|store| store.gc(policy))
     }
 
-    /// Drop all in-memory cached schedules. Entries persisted to a cache
-    /// dir stay on disk; use [`CacheStore::clear`] via [`Engine::store`]
-    /// to discard those too.
-    pub fn clear_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.lock().expect("cache lock").clear();
-        }
-    }
-
     /// The content-addressed cache key for `(self.arch, layer, scheduler)`:
     /// the [`canon::cache_digest`] of the scheduler fingerprint plus the
     /// canonical serializations of the architecture and layer. Digest keys
@@ -978,19 +905,7 @@ impl Engine {
         layer: &Layer,
         interlayer: &InterlayerOptions,
     ) -> String {
-        self.key_prefix(scheduler, interlayer).key(layer)
-    }
-
-    /// The part of [`Engine::cache_key_with`] shared by every layer: the
-    /// scheduler fingerprint and the architecture, hashed once.
-    fn key_prefix(&self, scheduler: &dyn Scheduler, interlayer: &InterlayerOptions) -> KeyPrefix {
-        let mut digest = canon::CanonDigest::new();
-        digest.push(&scheduler.fingerprint());
-        digest.push(&self.arch_json);
-        KeyPrefix {
-            digest,
-            options: interlayer.enabled.then(|| interlayer.fingerprint()),
-        }
+        cache_key(scheduler, &self.arch_json, layer, interlayer)
     }
 
     /// Run the NoC simulator on a chosen schedule, counting the sim.
@@ -1049,41 +964,34 @@ impl Engine {
         DramProfile::from_tensor_bytes(eval.dram_tensor_bytes)
     }
 
-    /// Catch an entry saved without a DRAM profile (a bare
-    /// [`CacheEntry::new`]) up with one, so the inter-layer pass converges
-    /// on it too (the profile analogue of [`Engine::catch_up_noc`]).
-    fn catch_up_dram(&self, key: &str, mut entry: CacheEntry, layer: &Layer) -> CacheEntry {
-        if entry.dram.is_none() {
-            entry.dram = Some(self.dram_profile(layer, &entry.scheduled));
-            if let Some(cache) = &self.cache {
-                cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(key.to_string(), entry.clone());
-            }
-            self.persist(key, &entry);
-        }
-        entry
-    }
-
-    /// Catch a schedule-only entry up with NoC evaluation so warm runs
-    /// after enabling `with_noc` converge too.
-    fn catch_up_noc(
+    /// Fill in what a cached `entry` lacks for an answer — the NoC verdict
+    /// when the engine simulates, the DRAM profile when `needs_dram` (the
+    /// inter-layer pass reads it) — so entries saved without them (a bare
+    /// [`CacheEntry::new`], an engine without [`Engine::with_noc`]) converge
+    /// too. Anything filled in is re-inserted and persisted once; an entry
+    /// that [`Engine::answers_without_catch_up`] costs nothing.
+    fn complete(
         &self,
-        cache: &Mutex<ScheduleCache>,
         key: &str,
         mut entry: CacheEntry,
         layer: &Layer,
+        needs_dram: bool,
     ) -> CacheEntry {
+        let mut filled = false;
         if self.simulate_noc && entry.noc.is_none() {
             entry.noc = self.noc_verdict(layer, &entry.scheduled);
-            if entry.noc.is_some() {
-                cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(key.to_string(), entry.clone());
-                self.persist(key, &entry);
-            }
+            filled = entry.noc.is_some();
+        }
+        if needs_dram && entry.dram.is_none() {
+            entry.dram = Some(self.dram_profile(layer, &entry.scheduled));
+            filled = true;
+        }
+        if filled {
+            self.cache
+                .lock()
+                .expect("cache lock")
+                .insert(key.to_string(), entry.clone());
+            self.persist(key, &entry);
         }
         entry
     }
@@ -1092,9 +1000,9 @@ impl Engine {
     /// The cache check happens *under the wait-map lock* so a leader's
     /// publish (insert cache, then clear flight) can never slip between a
     /// joiner's two checks.
-    fn join_flight(&self, cache: &Mutex<ScheduleCache>, key: &str) -> Ticket {
+    fn join_flight(&self, key: &str) -> Ticket {
         let mut flights = self.flights.lock().expect("flights lock");
-        if let Some(hit) = cache.lock().expect("cache lock").peek(key) {
+        if let Some(hit) = self.cache.lock().expect("cache lock").peek(key) {
             return Ticket::Hit(Box::new(hit));
         }
         if let Some(flight) = flights.get(key) {
@@ -1122,7 +1030,7 @@ impl Engine {
         // mtime after a clock step, undeletable file). Give up then and
         // solve unlocked — the documented worst case is a duplicated
         // solve, never a wedged worker.
-        let deadline = Instant::now() + store.lock_staleness() + CROSS_PROCESS_WAIT_GRACE;
+        let deadline = Instant::now() + DEFAULT_LOCK_STALENESS + CROSS_PROCESS_WAIT_GRACE;
         let mut waited = false;
         loop {
             match store.try_lock(key) {
@@ -1163,14 +1071,15 @@ impl Engine {
 
     /// The leader's solve path: cross-process coordination (when a store
     /// is attached), then the actual solve, publishing successes to the
-    /// cache and the store *before* the solve lock releases. Returns the
+    /// cache and the store *before* the solve lock releases. An entry read
+    /// through from disk is [completed](Engine::complete). Returns the
     /// outcome plus whether this call ran the solver.
     fn lead_flight(
         &self,
-        cache: &Mutex<ScheduleCache>,
         scheduler: &dyn Scheduler,
         key: &str,
         layer: &Layer,
+        needs_dram: bool,
     ) -> (Result<CacheEntry, ScheduleError>, bool) {
         let mut lock = None;
         if let Some(store) = &self.store {
@@ -1178,20 +1087,20 @@ impl Engine {
                 CrossProcess::Entry(entry) => {
                     // Another process solved it: a disk-tier hit, not a
                     // miss — no solver ran here.
-                    let mut c = cache.lock().expect("cache lock");
-                    c.note_hit();
-                    c.insert(key.to_string(), entry.clone());
-                    drop(c);
-                    return (Ok(self.catch_up_noc(cache, key, entry, layer)), false);
+                    let mut cache = self.cache.lock().expect("cache lock");
+                    cache.note_hit();
+                    cache.insert(key.to_string(), entry.clone());
+                    drop(cache);
+                    return (Ok(self.complete(key, entry, layer, needs_dram)), false);
                 }
                 CrossProcess::Locked(held) => lock = Some(held),
                 CrossProcess::Unlocked => {}
             }
         }
-        cache.lock().expect("cache lock").note_miss();
+        self.cache.lock().expect("cache lock").note_miss();
         let outcome = self.solve_fresh(scheduler, layer);
         if let Ok(entry) = &outcome {
-            cache
+            self.cache
                 .lock()
                 .expect("cache lock")
                 .insert(key.to_string(), entry.clone());
@@ -1205,22 +1114,19 @@ impl Engine {
 
     /// Resolve one `(key, layer)` through every dedup tier: the in-memory
     /// cache, the in-process single-flight map and (when a store is
-    /// attached) the cross-process solve lock plus disk read-through.
+    /// attached) the cross-process solve lock plus disk read-through. A
+    /// cached entry is [completed](Engine::complete) for `needs_dram`; a
+    /// follower receives its leader's entry as the leader completed it.
     /// Returns the outcome plus whether *this call* ran the solver.
     fn resolve_entry(
         &self,
         scheduler: &dyn Scheduler,
         key: &str,
         layer: &Layer,
+        needs_dram: bool,
     ) -> (Result<CacheEntry, ScheduleError>, bool) {
-        let Some(cache) = &self.cache else {
-            // No cache tier to publish through (and `without_cache`
-            // detaches the store): solve directly. Within-call dedup in
-            // `schedule_network` still applies.
-            return (self.solve_fresh(scheduler, layer), true);
-        };
-        match self.join_flight(cache, key) {
-            Ticket::Hit(entry) => (Ok(self.catch_up_noc(cache, key, *entry, layer)), false),
+        match self.join_flight(key) {
+            Ticket::Hit(entry) => (Ok(self.complete(key, *entry, layer, needs_dram)), false),
             Ticket::Wait(flight) => (flight.wait(), false),
             Ticket::Lead(flight) => {
                 let mut lead = FlightLead {
@@ -1231,7 +1137,7 @@ impl Engine {
                     layer: layer.name().to_string(),
                     outcome: None,
                 };
-                let (outcome, led) = self.lead_flight(cache, scheduler, key, layer);
+                let (outcome, led) = self.lead_flight(scheduler, key, layer, needs_dram);
                 lead.outcome = Some(outcome.clone());
                 drop(lead); // Publishes to followers and clears the flight.
                 (outcome, led)
@@ -1267,13 +1173,13 @@ impl Engine {
     /// without side effects when that is not possible: a shape is not
     /// resident, or an entry lacks the NoC verdict ([`Engine::with_noc`])
     /// or the DRAM profile (inter-layer pass enabled) the answer needs.
-    /// An answer runs no solver, NoC simulation or inter-layer catch-up,
-    /// touches no disk beyond a non-blocking [`CacheStore::disk_stats`],
-    /// and waits on no lock held across I/O — a serving event loop may
-    /// call it. It is byte for byte the answer of [`Engine::schedule_layer`]
-    /// or [`Engine::schedule_network_with`], and it counts its hits exactly
-    /// as they would; a `None` counts nothing, so the solving call that
-    /// follows counts each hit and miss once.
+    /// An answer runs no solver and no completion (NoC simulation or DRAM
+    /// profile), touches no disk beyond a non-blocking
+    /// [`CacheStore::disk_stats`], and waits on no lock held across I/O —
+    /// a serving event loop may call it. It is byte for byte the answer of
+    /// [`Engine::schedule_layer`] or [`Engine::schedule_network_with`], and
+    /// it counts its hits exactly as they would; a `None` counts nothing,
+    /// so the solving call that follows counts each hit and miss once.
     pub fn schedule_resident(&self, scheduler: &dyn Scheduler, work: Work<'_>) -> Option<Resident> {
         match work {
             Work::Layer(layer) => self
@@ -1305,10 +1211,10 @@ impl Engine {
     ) -> Option<Result<Scheduled, ScheduleError>> {
         let key = self.cache_key(scheduler, layer);
         if solve {
-            let (outcome, _led) = self.resolve_entry(scheduler, &key, layer);
+            let (outcome, _led) = self.resolve_entry(scheduler, &key, layer, false);
             return Some(outcome.map(|entry| entry.scheduled));
         }
-        let mut cache = self.cache.as_ref()?.lock().expect("cache lock");
+        let mut cache = self.cache.lock().expect("cache lock");
         let complete = cache
             .resident(&key)
             .is_some_and(|entry| self.answers_without_catch_up(entry, false));
@@ -1356,8 +1262,8 @@ impl Engine {
     /// The network path behind [`Engine::schedule_network_with`] (`solve`)
     /// and [`Engine::schedule_resident`] (`!solve`: `None`, with nothing
     /// counted, unless every unique shape is resident and complete — then
-    /// no job, NoC backfill or DRAM catch-up runs and the report is
-    /// assembled exactly as a warm solving call assembles it).
+    /// no job or completion runs and the report is assembled exactly as a
+    /// warm solving call assembles it).
     fn network_run(
         &self,
         network: &Network,
@@ -1369,7 +1275,7 @@ impl Engine {
         let noc_sims_before = self.noc_sims.load(Ordering::Relaxed);
 
         // Unique shapes in first-occurrence order.
-        let prefix = self.key_prefix(scheduler, interlayer);
+        let prefix = KeyPrefix::new(scheduler, &self.arch_json, interlayer);
         let keys: Vec<String> = network
             .layers
             .iter()
@@ -1385,14 +1291,14 @@ impl Engine {
 
         // Capture cache hits by value now: under a bounded cache the entry
         // could be evicted (by this call's own inserts or a concurrent one)
-        // before report assembly reads it back. `peek` (not `get`) so a
-        // miss here is not yet counted — the job's single-flight leader
-        // counts it only if an actual solve happens (a concurrent call or
-        // another process may resolve the digest first).
+        // before report assembly reads it back. `peek` counts no miss — the
+        // job's single-flight leader counts it only if an actual solve
+        // happens (a concurrent call or another process may resolve the
+        // digest first).
         let mut resolved: HashMap<&str, CacheEntry> = HashMap::new();
         let mut jobs: Vec<(&str, &Layer)> = Vec::new();
-        if let Some(cache) = &self.cache {
-            let mut cache = cache.lock().expect("cache lock");
+        {
+            let mut cache = self.cache.lock().expect("cache lock");
             // Checked under the same hold as the peeks below: a memory-only
             // call either takes every hit or counts nothing.
             if !solve
@@ -1412,78 +1318,60 @@ impl Engine {
                     None => jobs.push((key, layer)),
                 }
             }
-        } else if solve {
-            jobs = unique.clone();
-        } else {
-            return None;
-        }
-
-        // Cache hits solved before NoC evaluation existed (or by a
-        // schedule-only engine) may lack a verdict; catch them up.
-        let mut noc_jobs: Vec<(&str, &Layer, Scheduled)> = Vec::new();
-        if self.simulate_noc {
-            for (key, layer) in &unique {
-                if let Some(entry) = resolved.get(key) {
-                    if entry.noc.is_none() {
-                        noc_jobs.push((key, layer, entry.scheduled.clone()));
-                    }
-                }
-            }
         }
 
         // Fan the remaining jobs out across workers. Each goes through
         // the full single-flight path, so a digest being solved by a
         // concurrent call (or another process sharing the store) is
         // waited on, not re-solved; successes are published to the cache
-        // and the persistent store inside `resolve_entry`.
+        // and the persistent store inside `resolve_entry` (before the
+        // per-digest solve lock releases, so cross-process waiters find
+        // them).
         let outcomes = fanout::map(&jobs, self.threads, |(key, layer)| {
-            self.resolve_entry(scheduler, key, layer)
+            self.resolve_entry(scheduler, key, layer, interlayer.enabled)
         });
-        // Digest → (outcome, whether this call led the solve).
-        let solved: HashMap<&str, (Result<CacheEntry, ScheduleError>, bool)> =
-            jobs.iter().map(|(key, _)| *key).zip(outcomes).collect();
-        let fresh_solves = solved.values().filter(|(_, led)| *led).count() as u64;
-
-        // Backfill NoC verdicts for warm entries that lacked one.
-        let verdicts = fanout::map(&noc_jobs, self.threads, |(_, layer, scheduled)| {
-            self.noc_verdict(layer, scheduled)
-        });
-        for ((key, _, _), noc) in noc_jobs.iter().zip(verdicts) {
-            let (Some(noc), Some(entry)) = (noc, resolved.get_mut(key)) else {
-                continue;
-            };
-            entry.noc = Some(noc);
-            if let Some(cache) = &self.cache {
-                cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(key.to_string(), entry.clone());
+        let mut led: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        let mut failed: HashMap<&str, ScheduleError> = HashMap::new();
+        for ((key, _), (outcome, solved)) in jobs.iter().zip(outcomes) {
+            if solved {
+                led.insert(key);
             }
-            self.persist(key, entry);
-        }
-
-        // The residency pass reads per-tensor DRAM provenance; cache hits
-        // saved without one are caught up (and persisted), mirroring the
-        // NoC backfill above.
-        if interlayer.enabled {
-            for (key, layer) in &unique {
-                if let Some(entry) = resolved.get(*key) {
-                    if entry.dram.is_none() {
-                        let caught = self.catch_up_dram(key, entry.clone(), layer);
-                        resolved.insert(key, caught);
-                    }
+            match outcome {
+                Ok(entry) => {
+                    resolved.insert(key, entry);
+                }
+                Err(e) => {
+                    failed.insert(key, e);
                 }
             }
         }
 
-        // Fresh successes were already folded into the cache and the
-        // persistent store inside `resolve_entry` (before the per-digest
-        // solve lock released, so cross-process waiters find them).
+        // Complete every entry that lacks what this answer needs: cache
+        // hits saved without a NoC verdict or a DRAM profile, and a
+        // follower's entry whose leader needed no profile.
+        let incomplete: Vec<(&str, &Layer, CacheEntry)> = unique
+            .iter()
+            .filter_map(|&(key, layer)| {
+                let entry = resolved.get(key)?;
+                let complete = self.answers_without_catch_up(entry, interlayer.enabled);
+                (!complete).then(|| (key, layer, entry.clone()))
+            })
+            .collect();
+        let completed = fanout::map(&incomplete, self.threads, |(key, layer, entry)| {
+            self.complete(key, entry.clone(), layer, interlayer.enabled)
+        });
+        for ((key, _, _), entry) in incomplete.iter().zip(completed) {
+            resolved.insert(key, entry);
+        }
 
         // Assemble the report in network order. An entry is a cache hit
         // when it received a *schedule* without a fresh solve — a pre-warm
         // cache resolution or a successful sibling's result; duplicate
-        // entries of a failed solve count as neither hit nor miss.
+        // entries of a failed solve count as neither hit nor miss. A job
+        // only counts as fresh when its worker actually *led* a solve —
+        // one resolved lazily from the disk tier (the packed warm start
+        // decodes on first use) or by waiting on another flight is a hit,
+        // not a miss.
         let mut layers = Vec::with_capacity(network.layers.len());
         let mut total_latency = 0.0;
         let mut total_energy = 0.0;
@@ -1492,34 +1380,14 @@ impl Engine {
         let mut failed_layers = 0usize;
         let mut cache_hits = 0u64;
         let mut first_use: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        // Per-entry DRAM provenance for the residency pass (entries that
-        // arrived without one — e.g. through a flight wait on a bare disk
-        // entry — are profiled inline).
+        // Per-entry DRAM provenance for the residency pass.
         let mut pass_profiles: Vec<Option<[f64; 3]>> = Vec::new();
         for (key, entry) in keys.iter().zip(&network.layers) {
-            // Every unique key either stayed a job (→ `solved`) or was
-            // captured from the cache before solving (→ `resolved`). A
-            // job only counts as fresh when its worker actually *led* a
-            // solve — one resolved lazily from the disk tier (the packed
-            // warm start decodes on first use) or by waiting on another
-            // flight is a hit, not a miss.
-            let fresh = first_use.insert(key.as_str())
-                && solved.get(key.as_str()).is_some_and(|(_, led)| *led);
-            let outcome: Result<CacheEntry, ScheduleError> = match solved.get(key.as_str()) {
-                Some((res, _)) => res.clone(),
-                None => Ok(resolved
-                    .get(key.as_str())
-                    .expect("deduplicated key is solved or cache-resolved")
-                    .clone()),
-            };
-            let (scheduled, noc, error) = match outcome {
-                Ok(e) => {
+            let fresh = first_use.insert(key.as_str()) && led.contains(key.as_str());
+            let (scheduled, noc, error) = match resolved.get(key.as_str()) {
+                Some(e) => {
                     if interlayer.enabled {
-                        let profile = match &e.dram {
-                            Some(d) => d.tensor_bytes(),
-                            None => self.dram_profile(&entry.layer, &e.scheduled).tensor_bytes(),
-                        };
-                        pass_profiles.push(Some(profile));
+                        pass_profiles.push(e.dram.map(|d| d.tensor_bytes()));
                     }
                     total_latency += entry.count as f64 * e.scheduled.latency_cycles;
                     total_energy += entry.count as f64 * e.scheduled.energy_pj;
@@ -1530,14 +1398,15 @@ impl Engine {
                     if !fresh {
                         cache_hits += 1;
                     }
-                    (Some(e.scheduled), e.noc, None)
+                    (Some(e.scheduled.clone()), e.noc, None)
                 }
-                Err(e) => {
+                None => {
                     if interlayer.enabled {
                         pass_profiles.push(None);
                     }
                     failed_layers += 1;
-                    (None, None, Some(e.to_string()))
+                    let error = &failed[key.as_str()];
+                    (None, None, Some(error.to_string()))
                 }
             };
             layers.push(LayerReport {
@@ -1582,7 +1451,7 @@ impl Engine {
                 interlayer: interlayer_report,
             },
             cache_hits,
-            cache_misses: fresh_solves,
+            cache_misses: led.len() as u64,
             noc_sims: self.noc_sims.load(Ordering::Relaxed) - noc_sims_before,
             elapsed: start.elapsed(),
         })
@@ -1637,37 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_still_dedups_within_run() {
-        let engine = Engine::new(Arch::simba_baseline())
-            .without_cache()
-            .with_threads(2);
-        let run = engine.schedule_network(&tiny_network(), &quick_random());
-        assert_eq!(run.cache_misses, 2);
-        assert_eq!(run.cache_hits, 1);
-        // Backend win tallies are solver accounting, not cache state:
-        // fresh solves are credited even with the cache disabled, while
-        // every actual cache counter stays at its default.
-        let stats = engine.cache_stats();
-        assert_eq!(stats.backend_wins.len(), 1);
-        assert_eq!(stats.backend_wins[0].backend, "random");
-        assert_eq!(stats.backend_wins[0].wins, 2);
-        assert_eq!(
-            stats,
-            CacheStats {
-                backend_wins: stats.backend_wins.clone(),
-                ..CacheStats::default()
-            }
-        );
-        // A second run re-solves (no cross-run memory) but reaches the
-        // same schedules and totals; only wall-clock measurements differ.
-        let run2 = engine.schedule_network(&tiny_network(), &quick_random());
-        assert_eq!(run2.cache_misses, 2);
-        assert_eq!(run2.report.without_timings(), run.report.without_timings());
-    }
-
-    #[test]
     fn bounded_cache_evicts_least_recently_used() {
-        let mut cache = ScheduleCache::bounded(2);
         let engine = Engine::new(Arch::simba_baseline()).with_threads(1);
         let run = engine.schedule_network(&tiny_network(), &quick_random());
         let mut entries: Vec<CacheEntry> = run
@@ -1677,12 +1516,16 @@ mod tests {
             .filter_map(|l| l.scheduled.clone())
             .map(CacheEntry::new)
             .collect();
+        // Room for the two newest entries.
+        let mut cache = ScheduleCache::bounded_bytes(
+            entry_bytes("k1", &entries[1]) + entry_bytes("k2", &entries[2]),
+        );
         for (i, e) in entries.drain(..).enumerate() {
             cache.insert(format!("k{i}"), e);
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.get("k0").is_none(), "oldest untouched entry evicted");
-        assert!(cache.get("k2").is_some());
+        assert!(cache.peek("k0").is_none(), "oldest untouched entry evicted");
+        assert!(cache.peek("k2").is_some());
     }
 
     #[test]
@@ -1691,7 +1534,7 @@ mod tests {
         // the cache at assembly time, after this call's own inserts could
         // have evicted it from a bounded cache.
         let engine = Engine::new(Arch::simba_baseline())
-            .with_cache(1)
+            .with_cache_bytes(1)
             .with_threads(2);
         let mapper = quick_random();
         let a = Layer::conv("tiny_a", 3, 3, 8, 8, 16, 16, 1, 1, 1);
@@ -1768,11 +1611,11 @@ mod tests {
         cache.insert("k0".into(), entries[0].clone());
         cache.insert("k1".into(), entries[1].clone());
         // Touch k0 so k1 becomes the LRU victim.
-        assert!(cache.get("k0").is_some());
+        assert!(cache.peek("k0").is_some());
         cache.insert("k2".into(), entries[2].clone());
-        assert!(cache.get("k1").is_none(), "LRU entry evicted");
-        assert!(cache.get("k0").is_some(), "recently touched entry kept");
-        assert!(cache.get("k2").is_some());
+        assert!(cache.peek("k1").is_none(), "LRU entry evicted");
+        assert!(cache.peek("k0").is_some(), "recently touched entry kept");
+        assert!(cache.peek("k2").is_some());
         assert!(cache.bytes() <= one * 2 + one / 2);
     }
 
@@ -1836,12 +1679,7 @@ mod tests {
         let noc = Engine::new(Arch::simba_baseline()).with_noc();
         let bare = CacheEntry::new(Scheduler::schedule(&mapper, noc.arch(), layer).unwrap());
         let key = noc.cache_key(&mapper, layer);
-        noc.cache
-            .as_ref()
-            .unwrap()
-            .lock()
-            .unwrap()
-            .insert(key, bare);
+        noc.cache.lock().unwrap().insert(key, bare);
         let stats = noc.cache_stats();
         assert!(noc.schedule_resident(&mapper, Work::Layer(layer)).is_none());
         assert_eq!(noc.cache_stats(), stats);
@@ -1890,8 +1728,7 @@ mod tests {
                             engine.cache_key_with(scheduler.as_ref(), &entry.layer, &interlayer);
                         assert_eq!(key, joined_key(&parts), "{name} {}", entry.layer.name());
                         let cached = CacheEntry::new(schedules[&entry.layer].clone());
-                        let cache = engine.cache.as_ref().expect("cache");
-                        cache.lock().unwrap().insert(key, cached);
+                        engine.cache.lock().unwrap().insert(key, cached);
                     }
                     let run =
                         engine.schedule_network_with(network, scheduler.as_ref(), &interlayer);

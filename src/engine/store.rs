@@ -76,8 +76,8 @@
 //! [`GcPolicy::compact_min_dead`] (default: the larger of 4 KiB and the
 //! live payload size), so GC cost scales with the index, not with
 //! history. The sweep also removes temp files orphaned by killed writers
-//! (older than a minute) and solve-lock files older than the staleness
-//! bound.
+//! (older than a minute) and lock files older than
+//! [`DEFAULT_LOCK_STALENESS`].
 //!
 //! # Cross-process solve locks
 //!
@@ -95,17 +95,19 @@
 //! and released by deleting it; [`SolveLock`] deletes on drop, and only
 //! while the file still holds the owner's token, so a staleness-takeover
 //! victim cannot delete its thief's lock. A lock whose mtime is older
-//! than [`CacheStore::lock_staleness`] (default
-//! [`DEFAULT_LOCK_STALENESS`]) is presumed orphaned by a crashed process
-//! and is *taken over*. Tokens are not fsynced: staleness reads the mtime
+//! than [`DEFAULT_LOCK_STALENESS`] (300 s, the one staleness bound of
+//! solve locks: `try_lock`, the engine's cross-process wait and the GC
+//! sweep all read it) is presumed orphaned by a crashed process and is
+//! *taken over*. Tokens are not fsynced: staleness reads the mtime
 //! and release reads the token through the page cache, so after a crash a
 //! lock file is merely stale, whatever it holds. The locking is advisory
 //! and fail-open — an I/O error or a takeover race degrades to a
 //! duplicated solve, never to corruption or an unserved request.
 //!
 //! Segment writers additionally serialize on a short-lived
-//! `segment.cosa.lock` (same token-checked protocol, seconds-scale
-//! staleness since writers hold it for milliseconds). A writer waits for
+//! `segment.cosa.lock`, taken by the same code as the solve locks (one
+//! exclusive create, token and takeover), with seconds-scale staleness
+//! since writers hold it for milliseconds. A writer waits for
 //! it longer than that staleness bound, so a crashed holder is always
 //! taken over before a waiter gives up; a wait that still times out is a
 //! `WouldBlock` error, which the engine counts in `store_errors` while
@@ -165,8 +167,9 @@ const SEGMENT_LOCK_WAIT: Duration = Duration::from_secs(10);
 /// segments are not rewritten over noise.
 const DEFAULT_COMPACT_MIN_DEAD: u64 = 4096;
 
-/// Default bound past which a solve-lock file is presumed orphaned by a
-/// crashed holder and may be taken over (see [`CacheStore::try_lock`]).
+/// The bound past which a solve-lock file is presumed orphaned by a
+/// crashed holder: [`CacheStore::try_lock`] takes it over, the engine's
+/// cross-process wait gives up shortly after it, and GC sweeps it.
 /// Generous relative to the worst MILP solves the workspace runs
 /// (seconds): a takeover of a *live* slow solver merely duplicates work,
 /// but it should stay rare.
@@ -195,11 +198,6 @@ pub struct SolveLock {
 }
 
 impl SolveLock {
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Release the lock now (equivalent to dropping it).
     pub fn release(self) {}
 }
@@ -552,8 +550,6 @@ pub struct GcReport {
 #[derive(Debug)]
 pub struct CacheStore {
     dir: PathBuf,
-    /// Age past which a solve-lock file may be taken over / GC-swept.
-    lock_staleness: Duration,
     /// Cached segment view; see [`SegmentView`].
     seg: Mutex<SegmentView>,
     /// The disk-tier numbers the last holder of `seg` published, for a
@@ -575,30 +571,10 @@ impl CacheStore {
         fs::create_dir_all(&dir)?;
         Ok(CacheStore {
             dir,
-            lock_staleness: DEFAULT_LOCK_STALENESS,
             seg: Mutex::new(SegmentView::default()),
             published: Mutex::new(DiskTierStats::default()),
             compactions: AtomicU64::new(0),
         })
-    }
-
-    /// Set the solve-lock staleness bound (see [`CacheStore::try_lock`]).
-    /// Must comfortably exceed the worst-case solve time, or a live slow
-    /// solver's lock gets taken over and the solve duplicated.
-    pub fn with_lock_staleness(mut self, staleness: Duration) -> CacheStore {
-        self.set_lock_staleness(staleness);
-        self
-    }
-
-    /// In-place form of [`CacheStore::with_lock_staleness`], for stores
-    /// already attached to an engine.
-    pub fn set_lock_staleness(&mut self, staleness: Duration) {
-        self.lock_staleness = staleness;
-    }
-
-    /// The configured solve-lock staleness bound.
-    pub fn lock_staleness(&self) -> Duration {
-        self.lock_staleness
     }
 
     /// The store's directory.
@@ -695,7 +671,7 @@ impl CacheStore {
     /// Try to acquire the advisory solve lock for `key` without blocking.
     ///
     /// Returns `Ok(None)` when another (live) holder has it. A lock file
-    /// older than [`CacheStore::lock_staleness`] is presumed orphaned and
+    /// older than [`DEFAULT_LOCK_STALENESS`] is presumed orphaned and
     /// taken over. See the [module docs](self) for the protocol.
     ///
     /// # Errors
@@ -715,52 +691,12 @@ impl CacheStore {
     /// Returns the I/O error for anything but contention.
     pub fn try_lock_at(&self, key: &str, now: SystemTime) -> io::Result<Option<SolveLock>> {
         Self::validate_key(key)?;
-        let path = self.lock_path(key);
-        let token = format!(
-            "pid={} seq={}",
-            std::process::id(),
-            LOCK_SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        // At most one takeover attempt: if the lock is re-held after we
-        // reclaimed the stale file, a racing taker won — report busy.
-        for attempt in 0..2 {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    // Best-effort token write, not fsynced; an unreadable
-                    // token only weakens the release-ownership check.
-                    let _ = file.write_all(token.as_bytes());
-                    return Ok(Some(SolveLock { path, token }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| now.duration_since(mtime).ok())
-                        .is_some_and(|age| age > self.lock_staleness);
-                    if !stale || attempt > 0 {
-                        return Ok(None);
-                    }
-                    // Takeover: delete the orphaned lock and retry the
-                    // exclusive create (which serializes racing takers).
-                    match fs::remove_file(&path) {
-                        Ok(()) => {}
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                        Err(_) => return Ok(None),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
+        take_lock(self.lock_path(key), DEFAULT_LOCK_STALENESS, now, None)
     }
 
     /// Acquire the segment writer lock, waiting up to
-    /// [`SEGMENT_LOCK_WAIT`] across 1 ms retries. Seconds-stale locks are
-    /// taken over (writers hold it for milliseconds).
+    /// [`SEGMENT_LOCK_WAIT`]. Seconds-stale locks are taken over (writers
+    /// hold it for milliseconds).
     ///
     /// # Errors
     ///
@@ -768,44 +704,10 @@ impl CacheStore {
     /// I/O error that kept the lock file from being created.
     fn segment_lock(&self) -> io::Result<SolveLock> {
         let path = self.dir.join(SEGMENT_LOCK_FILE);
-        let deadline = Instant::now() + SEGMENT_LOCK_WAIT;
-        let token = format!(
-            "pid={} seq={}",
-            std::process::id(),
-            LOCK_SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    let _ = file.write_all(token.as_bytes());
-                    return Ok(SolveLock { path, token });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age > SEGMENT_LOCK_STALENESS);
-                    if stale {
-                        // Racing reclaimers serialize on the create_new.
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            "segment writer lock contended",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let wait = Some(Instant::now() + SEGMENT_LOCK_WAIT);
+        take_lock(path, SEGMENT_LOCK_STALENESS, SystemTime::now(), wait)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::WouldBlock, "segment writer lock contended")
+        })
     }
 
     /// Load (eagerly decode) every valid entry, skipping and counting
@@ -896,30 +798,10 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Distinct digests currently on disk (live index rows).
-    pub fn len(&self) -> usize {
-        let mut view = self.seg_guard();
-        self.refresh_view(&mut view);
-        view.rows.len()
-    }
-
-    /// `true` when the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total *live* entry bytes on disk: the index-reachable segment
-    /// payload (what [`GcPolicy::max_bytes`] budgets against — dead
-    /// payload bytes are compaction's business, not the capacity
-    /// budget's).
-    pub fn total_bytes(&self) -> u64 {
-        let mut view = self.seg_guard();
-        self.refresh_view(&mut view);
-        view.live_bytes()
-    }
-
-    /// A point-in-time description of the disk tier's shape (index size,
-    /// live/dead payload split) for stats surfaces. Never waits: when
+    /// A point-in-time description of the disk tier's shape: live index
+    /// rows, and the payload split into live bytes (what
+    /// [`GcPolicy::max_bytes`] budgets against) and dead ones (compaction's
+    /// business). Never waits: when
     /// another thread holds the segment view (a save mid-fsync), it
     /// returns the numbers that holder's last publication left instead of
     /// refreshing — a serving event loop reports stats through here.
@@ -1013,7 +895,7 @@ impl CacheStore {
             if extension == Some("lock") {
                 let stale = now
                     .duration_since(mtime)
-                    .map(|age| age > self.lock_staleness)
+                    .map(|age| age > DEFAULT_LOCK_STALENESS)
                     .unwrap_or(false);
                 if stale && fs::remove_file(&path).is_ok() {
                     report.stale_locks_removed += 1;
@@ -1190,6 +1072,70 @@ impl CacheStore {
             rows: rows.collect(),
             ..SegmentView::default()
         })
+    }
+}
+
+/// Take the lock file at `path` by exclusive create (`create_new`, which
+/// serializes racing takers), writing a fresh token into it. A file older
+/// than `staleness` at `now` is presumed orphaned and taken over: deleted,
+/// then created again; a file that is busy right after such a takeover
+/// belongs to a racing taker that won. A busy lock is `Ok(None)` at once,
+/// or, with a `wait` deadline, is retried every millisecond until then,
+/// the clock running on from `now`.
+///
+/// # Errors
+///
+/// The I/O error for anything but contention.
+fn take_lock(
+    path: PathBuf,
+    staleness: Duration,
+    now: SystemTime,
+    wait: Option<Instant>,
+) -> io::Result<Option<SolveLock>> {
+    let token = format!(
+        "pid={} seq={}",
+        std::process::id(),
+        LOCK_SEQ.fetch_add(1, Ordering::Relaxed)
+    );
+    let start = Instant::now();
+    let mut took_over = false;
+    loop {
+        match fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(mut file) => {
+                // Best-effort token write, not fsynced; an unreadable
+                // token only weakens the release-ownership check.
+                let _ = file.write_all(token.as_bytes());
+                return Ok(Some(SolveLock { path, token }));
+            }
+            Err(e) if e.kind() != io::ErrorKind::AlreadyExists => return Err(e),
+            Err(_) => {}
+        }
+        let stale = fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|mtime| (now + start.elapsed()).duration_since(mtime).ok())
+            .is_some_and(|age| age > staleness);
+        // One takeover, then an immediate retry; a file that cannot be
+        // deleted counts as busy.
+        took_over = !took_over
+            && stale
+            && match fs::remove_file(&path) {
+                Ok(()) => true,
+                Err(e) => e.kind() == io::ErrorKind::NotFound,
+            };
+        if took_over {
+            continue;
+        }
+        match wait {
+            Some(deadline) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            _ => return Ok(None),
+        }
     }
 }
 
@@ -1551,6 +1497,33 @@ mod tests {
             "b567dd06af4a9103 87",
             "parse outcomes moved"
         );
+    }
+
+    /// The segment writer lock keeps the solve lock's takeover protocol: a
+    /// holder that outlives the staleness bound is taken over, and its late
+    /// release leaves the thief's file in place.
+    #[test]
+    fn a_taken_over_segment_lock_survives_its_victims_release() {
+        let dir = std::env::temp_dir().join(format!("cosa-segment-lock-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CacheStore::open(&dir).unwrap();
+        let victim = store.segment_lock().unwrap();
+        fs::File::options()
+            .write(true)
+            .open(&victim.path)
+            .and_then(|f| f.set_modified(SystemTime::now() - SEGMENT_LOCK_STALENESS * 2))
+            .unwrap();
+        let thief = store.segment_lock().expect("stale holder taken over");
+        drop(victim);
+        assert_eq!(
+            fs::read_to_string(&thief.path).unwrap(),
+            thief.token,
+            "the victim's release left the thief's file alone"
+        );
+        let path = thief.path.clone();
+        drop(thief);
+        assert!(!path.exists(), "the thief's own release deletes it");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `disk_stats` never waits on the segment view: while another thread

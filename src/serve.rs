@@ -25,8 +25,8 @@
 //! fields both mean "default". Responses always carry every field.
 //!
 //! This module also owns the shared pieces every serving process needs:
-//! the [`CommonArgs`] CLI parser (`--scheduler`/`--cache-dir`/
-//! `--lock-staleness-secs`/`--noc`/`--interlayer*`, one implementation for
+//! the [`CommonArgs`] CLI parser (`--scheduler`/`--cache-dir`/`--noc`/
+//! `--interlayer*`, one implementation for
 //! `cosa_serve`, `serve_probe` and `engine_probe`) and the
 //! [`routing_digest`] naming the cache entry a request resolves to.
 
@@ -63,16 +63,14 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T
 
 /// The scheduler/cache flag set shared by every serving binary
 /// (`cosa_serve`, `serve_probe`, `engine_probe`) — one
-/// parser so `--scheduler`, `--cache-dir`, `--lock-staleness-secs`,
-/// `--noc` and `--interlayer*` cannot drift apart between the
-/// daemon and the probes that must hit its cache entries.
+/// parser so `--scheduler`, `--cache-dir`, `--noc` and `--interlayer*`
+/// cannot drift apart between the daemon and the probes that must hit its
+/// cache entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonArgs {
     /// `--scheduler NAME` (default `cosa`); validated lazily by
     /// [`scheduler_from_name`] so the error names the valid set.
     pub scheduler: String,
-    /// `--lock-staleness-secs N` (`None` = the engine default).
-    pub lock_staleness: Option<Duration>,
     /// `--cache-dir PATH`, falling back to `COSA_CACHE_DIR`.
     pub cache_dir: Option<PathBuf>,
     /// `--noc` present.
@@ -87,9 +85,8 @@ impl CommonArgs {
     /// Every flag [`CommonArgs::parse`] reads, paired with whether it
     /// takes a value — what a binary that rejects unknown flags must
     /// accept on this parser's behalf.
-    pub const FLAGS: [(&'static str, bool); 7] = [
+    pub const FLAGS: [(&'static str, bool); 6] = [
         ("--scheduler", true),
-        ("--lock-staleness-secs", true),
         ("--cache-dir", true),
         ("--noc", false),
         ("--interlayer", false),
@@ -115,8 +112,6 @@ impl CommonArgs {
         }
         CommonArgs {
             scheduler: flag_value(args, "--scheduler").unwrap_or_else(|| "cosa".to_string()),
-            lock_staleness: parse_flag::<u64>(args, "--lock-staleness-secs")
-                .map(Duration::from_secs),
             cache_dir: flag_value(args, "--cache-dir")
                 .or_else(|| std::env::var("COSA_CACHE_DIR").ok())
                 .map(Into::into),
@@ -207,9 +202,9 @@ impl Deserialize for ScheduleOptions {
 /// The content digest of a request: equal digests mean equal answers.
 ///
 /// For single-layer requests this is exactly the engine's cache key
-/// (scheduler fingerprint + canonical arch JSON + canonical layer JSON —
-/// see `Engine::cache_key`), so two requests with the same digest resolve
-/// to the same cache entry. Network/suite requests hash their canonical
+/// (derived by the engine's own key function, with the inter-layer pass
+/// off as the daemon's layer engines key it), so two requests with the
+/// same digest resolve to the same cache entry. Network/suite requests hash their canonical
 /// request JSON instead, with *every* semantics-changing option pinned to
 /// its effective value first — the arch, the scheduler and the
 /// inter-layer options all fold into the digest, so two requests that
@@ -227,8 +222,8 @@ pub fn routing_digest(
         let name = request.scheduler_name();
         if let Ok(scheduler) = scheduler_from_name(name, arch) {
             let arch_json = serde_json::to_string(arch).expect("arch serializes");
-            let layer_json = serde_json::to_string(layer).expect("layer serializes");
-            return canon::cache_digest(&[&scheduler.fingerprint(), &arch_json, &layer_json]);
+            let off = InterlayerOptions::disabled();
+            return crate::engine::cache_key(scheduler.as_ref(), &arch_json, layer, &off);
         }
         // Unknown scheduler: fall through to request hashing (the daemon
         // answers such a request 400).
@@ -691,8 +686,6 @@ mod tests {
             "bin",
             "--scheduler",
             "sat",
-            "--lock-staleness-secs",
-            "17",
             "--cache-dir",
             "/tmp/c",
             "--noc",
@@ -701,7 +694,6 @@ mod tests {
         .to_vec();
         let common = CommonArgs::parse(&args);
         assert_eq!(common.scheduler, "sat");
-        assert_eq!(common.lock_staleness, Some(Duration::from_secs(17)));
         assert_eq!(
             common.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))
@@ -711,7 +703,7 @@ mod tests {
 
         let defaults = CommonArgs::parse(&["bin".to_string()]);
         assert_eq!(defaults.scheduler, "cosa");
-        assert!(defaults.lock_staleness.is_none() && !defaults.noc);
+        assert!(!defaults.noc);
 
         let interlayer = CommonArgs::parse(
             &[

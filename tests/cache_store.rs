@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
-use cosa_repro::engine::{CacheEntry, CacheStore, STORE_VERSION};
+use cosa_repro::engine::{CacheEntry, CacheStore, DEFAULT_LOCK_STALENESS, STORE_VERSION};
 use cosa_repro::prelude::*;
 
 mod common;
@@ -102,7 +102,8 @@ fn warm_start_round_trips_schedules_and_noc_verdicts() {
     assert!(cold.report.is_complete());
     assert_eq!(cold.cache_misses, 2);
     assert_eq!(cold.noc_sims, 2, "one sim per unique shape");
-    assert_eq!(cold_engine.store().expect("store attached").len(), 2);
+    let disk = cold_engine.store().expect("store attached").disk_stats();
+    assert_eq!(disk.index_entries, 2);
     drop(cold_engine);
 
     // "Next process": a fresh engine warm-starts from the same directory.
@@ -493,7 +494,7 @@ fn memory_eviction_keeps_disk_tier_for_warm_starts() {
 
     // A 1-entry LRU front cannot hold both unique shapes...
     let engine = Engine::new(Arch::simba_baseline())
-        .with_cache(1)
+        .with_cache_bytes(1)
         .with_cache_dir(&dir)
         .expect("open cache dir");
     let run = engine.schedule_network(&network, &mapper);
@@ -502,7 +503,7 @@ fn memory_eviction_keeps_disk_tier_for_warm_starts() {
     assert_eq!(stats.entries, 1, "memory front bounded");
     assert!(stats.evictions >= 1);
     // ...but the disk tier keeps everything the run produced.
-    assert_eq!(engine.store().unwrap().len(), 2);
+    assert_eq!(engine.store().unwrap().disk_stats().index_entries, 2);
     drop(engine);
 
     // An unbounded engine over the same dir warm-starts fully.
@@ -529,14 +530,14 @@ fn cache_bounds_after_cache_dir_keep_warm_entries() {
     drop(engine);
 
     // Bounding the cache *after* attaching the dir must not discard the
-    // warm-loaded entries (both unique shapes fit a 16-entry bound). The
+    // warm-loaded entries (both unique shapes fit a 1 MiB bound). The
     // segment warm start is lazy — the index is known but payloads decode
     // on first use — so the resident count grows from 0 to 2 across the
     // run while the run itself stays solver-free.
     let engine = Engine::new(Arch::simba_baseline())
         .with_cache_dir(&dir)
         .expect("open cache dir")
-        .with_cache(16);
+        .with_cache_bytes(1 << 20);
     assert_eq!(engine.cache_stats().warm_entries, 2);
     let run = engine.schedule_network(&network, &mapper);
     assert_eq!(run.cache_misses, 0, "warm start survives re-bounding");
@@ -579,12 +580,12 @@ fn byte_budget_lru_prefers_recently_used_entries() {
     cache.insert(entries[1].0.clone(), entries[1].1.clone());
     assert!(cache.bytes() <= budget);
     // Refresh entry 0, then force an eviction: entry 1 is the LRU victim.
-    assert!(cache.get(&entries[0].0).is_some());
+    assert!(cache.peek(&entries[0].0).is_some());
     cache.insert(entries[2].0.clone(), entries[2].1.clone());
     assert!(cache.bytes() <= budget);
-    assert!(cache.get(&entries[1].0).is_none(), "LRU entry evicted");
-    assert!(cache.get(&entries[0].0).is_some(), "refreshed entry kept");
-    assert!(cache.get(&entries[2].0).is_some(), "newest entry kept");
+    assert!(cache.peek(&entries[1].0).is_none(), "LRU entry evicted");
+    assert!(cache.peek(&entries[0].0).is_some(), "refreshed entry kept");
+    assert!(cache.peek(&entries[2].0).is_some(), "newest entry kept");
 }
 
 #[test]
@@ -644,7 +645,7 @@ fn store_rejects_non_digest_keys() {
     let entry = CacheEntry::new(scheduled);
     assert!(store.save("../escape", &entry).is_err());
     assert!(store.save("", &entry).is_err());
-    assert!(store.is_empty());
+    assert_eq!(store.disk_stats().index_entries, 0);
     assert!(store.try_lock("../escape").is_err(), "locks validate keys");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -678,11 +679,7 @@ fn solve_locks_are_exclusive_until_released() {
 #[test]
 fn stale_solve_locks_are_taken_over_and_survive_victim_release() {
     let dir = scratch_dir("lock-stale");
-    let staleness = Duration::from_secs(60);
-    let store = CacheStore::open(&dir)
-        .unwrap()
-        .with_lock_staleness(staleness);
-    assert_eq!(store.lock_staleness(), staleness);
+    let store = CacheStore::open(&dir).unwrap();
 
     // A holder whose solve outlives the staleness bound (to a taker it is
     // indistinguishable from a crashed process).
@@ -691,7 +688,7 @@ fn stale_solve_locks_are_taken_over_and_survive_victim_release() {
     // Within the staleness bound the lock holds...
     assert!(store.try_lock("aaa1").expect("io ok").is_none());
     // ...but from past it (pinned "now", no sleeping) it is taken over.
-    let future = SystemTime::now() + staleness * 2;
+    let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
     let thief = store
         .try_lock_at("aaa1", future)
         .expect("io ok")
@@ -712,10 +709,7 @@ fn stale_solve_locks_are_taken_over_and_survive_victim_release() {
 #[test]
 fn gc_sweeps_stale_solve_locks() {
     let dir = scratch_dir("lock-gc");
-    let staleness = Duration::from_secs(60);
-    let store = CacheStore::open(&dir)
-        .unwrap()
-        .with_lock_staleness(staleness);
+    let store = CacheStore::open(&dir).unwrap();
     let orphan = store.try_lock("aaa1").expect("io ok").expect("acquire");
     std::mem::forget(orphan);
     let live = store.try_lock("bbb2").expect("io ok").expect("acquire");
@@ -728,7 +722,7 @@ fn gc_sweeps_stale_solve_locks() {
     // ...while a sweep from past the bound reclaims them (GC cannot tell
     // a live long-holder from a crashed one — the staleness bound is the
     // contract, which is why it must exceed the worst-case solve time).
-    let future = SystemTime::now() + staleness * 2;
+    let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
     let report = store.gc_at(&GcPolicy::default(), future).expect("gc");
     assert_eq!(report.stale_locks_removed, 2, "stale locks swept");
     assert!(!dir.join("aaa1.lock").exists());
@@ -736,23 +730,95 @@ fn gc_sweeps_stale_solve_locks() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Entries saved bare (`CacheEntry::new`: no NoC verdict, no DRAM profile)
+/// are completed by an engine that simulates the NoC and runs the
+/// inter-layer pass, whichever way it reads them: a layer call through the
+/// disk, a network call that reads one shape through and finds the other
+/// resident, a network call on memory-resident entries, a layer hit, and a
+/// second engine on the same dir. Every answer is a fresh solving engine's,
+/// each shape is simulated once, and the verdicts and profiles are stored.
 #[test]
-fn engine_lock_staleness_reaches_the_store_in_either_builder_order() {
-    let staleness = Duration::from_secs(1234);
-    let dir = scratch_dir("staleness-a");
-    let before = Engine::new(Arch::simba_baseline())
-        .with_lock_staleness(staleness)
-        .with_cache_dir(&dir)
-        .expect("open cache dir");
-    assert_eq!(before.store().unwrap().lock_staleness(), staleness);
-    let _ = std::fs::remove_dir_all(&dir);
+fn bare_entries_are_completed_once_and_answer_like_fresh_solves() {
+    let dir = scratch_dir("complete");
+    let network = tiny_network();
+    let mapper = quick_random();
+    let arch = Arch::simba_baseline();
+    let engine = || {
+        Engine::new(arch.clone())
+            .with_threads(1)
+            .with_noc()
+            .with_interlayer(InterlayerOptions::enabled())
+    };
+    let bare_layer = &network.layers[1].layer;
+    let canonical = |s: Scheduled| {
+        let s = Scheduled {
+            elapsed: Duration::ZERO,
+            ..s
+        };
+        serde_json::to_string(&s).unwrap()
+    };
+    let fresh = engine();
+    let want_network = serde_json::to_string(
+        &fresh
+            .schedule_network(&network, &mapper)
+            .report
+            .without_timings(),
+    )
+    .unwrap();
+    let want_layer = canonical(fresh.schedule_layer(&mapper, bare_layer).unwrap());
 
-    let dir = scratch_dir("staleness-b");
-    let after = Engine::new(Arch::simba_baseline())
-        .with_cache_dir(&dir)
-        .expect("open cache dir")
-        .with_lock_staleness(staleness);
-    assert_eq!(after.store().unwrap().lock_staleness(), staleness);
+    let store = CacheStore::open(&dir).unwrap();
+    for entry in &network.layers[..2] {
+        let scheduled = Scheduler::schedule(&mapper, &arch, &entry.layer).expect("valid");
+        let key = fresh.cache_key(&mapper, &entry.layer);
+        store.save(&key, &CacheEntry::new(scheduled)).unwrap();
+    }
+
+    let first = engine().with_cache_dir(&dir).expect("open cache dir");
+    let network_answer = |e: &Engine| {
+        serde_json::to_string(
+            &e.schedule_network(&network, &mapper)
+                .report
+                .without_timings(),
+        )
+        .unwrap()
+    };
+    // A layer read through from disk, then a network call that reads the
+    // other shape through and finds this one resident, then one on
+    // memory-resident entries, then a layer hit.
+    assert_eq!(
+        canonical(first.schedule_layer(&mapper, bare_layer).unwrap()),
+        want_layer
+    );
+    assert_eq!(network_answer(&first), want_network);
+    assert_eq!(network_answer(&first), want_network);
+    assert_eq!(
+        canonical(first.schedule_layer(&mapper, bare_layer).unwrap()),
+        want_layer
+    );
+    let stats = first.cache_stats();
+    assert_eq!(
+        (stats.noc_sims, stats.misses, stats.store_errors),
+        (2, 0, 0)
+    );
+    drop(first);
+
+    let second = engine().with_cache_dir(&dir).expect("open cache dir");
+    assert_eq!(network_answer(&second), want_network);
+    assert_eq!(
+        canonical(second.schedule_layer(&mapper, bare_layer).unwrap()),
+        want_layer
+    );
+    let stats = second.cache_stats();
+    assert_eq!(
+        (stats.noc_sims, stats.misses, stats.store_errors),
+        (0, 0, 0)
+    );
+    let stored = CacheStore::open(&dir).unwrap().load();
+    assert_eq!(stored.entries.len(), 2);
+    for (key, entry) in &stored.entries {
+        assert!(entry.noc.is_some() && entry.dram.is_some(), "{key}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

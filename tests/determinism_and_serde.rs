@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use cosa_repro::prelude::*;
+use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use cosa_repro::spec::canon::digest128_hex;
 use cosa_repro::spec::workloads;
 use serde::Value;
@@ -17,10 +18,12 @@ fn cosa_is_deterministic() {
     let arch = Arch::simba_baseline();
     let layer = workloads::find_layer("3_27_128_128_1").expect("layer");
     let a = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
     let b = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
@@ -53,8 +56,9 @@ fn rendered_schedules_are_stable() {
     // not change between identical runs.
     let arch = Arch::simba_baseline();
     let layer = workloads::find_layer("1_56_256_64_1").expect("layer");
-    let a = CosaScheduler::new(&arch).schedule(&layer).expect("ok");
-    let b = CosaScheduler::new(&arch).schedule(&layer).expect("ok");
+    let cosa = || CosaScheduler::new(&arch).with_deterministic_limits(SERVE_COSA_NODE_LIMIT);
+    let a = cosa().schedule(&layer).expect("ok");
+    let b = cosa().schedule(&layer).expect("ok");
     assert_eq!(a.schedule.render(&arch), b.schedule.render(&arch));
     assert!(a.schedule.render(&arch).contains("// DRAM level"));
 }
@@ -64,6 +68,7 @@ fn schedule_clone_evaluates_identically() {
     let arch = Arch::simba_baseline();
     let layer = workloads::find_layer("1_28_256_512_2").expect("layer");
     let schedule = CosaScheduler::new(&arch)
+        .with_deterministic_limits(SERVE_COSA_NODE_LIMIT)
         .schedule(&layer)
         .expect("ok")
         .schedule;
@@ -86,7 +91,6 @@ fn schedule_clone_evaluates_identically() {
 /// must update the literals on purpose.
 #[test]
 fn serving_milp_meets_the_quality_floor_and_repeats() {
-    use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
     use cosa_repro::spec::workloads::GPT_MINI;
 
     let paper = |name: &str| Layer::parse_paper_name(name).expect("suite layer name");

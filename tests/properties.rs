@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime};
 
-use cosa_repro::engine::{CacheEntry, CacheStore, GcPolicy};
+use cosa_repro::engine::{CacheEntry, CacheStore, GcPolicy, DEFAULT_LOCK_STALENESS};
 use cosa_repro::prelude::*;
 use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use proptest::prelude::*;
@@ -97,10 +97,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// The digests the interleaved store ops contend on.
 const STORE_KEYS: [&str; 4] = ["aaaa1111", "bbbb2222", "cccc3333", "dddd4444"];
 
-/// Lock staleness used by the interleaving harness: far longer than any
-/// case runs, so only the *pinned-future* takeover op sees locks as stale.
-const PROP_STALENESS: Duration = Duration::from_secs(600);
-
 /// One canonical entry every writer writes (solved once per process, so
 /// the corruption check can also assert surviving *values* are intact).
 fn canonical_entry() -> CacheEntry {
@@ -118,9 +114,7 @@ fn canonical_entry() -> CacheEntry {
 /// Run one generated op list against its own `CacheStore` handle (its own
 /// "process") on a shared directory.
 fn run_store_ops(dir: &Path, ops: &[(u8, u8)]) {
-    let store = CacheStore::open(dir)
-        .expect("open store")
-        .with_lock_staleness(PROP_STALENESS);
+    let store = CacheStore::open(dir).expect("open store");
     for (op, k) in ops {
         let key = STORE_KEYS[(*k as usize) % STORE_KEYS.len()];
         match op % 4 {
@@ -141,7 +135,7 @@ fn run_store_ops(dir: &Path, ops: &[(u8, u8)]) {
             // without corrupting anything.
             2 => {
                 if let Some(lock) = store
-                    .try_lock_at(key, SystemTime::now() + PROP_STALENESS * 2)
+                    .try_lock_at(key, SystemTime::now() + DEFAULT_LOCK_STALENESS * 2)
                     .expect("takeover")
                 {
                     lock.release();
@@ -199,9 +193,7 @@ proptest! {
         // Survivors parse cleanly and hold exactly the canonical value:
         // saves are atomic and GC deletes whole files, so no interleaving
         // may leave a torn or mixed entry behind.
-        let store = CacheStore::open(&dir)
-            .expect("open store")
-            .with_lock_staleness(PROP_STALENESS);
+        let store = CacheStore::open(&dir).expect("open store");
         let load = store.load();
         prop_assert_eq!(load.skipped, 0);
         let expected = canonical_entry();
@@ -217,7 +209,7 @@ proptest! {
         // interleaving left behind (all holders released, but takeover
         // races may leave an orphaned file), a taker past the staleness
         // bound must succeed on every digest.
-        let future = SystemTime::now() + PROP_STALENESS * 2;
+        let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
         for key in STORE_KEYS {
             let lock = store.try_lock_at(key, future).expect("io ok");
             prop_assert!(lock.is_some(), "stale lock on {} not reclaimed", key);
@@ -249,9 +241,7 @@ proptest! {
 /// evictions and compacting GC sweeps (tight byte budget + zero dead-byte
 /// threshold, so sweeps both evict and compact).
 fn run_packed_ops(dir: &Path, ops: &[(u8, u8)]) {
-    let store = CacheStore::open(dir)
-        .expect("open store")
-        .with_lock_staleness(PROP_STALENESS);
+    let store = CacheStore::open(dir).expect("open store");
     for (op, k) in ops {
         let key = STORE_KEYS[(*k as usize) % STORE_KEYS.len()];
         match op % 3 {

@@ -496,8 +496,9 @@ fn populate_store(dir: &std::path::Path, keys: &[&str]) -> CacheStore {
 fn gc_byte_budget_evicts_oldest_first() {
     let dir = scratch_dir("gc-order");
     let store = populate_store(&dir, &["aaa1", "bbb2", "ccc3"]);
-    let total = store.total_bytes();
-    assert_eq!(store.len(), 3);
+    let disk = store.disk_stats();
+    let total = disk.live_bytes;
+    assert_eq!(disk.index_entries, 3);
     let per_entry = total / 3;
 
     // Budget for two entries: exactly the oldest is deleted.
@@ -550,7 +551,7 @@ fn gc_max_age_expires_entries_deterministically() {
     assert_eq!(report.removed, 2);
     assert_eq!(report.retained, 0);
     assert_eq!(report.stale_tmp_removed, 1, "orphaned temp file swept");
-    assert_eq!(store.len(), 0);
+    assert_eq!(store.disk_stats().index_entries, 0);
     assert_eq!(report.retained_bytes, 0);
     assert!(!dir.join(".orphan.123.tmp").exists());
 }
@@ -586,7 +587,11 @@ fn daemon_periodic_gc_keeps_disk_tier_bounded() {
     handle.shutdown().expect("clean shutdown");
 
     let store = CacheStore::open(&dir).expect("open store");
-    assert_eq!(store.len(), 1, "disk tier bounded to the newest entry");
+    assert_eq!(
+        store.disk_stats().index_entries,
+        1,
+        "disk tier bounded to the newest entry"
+    );
     assert_eq!(store.load().skipped, 0, "survivor is intact");
 }
 
