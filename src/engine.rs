@@ -126,7 +126,9 @@ struct Slot {
 /// slot's logical timestamp, and inserts evict the least-recently-used
 /// slots until the budget holds again. Byte accounting uses each entry's
 /// canonical-JSON size — the same bytes the persistent
-/// [`store::CacheStore`] writes.
+/// [`store::CacheStore`] writes. A disk read-through takes that size from
+/// the record it has just read, and a fresh solve or a completion from the
+/// JSON it encodes once for the store, so neither encodes just to measure.
 ///
 /// Eviction only touches this in-memory front; entries written through to
 /// a cache directory stay on disk (the capacity tier) and can warm-start
@@ -211,8 +213,14 @@ impl ScheduleCache {
     /// until the byte budget holds. The just-touched entry survives even
     /// when it alone exceeds the budget.
     pub fn insert(&mut self, key: String, entry: CacheEntry) {
-        self.clock += 1;
         let bytes = entry_bytes(&key, &entry);
+        self.insert_sized(key, entry, bytes);
+    }
+
+    /// [`ScheduleCache::insert`] of an entry whose [`entry_bytes`] the
+    /// caller already knows from JSON it just read or wrote.
+    fn insert_sized(&mut self, key: String, entry: CacheEntry, bytes: u64) {
+        self.clock += 1;
         if let Some(old) = self.entries.insert(
             key,
             Slot {
@@ -257,10 +265,18 @@ impl ScheduleCache {
 }
 
 /// Serialized size an entry is accounted at: key plus canonical JSON value
-/// — the same bytes the persistent store writes for it.
+/// — the same bytes the persistent store writes for it. Paths that hold
+/// that JSON anyway (a read-through, a write-through) hand its length to
+/// [`sized_bytes`] instead of encoding again.
 fn entry_bytes(key: &str, entry: &CacheEntry) -> u64 {
-    let value = serde_json::to_string(entry).map(|s| s.len()).unwrap_or(512);
-    (key.len() + value) as u64
+    let json = serde_json::to_string(entry).ok();
+    sized_bytes(key, json.map(|json| json.len() as u64))
+}
+
+/// [`entry_bytes`] from the length of the entry's canonical JSON (`None`
+/// for an entry that does not serialize: one holding a non-finite number).
+fn sized_bytes(key: &str, json_len: Option<u64>) -> u64 {
+    key.len() as u64 + json_len.unwrap_or(512)
 }
 
 /// One in-flight solve in the engine's single-flight map. The leader
@@ -336,8 +352,10 @@ impl Drop for FlightLead<'_> {
 
 /// The outcome of consulting the shared store before a leader solves.
 enum CrossProcess {
-    /// Another process already persisted the entry; serve it.
-    Entry(CacheEntry),
+    /// Another process already persisted the entry; serve it. The `u64`
+    /// is the length of its JSON in the record read; the entry is boxed
+    /// for the reason [`Ticket::Hit`]'s is.
+    Entry(Box<CacheEntry>, u64),
     /// The per-digest solve lock was acquired; solve while holding it.
     Locked(SolveLock),
     /// Locking is unavailable (I/O trouble); solve unlocked (fail-open).
@@ -916,11 +934,20 @@ impl Engine {
             .ok()
     }
 
-    /// Write-through one entry to the persistent store (best-effort;
-    /// failures are counted, not propagated).
-    fn persist(&self, key: &str, entry: &CacheEntry) {
+    /// Insert one entry into the memory tier, then write it through to the
+    /// persistent store when one is attached (best-effort; failures are
+    /// counted, not propagated). The entry is encoded once: the store
+    /// writes that JSON and the LRU accounts its length.
+    fn insert_and_persist(&self, key: &str, entry: &CacheEntry) {
+        let json = serde_json::to_string(entry).ok();
+        let bytes = sized_bytes(key, json.as_ref().map(|json| json.len() as u64));
+        self.cache
+            .lock()
+            .expect("cache lock")
+            .insert_sized(key.to_string(), entry.clone(), bytes);
         if let Some(store) = &self.store {
-            if store.save(key, entry).is_err() {
+            let saved = json.map(|json| store.save_encoded(key, &json));
+            if !matches!(saved, Some(Ok(()))) {
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -987,11 +1014,7 @@ impl Engine {
             filled = true;
         }
         if filled {
-            self.cache
-                .lock()
-                .expect("cache lock")
-                .insert(key.to_string(), entry.clone());
-            self.persist(key, &entry);
+            self.insert_and_persist(key, &entry);
         }
         entry
     }
@@ -1021,8 +1044,8 @@ impl Engine {
     /// the per-digest solve lock — waiting out (or taking over) another
     /// process's in-flight solve when the lock is held.
     fn cross_process_entry(&self, store: &CacheStore, key: &str) -> CrossProcess {
-        if let Some(entry) = store.load_entry(key) {
-            return CrossProcess::Entry(entry);
+        if let Some((entry, json_len)) = store.load_sized(key) {
+            return CrossProcess::Entry(Box::new(entry), json_len);
         }
         // Liveness bound: a healthy holder persists well within the
         // staleness bound and a crashed one is taken over at it, so
@@ -1037,8 +1060,8 @@ impl Engine {
                 Ok(Some(lock)) => {
                     // Re-check under the lock: the previous holder may
                     // have persisted between our read and this acquire.
-                    if let Some(entry) = store.load_entry(key) {
-                        return CrossProcess::Entry(entry);
+                    if let Some((entry, json_len)) = store.load_sized(key) {
+                        return CrossProcess::Entry(Box::new(entry), json_len);
                     }
                     return CrossProcess::Locked(lock);
                 }
@@ -1055,8 +1078,8 @@ impl Engine {
                         return CrossProcess::Unlocked;
                     }
                     std::thread::sleep(CROSS_PROCESS_POLL);
-                    if let Some(entry) = store.load_entry(key) {
-                        return CrossProcess::Entry(entry);
+                    if let Some((entry, json_len)) = store.load_sized(key) {
+                        return CrossProcess::Entry(Box::new(entry), json_len);
                     }
                 }
                 Err(_) => {
@@ -1084,14 +1107,17 @@ impl Engine {
         let mut lock = None;
         if let Some(store) = &self.store {
             match self.cross_process_entry(store, key) {
-                CrossProcess::Entry(entry) => {
+                CrossProcess::Entry(entry, json_len) => {
                     // Another process solved it: a disk-tier hit, not a
-                    // miss — no solver ran here.
+                    // miss — no solver ran here. The record's entry JSON
+                    // is the canonical encoding, so its length is the size.
+                    let bytes = sized_bytes(key, Some(json_len));
+                    debug_assert_eq!(bytes, entry_bytes(key, &entry), "stored JSON is canonical");
                     let mut cache = self.cache.lock().expect("cache lock");
                     cache.note_hit();
-                    cache.insert(key.to_string(), entry.clone());
+                    cache.insert_sized(key.to_string(), (*entry).clone(), bytes);
                     drop(cache);
-                    return (Ok(self.complete(key, entry, layer, needs_dram)), false);
+                    return (Ok(self.complete(key, *entry, layer, needs_dram)), false);
                 }
                 CrossProcess::Locked(held) => lock = Some(held),
                 CrossProcess::Unlocked => {}
@@ -1100,13 +1126,9 @@ impl Engine {
         self.cache.lock().expect("cache lock").note_miss();
         let outcome = self.solve_fresh(scheduler, layer);
         if let Ok(entry) = &outcome {
-            self.cache
-                .lock()
-                .expect("cache lock")
-                .insert(key.to_string(), entry.clone());
             // Persist before releasing the lock: a waiter that acquires
             // the lock next re-checks the disk and must find the entry.
-            self.persist(key, entry);
+            self.insert_and_persist(key, entry);
         }
         drop(lock);
         (outcome, true)
@@ -1211,7 +1233,12 @@ impl Engine {
     ) -> Option<Result<Scheduled, ScheduleError>> {
         let key = self.cache_key(scheduler, layer);
         if solve {
-            let (outcome, _led) = self.resolve_entry(scheduler, &key, layer, false);
+            // Layer keys are the keys network calls under the engine's
+            // default options read, so complete what those need too: a
+            // shape read through here is then persisted once, not again
+            // when a network call adds its DRAM profile.
+            let needs_dram = self.interlayer.enabled;
+            let (outcome, _led) = self.resolve_entry(scheduler, &key, layer, needs_dram);
             return Some(outcome.map(|entry| entry.scheduled));
         }
         let mut cache = self.cache.lock().expect("cache lock");
@@ -1738,5 +1765,90 @@ mod tests {
             }
         }
         assert_eq!(engine.cache_stats().misses, 0);
+    }
+
+    /// [`quick_random`] with the solve time zeroed, so two engines that
+    /// solve the same shapes hold byte-identical entries.
+    struct Untimed(RandomMapper);
+
+    impl Scheduler for Untimed {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn schedule(&self, arch: &Arch, layer: &Layer) -> Result<Scheduled, ScheduleError> {
+            Scheduler::schedule(&self.0, arch, layer).map(|scheduled| Scheduled {
+                elapsed: Duration::ZERO,
+                ..scheduled
+            })
+        }
+
+        fn fingerprint(&self) -> String {
+            self.0.fingerprint()
+        }
+    }
+
+    /// The LRU accounts an entry at [`entry_bytes`] whichever path brought
+    /// it in: fresh solves on a memory-only engine and on one writing
+    /// through to a store, read-throughs of those records, and
+    /// read-throughs that complete a missing NoC verdict all leave the
+    /// same resident bytes, every slot at its entry's size.
+    #[test]
+    fn accounted_bytes_agree_on_every_path() {
+        let root = std::env::temp_dir().join(format!("cosa-accounting-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (solved_dir, bare_dir) = (root.join("solved"), root.join("no-noc"));
+        let net = tiny_network();
+        let mapper = Untimed(quick_random());
+        let engine = || {
+            Engine::new(Arch::simba_baseline())
+                .with_threads(1)
+                .with_noc()
+                .with_interlayer(InterlayerOptions::enabled())
+        };
+        let slots = |engine: &Engine| -> Vec<(String, CacheEntry)> {
+            let cache = engine.cache.lock().unwrap();
+            for (key, slot) in &cache.entries {
+                assert_eq!(slot.bytes, entry_bytes(key, &slot.entry), "{key}");
+            }
+            let mut slots: Vec<_> = cache
+                .entries
+                .iter()
+                .map(|(key, slot)| (key.clone(), slot.entry.clone()))
+                .collect();
+            slots.sort_by(|a, b| a.0.cmp(&b.0));
+            slots
+        };
+
+        let memory = engine();
+        memory.schedule_network(&net, &mapper);
+        let cold = engine().with_cache_dir(&solved_dir).unwrap();
+        cold.schedule_network(&net, &mapper);
+        let warm = engine().with_cache_dir(&solved_dir).unwrap();
+        assert_eq!(warm.schedule_network(&net, &mapper).cache_misses, 0);
+
+        let store = CacheStore::open(&bare_dir).unwrap();
+        for (key, entry) in slots(&memory) {
+            store
+                .save(&key, &CacheEntry { noc: None, ..entry })
+                .unwrap();
+        }
+        let completing = engine().with_cache_dir(&bare_dir).unwrap();
+        let run = completing.schedule_network(&net, &mapper);
+        assert_eq!(
+            (run.cache_misses, run.noc_sims),
+            (0, 2),
+            "read through, then completed"
+        );
+
+        let want = slots(&memory);
+        let bytes = memory.cache_stats().bytes;
+        assert!(bytes > 0);
+        for engine in [&cold, &warm, &completing] {
+            assert_eq!(slots(engine), want);
+            assert_eq!(engine.cache_stats().bytes, bytes);
+            assert_eq!(engine.cache_stats().store_errors, 0);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -39,7 +39,10 @@
 //!   triggers a full reload. Writers always check the generation.
 //! - **Read**: the view holds an open handle to the file its rows
 //!   describe, so reading an entry is the refresh's `stat` plus one
-//!   positioned read of its frame.
+//!   positioned read of its frame. The record's raw entry JSON is the
+//!   entry's canonical encoding, so the read also yields the entry's
+//!   size, which the engine's LRU accounts without encoding it again;
+//!   likewise a save can take an entry the engine has already encoded.
 //! - **Checkpoint**: the live records, under an exact index and a fresh
 //!   generation, go to a temp file that is fsynced and renamed into place.
 //!   A save takes one when the frames past the checkpoint would outnumber
@@ -648,6 +651,14 @@ impl CacheStore {
     /// *other* processes after its own warm start (the cross-process
     /// read-through path).
     pub fn load_entry(&self, key: &str) -> Option<CacheEntry> {
+        self.load_sized(key).map(|(entry, _)| entry)
+    }
+
+    /// [`CacheStore::load_entry`] plus the length of the entry's JSON as
+    /// the record holds it — the canonical encoding [`CacheStore::save`]
+    /// wrote — so the engine's read-through accounts the entry's size in
+    /// its LRU without encoding it again.
+    pub(crate) fn load_sized(&self, key: &str) -> Option<(CacheEntry, u64)> {
         // A hit costs one `stat` and one positioned read through the
         // view's handle; a miss costs a refresh, never an index read. A row
         // whose record fails to validate gets one retry from a rebuilt view
@@ -661,8 +672,8 @@ impl CacheStore {
                 self.refresh_view(&mut view);
                 (view.rows.get(key).cloned()?, view.file.clone()?)
             };
-            if let Some(entry) = read_entry(&file, &row) {
-                return Some(entry);
+            if let Some(sized) = read_entry(&file, &row) {
+                return Some(sized);
             }
         }
         None
@@ -724,7 +735,7 @@ impl CacheStore {
         if let Some(file) = file {
             for row in rows {
                 match read_entry(&file, &row) {
-                    Some(entry) => load.entries.push((row.key, entry)),
+                    Some((entry, _)) => load.entries.push((row.key, entry)),
                     None => load.skipped += 1,
                 }
             }
@@ -758,9 +769,23 @@ impl CacheStore {
     /// when the segment writer lock stayed contended); the previous
     /// version of the entry (if any) stays intact on failure.
     pub fn save(&self, key: &str, entry: &CacheEntry) -> io::Result<()> {
+        let entry = serde_json::to_string(entry)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.save_encoded(key, &entry)
+    }
+
+    /// [`CacheStore::save`] of an entry the caller has already encoded:
+    /// `entry_json` is its canonical JSON (`serde_json::to_string`), which
+    /// the engine also takes the entry's LRU size from, so a fresh solve or
+    /// a completion encodes the entry once.
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheStore::save`].
+    pub(crate) fn save_encoded(&self, key: &str, entry_json: &str) -> io::Result<()> {
         Self::validate_key(key)?;
         let saved_at_millis = now_millis();
-        let record = encode_record(key, entry, saved_at_millis)?;
+        let record = encode_record(key, entry_json, saved_at_millis);
         let row = SegmentIndexEntry {
             key: key.to_string(),
             offset: 0,
@@ -1188,17 +1213,15 @@ fn is_check(hex: &str, check: u64) -> bool {
         })
 }
 
-/// Serialize the versioned record envelope for one entry — a frame body
+/// Wrap one entry's JSON in the versioned record envelope — a frame body
 /// (keys are validated alphanumerics, so direct formatting is
 /// escape-safe; the entry comes last so replay can read the head alone).
-fn encode_record(key: &str, entry: &CacheEntry, saved_at_millis: u64) -> io::Result<String> {
-    let entry = serde_json::to_string(entry)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let check = format!("{:016x}", record_check(key, &entry));
-    Ok(format!(
+fn encode_record(key: &str, entry: &str, saved_at_millis: u64) -> String {
+    let check = format!("{:016x}", record_check(key, entry));
+    format!(
         "{{\"version\":{STORE_VERSION},\"key\":\"{key}\",\"saved_at_millis\":{saved_at_millis},\
          \"check\":\"{check}\",\"entry\":{entry}}}"
-    ))
+    )
 }
 
 /// Split a record into its head and raw entry JSON, or `None` when it is
@@ -1223,14 +1246,15 @@ fn read_bytes_in(file: &fs::File, offset: u64, len: u64) -> Option<Vec<u8>> {
 }
 
 /// Read and decode the entry `row` points at, validating the record
-/// against the row's key.
-fn read_entry(file: &fs::File, row: &SegmentIndexEntry) -> Option<CacheEntry> {
+/// against the row's key, with the length of its raw entry JSON.
+fn read_entry(file: &fs::File, row: &SegmentIndexEntry) -> Option<(CacheEntry, u64)> {
     let bytes = read_bytes_in(file, row.offset, row.len)?;
     let (head, entry) = decode_record(&bytes)?;
     if head.key != row.key {
         return None;
     }
-    serde_json::from_str(entry).ok()
+    let decoded = serde_json::from_str(entry).ok()?;
+    Some((decoded, entry.len() as u64))
 }
 
 /// Bring `view` up to date through an open segment file, which becomes the
@@ -1453,7 +1477,7 @@ mod tests {
             "../../tests/fixtures/parse_pin/cache_entry.json"
         ))
         .unwrap();
-        let record = encode_record("k3y", &entry, 1_234).unwrap();
+        let record = encode_record("k3y", &serde_json::to_string(&entry).unwrap(), 1_234);
         let (head, tail) = record.split_at(record.find(",\"entry\":").unwrap());
         let mut combined = 0xcbf2_9ce4_8422_2325_u64;
         let mut accepted = 0;

@@ -822,6 +822,58 @@ fn bare_entries_are_completed_once_and_answer_like_fresh_solves() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// On an engine whose default inter-layer pass is on, layer keys are the
+/// keys network calls read, so a layer call completes a read-through entry
+/// with everything a network call needs: each shape is persisted once, and
+/// the network call that follows appends no frame.
+#[test]
+fn a_layer_read_through_persists_once_on_an_interlayer_engine() {
+    let dir = scratch_dir("layer-then-network");
+    let network = tiny_network();
+    let mapper = quick_random();
+    let arch = Arch::simba_baseline();
+    let engine = Engine::new(arch.clone())
+        .with_threads(1)
+        .with_noc()
+        .with_interlayer(InterlayerOptions::enabled());
+    let store = CacheStore::open(&dir).unwrap();
+    let shapes = [&network.layers[0].layer, &network.layers[1].layer];
+    for layer in shapes {
+        let scheduled = Scheduler::schedule(&mapper, &arch, layer).expect("valid");
+        let key = engine.cache_key(&mapper, layer);
+        store.save(&key, &CacheEntry::new(scheduled)).unwrap();
+    }
+    let engine = engine.with_cache_dir(&dir).expect("open cache dir");
+    let segment_bytes = || engine.cache_stats().segment_bytes;
+
+    let bare = segment_bytes();
+    for layer in shapes {
+        engine.schedule_layer(&mapper, layer).expect("valid");
+    }
+    assert!(
+        segment_bytes() > bare,
+        "the layer calls persist completions"
+    );
+    let stored = CacheStore::open(&dir).unwrap().load();
+    for (key, entry) in &stored.entries {
+        assert!(entry.noc.is_some() && entry.dram.is_some(), "{key}");
+    }
+    let after_layers = segment_bytes();
+    let run = engine.schedule_network(&network, &mapper);
+    assert!(run.report.is_complete());
+    assert_eq!(
+        segment_bytes(),
+        after_layers,
+        "the network call appends no frame"
+    );
+    let stats = engine.cache_stats();
+    assert_eq!(
+        (stats.misses, stats.noc_sims, stats.store_errors),
+        (0, 2, 0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cold_engine_reads_through_entries_persisted_by_another_process() {
     let dir = scratch_dir("read-through");

@@ -268,6 +268,19 @@ fn agreement_layer_strategy() -> impl Strategy<Value = Layer> {
     })
 }
 
+/// The MILP side of the SAT/MILP agreement property: an exact solve (the
+/// solver's default 1e-6 gap, not the scheduler's 3 %) bounded by
+/// branch-and-bound nodes instead of the scheduler's 6 s clock, so a busy
+/// machine cannot stop it early. 3 000 nodes reach the SAT-proven optimum
+/// on each of the property's first 64 generated cases.
+fn agreement_milp(arch: &Arch) -> cosa_core::CosaScheduler {
+    cosa_core::CosaScheduler::new(arch).with_solve_options(cosa_milp::SolveOptions {
+        node_limit: 3_000,
+        time_limit: None,
+        ..cosa_milp::SolveOptions::default()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -277,7 +290,7 @@ proptest! {
     #[test]
     fn sat_and_milp_agree_on_optimal_cost(layer in agreement_layer_strategy()) {
         let arch = Arch::simba_baseline();
-        let milp = cosa_core::CosaScheduler::new(&arch).schedule(&layer);
+        let milp = agreement_milp(&arch).schedule(&layer);
         let sat = cosa_repro::sat::SatScheduler::new(&arch)
             .with_conflict_budget(None)
             .schedule(&layer);
@@ -285,6 +298,14 @@ proptest! {
             (Ok(m), Ok(s)) => {
                 let (mo, so) = (m.milp_objective, s.objective);
                 prop_assert!(s.proven_optimal, "unbounded SAT must prove optimality");
+                let weights = cosa_core::ObjectiveWeights::default();
+                if let Some(exact) = cosa_core::exact::exact_optimum(&layer, &arch, weights) {
+                    prop_assert!(
+                        (so - exact).abs() <= 1e-6 * so.abs().max(exact.abs()).max(1.0),
+                        "sat {so} misses the exact optimum {exact} on {}",
+                        layer.name(),
+                    );
+                }
                 prop_assert!(
                     (mo - so).abs() <= 1e-6 * mo.abs().max(so.abs()).max(1.0),
                     "objectives diverge: milp {mo} vs sat {so}",
