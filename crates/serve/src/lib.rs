@@ -298,6 +298,9 @@ struct EngineHandler {
     /// directory, deduplicating through the content-addressed store.
     engines: Mutex<HashMap<String, Arc<Engine>>>,
     default_engine: Arc<Engine>,
+    /// Every suite's network in [`Suite::ALL`] order, built once: a suite
+    /// request borrows its network from here.
+    suites: [Network; Suite::ALL.len()],
     /// Cache counters folded in from non-retained (over-cap) engines, so
     /// `/v1/stats` never loses solver activity — a `--expect-warm` style
     /// zero-solve check must see every miss, resident engine or not.
@@ -481,9 +484,9 @@ impl EngineHandler {
         // Resolve the work item before touching an engine: a bad suite
         // name must not cost a lazy engine build.
         let network = match (&request.network, &request.suite) {
-            (Some(network), _) => Some(network.clone()),
+            (Some(network), _) => Some(network),
             (None, Some(name)) => match name.parse::<Suite>() {
-                Ok(suite) => Some(Network::from_suite(suite)),
+                Ok(suite) => Some(self.suite_network(suite)),
                 Err(e) => return bad(e.to_string()),
             },
             (None, None) => None, // work_item() guarantees `layer` is set.
@@ -502,7 +505,7 @@ impl EngineHandler {
             Err(msg) => return bad(msg),
         };
         let interlayer = request.interlayer_or(&self.config.interlayer);
-        let work = match (&request.layer, &network) {
+        let work = match (&request.layer, network) {
             (Some(layer), _) => Work::Layer(layer),
             (None, Some(network)) => Work::Network(network, &interlayer),
             (None, None) => unreachable!("work_item() guarantees one item"),
@@ -543,6 +546,15 @@ impl EngineHandler {
             }
             Err(message) => (422, error_body(&message)),
         })
+    }
+
+    /// The network of `suite`, from the table built at startup.
+    fn suite_network(&self, suite: Suite) -> &Network {
+        let index = Suite::ALL
+            .iter()
+            .position(|&s| s == suite)
+            .expect("Suite::ALL lists every suite");
+        &self.suites[index]
     }
 
     fn handle_stats(&self, front: &FrontView<'_>) -> String {
@@ -713,6 +725,7 @@ impl Server {
         let handler = Arc::new(EngineHandler {
             engines: Mutex::new(engines),
             default_engine,
+            suites: Suite::ALL.map(Network::from_suite),
             overflow_stats: Mutex::new(CacheStats::default()),
             gc: GcCounters::default(),
             config: config.clone(),

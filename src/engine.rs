@@ -107,14 +107,17 @@ const CROSS_PROCESS_POLL: Duration = Duration::from_millis(25);
 /// worker forever.
 const CROSS_PROCESS_WAIT_GRACE: Duration = Duration::from_secs(30);
 
-/// One resident cache slot: the entry plus LRU/size bookkeeping.
+/// One resident cache slot: the entry plus LRU/size bookkeeping. Slots are
+/// shared (`Arc<Slot>`): a hit hands out the slot, not a copy of its entry,
+/// and an answer copies only the parts it reports.
 #[derive(Debug)]
 struct Slot {
     entry: CacheEntry,
     /// Serialized size (key + canonical JSON value) this slot accounts for.
     bytes: u64,
-    /// Logical time of last touch (insert or hit) for LRU eviction.
-    last_use: u64,
+    /// Logical time of last touch (insert or hit) for LRU eviction. Atomic
+    /// only because the slot is shared; it is written under the cache lock.
+    last_use: AtomicU64,
 }
 
 /// The in-memory front of the content-addressed schedule cache.
@@ -135,7 +138,7 @@ struct Slot {
 /// later processes.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: HashMap<String, Slot>,
+    entries: HashMap<String, Arc<Slot>>,
     /// Logical clock driving LRU timestamps.
     clock: u64,
     max_bytes: Option<u64>,
@@ -180,15 +183,16 @@ impl ScheduleCache {
     /// invocations* — an absent key whose solve is deduplicated against
     /// an in-flight leader is a [`CacheStats::dedup_waits`], not a miss.
     pub fn peek(&mut self, key: &str) -> Option<CacheEntry> {
+        self.hit(key).map(|slot| slot.entry.clone())
+    }
+
+    /// [`ScheduleCache::peek`] without the copy: the shared slot.
+    fn hit(&mut self, key: &str) -> Option<Arc<Slot>> {
         self.clock += 1;
-        match self.entries.get_mut(key) {
-            Some(slot) => {
-                slot.last_use = self.clock;
-                self.hits += 1;
-                Some(slot.entry.clone())
-            }
-            None => None,
-        }
+        let slot = self.entries.get(key)?;
+        slot.last_use.store(self.clock, Ordering::Relaxed);
+        self.hits += 1;
+        Some(Arc::clone(slot))
     }
 
     /// The entry under `key` without counting a hit or a miss and without
@@ -218,21 +222,21 @@ impl ScheduleCache {
     }
 
     /// [`ScheduleCache::insert`] of an entry whose [`entry_bytes`] the
-    /// caller already knows from JSON it just read or wrote.
-    fn insert_sized(&mut self, key: String, entry: CacheEntry, bytes: u64) {
+    /// caller already knows from JSON it just read or wrote. Returns the
+    /// new slot, which outlives its eviction for as long as it is held.
+    fn insert_sized(&mut self, key: String, entry: CacheEntry, bytes: u64) -> Arc<Slot> {
         self.clock += 1;
-        if let Some(old) = self.entries.insert(
-            key,
-            Slot {
-                entry,
-                bytes,
-                last_use: self.clock,
-            },
-        ) {
+        let slot = Arc::new(Slot {
+            entry,
+            bytes,
+            last_use: AtomicU64::new(self.clock),
+        });
+        if let Some(old) = self.entries.insert(key, Arc::clone(&slot)) {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
         self.shrink_to_budget();
+        slot
     }
 
     /// Evict the least-recently-used slot. Linear scan: the engine's
@@ -242,7 +246,7 @@ impl ScheduleCache {
         let Some(oldest) = self
             .entries
             .iter()
-            .min_by_key(|(_, slot)| slot.last_use)
+            .min_by_key(|(_, slot)| slot.last_use.load(Ordering::Relaxed))
             .map(|(k, _)| k.clone())
         else {
             return;
@@ -281,20 +285,20 @@ fn sized_bytes(key: &str, json_len: Option<u64>) -> u64 {
 
 /// One in-flight solve in the engine's single-flight map. The leader
 /// publishes its outcome exactly once; followers block on the condvar
-/// and receive a clone of the published entry verbatim.
+/// and receive the published slot verbatim.
 #[derive(Debug, Default)]
 struct Flight {
-    outcome: Mutex<Option<Result<CacheEntry, ScheduleError>>>,
+    outcome: Mutex<Option<Result<Arc<Slot>, ScheduleError>>>,
     done: Condvar,
 }
 
 impl Flight {
-    fn publish(&self, outcome: Result<CacheEntry, ScheduleError>) {
+    fn publish(&self, outcome: Result<Arc<Slot>, ScheduleError>) {
         *self.outcome.lock().expect("flight lock") = Some(outcome);
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<CacheEntry, ScheduleError> {
+    fn wait(&self) -> Result<Arc<Slot>, ScheduleError> {
         let mut outcome = self.outcome.lock().expect("flight lock");
         while outcome.is_none() {
             outcome = self.done.wait(outcome).expect("flight lock");
@@ -305,9 +309,8 @@ impl Flight {
 
 /// The single-flight verdict for one uncached lookup.
 enum Ticket {
-    /// The entry was in the in-memory cache after all (boxed: a
-    /// `CacheEntry` dwarfs the other variants' `Arc`s).
-    Hit(Box<CacheEntry>),
+    /// The entry was in the in-memory cache after all.
+    Hit(Arc<Slot>),
     /// This request leads: it must solve and publish through the flight.
     Lead(Arc<Flight>),
     /// Another request is already solving this digest; wait on its flight.
@@ -325,7 +328,7 @@ struct FlightLead<'a> {
     /// Names for the panic-path error message.
     scheduler: String,
     layer: String,
-    outcome: Option<Result<CacheEntry, ScheduleError>>,
+    outcome: Option<Result<Arc<Slot>, ScheduleError>>,
 }
 
 impl Drop for FlightLead<'_> {
@@ -354,7 +357,7 @@ impl Drop for FlightLead<'_> {
 enum CrossProcess {
     /// Another process already persisted the entry; serve it. The `u64`
     /// is the length of its JSON in the record read; the entry is boxed
-    /// for the reason [`Ticket::Hit`]'s is.
+    /// because a `CacheEntry` dwarfs the other variants.
     Entry(Box<CacheEntry>, u64),
     /// The per-digest solve lock was acquired; solve while holding it.
     Locked(SolveLock),
@@ -500,24 +503,24 @@ pub struct NetworkReport {
 // stability: `interlayer` is *omitted* when `None` — a derive would emit
 // `"interlayer":null`, changing the bytes of every pre-existing report —
 // and *optional on read*, so pre-interlayer report JSON still loads. The
-// field order matches the struct declaration, exactly as the derive would
-// emit it.
+// field order matches the struct declaration and the keys take the
+// identifier path, exactly as the derive would emit them.
 impl Serialize for NetworkReport {
     fn serialize(&self, out: &mut serde::Writer) -> Result<(), serde::Error> {
         let mut map = out.map();
-        map.field("network", &self.network)?;
-        map.field("arch", &self.arch)?;
-        map.field("scheduler", &self.scheduler)?;
-        map.field("layers", &self.layers)?;
-        map.field("scheduled_layers", &self.scheduled_layers)?;
-        map.field("failed_layers", &self.failed_layers)?;
-        map.field("total_latency_cycles", &self.total_latency_cycles)?;
-        map.field("total_energy_pj", &self.total_energy_pj)?;
-        map.field("total_macs", &self.total_macs)?;
-        map.field("total_noc_cycles", &self.total_noc_cycles)?;
-        map.field("cache", &self.cache)?;
+        map.ident_field("network", &self.network)?;
+        map.ident_field("arch", &self.arch)?;
+        map.ident_field("scheduler", &self.scheduler)?;
+        map.ident_field("layers", &self.layers)?;
+        map.ident_field("scheduled_layers", &self.scheduled_layers)?;
+        map.ident_field("failed_layers", &self.failed_layers)?;
+        map.ident_field("total_latency_cycles", &self.total_latency_cycles)?;
+        map.ident_field("total_energy_pj", &self.total_energy_pj)?;
+        map.ident_field("total_macs", &self.total_macs)?;
+        map.ident_field("total_noc_cycles", &self.total_noc_cycles)?;
+        map.ident_field("cache", &self.cache)?;
         if let Some(interlayer) = &self.interlayer {
-            map.field("interlayer", interlayer)?;
+            map.ident_field("interlayer", interlayer)?;
         }
         map.end();
         Ok(())
@@ -937,20 +940,22 @@ impl Engine {
     /// Insert one entry into the memory tier, then write it through to the
     /// persistent store when one is attached (best-effort; failures are
     /// counted, not propagated). The entry is encoded once: the store
-    /// writes that JSON and the LRU accounts its length.
-    fn insert_and_persist(&self, key: &str, entry: &CacheEntry) {
-        let json = serde_json::to_string(entry).ok();
+    /// writes that JSON and the LRU accounts its length. Returns the slot.
+    fn insert_and_persist(&self, key: &str, entry: CacheEntry) -> Arc<Slot> {
+        let json = serde_json::to_string(&entry).ok();
         let bytes = sized_bytes(key, json.as_ref().map(|json| json.len() as u64));
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .insert_sized(key.to_string(), entry.clone(), bytes);
+        let slot =
+            self.cache
+                .lock()
+                .expect("cache lock")
+                .insert_sized(key.to_string(), entry, bytes);
         if let Some(store) = &self.store {
             let saved = json.map(|json| store.save_encoded(key, &json));
             if !matches!(saved, Some(Ok(()))) {
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
+        slot
     }
 
     /// Solve one layer fresh (no cache interaction), attaching the NoC
@@ -991,19 +996,18 @@ impl Engine {
         DramProfile::from_tensor_bytes(eval.dram_tensor_bytes)
     }
 
-    /// Fill in what a cached `entry` lacks for an answer — the NoC verdict
-    /// when the engine simulates, the DRAM profile when `needs_dram` (the
-    /// inter-layer pass reads it) — so entries saved without them (a bare
-    /// [`CacheEntry::new`], an engine without [`Engine::with_noc`]) converge
-    /// too. Anything filled in is re-inserted and persisted once; an entry
-    /// that [`Engine::answers_without_catch_up`] costs nothing.
-    fn complete(
-        &self,
-        key: &str,
-        mut entry: CacheEntry,
-        layer: &Layer,
-        needs_dram: bool,
-    ) -> CacheEntry {
+    /// Fill in what a cached slot's entry lacks for an answer — the NoC
+    /// verdict when the engine simulates, the DRAM profile when
+    /// `needs_dram` (the inter-layer pass reads it) — so entries saved
+    /// without them (a bare [`CacheEntry::new`], an engine without
+    /// [`Engine::with_noc`]) converge too. Anything filled in is
+    /// re-inserted and persisted once; an entry that
+    /// [`Engine::answers_without_catch_up`] costs nothing.
+    fn complete(&self, key: &str, slot: Arc<Slot>, layer: &Layer, needs_dram: bool) -> Arc<Slot> {
+        if self.answers_without_catch_up(&slot.entry, needs_dram) {
+            return slot;
+        }
+        let mut entry = slot.entry.clone();
         let mut filled = false;
         if self.simulate_noc && entry.noc.is_none() {
             entry.noc = self.noc_verdict(layer, &entry.scheduled);
@@ -1014,9 +1018,10 @@ impl Engine {
             filled = true;
         }
         if filled {
-            self.insert_and_persist(key, &entry);
+            self.insert_and_persist(key, entry)
+        } else {
+            slot
         }
-        entry
     }
 
     /// The single-flight admission decision for an uncached-looking key.
@@ -1025,8 +1030,8 @@ impl Engine {
     /// joiner's two checks.
     fn join_flight(&self, key: &str) -> Ticket {
         let mut flights = self.flights.lock().expect("flights lock");
-        if let Some(hit) = self.cache.lock().expect("cache lock").peek(key) {
-            return Ticket::Hit(Box::new(hit));
+        if let Some(hit) = self.cache.lock().expect("cache lock").hit(key) {
+            return Ticket::Hit(hit);
         }
         if let Some(flight) = flights.get(key) {
             self.dedup_waits.fetch_add(1, Ordering::Relaxed);
@@ -1103,7 +1108,7 @@ impl Engine {
         key: &str,
         layer: &Layer,
         needs_dram: bool,
-    ) -> (Result<CacheEntry, ScheduleError>, bool) {
+    ) -> (Result<Arc<Slot>, ScheduleError>, bool) {
         let mut lock = None;
         if let Some(store) = &self.store {
             match self.cross_process_entry(store, key) {
@@ -1115,21 +1120,20 @@ impl Engine {
                     debug_assert_eq!(bytes, entry_bytes(key, &entry), "stored JSON is canonical");
                     let mut cache = self.cache.lock().expect("cache lock");
                     cache.note_hit();
-                    cache.insert_sized(key.to_string(), (*entry).clone(), bytes);
+                    let slot = cache.insert_sized(key.to_string(), *entry, bytes);
                     drop(cache);
-                    return (Ok(self.complete(key, *entry, layer, needs_dram)), false);
+                    return (Ok(self.complete(key, slot, layer, needs_dram)), false);
                 }
                 CrossProcess::Locked(held) => lock = Some(held),
                 CrossProcess::Unlocked => {}
             }
         }
         self.cache.lock().expect("cache lock").note_miss();
-        let outcome = self.solve_fresh(scheduler, layer);
-        if let Ok(entry) = &outcome {
-            // Persist before releasing the lock: a waiter that acquires
-            // the lock next re-checks the disk and must find the entry.
-            self.insert_and_persist(key, entry);
-        }
+        // Persist before releasing the lock: a waiter that acquires the
+        // lock next re-checks the disk and must find the entry.
+        let outcome = self
+            .solve_fresh(scheduler, layer)
+            .map(|entry| self.insert_and_persist(key, entry));
         drop(lock);
         (outcome, true)
     }
@@ -1146,9 +1150,9 @@ impl Engine {
         key: &str,
         layer: &Layer,
         needs_dram: bool,
-    ) -> (Result<CacheEntry, ScheduleError>, bool) {
+    ) -> (Result<Arc<Slot>, ScheduleError>, bool) {
         match self.join_flight(key) {
-            Ticket::Hit(entry) => (Ok(self.complete(key, *entry, layer, needs_dram)), false),
+            Ticket::Hit(slot) => (Ok(self.complete(key, slot, layer, needs_dram)), false),
             Ticket::Wait(flight) => (flight.wait(), false),
             Ticket::Lead(flight) => {
                 let mut lead = FlightLead {
@@ -1239,7 +1243,7 @@ impl Engine {
             // when a network call adds its DRAM profile.
             let needs_dram = self.interlayer.enabled;
             let (outcome, _led) = self.resolve_entry(scheduler, &key, layer, needs_dram);
-            return Some(outcome.map(|entry| entry.scheduled));
+            return Some(outcome.map(|slot| slot.entry.scheduled.clone()));
         }
         let mut cache = self.cache.lock().expect("cache lock");
         let complete = cache
@@ -1248,7 +1252,7 @@ impl Engine {
         if !complete {
             return None;
         }
-        cache.peek(&key).map(|entry| Ok(entry.scheduled))
+        cache.hit(&key).map(|slot| Ok(slot.entry.scheduled.clone()))
     }
 
     /// Schedule every entry of `network` with `scheduler`.
@@ -1316,13 +1320,13 @@ impl Engine {
             }
         }
 
-        // Capture cache hits by value now: under a bounded cache the entry
-        // could be evicted (by this call's own inserts or a concurrent one)
-        // before report assembly reads it back. `peek` counts no miss — the
+        // Hold the hits' slots now: under a bounded cache the entry could be
+        // evicted (by this call's own inserts or a concurrent one) before
+        // report assembly reads it back. A hit counts no miss — the
         // job's single-flight leader counts it only if an actual solve
         // happens (a concurrent call or another process may resolve the
         // digest first).
-        let mut resolved: HashMap<&str, CacheEntry> = HashMap::new();
+        let mut resolved: HashMap<&str, Arc<Slot>> = HashMap::new();
         let mut jobs: Vec<(&str, &Layer)> = Vec::new();
         {
             let mut cache = self.cache.lock().expect("cache lock");
@@ -1338,7 +1342,7 @@ impl Engine {
                 return None;
             }
             for (key, layer) in &unique {
-                match cache.peek(key) {
+                match cache.hit(key) {
                     Some(hit) => {
                         resolved.insert(key, hit);
                     }
@@ -1364,8 +1368,8 @@ impl Engine {
                 led.insert(key);
             }
             match outcome {
-                Ok(entry) => {
-                    resolved.insert(key, entry);
+                Ok(slot) => {
+                    resolved.insert(key, slot);
                 }
                 Err(e) => {
                     failed.insert(key, e);
@@ -1376,19 +1380,19 @@ impl Engine {
         // Complete every entry that lacks what this answer needs: cache
         // hits saved without a NoC verdict or a DRAM profile, and a
         // follower's entry whose leader needed no profile.
-        let incomplete: Vec<(&str, &Layer, CacheEntry)> = unique
+        let incomplete: Vec<(&str, &Layer, Arc<Slot>)> = unique
             .iter()
             .filter_map(|&(key, layer)| {
-                let entry = resolved.get(key)?;
-                let complete = self.answers_without_catch_up(entry, interlayer.enabled);
-                (!complete).then(|| (key, layer, entry.clone()))
+                let slot = resolved.get(key)?;
+                let complete = self.answers_without_catch_up(&slot.entry, interlayer.enabled);
+                (!complete).then(|| (key, layer, Arc::clone(slot)))
             })
             .collect();
-        let completed = fanout::map(&incomplete, self.threads, |(key, layer, entry)| {
-            self.complete(key, entry.clone(), layer, interlayer.enabled)
+        let completed = fanout::map(&incomplete, self.threads, |(key, layer, slot)| {
+            self.complete(key, Arc::clone(slot), layer, interlayer.enabled)
         });
-        for ((key, _, _), entry) in incomplete.iter().zip(completed) {
-            resolved.insert(key, entry);
+        for ((key, _, _), slot) in incomplete.iter().zip(completed) {
+            resolved.insert(key, slot);
         }
 
         // Assemble the report in network order. An entry is a cache hit
@@ -1412,7 +1416,8 @@ impl Engine {
         for (key, entry) in keys.iter().zip(&network.layers) {
             let fresh = first_use.insert(key.as_str()) && led.contains(key.as_str());
             let (scheduled, noc, error) = match resolved.get(key.as_str()) {
-                Some(e) => {
+                Some(slot) => {
+                    let e = &slot.entry;
                     if interlayer.enabled {
                         pass_profiles.push(e.dram.map(|d| d.tensor_bytes()));
                     }

@@ -261,3 +261,49 @@ fn distinct_configs_do_not_share_cache_entries() {
         "different fingerprints, different keys"
     );
 }
+
+#[test]
+fn resident_suite_answers_match_solving_calls() {
+    // The memory-tier path shares the cache's slots instead of copying
+    // them, and copies only each answer's schedule: its canonical answer
+    // must equal the solving call's for every suite, with NoC verdicts on
+    // and the inter-layer pass off and on.
+    use cosa_repro::engine::{Resident, Work};
+
+    let engine = Engine::new(Arch::simba_baseline()).with_noc();
+    let random = scheduler_from_name("random", engine.arch()).unwrap();
+    let canonical = |report: &NetworkReport| serde_json::to_string(&report.without_timings());
+    for suite in Suite::ALL {
+        let network = Network::from_suite(suite);
+        for interlayer in [InterlayerOptions::disabled(), InterlayerOptions::enabled()] {
+            let what = format!("{} (inter-layer {})", suite.name(), interlayer.enabled);
+            let solved = engine.schedule_network_with(&network, random.as_ref(), &interlayer);
+            assert!(solved.report.is_complete(), "{what}");
+            let Some(Resident::Network(resident)) =
+                engine.schedule_resident(random.as_ref(), Work::Network(&network, &interlayer))
+            else {
+                panic!("{what}: every shape is resident after the solving call");
+            };
+            assert_eq!(resident.cache_misses, 0, "{what}");
+            assert_eq!(
+                canonical(&resident.report).unwrap(),
+                canonical(&solved.report).unwrap(),
+                "{what}"
+            );
+        }
+        for entry in &network.layers {
+            let Some(Resident::Layer(scheduled)) =
+                engine.schedule_resident(random.as_ref(), Work::Layer(&entry.layer))
+            else {
+                panic!("{}: {} is resident", suite.name(), entry.name);
+            };
+            assert_eq!(
+                Ok(scheduled),
+                engine.schedule_layer(random.as_ref(), &entry.layer),
+                "{}: {}",
+                suite.name(),
+                entry.name
+            );
+        }
+    }
+}

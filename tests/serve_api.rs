@@ -642,3 +642,25 @@ fn a_suite_with_one_cold_shape_counts_each_hit_and_miss_once() {
     assert_eq!(again.served - after.served, 1);
     handle.shutdown().expect("clean shutdown");
 }
+
+#[test]
+fn a_named_suite_answers_like_the_same_network_sent_inline() {
+    // The daemon builds each suite's network once and lends it to every
+    // suite request; the answer must be the one the same network sent
+    // inline gets, byte for byte once the volatile fields are stripped —
+    // cold (on a worker) and warm (on the event loop).
+    let handle = quick_server();
+    let named = ScheduleRequest::for_suite(Suite::ResNet50).with_scheduler("random");
+    let inline =
+        ScheduleRequest::for_network(Network::from_suite(Suite::ResNet50)).with_scheduler("random");
+    let canonical = |request: &ScheduleRequest| {
+        let resp = post_schedule(&handle, request);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let report = parse_response(&resp).report.expect("network answer");
+        serde_json::to_string(&report.without_timings()).unwrap()
+    };
+    let cold = canonical(&named);
+    assert_eq!(canonical(&inline), cold, "inline, warm");
+    assert_eq!(canonical(&named), cold, "named, warm");
+    handle.shutdown().expect("clean shutdown");
+}
