@@ -89,23 +89,10 @@ pub use interlayer::{
 };
 pub use store::{
     CacheEntry, CacheStore, DiskTierStats, DramProfile, GcPolicy, GcReport, IndexLoad, SolveLock,
-    StoreLoad, DEFAULT_LOCK_STALENESS, STORE_VERSION,
+    StoreLoad, STORE_VERSION,
 };
 
 use interlayer::InterlayerPass;
-
-/// How often a cross-process waiter re-checks the shared store for the
-/// entry (or the lock for staleness) while another process solves.
-const CROSS_PROCESS_POLL: Duration = Duration::from_millis(25);
-
-/// Extra wait beyond [`DEFAULT_LOCK_STALENESS`] before a cross-process
-/// waiter gives up on a foreign lock entirely and solves unlocked. A
-/// healthy holder persists within the staleness bound and a crashed one
-/// is taken over at it, so this only triggers when the lock file is
-/// unreclaimable (mtime in the future after a clock step, undeletable
-/// file) — fail-open to a duplicated solve rather than wedging the
-/// worker forever.
-const CROSS_PROCESS_WAIT_GRACE: Duration = Duration::from_secs(30);
 
 /// One resident cache slot: the entry plus LRU/size bookkeeping. Slots are
 /// shared (`Arc<Slot>`): a hit hands out the slot, not a copy of its entry,
@@ -1046,53 +1033,29 @@ impl Engine {
 
     /// Consult the shared store before a leader solves: read through for
     /// an entry another process persisted after our warm start, then take
-    /// the per-digest solve lock — waiting out (or taking over) another
-    /// process's in-flight solve when the lock is held.
+    /// the per-digest solve lock — blocking until another process's
+    /// in-flight solve releases it (or its process dies) when it is held.
     fn cross_process_entry(&self, store: &CacheStore, key: &str) -> CrossProcess {
         if let Some((entry, json_len)) = store.load_sized(key) {
             return CrossProcess::Entry(Box::new(entry), json_len);
         }
-        // Liveness bound: a healthy holder persists well within the
-        // staleness bound and a crashed one is taken over at it, so
-        // waiting longer means the lock file is unreclaimable (future
-        // mtime after a clock step, undeletable file). Give up then and
-        // solve unlocked — the documented worst case is a duplicated
-        // solve, never a wedged worker.
-        let deadline = Instant::now() + DEFAULT_LOCK_STALENESS + CROSS_PROCESS_WAIT_GRACE;
-        let mut waited = false;
-        loop {
-            match store.try_lock(key) {
-                Ok(Some(lock)) => {
-                    // Re-check under the lock: the previous holder may
-                    // have persisted between our read and this acquire.
-                    if let Some((entry, json_len)) = store.load_sized(key) {
-                        return CrossProcess::Entry(Box::new(entry), json_len);
-                    }
-                    return CrossProcess::Locked(lock);
-                }
-                Ok(None) => {
-                    // Another process is solving this digest: wait for
-                    // its entry to land (or for its lock to go stale, at
-                    // which point try_lock takes over and we solve).
-                    if !waited {
-                        waited = true;
-                        self.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if Instant::now() >= deadline {
-                        self.store_errors.fetch_add(1, Ordering::Relaxed);
-                        return CrossProcess::Unlocked;
-                    }
-                    std::thread::sleep(CROSS_PROCESS_POLL);
-                    if let Some((entry, json_len)) = store.load_sized(key) {
-                        return CrossProcess::Entry(Box::new(entry), json_len);
-                    }
-                }
-                Err(_) => {
-                    // Advisory locking is an optimization: degrade to a
-                    // (possibly duplicated) solve rather than failing.
-                    self.store_errors.fetch_add(1, Ordering::Relaxed);
-                    return CrossProcess::Unlocked;
-                }
+        let lock = store.try_lock(key).transpose().unwrap_or_else(|| {
+            // Another process is solving this digest: wait for it.
+            self.dedup_waits.fetch_add(1, Ordering::Relaxed);
+            store.lock(key)
+        });
+        match lock {
+            // Re-check under the lock: the previous holder persists before
+            // it releases.
+            Ok(lock) => match store.load_sized(key) {
+                Some((entry, json_len)) => CrossProcess::Entry(Box::new(entry), json_len),
+                None => CrossProcess::Locked(lock),
+            },
+            Err(_) => {
+                // Advisory locking is an optimization: degrade to a
+                // (possibly duplicated) solve rather than failing.
+                self.store_errors.fetch_add(1, Ordering::Relaxed);
+                CrossProcess::Unlocked
             }
         }
     }

@@ -79,42 +79,30 @@
 //! [`GcPolicy::compact_min_dead`] (default: the larger of 4 KiB and the
 //! live payload size), so GC cost scales with the index, not with
 //! history. The sweep also removes temp files orphaned by killed writers
-//! (older than a minute) and lock files older than
-//! [`DEFAULT_LOCK_STALENESS`].
+//! (older than a minute) and lock files nobody holds.
 //!
 //! # Cross-process solve locks
 //!
 //! Multiple processes (e.g. two `cosa-serve` daemons) may share one cache
 //! directory. Without coordination two cold processes asked for the same
-//! digest would each run the solver. [`CacheStore::try_lock`] provides
-//! advisory per-digest coordination:
+//! digest would each run the solver. [`CacheStore::try_lock`] and
+//! [`CacheStore::lock`] provide advisory per-digest coordination:
 //!
 //! ```text
 //! <cache-dir>/<digest>.lock      # held while a process solves <digest>
 //! ```
 //!
-//! A lock is acquired by creating the file exclusively (`create_new`, the
-//! cross-platform atomic primitive — no POSIX `flock` semantics assumed)
-//! and released by deleting it; [`SolveLock`] deletes on drop, and only
-//! while the file still holds the owner's token, so a staleness-takeover
-//! victim cannot delete its thief's lock. A lock whose mtime is older
-//! than [`DEFAULT_LOCK_STALENESS`] (300 s, the one staleness bound of
-//! solve locks: `try_lock`, the engine's cross-process wait and the GC
-//! sweep all read it) is presumed orphaned by a crashed process and is
-//! *taken over*. Tokens are not fsynced: staleness reads the mtime
-//! and release reads the token through the page cache, so after a crash a
-//! lock file is merely stale, whatever it holds. The locking is advisory
-//! and fail-open — an I/O error or a takeover race degrades to a
+//! A lock is an OS file lock (`File::lock`) on that file, so the OS frees
+//! it when its holder exits or dies; a waiter blocks until then, however
+//! long a live holder solves. [`SolveLock`] deletes the file on release
+//! while it still holds the lock, and a taker checks, once it holds the
+//! lock, that the path still names the file it locked — otherwise a
+//! release or a GC sweep unlinked it meanwhile, and the taker retries.
+//! The locking is advisory and fail-open: an I/O error degrades to a
 //! duplicated solve, never to corruption or an unserved request.
 //!
-//! Segment writers additionally serialize on a short-lived
-//! `segment.cosa.lock`, taken by the same code as the solve locks (one
-//! exclusive create, token and takeover), with seconds-scale staleness
-//! since writers hold it for milliseconds. A writer waits for
-//! it longer than that staleness bound, so a crashed holder is always
-//! taken over before a waiter gives up; a wait that still times out is a
-//! `WouldBlock` error, which the engine counts in `store_errors` while
-//! the entry stays served from the memory tier.
+//! Segment writers additionally serialize on `segment.cosa.lock`, taken
+//! the same way; a writer blocks until the holder's append is done.
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -122,7 +110,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::hash::BuildHasher;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
@@ -149,39 +137,13 @@ const PREAMBLE_LEN: u64 = 24;
 const SEGMENT_FILE: &str = "segment.cosa";
 
 /// The segment writer lock file name. The `.lock` extension keeps it
-/// under the same stale-lock GC sweep as per-digest solve locks; the
-/// dotted stem can never collide with a digest lock (digests are bare
-/// alphanumerics).
+/// under the same GC sweep as per-digest solve locks; the dotted stem can
+/// never collide with a digest lock (digests are bare alphanumerics).
 const SEGMENT_LOCK_FILE: &str = "segment.cosa.lock";
-
-/// Segment writer locks are held for milliseconds (one append), so
-/// a lock older than this was orphaned by a crashed writer and may be
-/// taken over — much tighter than solve-lock staleness, which must cover
-/// whole MILP solves.
-const SEGMENT_LOCK_STALENESS: Duration = Duration::from_secs(5);
-
-/// How long any segment writer (save, eviction, compaction) waits for the
-/// writer lock. It outlasts [`SEGMENT_LOCK_STALENESS`], so a crashed
-/// holder is always taken over before a waiter gives up; only a holder
-/// that stays *live* this long makes the write fail with `WouldBlock`.
-const SEGMENT_LOCK_WAIT: Duration = Duration::from_secs(10);
 
 /// Default dead-byte floor below which GC never compacts, so tiny
 /// segments are not rewritten over noise.
 const DEFAULT_COMPACT_MIN_DEAD: u64 = 4096;
-
-/// The bound past which a solve-lock file is presumed orphaned by a
-/// crashed holder: [`CacheStore::try_lock`] takes it over, the engine's
-/// cross-process wait gives up shortly after it, and GC sweeps it.
-/// Generous relative to the worst MILP solves the workspace runs
-/// (seconds): a takeover of a *live* slow solver merely duplicates work,
-/// but it should stay rare.
-pub const DEFAULT_LOCK_STALENESS: Duration = Duration::from_secs(300);
-
-/// Process-wide sequence distinguishing lock tokens issued by this
-/// process, so two locks taken and released by one process never confuse
-/// each other's ownership checks.
-static LOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide sequence distinguishing concurrent segment rewrites
 /// *within* one process: two threads (e.g. two engines sharing a cache
@@ -191,13 +153,12 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A held per-digest solve lock (see the [module docs](self)).
 ///
-/// Dropping (or [`SolveLock::release`]-ing) deletes the lock file —
-/// but only while it still contains this holder's token, so a holder
-/// whose stale lock was taken over cannot delete the new holder's file.
+/// Dropping (or [`SolveLock::release`]-ing) deletes the lock file while
+/// the lock is still held, then frees the lock.
 #[derive(Debug)]
 pub struct SolveLock {
     path: PathBuf,
-    token: String,
+    file: fs::File,
 }
 
 impl SolveLock {
@@ -207,11 +168,10 @@ impl SolveLock {
 
 impl Drop for SolveLock {
     fn drop(&mut self) {
-        // Token check before deletion: if a staleness takeover replaced
-        // this file, it belongs to the thief now and must survive.
-        if fs::read_to_string(&self.path).is_ok_and(|content| content == self.token) {
-            let _ = fs::remove_file(&self.path);
-        }
+        // Unlink first, so nobody else holds the lock while the path
+        // still names this file.
+        let _ = fs::remove_file(&self.path);
+        let _ = self.file.unlock();
     }
 }
 
@@ -495,7 +455,7 @@ pub struct GcPolicy {
 
 impl GcPolicy {
     /// `true` when no bound is set (GC would be a no-op beyond the
-    /// stale tmp/lock sweeps).
+    /// tmp/lock sweeps).
     pub fn is_unbounded(&self) -> bool {
         self.max_bytes.is_none() && self.max_age.is_none() && self.compact_min_dead.is_none()
     }
@@ -533,14 +493,14 @@ pub struct GcReport {
     pub retained: usize,
     /// Live bytes still on disk after the sweep.
     pub retained_bytes: u64,
-    /// Digests that could not be evicted (an I/O error, or a segment
-    /// writer lock that stayed contended).
+    /// Digests that could not be evicted (an I/O error).
     pub delete_errors: usize,
     /// Orphaned temp files (left by killed writers) swept alongside the
     /// entries.
     pub stale_tmp_removed: usize,
-    /// Solve-lock files older than the staleness bound (orphaned by
-    /// crashed holders) swept alongside the entries.
+    /// Lock files (solve locks and the segment writer lock) that nobody
+    /// held, left behind by holders that died before their release,
+    /// removed alongside the entries. A held lock file is never removed.
     pub stale_locks_removed: usize,
     /// Segment compactions run by this sweep (0 or 1).
     pub compactions: u64,
@@ -628,12 +588,14 @@ impl CacheStore {
         }
     }
 
-    /// Take the segment writer lock and sync `view` through a read-write
-    /// handle, which becomes the view's, checking the generation even when
-    /// `(len, mtime)` match, so a writer never builds on a stale view. The
-    /// view has no handle when the segment does not exist.
+    /// Take the segment writer lock, blocking until its holder's append is
+    /// done, and sync `view` through a read-write handle, which becomes the
+    /// view's, checking the generation even when `(len, mtime)` match, so a
+    /// writer never builds on a stale view. The view has no handle when the
+    /// segment does not exist.
     fn lock_for_write(&self, view: &mut SegmentView) -> io::Result<SolveLock> {
-        let lock = self.segment_lock()?;
+        let lock =
+            take_lock(self.dir.join(SEGMENT_LOCK_FILE), true)?.expect("a blocking take holds");
         let opened = fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -681,44 +643,27 @@ impl CacheStore {
 
     /// Try to acquire the advisory solve lock for `key` without blocking.
     ///
-    /// Returns `Ok(None)` when another (live) holder has it. A lock file
-    /// older than [`DEFAULT_LOCK_STALENESS`] is presumed orphaned and
-    /// taken over. See the [module docs](self) for the protocol.
+    /// Returns `Ok(None)` when another holder has it. See the
+    /// [module docs](self) for the protocol.
     ///
     /// # Errors
     ///
     /// Returns the I/O error for anything but contention (a bad key, an
     /// unwritable directory); callers should degrade to solving unlocked.
     pub fn try_lock(&self, key: &str) -> io::Result<Option<SolveLock>> {
-        self.try_lock_at(key, SystemTime::now())
-    }
-
-    /// [`CacheStore::try_lock`] with an explicit "now" for the staleness
-    /// cutoff, so tests can age locks deterministically instead of
-    /// sleeping (mirrors [`CacheStore::gc_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error for anything but contention.
-    pub fn try_lock_at(&self, key: &str, now: SystemTime) -> io::Result<Option<SolveLock>> {
         Self::validate_key(key)?;
-        take_lock(self.lock_path(key), DEFAULT_LOCK_STALENESS, now, None)
+        take_lock(self.lock_path(key), false)
     }
 
-    /// Acquire the segment writer lock, waiting up to
-    /// [`SEGMENT_LOCK_WAIT`]. Seconds-stale locks are taken over (writers
-    /// hold it for milliseconds).
+    /// Acquire the advisory solve lock for `key`, blocking until its
+    /// holder releases it or dies.
     ///
     /// # Errors
     ///
-    /// `WouldBlock` when a live holder outlasts the wait; otherwise the
-    /// I/O error that kept the lock file from being created.
-    fn segment_lock(&self) -> io::Result<SolveLock> {
-        let path = self.dir.join(SEGMENT_LOCK_FILE);
-        let wait = Some(Instant::now() + SEGMENT_LOCK_WAIT);
-        take_lock(path, SEGMENT_LOCK_STALENESS, SystemTime::now(), wait)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::WouldBlock, "segment writer lock contended")
-        })
+    /// As [`CacheStore::try_lock`].
+    pub fn lock(&self, key: &str) -> io::Result<SolveLock> {
+        Self::validate_key(key)?;
+        take_lock(self.lock_path(key), true).map(|lock| lock.expect("a blocking take holds"))
     }
 
     /// Load (eagerly decode) every valid entry, skipping and counting
@@ -765,8 +710,7 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O or serialization error (`WouldBlock`
-    /// when the segment writer lock stayed contended); the previous
+    /// Returns the underlying I/O or serialization error; the previous
     /// version of the entry (if any) stays intact on failure.
     pub fn save(&self, key: &str, entry: &CacheEntry) -> io::Result<()> {
         let entry = serde_json::to_string(entry)
@@ -810,8 +754,7 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error, including a segment writer lock
-    /// that stays contended.
+    /// Returns the underlying I/O error.
     pub fn remove(&self, key: &str) -> io::Result<()> {
         let mut view = self.seg_guard();
         self.refresh_view(&mut view);
@@ -912,19 +855,10 @@ impl CacheStore {
                     report.stale_tmp_removed += 1;
                 }
             }
-            // Solve locks orphaned by crashed holders: past the staleness
-            // bound they would otherwise only be reclaimed when someone
-            // re-requests that exact digest, so the sweep retires them too
-            // (a live holder's lock is younger than the bound and spared;
-            // the segment writer lock falls under the same sweep).
-            if extension == Some("lock") {
-                let stale = now
-                    .duration_since(mtime)
-                    .map(|age| age > DEFAULT_LOCK_STALENESS)
-                    .unwrap_or(false);
-                if stale && fs::remove_file(&path).is_ok() {
-                    report.stale_locks_removed += 1;
-                }
+            // Lock files left by holders that died before their release
+            // (a release deletes its file). A held one is spared.
+            if extension == Some("lock") && remove_unheld_lock(&path) {
+                report.stale_locks_removed += 1;
             }
         }
 
@@ -1100,68 +1034,67 @@ impl CacheStore {
     }
 }
 
-/// Take the lock file at `path` by exclusive create (`create_new`, which
-/// serializes racing takers), writing a fresh token into it. A file older
-/// than `staleness` at `now` is presumed orphaned and taken over: deleted,
-/// then created again; a file that is busy right after such a takeover
-/// belongs to a racing taker that won. A busy lock is `Ok(None)` at once,
-/// or, with a `wait` deadline, is retried every millisecond until then,
-/// the clock running on from `now`.
+/// Take the OS lock on the file at `path`, creating it if needed, either
+/// at once (`Ok(None)` when it is held) or by blocking (`wait`).
 ///
 /// # Errors
 ///
 /// The I/O error for anything but contention.
-fn take_lock(
-    path: PathBuf,
-    staleness: Duration,
-    now: SystemTime,
-    wait: Option<Instant>,
-) -> io::Result<Option<SolveLock>> {
-    let token = format!(
-        "pid={} seq={}",
-        std::process::id(),
-        LOCK_SEQ.fetch_add(1, Ordering::Relaxed)
-    );
-    let start = Instant::now();
-    let mut took_over = false;
+fn take_lock(path: PathBuf, wait: bool) -> io::Result<Option<SolveLock>> {
+    take_opened(open_lock_file(&path)?, path, wait)
+}
+
+/// Open (creating if needed) the lock file at `path`.
+fn open_lock_file(path: &Path) -> io::Result<fs::File> {
+    fs::File::options()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+}
+
+/// [`take_lock`] from a handle already opened on `path`. Once the lock is
+/// held, `path` must still name the locked file: a release or a GC sweep
+/// may have unlinked it between the open and the lock, and a lock on an
+/// unlinked file excludes nobody, so the take retries on a fresh open.
+fn take_opened(mut file: fs::File, path: PathBuf, wait: bool) -> io::Result<Option<SolveLock>> {
     loop {
-        match fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                // Best-effort token write, not fsynced; an unreadable
-                // token only weakens the release-ownership check.
-                let _ = file.write_all(token.as_bytes());
-                return Ok(Some(SolveLock { path, token }));
+        if wait {
+            file.lock()?;
+        } else {
+            match file.try_lock() {
+                Ok(()) => {}
+                Err(fs::TryLockError::WouldBlock) => return Ok(None),
+                Err(fs::TryLockError::Error(e)) => return Err(e),
             }
-            Err(e) if e.kind() != io::ErrorKind::AlreadyExists => return Err(e),
-            Err(_) => {}
         }
-        let stale = fs::metadata(&path)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|mtime| (now + start.elapsed()).duration_since(mtime).ok())
-            .is_some_and(|age| age > staleness);
-        // One takeover, then an immediate retry; a file that cannot be
-        // deleted counts as busy.
-        took_over = !took_over
-            && stale
-            && match fs::remove_file(&path) {
-                Ok(()) => true,
-                Err(e) => e.kind() == io::ErrorKind::NotFound,
-            };
-        if took_over {
-            continue;
+        if still_named(&path, &file)? {
+            return Ok(Some(SolveLock { path, file }));
         }
-        match wait {
-            Some(deadline) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            _ => return Ok(None),
-        }
+        file = open_lock_file(&path)?;
     }
+}
+
+/// Whether `path` still names the file `file` has open.
+fn still_named(path: &Path, file: &fs::File) -> io::Result<bool> {
+    let held = file.metadata()?;
+    match fs::metadata(path) {
+        Ok(named) => Ok((named.dev(), named.ino()) == (held.dev(), held.ino())),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// GC's half of the lock protocol: remove the lock file at `path` only
+/// when nobody holds it, under its lock, like a release. `true` when it
+/// was removed.
+fn remove_unheld_lock(path: &Path) -> bool {
+    let Ok(file) = fs::File::options().write(true).open(path) else {
+        return false;
+    };
+    file.try_lock().is_ok()
+        && still_named(path, &file).unwrap_or(false)
+        && fs::remove_file(path).is_ok()
 }
 
 fn file_stat(path: &Path) -> Option<(u64, SystemTime)> {
@@ -1523,30 +1456,36 @@ mod tests {
         );
     }
 
-    /// The segment writer lock keeps the solve lock's takeover protocol: a
-    /// holder that outlives the staleness bound is taken over, and its late
-    /// release leaves the thief's file in place.
+    /// The unlink race: a taker opens the lock path, then the holder's
+    /// release, or a GC sweep of a file nobody holds, unlinks that file
+    /// before the taker locks it. The taker must retry and hold the file
+    /// the path names, so a third handle still finds the lock held.
     #[test]
-    fn a_taken_over_segment_lock_survives_its_victims_release() {
-        let dir = std::env::temp_dir().join(format!("cosa-segment-lock-{}", std::process::id()));
+    fn a_take_retries_when_its_file_is_unlinked_before_the_lock() {
+        let dir = std::env::temp_dir().join(format!("cosa-unlink-race-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = CacheStore::open(&dir).unwrap();
-        let victim = store.segment_lock().unwrap();
-        fs::File::options()
-            .write(true)
-            .open(&victim.path)
-            .and_then(|f| f.set_modified(SystemTime::now() - SEGMENT_LOCK_STALENESS * 2))
-            .unwrap();
-        let thief = store.segment_lock().expect("stale holder taken over");
-        drop(victim);
-        assert_eq!(
-            fs::read_to_string(&thief.path).unwrap(),
-            thief.token,
-            "the victim's release left the thief's file alone"
-        );
-        let path = thief.path.clone();
-        drop(thief);
-        assert!(!path.exists(), "the thief's own release deletes it");
+        let path = store.lock_path("aaa1");
+        let holds_the_named_file = |taker: &SolveLock| {
+            assert!(
+                still_named(&path, &taker.file).unwrap(),
+                "the file the path names"
+            );
+            assert!(store.try_lock("aaa1").unwrap().is_none(), "a third handle");
+        };
+
+        let holder = store.try_lock("aaa1").unwrap().expect("free");
+        let opened = open_lock_file(&path).unwrap();
+        holder.release();
+        let taker = take_opened(opened, path.clone(), false).unwrap();
+        holds_the_named_file(&taker.expect("free after the release"));
+
+        fs::write(&path, "").unwrap();
+        let opened = open_lock_file(&path).unwrap();
+        let swept = store.gc(&GcPolicy::default()).unwrap().stale_locks_removed;
+        assert_eq!(swept, 1, "the sweep unlinked the unheld file");
+        let taker = take_opened(opened, path.clone(), true).unwrap();
+        holds_the_named_file(&taker.expect("a blocking take holds"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,14 +1,15 @@
 //! Integration tests for the persistent schedule-cache store: round-trip
 //! persistence and warm starts, corruption and version-skew tolerance,
 //! LRU/byte interaction with the disk tier, digest stability across
-//! save/load, the segment writer lock (wait, takeover) and the
-//! cross-process solve-lock protocol (exclusivity, staleness takeover,
-//! GC sweep, and engine-level lock waiting / disk read-through).
+//! save/load, the segment writer lock (a live holder waited out, a dead
+//! one's file taken at once) and the cross-process solve-lock protocol
+//! (exclusivity, a killed holder's lock freed, GC of unheld lock files,
+//! and engine-level lock waiting / disk read-through).
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
-use cosa_repro::engine::{CacheEntry, CacheStore, DEFAULT_LOCK_STALENESS, STORE_VERSION};
+use cosa_repro::engine::{CacheEntry, CacheStore, STORE_VERSION};
 use cosa_repro::prelude::*;
 
 mod common;
@@ -449,10 +450,11 @@ fn segment_writer_lock_is_waited_out_or_taken_over() {
     let entry = CacheEntry::new(scheduled.expect("valid"));
     let lock = dir.join("segment.cosa.lock");
 
-    // A live holder (another handle mid-append leaves exactly this file):
-    // the save waits — it neither fails nor writes anywhere else — and
-    // completes once the holder releases.
-    std::fs::write(&lock, "pid=0 seq=0").unwrap();
+    // A live holder (another handle mid-append holds the OS lock on this
+    // file): the save waits — it neither fails nor writes anywhere else —
+    // and completes once the holder releases, which unlinks the file.
+    let holder = std::fs::File::create(&lock).unwrap();
+    holder.lock().unwrap();
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let (store, entry) = (&store, &entry);
@@ -463,6 +465,7 @@ fn segment_writer_lock_is_waited_out_or_taken_over() {
         );
         assert_eq!(json_files(&dir), 0, "no fallback file while waiting");
         std::fs::remove_file(&lock).unwrap();
+        drop(holder);
         done_rx
             .recv()
             .unwrap()
@@ -470,14 +473,12 @@ fn segment_writer_lock_is_waited_out_or_taken_over() {
     });
     assert_eq!(store.load_entry("aaa1").as_ref(), Some(&entry));
 
-    // A crashed holder: its lock file only ages. Past the staleness bound
-    // the next writer takes it over instead of waiting or giving up.
-    let orphan = std::fs::File::create(&lock).unwrap();
-    orphan
-        .set_modified(SystemTime::now() - Duration::from_secs(3600))
-        .unwrap();
-    drop(orphan);
-    store.save("bbb2", &entry).expect("stale holder taken over");
+    // A dead holder leaves its file behind, but nobody holds its lock:
+    // the next writer takes it at once, however young the file is.
+    std::fs::write(&lock, "").unwrap();
+    store
+        .save("bbb2", &entry)
+        .expect("a dead holder's file is free");
     assert!(!lock.exists(), "the taker released its own lock");
     assert_eq!(store.load_entry("bbb2").as_ref(), Some(&entry));
     assert_eq!(json_files(&dir), 0);
@@ -676,57 +677,85 @@ fn solve_locks_are_exclusive_until_released() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Set in the child process of `a_killed_holder_frees_its_lock_at_once`
+/// to the cache dir it takes its lock in.
+const LOCK_HOLDER_DIR: &str = "COSA_TEST_LOCK_HOLDER_DIR";
+
+/// The line that child prints once it holds its lock.
+const LOCK_HELD: &str = "lock holder: holding aaa1";
+
+/// The OS frees a lock when its holder dies: a child process (this test
+/// binary re-run on this test alone) takes a solve lock and is killed,
+/// and the parent's next `try_lock` succeeds at once — no sleep, no
+/// pinned clock.
 #[test]
-fn stale_solve_locks_are_taken_over_and_survive_victim_release() {
-    let dir = scratch_dir("lock-stale");
+fn a_killed_holder_frees_its_lock_at_once() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    if let Some(dir) = std::env::var_os(LOCK_HOLDER_DIR) {
+        let store = CacheStore::open(dir).unwrap();
+        let _held = store.try_lock("aaa1").expect("io ok").expect("acquire");
+        println!("{LOCK_HELD}");
+        // Hold until killed; a parent that dies first closes the pipe.
+        let _ = std::io::stdin().read_line(&mut String::new());
+        return;
+    }
+    let dir = scratch_dir("lock-killed");
     let store = CacheStore::open(&dir).unwrap();
-
-    // A holder whose solve outlives the staleness bound (to a taker it is
-    // indistinguishable from a crashed process).
-    let victim = store.try_lock("aaa1").expect("io ok").expect("acquire");
-
-    // Within the staleness bound the lock holds...
-    assert!(store.try_lock("aaa1").expect("io ok").is_none());
-    // ...but from past it (pinned "now", no sleeping) it is taken over.
-    let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
-    let thief = store
-        .try_lock_at("aaa1", future)
-        .expect("io ok")
-        .expect("stale lock taken over");
-
-    // The victim's late release must not free the thief's lock: the
-    // token-checked drop leaves a file it no longer owns in place.
-    victim.release();
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "a_killed_holder_frees_its_lock_at_once",
+            "--nocapture",
+        ])
+        .env(LOCK_HOLDER_DIR, &dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("re-run the test binary");
+    let held = BufReader::new(child.stdout.take().unwrap())
+        .lines()
+        .any(|line| line.is_ok_and(|line| line.contains(LOCK_HELD)));
+    assert!(held, "the child took the lock");
     assert!(
         store.try_lock("aaa1").expect("io ok").is_none(),
-        "thief still holds the lock after the victim's release"
+        "the live child holds the lock"
     );
-    thief.release();
-    assert!(store.try_lock("aaa1").expect("io ok").is_some());
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert!(
+        dir.join("aaa1.lock").is_file(),
+        "the dead child's file stays"
+    );
+    assert!(
+        store.try_lock("aaa1").expect("io ok").is_some(),
+        "the child's death freed its lock"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn gc_sweeps_stale_solve_locks() {
+fn gc_removes_only_unheld_lock_files() {
     let dir = scratch_dir("lock-gc");
     let store = CacheStore::open(&dir).unwrap();
-    let orphan = store.try_lock("aaa1").expect("io ok").expect("acquire");
-    std::mem::forget(orphan);
-    let live = store.try_lock("bbb2").expect("io ok").expect("acquire");
+    let held = store.try_lock("aaa1").expect("io ok").expect("acquire");
+    // A dead holder's leftover file, which nobody holds.
+    std::fs::write(dir.join("bbb2.lock"), "").unwrap();
 
-    // A sweep "now" spares both (neither is past the bound)...
-    let report = store
-        .gc_at(&GcPolicy::default(), SystemTime::now())
-        .expect("gc");
-    assert_eq!(report.stale_locks_removed, 0);
-    // ...while a sweep from past the bound reclaims them (GC cannot tell
-    // a live long-holder from a crashed one — the staleness bound is the
-    // contract, which is why it must exceed the worst-case solve time).
-    let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
-    let report = store.gc_at(&GcPolicy::default(), future).expect("gc");
-    assert_eq!(report.stale_locks_removed, 2, "stale locks swept");
-    assert!(!dir.join("aaa1.lock").exists());
-    drop(live);
+    // However old the sweep judges them, it removes only the unheld file.
+    let day_later = SystemTime::now() + Duration::from_secs(86_400);
+    let report = store.gc_at(&GcPolicy::default(), day_later).expect("gc");
+    assert_eq!(report.stale_locks_removed, 1, "the unheld file");
+    assert!(!dir.join("bbb2.lock").exists());
+    assert!(dir.join("aaa1.lock").is_file(), "the held file survives");
+    let other = CacheStore::open(&dir).unwrap();
+    assert!(
+        other.try_lock("aaa1").expect("io ok").is_none(),
+        "and is still held"
+    );
+    drop(held);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

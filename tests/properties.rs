@@ -1,14 +1,14 @@
 //! Property-based integration tests over randomly generated layers and
 //! schedules, checking cross-crate invariants — plus randomized
 //! interleavings of the cache store's single-flight primitives (entry
-//! writes, solve locks, staleness takeovers and GC sweeps) run from two
-//! concurrent "processes" under a deadlock watchdog.
+//! writes, solve locks taken at once or waited for, and GC sweeps) run
+//! from two concurrent "processes" under a deadlock watchdog.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime};
 
-use cosa_repro::engine::{CacheEntry, CacheStore, GcPolicy, DEFAULT_LOCK_STALENESS};
+use cosa_repro::engine::{CacheEntry, CacheStore, GcPolicy};
 use cosa_repro::prelude::*;
 use cosa_repro::serve::SERVE_COSA_NODE_LIMIT;
 use proptest::prelude::*;
@@ -120,26 +120,20 @@ fn run_store_ops(dir: &Path, ops: &[(u8, u8)]) {
         match op % 4 {
             // A single-flight write: the leader's persist.
             0 => store.save(key, &canonical_entry()).expect("save"),
-            // The full leader protocol: lock, write under the lock,
-            // release. A busy lock is skipped (a real leader would wait;
-            // the interleaving harness only cares that no combination of
-            // these primitives corrupts or wedges).
+            // The leader protocol without waiting: lock, write under the
+            // lock, release; a busy lock is skipped.
             1 => {
                 if let Some(lock) = store.try_lock(key).expect("try_lock") {
                     store.save(key, &canonical_entry()).expect("save");
                     lock.release();
                 }
             }
-            // A staleness takeover, from a pinned far-future "now": every
-            // lock (live or orphaned) looks stale and must be reclaimable
-            // without corrupting anything.
+            // The waiting leader: block until the other holder releases,
+            // then write under the lock and release.
             2 => {
-                if let Some(lock) = store
-                    .try_lock_at(key, SystemTime::now() + DEFAULT_LOCK_STALENESS * 2)
-                    .expect("takeover")
-                {
-                    lock.release();
-                }
+                let lock = store.lock(key).expect("lock");
+                store.save(key, &canonical_entry()).expect("save");
+                lock.release();
             }
             // A concurrent GC sweep under a tight byte budget.
             _ => {
@@ -170,9 +164,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary two-process interleavings of single-flight writes, lock
-    /// acquisitions, staleness takeovers and GC sweeps (1) never corrupt
-    /// a surviving entry, (2) never deadlock (watchdog-bounded), and
-    /// (3) always leave every stale lock reclaimable past the bound.
+    /// acquisitions (at once or waited for) and GC sweeps (1) never
+    /// corrupt a surviving entry, (2) never deadlock (watchdog-bounded),
+    /// and (3) leave every lock free once both are done.
     #[test]
     fn store_lock_interleavings_never_corrupt_or_deadlock(
         ops in prop::collection::vec((0u8..4, 0u8..4), 2..=24)
@@ -205,14 +199,10 @@ proptest! {
             prop_assert_eq!(entry, &expected);
         }
 
-        // Stale locks are always reclaimed: whatever lock files the
-        // interleaving left behind (all holders released, but takeover
-        // races may leave an orphaned file), a taker past the staleness
-        // bound must succeed on every digest.
-        let future = SystemTime::now() + DEFAULT_LOCK_STALENESS * 2;
+        // Every holder has released, so every digest is free now.
         for key in STORE_KEYS {
-            let lock = store.try_lock_at(key, future).expect("io ok");
-            prop_assert!(lock.is_some(), "stale lock on {} not reclaimed", key);
+            let lock = store.try_lock(key).expect("io ok");
+            prop_assert!(lock.is_some(), "lock on {} still held", key);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
