@@ -33,11 +33,14 @@
 //!
 //! While long packets stream, the mesh state repeats exactly every few
 //! priority rotations. [`MeshSim`] detects such a window by comparing the
-//! whole state with a snapshot and jumps over as many repeats as leave
-//! every source's packet its tail flit to inject, so a million-flit packet
-//! takes under a hundred stepped cycles; the cycle counts are those of
-//! stepping every cycle, checked against the replaced simulator in the
-//! crate's tests.
+//! whole state, word by word until the first difference, with the states
+//! of its recent probes since the last head or tail injection, and jumps
+//! over as many repeats as leave every source's packet its tail flit to
+//! inject, so a million-flit packet takes under a hundred stepped cycles.
+//! A cycle it does step visits only ports that can move: a port blocked by
+//! a full downstream buffer or another packet's grant sleeps until that
+//! changes. The cycle counts are those of stepping every port every cycle,
+//! checked against the replaced simulator in the crate's tests.
 //!
 //! # Example
 //!

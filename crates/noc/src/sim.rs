@@ -17,12 +17,14 @@ use crate::traffic::{IterationType, TrafficPlan};
 /// Below this many stepped flits (see [`stepped_flits`]) outside a layer's
 /// largest transfer set, its sets are simulated on the calling thread alone.
 /// The work outside the largest set is the most a helper thread can take off
-/// the caller. A helper costs 35–150 µs to start and join (2-core x86 VM); a
-/// stepped cycle costs ≈ 150 ns on a lightly loaded mesh and up to ≈ 900 ns
-/// on a congested one, so 1 024 of them pay for a helper. On
-/// `baseline_eval_sweep` (medians of 6 runs) this threshold ties the
-/// flit-volume rule it replaced (≥ 4 096 flits), 4 096 stepped flits is 9 %
-/// slower, and no helper at all (one core) is 23 % slower.
+/// the caller. A helper costs 35–150 µs to start and join (2-core x86 VM).
+/// Over the 398 transfer sets of a `baseline_eval_sweep` pass, stepped flits
+/// predict a set's host time (Pearson r = 0.85; flit volume: r ≈ 0) at a
+/// median 88 ns each, ≈ 60 ns for the layers near this threshold, so 1 024
+/// of them are about a helper's cost. On the sweep (medians of 5
+/// alternating runs) no helper at all (one core) is 5 % slower on seed 1
+/// and 16 % on seed 3; thresholds of 2 048 and 4 096 are within the noise
+/// of this one, and 8 192 is ≈ 20 % slower.
 const MIN_FANOUT_FLITS: u64 = 1 << 10;
 
 /// The flits of `packets` the mesh steps through, which is what predicts a

@@ -365,6 +365,48 @@ fn noc_simulated_cycles_are_pinned() {
     );
 }
 
+/// The NoC simulator's numbers on every unique suite shape, scheduled as
+/// the daemon's `"random"` (and `baseline_eval_sweep`) schedules them: one
+/// digest over each shape's layer-latency bits and the flit-simulated
+/// cycles of every iteration class, shapes in suite order. This is all the
+/// traffic the sweep simulates; it was recorded with the simulator that
+/// anchored its steady-state jumps on one snapshot. A speed-only change to
+/// `crates/noc` must leave it alone.
+#[test]
+fn noc_suite_shapes_are_pinned() {
+    use cosa_repro::serve::SERVE_RANDOM_SEED;
+
+    let arch = Arch::simba_baseline();
+    let random = RandomMapper::new(SERVE_RANDOM_SEED).with_limits(SearchLimits::quick());
+    let noc = NocSimulator::new(&arch);
+    let (mut simulated, mut bytes) = (0, Vec::new());
+    for suite in Suite::ALL {
+        // Per suite, as the sweep's fresh engine per suite simulates them.
+        let mut shapes = std::collections::HashSet::new();
+        for entry in Network::from_suite(suite).layers {
+            if !shapes.insert(entry.layer.clone()) {
+                continue;
+            }
+            simulated += 1;
+            let schedule = Scheduler::schedule(&random, &arch, &entry.layer)
+                .expect("random finds a schedule")
+                .schedule;
+            let report = noc
+                .simulate(&entry.layer, &schedule)
+                .expect("valid schedule");
+            bytes.extend(report.total_cycles.to_bits().to_le_bytes());
+            bytes.extend((report.types.len() as u64).to_le_bytes());
+            for t in &report.types {
+                bytes.extend(t.noc_cycles.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        (simulated, digest128_hex(&bytes).as_str()),
+        (109, "5e3e4c803795caec85be8daaba88857f")
+    );
+}
+
 /// A daemon-style `"random"` engine answer for a whole suite, volatile
 /// parts zeroed.
 fn suite_response(
