@@ -289,17 +289,17 @@ fn run_persistent(
     if let Some(inter) = &run.report.interlayer {
         // Machine-readable residency line: CI extracts `offchip=` /
         // `baseline=` to assert the memory-aware run strictly reduces
-        // off-chip traffic.
+        // off-chip traffic, and echoes `overbooked=` beside them.
         println!(
-            "interlayer: strategy={} budget={} resident={}/{} baseline={:.0} offchip={:.0} \
-             saved={:.0}",
-            inter.strategy,
+            "interlayer: budget={} resident={}/{} baseline={:.0} offchip={:.0} saved={:.0} \
+             overbooked={}",
             inter.budget_bytes,
             inter.resident_edges,
             inter.edges.len(),
             inter.baseline_offchip_bytes,
             inter.offchip_bytes,
             inter.saved_offchip_bytes,
+            inter.overbooked_entries,
         );
     }
 
@@ -386,15 +386,15 @@ fn run_in_memory(
     print_backend_wins(&multi.cache_stats());
     if let Some(inter) = &run_n.report.interlayer {
         println!(
-            "interlayer: strategy={} budget={} resident={}/{} baseline={:.0} offchip={:.0} \
-             saved={:.0}",
-            inter.strategy,
+            "interlayer: budget={} resident={}/{} baseline={:.0} offchip={:.0} saved={:.0} \
+             overbooked={}",
             inter.budget_bytes,
             inter.resident_edges,
             inter.edges.len(),
             inter.baseline_offchip_bytes,
             inter.offchip_bytes,
             inter.saved_offchip_bytes,
+            inter.overbooked_entries,
         );
     }
 

@@ -18,9 +18,14 @@
 //!   schedule cache (one packed `segment.cosa` file); restarts
 //!   warm-start from it.
 //! * `--noc` — engine-level NoC evaluation per unique shape.
-//! * `--interlayer` (plus `--interlayer-budget-bytes N`,
-//!   `--interlayer-strategy greedy|milp`) — default inter-layer residency
-//!   options for network/suite requests that carry none.
+//! * `--interlayer` (plus `--interlayer-budget-bytes N`) — default
+//!   inter-layer residency options for network/suite requests that carry
+//!   none. The resident set is always the exact one (a chain DP); there is
+//!   no selector to choose, and a request's `"strategy"` option is a 400.
+//!   Reports carry the v2 `interlayer` section (per-entry
+//!   `schedule_bytes`, `overbooked_entries`). Memory-aware cache keys fold
+//!   in the options fingerprint (`enabled`, `budget_bytes`); entries stored
+//!   while it still named a selector are not found, and are re-solved once.
 //! * `--gc-max-bytes N` / `--gc-max-age-secs N` — disk-tier GC policy,
 //!   run at startup and every `--gc-every N` served requests (default 64).
 //!

@@ -84,8 +84,8 @@ use serde::{Deserialize, Serialize};
 use crate::api::{ScheduleError, Scheduled, Scheduler};
 
 pub use interlayer::{
-    InterlayerEdgeReport, InterlayerOccupancy, InterlayerOptions, InterlayerReport,
-    InterlayerStrategy, INTERLAYER_VERSION,
+    InterlayerEdgeReport, InterlayerOccupancy, InterlayerOptions, InterlayerReport, ResidencyChain,
+    ResidencyEdge, INTERLAYER_VERSION,
 };
 pub use store::{
     CacheEntry, CacheStore, DiskTierStats, DramProfile, GcPolicy, GcReport, IndexLoad, SolveLock,

@@ -13,26 +13,26 @@
 //! input fill from the cost model
 //! ([`CostModel::evaluate_resident_unchecked`]).
 //!
-//! Two strategies solve the selection problem:
-//!
-//! * [`InterlayerStrategy::Greedy`] — deterministic knapsack by
-//!   savings-per-resident-byte density, admitting an edge only while every
-//!   affected entry's peak occupancy stays within budget;
-//! * [`InterlayerStrategy::Milp`] — an exact 0/1 program over the same
-//!   occupancy constraints on the from-scratch `cosa-milp` backend
-//!   (maximize saved DRAM bytes). Falls back to greedy if the solver
-//!   errors, which no well-formed instance does.
+//! The selection is exact. [`Network::interlayer_edges`] yields only an
+//! entry's internal hand-off and its hand-off to the next entry, so the
+//! candidate edges form a path, and [`ResidencyChain::select`] solves it
+//! with a dynamic program over the entries: the state is whether the
+//! entry's inbound edge is resident, the choice whether its internal and
+//! out edges are, and feasibility is the same per-entry occupancy rule the
+//! report's timeline uses ([`ResidencyChain::peak_bytes`]).
 //!
 //! The verdict is surfaced as the versioned
 //! [`NetworkReport::interlayer`](crate::engine::NetworkReport) section:
 //! per-edge tensor sizes and residency, the per-entry buffer-occupancy
-//! timeline, and the headline `offchip_bytes` total (with its per-layer
-//! baseline) that Fig.-style campaigns plot. Everything here is
-//! deterministic: edges are enumerated in execution order, ties break by
-//! edge index, and totals accumulate in a fixed order — two runs over the
-//! same schedules serialize to identical bytes.
+//! timeline beside the bytes each entry's own schedule keeps in that
+//! buffer (`overbooked_entries` counts the entries whose sum exceeds the
+//! budget, which the selection does not yet prevent), and the headline
+//! `offchip_bytes` total (with its per-layer baseline) that Fig.-style
+//! campaigns plot. Everything here is deterministic: edges are enumerated
+//! in execution order, ties break by edge order (see
+//! [`ResidencyChain::select`]), and totals accumulate in a fixed order —
+//! two runs over the same schedules serialize to identical bytes.
 
-use cosa_milp::{Cmp, LinExpr, Model, Sense};
 use cosa_model::CostModel;
 use cosa_spec::{Arch, DataTensor, InterlayerEdge, Network};
 use serde::{Deserialize, Serialize};
@@ -40,59 +40,7 @@ use serde::{Deserialize, Serialize};
 use crate::api::Scheduled;
 
 /// Schema version of the [`InterlayerReport`] wire section.
-pub const INTERLAYER_VERSION: u32 = 1;
-
-/// Which optimizer chooses the resident tensor set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum InterlayerStrategy {
-    /// Deterministic knapsack by savings-per-byte density (the default).
-    #[default]
-    Greedy,
-    /// Exact 0/1 selection via the `cosa-milp` backend.
-    Milp,
-}
-
-impl InterlayerStrategy {
-    /// Stable wire/CLI name (`"greedy"` / `"milp"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            InterlayerStrategy::Greedy => "greedy",
-            InterlayerStrategy::Milp => "milp",
-        }
-    }
-
-    /// Parse a wire/CLI name.
-    pub fn parse(name: &str) -> Option<InterlayerStrategy> {
-        match name {
-            "greedy" => Some(InterlayerStrategy::Greedy),
-            "milp" => Some(InterlayerStrategy::Milp),
-            _ => None,
-        }
-    }
-}
-
-impl Serialize for InterlayerStrategy {
-    fn serialize(&self, out: &mut serde::Writer) -> Result<(), serde::Error> {
-        out.str(self.name());
-        Ok(())
-    }
-}
-
-impl Deserialize for InterlayerStrategy {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<InterlayerStrategy, serde::Error> {
-        if r.peek() != Some(b'"') {
-            return Err(serde::Error::custom(
-                "expected string for InterlayerStrategy",
-            ));
-        }
-        let s = r.str()?;
-        InterlayerStrategy::parse(&s).ok_or_else(|| {
-            serde::Error::custom(format!(
-                "unknown interlayer strategy `{s}` (expected `greedy` or `milp`)"
-            ))
-        })
-    }
-}
+pub const INTERLAYER_VERSION: u32 = 2;
 
 /// Options for the inter-layer residency pass — the `interlayer` object of
 /// the `/v1/schedule` request schema and the engine-level default set by
@@ -108,8 +56,6 @@ pub struct InterlayerOptions {
     /// (the default) resolves to the total capacity of the memory level
     /// directly below DRAM.
     pub budget_bytes: Option<u64>,
-    /// Selection strategy (default [`InterlayerStrategy::Greedy`]).
-    pub strategy: InterlayerStrategy,
 }
 
 impl InterlayerOptions {
@@ -118,7 +64,7 @@ impl InterlayerOptions {
         InterlayerOptions::default()
     }
 
-    /// Enabled with the default budget and strategy.
+    /// Enabled with the default budget.
     pub fn enabled() -> InterlayerOptions {
         InterlayerOptions {
             enabled: true,
@@ -129,12 +75,6 @@ impl InterlayerOptions {
     /// Builder-style budget override.
     pub fn with_budget_bytes(mut self, bytes: u64) -> InterlayerOptions {
         self.budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Builder-style strategy override.
-    pub fn with_strategy(mut self, strategy: InterlayerStrategy) -> InterlayerOptions {
-        self.strategy = strategy;
         self
     }
 
@@ -154,20 +94,15 @@ impl InterlayerOptions {
 
 // Hand-written so missing wire fields mean defaults: `{"enabled": true}`
 // and `{}` are valid option objects (the derive would require every field).
-// A duplicate key's last value wins; a `null` strategy is the default.
+// A duplicate key's last value wins.
 impl Deserialize for InterlayerOptions {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<InterlayerOptions, serde::Error> {
-        const KNOWN: [&str; 3] = ["enabled", "budget_bytes", "strategy"];
+        const KNOWN: [&str; 2] = ["enabled", "budget_bytes"];
         let mut opts = InterlayerOptions::default();
         r.map("InterlayerOptions", |r, key| {
             match key {
                 "enabled" => opts.enabled = Deserialize::deserialize(r)?,
                 "budget_bytes" => opts.budget_bytes = Deserialize::deserialize(r)?,
-                "strategy" => {
-                    if !r.null() {
-                        opts.strategy = Deserialize::deserialize(r)?;
-                    }
-                }
                 unknown => {
                     return Err(serde::Error::custom(format!(
                         "unknown interlayer option `{unknown}` (expected one of {KNOWN:?})"
@@ -212,6 +147,10 @@ pub struct InterlayerOccupancy {
     /// Peak resident inter-layer bytes during this entry's execution
     /// (always ≤ the resolved budget).
     pub peak_bytes: u64,
+    /// Bytes the entry's own schedule keeps in the same buffer: the sum of
+    /// `Schedule::stored_bytes` at the level directly below DRAM over the
+    /// tensors that level stores (0 for an entry that failed to schedule).
+    pub schedule_bytes: u64,
 }
 
 /// The versioned `interlayer` section of a
@@ -222,8 +161,6 @@ pub struct InterlayerOccupancy {
 pub struct InterlayerReport {
     /// Schema version ([`INTERLAYER_VERSION`]).
     pub version: u32,
-    /// Strategy that produced the resident set (`"greedy"` / `"milp"`).
-    pub strategy: String,
     /// Resolved on-chip byte budget the selection respected.
     pub budget_bytes: u64,
     /// Every inter-layer hand-off in execution order, resident or not.
@@ -232,6 +169,10 @@ pub struct InterlayerReport {
     pub occupancy: Vec<InterlayerOccupancy>,
     /// Edges kept resident.
     pub resident_edges: usize,
+    /// Entries whose `schedule_bytes + peak_bytes` exceeds `budget_bytes`:
+    /// the buffer is booked twice there, since the selection counts only
+    /// the resident tensors.
+    pub overbooked_entries: usize,
     /// Whole-network off-chip (DRAM) bytes with every entry scheduled in
     /// isolation — the per-layer baseline.
     pub baseline_offchip_bytes: f64,
@@ -247,50 +188,195 @@ pub struct InterlayerReport {
     pub total_energy_pj: f64,
 }
 
-/// One candidate edge with its engine-resolved costs.
-struct Candidate {
-    edge: InterlayerEdge,
-    /// Tensor footprint while resident (output elements × activation
-    /// precision — a completed output quantizes to the next layer's input
-    /// width).
-    bytes: u64,
-    /// DRAM bytes avoided per hand-off instance: producer output share +
-    /// consumer input share of the chosen schedules' DRAM traffic.
-    saved_per_instance: f64,
-}
-
-impl Candidate {
-    fn total_saved(&self) -> f64 {
-        self.edge.multiplicity as f64 * self.saved_per_instance
-    }
+/// One candidate hand-off of a [`ResidencyChain`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResidencyEdge {
+    /// The hand-off, as [`Network::interlayer_edges`] yields it.
+    pub edge: InterlayerEdge,
+    /// Bytes the tensor holds on chip while resident.
+    pub bytes: u64,
+    /// Off-chip bytes avoided across all `multiplicity` hand-offs when the
+    /// tensor is resident.
+    pub saved: f64,
 }
 
 /// Per-entry view of the (up to three) edges that occupy buffer space
 /// while the entry executes.
-#[derive(Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct EntryEdges {
-    /// Candidate index of the boundary in-edge, if any.
+    /// Index of the boundary in-edge, if any.
     inbound: Option<usize>,
-    /// Candidate index of the internal repeat edge, if any.
+    /// Index of the internal repeat edge, if any.
     internal: Option<usize>,
-    /// Candidate index of the boundary out-edge, if any.
+    /// Index of the boundary out-edge, if any.
     out: Option<usize>,
+}
+
+/// The residency selection problem of one network: the entries' repeat
+/// counts and the candidate hand-offs, each joining an entry to itself or
+/// to the next entry.
+#[derive(Debug, Clone)]
+pub struct ResidencyChain {
+    counts: Vec<u64>,
+    edges: Vec<ResidencyEdge>,
+    /// Edge-to-entry incidence for the occupancy rule.
+    slots: Vec<EntryEdges>,
+}
+
+/// Peak resident bytes while an entry of `count` instances runs with
+/// `inbound`, `internal` and `out` resident bytes (0 when not resident):
+/// the worst instance. The first holds the in-edge plus its own internal
+/// output, middles hold two internal copies, the last holds the internal
+/// input plus the out-edge.
+fn peak(count: u64, inbound: u64, internal: u64, out: u64) -> u64 {
+    if count == 1 {
+        inbound + out
+    } else {
+        let middle = if count >= 3 { 2 * internal } else { 0 };
+        (inbound + internal).max(middle).max(internal + out)
+    }
+}
+
+impl ResidencyChain {
+    /// The chain of `counts.len()` entries with candidate `edges`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every edge is internal (`producer == consumer`) or
+    /// joins an entry to the next one, and the edges are in execution
+    /// order (an entry's internal edge before its out-edge), as
+    /// [`Network::interlayer_edges`] yields them.
+    pub fn new(counts: Vec<u64>, edges: Vec<ResidencyEdge>) -> ResidencyChain {
+        debug_assert!(
+            counts.iter().all(|&c| c > 0),
+            "every network entry runs at least once: {counts:?}"
+        );
+        let ends = |e: &ResidencyEdge| (e.edge.producer, e.edge.consumer);
+        assert!(
+            edges.windows(2).all(|w| ends(&w[0]) < ends(&w[1])),
+            "edges must be in execution order"
+        );
+        let mut slots = vec![EntryEdges::default(); counts.len()];
+        for (i, e) in edges.iter().enumerate() {
+            let (producer, consumer) = ends(e);
+            if producer == consumer {
+                slots[producer].internal = Some(i);
+            } else {
+                assert_eq!(consumer, producer + 1, "edge {i} skips an entry");
+                slots[producer].out = Some(i);
+                slots[consumer].inbound = Some(i);
+            }
+        }
+        ResidencyChain {
+            counts,
+            edges,
+            slots,
+        }
+    }
+
+    /// The candidate edges, in execution order.
+    pub fn edges(&self) -> &[ResidencyEdge] {
+        &self.edges
+    }
+
+    /// Peak resident bytes held while entry `t` executes with the edges
+    /// flagged in `resident` on chip.
+    pub fn peak_bytes(&self, t: usize, resident: &[bool]) -> u64 {
+        let bytes = |slot: Option<usize>| {
+            slot.filter(|&i| resident[i])
+                .map_or(0, |i| self.edges[i].bytes)
+        };
+        let slot = self.slots[t];
+        peak(
+            self.counts[t],
+            bytes(slot.inbound),
+            bytes(slot.internal),
+            bytes(slot.out),
+        )
+    }
+
+    /// The resident set that saves the most off-chip bytes (the sum of
+    /// `saved` over resident edges) with every entry's
+    /// [`peak_bytes`](Self::peak_bytes) within `budget`. Among equally
+    /// good sets, the lexicographically smallest resident vector in edge
+    /// order wins (`false < true`: the first edge on which two optimal sets
+    /// differ stays off chip). So an edge with `saved ≤ 0` is never
+    /// resident: dropping it saves as much or more, still fits, and sorts
+    /// first.
+    ///
+    /// A dynamic program over the entries from last to first: the state is
+    /// whether the entry's inbound edge is resident, the choice whether its
+    /// internal and out edges are, and the out choice is the next entry's
+    /// state. Exact, in time linear in the entries.
+    pub fn select(&self, budget: u64) -> Vec<bool> {
+        let edge = |slot: Option<usize>| slot.map(|i| self.edges[i]);
+        let bytes =
+            |edge: Option<ResidencyEdge>, on: bool| edge.filter(|_| on).map_or(0, |e| e.bytes);
+        let saved =
+            |edge: Option<ResidencyEdge>, on: bool| edge.filter(|_| on).map_or(0.0, |e| e.saved);
+        // best[t][s]: the most that entries t.. save when entry t's inbound
+        // edge is resident (s = 1) or not (s = 0), and the (internal, out)
+        // choice at t that attains it; -inf when s is infeasible.
+        let mut best = vec![[(0.0, (false, false)); 2]; self.counts.len() + 1];
+        for t in (0..self.counts.len()).rev() {
+            let slot = self.slots[t];
+            let (inbound_edge, internal_edge, out_edge) =
+                (edge(slot.inbound), edge(slot.internal), edge(slot.out));
+            for s in [false, true] {
+                let mut pick = (f64::NEG_INFINITY, (false, false));
+                // Choices in edge order, and only a strictly better one
+                // replaces an earlier one: the tie-break above.
+                for (internal, out) in [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    if (internal && internal_edge.is_none()) || (out && out_edge.is_none()) {
+                        continue;
+                    }
+                    let occupied = peak(
+                        self.counts[t],
+                        bytes(inbound_edge, s),
+                        bytes(internal_edge, internal),
+                        bytes(out_edge, out),
+                    );
+                    if occupied > budget {
+                        continue;
+                    }
+                    let value = saved(internal_edge, internal)
+                        + saved(out_edge, out)
+                        + best[t + 1][usize::from(out)].0;
+                    if value > pick.0 {
+                        pick = (value, (internal, out));
+                    }
+                }
+                best[t][usize::from(s)] = pick;
+            }
+        }
+        let mut resident = vec![false; self.edges.len()];
+        let mut inbound = false;
+        for (t, slot) in self.slots.iter().enumerate() {
+            let (internal, out) = best[t][usize::from(inbound)].1;
+            for (slot, chosen) in [(slot.internal, internal), (slot.out, out)] {
+                if let Some(i) = slot {
+                    resident[i] = chosen;
+                }
+            }
+            inbound = out;
+        }
+        resident
+    }
 }
 
 /// The residency pass: evaluates candidates against the chosen per-layer
 /// schedules, selects a resident set within budget, and re-weights the
 /// affected layers.
 pub(crate) struct InterlayerPass<'a> {
+    arch: &'a Arch,
     model: CostModel,
     network: &'a Network,
     /// Per-entry chosen schedule (`None` for failed entries, which take no
     /// part in the pass).
     scheduled: Vec<Option<&'a Scheduled>>,
     budget: u64,
-    strategy: InterlayerStrategy,
-    candidates: Vec<Candidate>,
-    /// Edge-to-entry incidence for the occupancy constraints.
-    entry_edges: Vec<EntryEdges>,
+    chain: ResidencyChain,
     /// Per-entry per-instance DRAM tensor profile of the chosen schedule.
     profiles: Vec<Option<[f64; 3]>>,
 }
@@ -303,207 +389,84 @@ impl<'a> InterlayerPass<'a> {
         profiles: Vec<Option<[f64; 3]>>,
         options: &InterlayerOptions,
     ) -> InterlayerPass<'a> {
-        let budget = options.resolve_budget(arch);
         let act_prec = arch.precision(DataTensor::Inputs);
-        let mut pass = InterlayerPass {
+        // Failed entries have no schedule to re-weight; skip their edges
+        // entirely. A hand-off saves the producer's DRAM output traffic
+        // plus the consumer's DRAM input traffic per instance.
+        let edges = network
+            .interlayer_edges()
+            .into_iter()
+            .filter_map(|edge| {
+                let producer = profiles[edge.producer]?;
+                let consumer = profiles[edge.consumer]?;
+                let saved_per_instance =
+                    producer[DataTensor::Outputs.index()] + consumer[DataTensor::Inputs.index()];
+                Some(ResidencyEdge {
+                    edge,
+                    bytes: edge.elements * act_prec,
+                    saved: edge.multiplicity as f64 * saved_per_instance,
+                })
+            })
+            .collect();
+        let counts = network.layers.iter().map(|e| e.count).collect();
+        InterlayerPass {
+            arch,
             model: CostModel::new(arch),
             network,
             scheduled,
-            budget,
-            strategy: options.strategy,
-            candidates: Vec::new(),
-            entry_edges: vec![EntryEdges::default(); network.layers.len()],
+            budget: options.resolve_budget(arch),
+            chain: ResidencyChain::new(counts, edges),
             profiles,
-        };
-        for edge in network.interlayer_edges() {
-            // Failed entries have no schedule to re-weight; skip their
-            // edges entirely.
-            if pass.profile(edge.producer).is_none() || pass.profile(edge.consumer).is_none() {
-                continue;
-            }
-            let saved_per_instance = pass
-                .profile(edge.producer)
-                .map_or(0.0, |p| p[DataTensor::Outputs.index()])
-                + pass
-                    .profile(edge.consumer)
-                    .map_or(0.0, |p| p[DataTensor::Inputs.index()]);
-            let idx = pass.candidates.len();
-            let slot = &mut pass.entry_edges[edge.producer];
-            if edge.producer == edge.consumer {
-                slot.internal = Some(idx);
-            } else {
-                slot.out = Some(idx);
-                pass.entry_edges[edge.consumer].inbound = Some(idx);
-            }
-            pass.candidates.push(Candidate {
-                edge,
-                bytes: edge.elements * act_prec,
-                saved_per_instance,
-            });
-        }
-        pass
-    }
-
-    fn profile(&self, entry: usize) -> Option<[f64; 3]> {
-        self.profiles[entry]
-    }
-
-    /// Peak resident bytes held while entry `t` executes under `resident`:
-    /// the worst instance of the entry (first holds the in-edge plus its
-    /// own internal output, middles hold two internal copies, the last
-    /// holds the internal input plus the out-edge).
-    fn peak_bytes(&self, t: usize, resident: &[bool]) -> u64 {
-        let edges = &self.entry_edges[t];
-        let bytes = |slot: Option<usize>| {
-            slot.filter(|&i| resident[i])
-                .map_or(0, |i| self.candidates[i].bytes)
-        };
-        let inbound = bytes(edges.inbound);
-        let internal = bytes(edges.internal);
-        let out = bytes(edges.out);
-        let count = self.network.layers[t].count;
-        if count == 1 {
-            inbound + out
-        } else {
-            let first = inbound + internal;
-            let middle = if count >= 3 { 2 * internal } else { 0 };
-            let last = internal + out;
-            first.max(middle).max(last)
         }
     }
 
-    /// `true` when admitting candidate `i` keeps every affected entry
-    /// within budget.
-    fn fits(&self, i: usize, resident: &mut [bool]) -> bool {
-        resident[i] = true;
-        let e = &self.candidates[i].edge;
-        let ok = self.peak_bytes(e.producer, resident) <= self.budget
-            && self.peak_bytes(e.consumer, resident) <= self.budget;
-        resident[i] = ok;
-        ok
-    }
-
-    /// Greedy knapsack: admit by savings-per-resident-byte density,
-    /// deterministic tie-break by edge order.
-    fn select_greedy(&self) -> Vec<bool> {
-        let mut order: Vec<usize> = (0..self.candidates.len())
-            .filter(|&i| self.candidates[i].total_saved() > 0.0)
-            .collect();
-        order.sort_by(|&a, &b| {
-            let da = self.candidates[a].total_saved() / self.candidates[a].bytes.max(1) as f64;
-            let db = self.candidates[b].total_saved() / self.candidates[b].bytes.max(1) as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
-        let mut resident = vec![false; self.candidates.len()];
-        for i in order {
-            self.fits(i, &mut resident);
-        }
-        resident
-    }
-
-    /// Exact 0/1 selection: maximize saved DRAM bytes subject to the
-    /// per-entry occupancy constraints (each instance class of each entry
-    /// is one linear constraint). Falls back to greedy on solver error.
-    fn select_milp(&self) -> Vec<bool> {
-        let mut milp = Model::new(Sense::Maximize);
-        let vars: Vec<_> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(i, _)| milp.add_binary(format!("resident_{i}")))
-            .collect();
-        let mut objective = LinExpr::new();
-        for (i, c) in self.candidates.iter().enumerate() {
-            objective.add_term(vars[i], c.total_saved());
-        }
-        milp.set_objective(objective);
-        let budget = self.budget as f64;
-        for (t, edges) in self.entry_edges.iter().enumerate() {
-            let term = |slot: Option<usize>, scale: f64, expr: &mut LinExpr| {
-                if let Some(i) = slot {
-                    expr.add_term(vars[i], scale * self.candidates[i].bytes as f64);
-                }
-            };
-            let count = self.network.layers[t].count;
-            if count == 1 {
-                if edges.inbound.is_some() || edges.out.is_some() {
-                    let mut e = LinExpr::new();
-                    term(edges.inbound, 1.0, &mut e);
-                    term(edges.out, 1.0, &mut e);
-                    milp.add_constraint(e, Cmp::Le, budget);
-                }
-            } else {
-                if edges.inbound.is_some() || edges.internal.is_some() {
-                    let mut e = LinExpr::new();
-                    term(edges.inbound, 1.0, &mut e);
-                    term(edges.internal, 1.0, &mut e);
-                    milp.add_constraint(e, Cmp::Le, budget);
-                }
-                if edges.internal.is_some() || edges.out.is_some() {
-                    let mut e = LinExpr::new();
-                    term(edges.internal, 1.0, &mut e);
-                    term(edges.out, 1.0, &mut e);
-                    milp.add_constraint(e, Cmp::Le, budget);
-                }
-                if count >= 3 && edges.internal.is_some() {
-                    let mut e = LinExpr::new();
-                    term(edges.internal, 2.0, &mut e);
-                    milp.add_constraint(e, Cmp::Le, budget);
-                }
-            }
-        }
-        match milp.solve() {
-            Ok(solution) => vars.iter().map(|&v| solution.value_round(v) == 1).collect(),
-            Err(_) => self.select_greedy(),
-        }
+    /// Bytes entry `t`'s own schedule keeps in the level directly below
+    /// DRAM, over the tensors that level stores.
+    fn schedule_bytes(&self, t: usize) -> u64 {
+        let level = self.arch.dram_level() - 1;
+        let stores = &self.arch.levels()[level];
+        self.scheduled[t].map_or(0, |s| {
+            DataTensor::ALL
+                .into_iter()
+                .filter(|&v| stores.stores(v))
+                .map(|v| {
+                    s.schedule
+                        .stored_bytes(level, v, &self.network.layers[t].layer, self.arch)
+                })
+                .sum()
+        })
     }
 
     /// Run the pass: select the resident set, re-weight the affected
-    /// layers and assemble the report section. Also returns the
+    /// layers and assemble the report section with the
     /// residency-adjusted totals for entries that scheduled.
     pub(crate) fn run(self) -> InterlayerReport {
-        let resident = match self.strategy {
-            InterlayerStrategy::Greedy => self.select_greedy(),
-            InterlayerStrategy::Milp => self.select_milp(),
-        };
+        let resident = self.chain.select(self.budget);
 
-        // Per-entry residency instance classes: how many executions of
-        // entry t run with (inputs resident, outputs resident).
-        let mut classes: Vec<Vec<(u64, bool, bool)>> = Vec::new();
-        for (t, edges) in self.entry_edges.iter().enumerate() {
-            let on = |slot: Option<usize>| slot.is_some_and(|i| resident[i]);
-            let (bi, int, bo) = (on(edges.inbound), on(edges.internal), on(edges.out));
-            let count = self.network.layers[t].count;
-            let mut groups: Vec<(u64, bool, bool)> = Vec::new();
-            if count == 1 {
-                groups.push((1, bi, bo));
-            } else {
-                groups.push((1, bi, int));
-                if count > 2 {
-                    groups.push((count - 2, int, int));
-                }
-                groups.push((1, int, bo));
-            }
-            classes.push(groups);
-        }
-
-        // Re-evaluate each entry's chosen schedule per residency class.
-        // Entries with no resident edge evaluate once with the plain
-        // model, so baseline and adjusted totals come from the same
-        // evaluator and the baseline matches Σ count × profile exactly.
+        // Re-evaluate each entry's chosen schedule per residency instance
+        // class: how many executions of the entry run with (inputs
+        // resident, outputs resident). Entries with no resident edge
+        // evaluate once with the plain model, so baseline and adjusted
+        // totals come from the same evaluator and the baseline matches
+        // Σ count × profile exactly.
         let mut baseline_offchip = 0.0;
         let mut offchip = 0.0;
         let mut total_latency = 0.0;
         let mut total_energy = 0.0;
         for (t, entry) in self.network.layers.iter().enumerate() {
-            let Some(scheduled) = self.scheduled[t] else {
-                continue;
-            };
-            let Some(profile) = self.profile(t) else {
+            let (Some(scheduled), Some(profile)) = (self.scheduled[t], self.profiles[t]) else {
                 continue;
             };
             baseline_offchip += entry.count as f64 * profile.iter().sum::<f64>();
-            for &(instances, rin, rout) in &classes[t] {
+            let slot = self.chain.slots[t];
+            let on = |slot: Option<usize>| slot.is_some_and(|i| resident[i]);
+            let (bi, int, bo) = (on(slot.inbound), on(slot.internal), on(slot.out));
+            let classes: &[(u64, bool, bool)] = if entry.count == 1 {
+                &[(1, bi, bo)]
+            } else {
+                &[(1, bi, int), (entry.count - 2, int, int), (1, int, bo)]
+            };
+            for &(instances, rin, rout) in classes.iter().filter(|c| c.0 > 0) {
                 let eval = if rin || rout {
                     let mut flags = [false; 3];
                     flags[DataTensor::Inputs.index()] = rin;
@@ -521,34 +484,39 @@ impl<'a> InterlayerPass<'a> {
         }
 
         let edges = self
-            .candidates
+            .chain
+            .edges
             .iter()
-            .enumerate()
-            .map(|(i, c)| InterlayerEdgeReport {
+            .zip(&resident)
+            .map(|(c, &resident)| InterlayerEdgeReport {
                 producer: self.network.layers[c.edge.producer].name.clone(),
                 consumer: self.network.layers[c.edge.consumer].name.clone(),
                 multiplicity: c.edge.multiplicity,
                 tensor_bytes: c.bytes,
-                resident: resident[i],
-                saved_bytes: if resident[i] { c.total_saved() } else { 0.0 },
+                resident,
+                saved_bytes: if resident { c.saved } else { 0.0 },
             })
             .collect();
-        let occupancy = self
+        let occupancy: Vec<InterlayerOccupancy> = self
             .network
             .layers
             .iter()
             .enumerate()
             .map(|(t, entry)| InterlayerOccupancy {
                 entry: entry.name.clone(),
-                peak_bytes: self.peak_bytes(t, &resident),
+                peak_bytes: self.chain.peak_bytes(t, &resident),
+                schedule_bytes: self.schedule_bytes(t),
             })
             .collect();
 
         InterlayerReport {
             version: INTERLAYER_VERSION,
-            strategy: self.strategy.name().to_string(),
             budget_bytes: self.budget,
             edges,
+            overbooked_entries: occupancy
+                .iter()
+                .filter(|o| o.schedule_bytes + o.peak_bytes > self.budget)
+                .count(),
             occupancy,
             resident_edges: resident.iter().filter(|&&r| r).count(),
             baseline_offchip_bytes: baseline_offchip,

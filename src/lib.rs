@@ -74,8 +74,7 @@ pub mod prelude {
     pub use crate::api::{PortfolioScheduler, ScheduleError, ScheduleStats, Scheduled, Scheduler};
     pub use crate::engine::{
         BackendWin, CacheEntry, CacheStats, CacheStore, Engine, GcPolicy, GcReport,
-        InterlayerOptions, InterlayerReport, InterlayerStrategy, LayerReport, NetworkReport,
-        NetworkRun, ScheduleCache,
+        InterlayerOptions, InterlayerReport, LayerReport, NetworkReport, NetworkRun, ScheduleCache,
     };
     pub use crate::serve::{
         scheduler_from_name, HealthResponse, ScheduleOptions, ScheduleRequest, ScheduleResponse,

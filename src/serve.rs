@@ -40,9 +40,7 @@ use cosa_spec::{canon, Arch, Layer, Network, Suite};
 use serde::{Deserialize, Error as SerdeError, Reader, Serialize};
 
 use crate::api::{PortfolioScheduler, Scheduled, Scheduler};
-use crate::engine::CacheStats;
-use crate::engine::NetworkReport;
-use crate::engine::{InterlayerOptions, InterlayerStrategy};
+use crate::engine::{CacheStats, InterlayerOptions, NetworkReport};
 
 /// The value following `--flag` in `args`, when present.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -75,9 +73,9 @@ pub struct CommonArgs {
     pub cache_dir: Option<PathBuf>,
     /// `--noc` present.
     pub noc: bool,
-    /// `--interlayer` (plus `--interlayer-budget-bytes N` and
-    /// `--interlayer-strategy greedy|milp`): the inter-layer residency
-    /// pass options, disabled unless `--interlayer` is present.
+    /// `--interlayer` (plus `--interlayer-budget-bytes N`): the
+    /// inter-layer residency pass options, disabled unless `--interlayer`
+    /// is present.
     pub interlayer: InterlayerOptions,
 }
 
@@ -85,13 +83,12 @@ impl CommonArgs {
     /// Every flag [`CommonArgs::parse`] reads, paired with whether it
     /// takes a value — what a binary that rejects unknown flags must
     /// accept on this parser's behalf.
-    pub const FLAGS: [(&'static str, bool); 6] = [
+    pub const FLAGS: [(&'static str, bool); 5] = [
         ("--scheduler", true),
         ("--cache-dir", true),
         ("--noc", false),
         ("--interlayer", false),
         ("--interlayer-budget-bytes", true),
-        ("--interlayer-strategy", true),
     ];
 
     /// Parse the shared flags out of `args` (unrelated flags are left for
@@ -104,11 +101,6 @@ impl CommonArgs {
         };
         if let Some(bytes) = parse_flag::<u64>(args, "--interlayer-budget-bytes") {
             interlayer = interlayer.with_budget_bytes(bytes);
-        }
-        if let Some(name) = flag_value(args, "--interlayer-strategy") {
-            let strategy = InterlayerStrategy::parse(&name)
-                .unwrap_or_else(|| panic!("bad value `{name}` for --interlayer-strategy"));
-            interlayer = interlayer.with_strategy(strategy);
         }
         CommonArgs {
             scheduler: flag_value(args, "--scheduler").unwrap_or_else(|| "cosa".to_string()),
@@ -398,13 +390,26 @@ impl ScheduleRequest {
         self.options.interlayer.unwrap_or(*default)
     }
 
-    /// Validate the "exactly one work item" rule, naming the violation.
+    /// Validate the "exactly one work item" rule, and that every entry of
+    /// a network runs at least once, naming the violation.
     ///
     /// # Errors
     ///
     /// Returns a client-readable message when zero or multiple of
-    /// `layer`/`network`/`suite` are set.
+    /// `layer`/`network`/`suite` are set, or when a network entry has
+    /// `count: 0` (the wire admits it, [`Network::push`] does not).
     pub fn work_item(&self) -> Result<(), String> {
+        if let Some(entry) = self
+            .network
+            .iter()
+            .flat_map(|n| &n.layers)
+            .find(|e| e.count == 0)
+        {
+            return Err(format!(
+                "network entry `{}` has `count` 0 (every entry must run at least once)",
+                entry.name
+            ));
+        }
         let set = [
             self.layer.is_some(),
             self.network.is_some(),
@@ -617,14 +622,19 @@ mod tests {
         // Interlayer sub-object: unknown keys fail, partial objects work.
         let req: ScheduleRequest = serde_json::from_str(
             r#"{"suite": "resnet50",
-                "options": {"interlayer": {"enabled": true, "budget_bytes": 4096,
-                                           "strategy": "milp"}}}"#,
+                "options": {"interlayer": {"enabled": true, "budget_bytes": 4096}}}"#,
         )
         .unwrap();
         let il = req.interlayer_or(&InterlayerOptions::disabled());
         assert!(il.enabled);
         assert_eq!(il.budget_bytes, Some(4096));
-        assert_eq!(il.strategy, InterlayerStrategy::Milp);
+        // The selection has no knob: `strategy` is an unknown option.
+        let err = serde_json::from_str::<ScheduleRequest>(
+            r#"{"suite": "resnet50",
+                "options": {"interlayer": {"enabled": true, "strategy": "milp"}}}"#,
+        )
+        .expect_err("`strategy` is not an interlayer option");
+        assert!(err.to_string().contains("`strategy`"), "{err}");
     }
 
     #[test]
@@ -655,6 +665,18 @@ mod tests {
         let back: ScheduleRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, req);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn work_item_rejects_entries_that_never_run() {
+        let mut network = Network::new("n")
+            .with_layer("a", Layer::conv("a", 1, 1, 4, 4, 8, 8, 1, 1, 1), 1)
+            .with_layer("b", Layer::conv("b", 1, 1, 4, 4, 8, 8, 1, 1, 1), 2);
+        network.layers[1].count = 0;
+        let err = ScheduleRequest::for_network(network)
+            .work_item()
+            .expect_err("a count-0 entry is not a network");
+        assert!(err.contains("`b`") && err.contains("`count`"), "{err}");
     }
 
     #[test]
@@ -706,21 +728,11 @@ mod tests {
         assert!(!defaults.noc);
 
         let interlayer = CommonArgs::parse(
-            &[
-                "bin",
-                "--interlayer",
-                "--interlayer-budget-bytes",
-                "65536",
-                "--interlayer-strategy",
-                "milp",
-            ]
-            .map(String::from),
+            &["bin", "--interlayer", "--interlayer-budget-bytes", "65536"].map(String::from),
         );
         assert_eq!(
             interlayer.interlayer,
-            InterlayerOptions::enabled()
-                .with_budget_bytes(65536)
-                .with_strategy(InterlayerStrategy::Milp)
+            InterlayerOptions::enabled().with_budget_bytes(65536)
         );
     }
 

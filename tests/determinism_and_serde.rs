@@ -564,10 +564,10 @@ fn json_bytes_are_pinned() {
         ),
         (
             "gpt_mini+noc+interlayer",
-            56120,
-            "e9a5fbcea4b55012cbbd312f0e52c5d1",
-            176995,
-            "16a75c97c8b9ded0961004beebc827c1",
+            56953,
+            "f4664b4fe6f78b52e662a9c2b64bb3b7",
+            178260,
+            "3eee15fc915998c8c73d75093700a0f3",
         ),
         (
             "layer_response",
@@ -592,10 +592,10 @@ fn json_bytes_are_pinned() {
         ),
         (
             "request_with_interlayer",
-            5649,
-            "0a65614f9372027e0d2aba041cee66f3",
-            14011,
-            "62479f0e681a2d2ca8be2db0a06ae659",
+            5631,
+            "d20e34013c8b2ab3c5075ff26372ceca",
+            13985,
+            "1d2ee4d9f469b68783029ba5bf25e05e",
         ),
         (
             "simba_baseline",
@@ -629,7 +629,7 @@ fn json_bytes_are_pinned() {
     // The hand-written `NetworkReport` writer with its optional sections
     // present: NoC totals and the inter-layer report.
     let noc_engine = Engine::new(arch.clone()).with_threads(1).with_noc();
-    let interlayer = InterlayerOptions::enabled().with_strategy(InterlayerStrategy::Milp);
+    let interlayer = InterlayerOptions::enabled();
     got.push(json_row(
         "gpt_mini+noc+interlayer",
         &suite_response(&noc_engine, Suite::GptMini, &interlayer),
@@ -669,11 +669,7 @@ fn json_bytes_are_pinned() {
     let request = ScheduleRequest::for_network(Network::from_suite(Suite::GptMini))
         .with_scheduler("portfolio")
         .with_arch(arch.clone())
-        .with_interlayer(
-            InterlayerOptions::enabled()
-                .with_budget_bytes(65_536)
-                .with_strategy(InterlayerStrategy::Milp),
-        );
+        .with_interlayer(InterlayerOptions::enabled().with_budget_bytes(65_536));
     got.push(json_row("request_with_interlayer", &request));
     got.push(json_row("simba_baseline", &arch));
     got.push(json_row("awkward_value", &awkward_value()));

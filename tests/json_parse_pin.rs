@@ -266,7 +266,7 @@ fn parse_outcomes_are_pinned() {
     }
     assert_eq!(
         format!("{combined:016x}"),
-        "24aee44e069c6e89",
+        "9c3160b6793bbc8f",
         "parse outcomes moved:\n{}",
         summary.join("\n")
     );

@@ -335,6 +335,38 @@ fn malformed_requests_get_4xx_and_daemon_stays_up() {
     .unwrap();
     assert_eq!(resp.status, 400);
 
+    // A network entry that never runs, and the removed residency
+    // selector, → 400s that name the field.
+    let mut never_runs = tiny_network();
+    never_runs.layers[1].count = 0;
+    let resp = post_schedule(
+        &handle,
+        &ScheduleRequest::for_network(never_runs).with_scheduler("random"),
+    );
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let error = parse_response(&resp).error.expect("error body");
+    assert!(
+        error.contains("`stage1`") && error.contains("`count`"),
+        "{error}"
+    );
+    let resp = http::request(
+        handle.addr(),
+        "POST",
+        "/v1/schedule",
+        r#"{"suite": "alexnet", "options": {"scheduler": "random",
+            "interlayer": {"enabled": true, "strategy": "milp"}}}"#,
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let error = parse_response(&resp).error.expect("error body");
+    assert!(error.contains("`strategy`"), "{error}");
+    assert_eq!(
+        http::request(handle.addr(), "GET", "/v1/healthz", "")
+            .unwrap()
+            .status,
+        200
+    );
+
     // Unknown route → 404; bad method → 405; not even HTTP → 400.
     assert_eq!(
         http::request(handle.addr(), "GET", "/v1/nope", "")
@@ -357,7 +389,7 @@ fn malformed_requests_get_4xx_and_daemon_stays_up() {
     );
     assert_eq!(resp.status, 200, "{}", resp.body);
     let stats = get_stats(&handle);
-    assert!(stats.errors >= 5, "error responses are counted");
+    assert!(stats.errors >= 7, "error responses are counted");
     assert_eq!(stats.served, 1);
 
     handle.shutdown().expect("clean shutdown");
